@@ -33,7 +33,6 @@ func main() {
 		devices    = flag.Int("devices", 2, "simulated proving devices")
 		queueCap   = flag.Int("queue", 64, "admission-control bound on queued+running jobs")
 		maxBatch   = flag.Int("max-batch", 4, "max same-circuit jobs per device dispatch")
-		fusedBatch = flag.Bool("fused-batch", true, "prove multi-job same-circuit dispatches through the fused batch pipeline (groth16.ProveBatch)")
 		prover     = flag.String("prover", "gzkp", "gzkp | baseline | cpu")
 		preprocess = flag.Bool("preprocess", false, "build GZKP MSM tables at circuit registration")
 		faultSpec  = flag.String("inject-faults", "", `deterministic fault plan keyed by service device, e.g. "kill:0@30" (see gzkp-prove)`)
@@ -51,7 +50,7 @@ func main() {
 		Devices:       *devices,
 		QueueCapacity: *queueCap,
 		MaxBatch:      *maxBatch,
-		FusedBatch:    *fusedBatch,
+		FusedBatch:    true,
 		MaxCircuits:   32,
 		Preprocess:    *preprocess,
 		Registry:      telemetry.NewRegistry(),

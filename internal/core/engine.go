@@ -462,8 +462,8 @@ func (e *Engine) runMSM(ctx context.Context, g *curve.Group, points []curve.Affi
 	partials := make([]curve.Affine, parts)
 	stats := make([]msm.Stats, parts)
 	err := par.ItemsErr(ctx, parts, parts,
-		func() interface{} { return nil },
-		func(_ interface{}, i int) error {
+		nil,
+		func(_ struct{}, i int) error {
 			lo, hi := ts.bounds[i], ts.bounds[i+1]
 			degrade := func(int) error { return e.degradePartition(ctx, g, points, ts, i) }
 			return e.runOnDevice(ctx, rs, i, degrade, func(dev int) error {

@@ -133,8 +133,8 @@ func batchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]ff.Element, weig
 // BatchStats describes one ProveBatch execution.
 type BatchStats struct {
 	Proofs int
-	// FusedNTTs is the number of strided NTT launches (7 for any k>0):
-	// the batch fuses what k solo proofs would run as 7·k transforms.
+	// FusedNTTs is the number of NTT launches (7 for any k>0): the batch
+	// fuses what k separate proofs would run as 7·k transforms.
 	FusedNTTs int
 	NTTStats  []ntt.Stats
 	// MSMStats holds 5·k entries in per-base-set order
@@ -149,17 +149,20 @@ func ProveBatch(pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg 
 	return ProveBatchCtx(context.Background(), pk, sys, witnesses, cfg, rand)
 }
 
-// ProveBatchCtx proves k same-circuit witnesses in one fused pipeline: the
-// domain/twiddle setup is built once, the 7·k per-proof NTTs run as 7
-// strided batch launches (poly.ComputeHBatchCtx), and each of the five MSM
-// base sets serves all k proofs from one shared setup (msm.ComputeManyCtx /
-// the proving key's preprocessed tables). Every proof's arithmetic is
-// exactly ProveCtx's and the blinding pairs (rᵢ, sᵢ) are drawn from rand
+// ProveBatchCtx is the prover: the paper's fixed schedule of seven NTTs,
+// five MSMs and one assembly (§5.2), run once for k same-circuit witnesses.
+// The domain/twiddle setup is built once, the 7·k per-proof NTTs run as 7
+// launches (poly.ComputeHBatchCtx), and each of the five MSM base sets
+// serves all k proofs from one shared setup (msm.ComputeManyCtx / the
+// proving key's preprocessed tables). Prove is this function with k = 1.
+// The blinding pairs (rᵢ, sᵢ) are drawn from rand (nil = crypto/rand)
 // proof-major (r₀,s₀,r₁,s₁,…), so the output is bit-identical to k
-// sequential ProveCtx calls sharing the same reader.
+// one-witness calls sharing the same reader.
 //
-// Fault-injection accounting differs from the sequential loop by design:
-// the batch gates 7 NTT + 5 MSM fused launches total, not per proof.
+// ctx is honored cooperatively at chunk boundaries throughout both stages;
+// injected faults (ProveConfig.Faults) gate the 7 NTT + 5 MSM launches —
+// per batch, not per proof — and are recovered per class; panics below the
+// prover return as a *resilience.PanicError.
 func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg ProveConfig, rand io.Reader) (proofs []*Proof, stats *BatchStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -179,48 +182,49 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	f := c.Fr
 	for i, w := range witnesses {
 		if len(w) != sys.NumVars {
-			return nil, nil, fmt.Errorf("groth16: batch witness %d length %d != %d wires", i, len(w), sys.NumVars)
+			return nil, nil, fmt.Errorf("groth16: witness %d length %d != %d wires", i, len(w), sys.NumVars)
 		}
 	}
 	st := &BatchStats{Proofs: k}
 
-	root, ctx := telemetry.StartSpan(ctx, "prove_batch")
+	// Root span on the host track; the two stage spans below sit on device
+	// 0's track because the single-device prover models every NTT and MSM as
+	// a logical device-0 kernel (see ProveConfig.Faults).
+	root, ctx := telemetry.StartSpan(ctx, "prove")
 	root.SetInt("k", int64(k))
 	root.SetInt("domain_n", int64(pk.DomainN))
 	root.SetInt("num_vars", int64(sys.NumVars))
 	defer root.End()
 
 	if cfg.CheckSatisfied {
-		err := par.ItemsErr(ctx, k, cfg.NTT.Workers,
-			func() interface{} { return nil },
-			func(_ interface{}, i int) error { return sys.IsSatisfied(witnesses[i]) })
+		err := par.ItemsErr(ctx, k, cfg.NTT.Workers, nil,
+			func(_ struct{}, i int) error { return sys.IsSatisfied(witnesses[i]) })
 		if err != nil {
 			return nil, nil, err
 		}
 	}
 
-	// ---- POLY stage: 7 fused strided launches for all k proofs.
+	// ---- POLY stage: 7 NTT launches for all k proofs (internal/poly).
 	t0 := time.Now()
 	n := pk.DomainN
 	dom, err := ntt.NewDomain(f, n)
 	if err != nil {
 		return nil, nil, err
 	}
-	spPoly, pctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "batch-poly")
+	spPoly, pctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "poly")
 	spPoly.SetInt("n", int64(n))
 	spPoly.SetInt("k", int64(k))
 	defer spPoly.End()
 	for i := 0; i < poly.NTTCount; i++ {
-		if lerr := cfg.launch(pctx, fmt.Sprintf("batch NTT %d", i), nil); lerr != nil {
+		if lerr := cfg.launch(pctx, fmt.Sprintf("NTT %d", i), nil); lerr != nil {
 			return nil, nil, lerr
 		}
 	}
 	avs := make([][]ff.Element, k)
 	bvs := make([][]ff.Element, k)
 	cvs := make([][]ff.Element, k)
-	err = par.ItemsErr(pctx, k, cfg.NTT.Workers,
-		func() interface{} { return nil },
-		func(_ interface{}, i int) error {
+	err = par.ItemsErr(pctx, k, cfg.NTT.Workers, nil,
+		func(_ struct{}, i int) error {
 			av, bv, cv := f.NewVector(n), f.NewVector(n), f.NewVector(n)
 			w := witnesses[i]
 			for j, cons := range sys.Constraints {
@@ -243,8 +247,9 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	st.FusedNTTs = polyRes.FusedNTTs
 	st.PolyNS = time.Since(t0).Nanoseconds()
 
-	// ---- Blinding: proof-major draw order (r₀,s₀,r₁,s₁,…) replicates the
-	// byte stream k sequential ProveCtx calls would consume from rand.
+	// ---- Blinding, proof-major: the byte stream k one-witness calls would
+	// consume from the same reader.
+	t1 := time.Now()
 	rs := make([]ff.Element, k)
 	ss := make([]ff.Element, k)
 	for i := 0; i < k; i++ {
@@ -256,20 +261,46 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 		}
 	}
 
-	// ---- MSM stage: 5 batched MSMs, each serving all k proofs.
-	t1 := time.Now()
-	spMSM, mctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "batch-msm-stage")
+	// ---- MSM stage: 5 base sets, each serving all k proofs.
+	spMSM, mctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "msm-stage")
 	defer spMSM.End()
 	privSlices := make([][]ff.Element, k)
 	for i, w := range witnesses {
 		privSlices[i] = w[sys.NumPublic+1:]
 	}
-	runMany := func(name string, g *curve.Group, pts []curve.Affine, slices [][]ff.Element) ([]curve.Affine, error) {
-		sp, sctx := telemetry.StartSpan(mctx, "batch-msm-"+name)
+	// runMSM is the one per-base-set step: launch gate, OOM degrade, then
+	// the k-slice MSM against the key's table (or the configured strategy).
+	runMSM := func(name string, g *curve.Group, pts []curve.Affine, slices [][]ff.Element) ([]curve.Affine, error) {
+		sp, sctx := telemetry.StartSpan(mctx, "msm-"+name)
 		sp.SetInt("n", int64(len(pts)))
 		sp.SetInt("k", int64(k))
 		defer sp.End()
-		if lerr := cfg.launch(sctx, "batch MSM "+name, nil); lerr != nil {
+		var table *msm.Table
+		if cfg.MSM.Strategy == msm.GZKP {
+			table = pk.tables[name]
+		}
+		// OOM recovery: rebuild this query's table on a quartered budget so
+		// msm.AutoCheckpoint picks a larger (memory-thriftier) interval M.
+		// The degraded table lives in this run only — the key is shared by
+		// every device worker and is never written after Preprocess.
+		oom := func() error {
+			if table == nil {
+				return nil // nothing to shrink: retry as-is
+			}
+			dcfg := cfg.MSM
+			dcfg.CheckpointInterval = 0
+			if dcfg.MemoryBudget <= 0 {
+				dcfg.MemoryBudget = 1 << 30
+			}
+			dcfg.MemoryBudget /= 4
+			t, err := msm.PreprocessCtx(sctx, g, pts, dcfg)
+			if err != nil {
+				return err
+			}
+			table = t
+			return nil
+		}
+		if lerr := cfg.launch(sctx, "MSM "+name, oom); lerr != nil {
 			return nil, lerr
 		}
 		var (
@@ -277,44 +308,48 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 			ms  []msm.Stats
 			err error
 		)
-		if cfg.MSM.Strategy == msm.GZKP && pk.tables != nil && pk.tables[name] != nil {
-			res, ms, err = pk.tables[name].ComputeManyCtx(sctx, slices, cfg.MSM)
+		if table != nil {
+			res, ms, err = table.ComputeManyCtx(sctx, slices, cfg.MSM)
 		} else {
 			res, ms, err = msm.ComputeManyCtx(sctx, g, pts, slices, cfg.MSM)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("groth16: batch MSM %s: %w", name, err)
+			return nil, fmt.Errorf("groth16: MSM %s: %w", name, err)
 		}
 		st.MSMStats = append(st.MSMStats, ms...)
 		return res, nil
 	}
-	aMSM, err := runMany("A", c.G1, pk.A, witnesses)
+	aMSM, err := runMSM("A", c.G1, pk.A, witnesses)
 	if err != nil {
 		return nil, nil, err
 	}
-	b2MSM, err := runMany("B2", c.G2, pk.B2, witnesses)
+	b2MSM, err := runMSM("B2", c.G2, pk.B2, witnesses)
 	if err != nil {
 		return nil, nil, err
 	}
-	b1MSM, err := runMany("B1", c.G1, pk.B1, witnesses)
+	b1MSM, err := runMSM("B1", c.G1, pk.B1, witnesses)
 	if err != nil {
 		return nil, nil, err
 	}
-	hMSM, err := runMany("H", c.G1, pk.H, polyRes.H)
+	hMSM, err := runMSM("H", c.G1, pk.H, polyRes.H)
 	if err != nil {
 		return nil, nil, err
 	}
-	kMSM, err := runMany("K", c.G1, pk.K, privSlices)
+	kMSM, err := runMSM("K", c.G1, pk.K, privSlices)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// ---- Per-proof assembly: identical to ProveCtx's epilogue.
+	// ---- Per-proof assembly.
+	reg := telemetry.FromContext(ctx).Registry()
+	if reg != nil && !pk.HasAssemblyTables() {
+		reg.Counter("groth16.fixedbase_fallback").Add(int64(k))
+	}
 	proofs = make([]*Proof, k)
-	err = par.ItemsErr(mctx, k, cfg.MSM.Workers,
-		func() interface{} { return nil },
-		func(_ interface{}, i int) error {
-			sp, _ := telemetry.StartSpan(mctx, fmt.Sprintf("assemble-proof-%d", i))
+	err = par.ItemsErr(mctx, k, cfg.MSM.Workers, nil,
+		func(_ struct{}, i int) error {
+			sp, _ := telemetry.StartSpan(mctx, "assemble")
+			sp.SetInt("proof", int64(i))
 			defer sp.End()
 			ops1, ops2 := c.G1.NewOps(), c.G2.NewOps()
 			rBig, sBig := f.ToBig(rs[i]), f.ToBig(ss[i])
@@ -352,7 +387,7 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 		return nil, nil, err
 	}
 	st.MSMNS = time.Since(t1).Nanoseconds()
-	if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
+	if reg != nil {
 		reg.Counter("groth16.batch_proofs").Add(int64(k))
 		reg.Counter("groth16.batch_fused_ntts").Add(int64(st.FusedNTTs))
 		reg.Counter("groth16.batches").Add(1)

@@ -3,6 +3,7 @@ package groth16
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -44,8 +45,9 @@ func faultFixture(t *testing.T, budget int64) (*ProvingKey, *VerifyingKey, *r1cs
 }
 
 // A forced OOM on the first MSM (launch step 7: the 7 NTTs use steps 0-6)
-// degrades the A-query table to a larger checkpoint interval and the proof
-// still verifies.
+// degrades this run's copy of the A-query table to a larger checkpoint
+// interval and the proof still verifies. The key itself — shared by every
+// device worker in the service — is left untouched.
 func TestProveOOMDegradesAndVerifies(t *testing.T) {
 	pk, vk, sys, w, out, cfg := faultFixture(t, 1<<17)
 	baseM := pk.tables["A"].Checkpoint()
@@ -57,11 +59,74 @@ func TestProveOOMDegradesAndVerifies(t *testing.T) {
 	if err := Verify(vk, proof, []ff.Element{out}); err != nil {
 		t.Fatalf("proof after OOM degradation rejected: %v", err)
 	}
-	if gotM := pk.tables["A"].Checkpoint(); gotM <= baseM {
+	if gotM := stats.MSMStats[0].Checkpoint; gotM <= baseM {
 		t.Fatalf("degraded checkpoint interval M=%d not larger than original M=%d", gotM, baseM)
+	}
+	if gotM := pk.tables["A"].Checkpoint(); gotM != baseM {
+		t.Fatalf("OOM recovery wrote the shared key: table M=%d, was %d", gotM, baseM)
 	}
 	if stats.MSMOps != 5 {
 		t.Fatalf("MSM stage ran %d MSMs after recovery, want 5", stats.MSMOps)
+	}
+}
+
+// Two device workers proving under one preprocessed key both hit an OOM on
+// their first MSM. The degrade state is per run, so under -race this must
+// stay silent (the shared pk.tables map used to be written here) and both
+// proofs verify.
+func TestProveConcurrentOOMSharedKey(t *testing.T) {
+	pk, vk, sys, w, out, cfg := faultFixture(t, 1<<17)
+	var wg sync.WaitGroup
+	proofs := make([]*Proof, 2)
+	errs := make([]error, 2)
+	for i := range proofs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultOOM, Device: 0, Step: 7})
+			proofs[i], _, errs[i] = Prove(pk, sys, w, c, nil)
+		}()
+	}
+	wg.Wait()
+	for i, p := range proofs {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
+		}
+		if err := Verify(vk, p, []ff.Element{out}); err != nil {
+			t.Fatalf("worker %d: proof after OOM degradation rejected: %v", i, err)
+		}
+	}
+}
+
+// The launch gate and the OOM hook sit in the one per-base-set MSM step, so
+// a k=4 batch recovers in place exactly like a single proof: an OOM on the
+// A launch (step 7, retried as step 8) degrades the table for all four
+// slices, two transients on the B2 launch (steps 9-10) retry, and every proof
+// verifies.
+func TestProveBatchRecoversInPlace(t *testing.T) {
+	pk, vk, sys, w, out, cfg := faultFixture(t, 1<<17)
+	baseM := pk.tables["A"].Checkpoint()
+	cfg.Faults = gpusim.NewFaultPlan(1,
+		gpusim.Fault{Kind: gpusim.FaultOOM, Device: 0, Step: 7},
+		gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 9, Times: 2})
+	sleeps := 0
+	cfg.Retry.Sleep = func(context.Context, time.Duration) error { sleeps++; return nil }
+	wits := [][]ff.Element{w, w, w, w}
+	proofs, st, err := ProveBatch(pk, sys, wits, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sleeps != 2 {
+		t.Fatalf("retried %d times, want 2", sleeps)
+	}
+	for i := 0; i < len(wits); i++ {
+		if gotM := st.MSMStats[i].Checkpoint; gotM <= baseM {
+			t.Fatalf("slice %d of A ran at M=%d, want degraded (> %d)", i, gotM, baseM)
+		}
+		if err := Verify(vk, proofs[i], []ff.Element{out}); err != nil {
+			t.Fatalf("batch proof %d rejected after recovery: %v", i, err)
+		}
 	}
 }
 

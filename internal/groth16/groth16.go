@@ -13,9 +13,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/big"
-	"runtime/debug"
-	"time"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -23,7 +20,6 @@ import (
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
 	"gzkp/internal/pairing"
-	"gzkp/internal/poly"
 	"gzkp/internal/r1cs"
 	"gzkp/internal/resilience"
 	"gzkp/internal/telemetry"
@@ -79,12 +75,13 @@ type ProveConfig struct {
 	// CheckSatisfied verifies the witness against the system first.
 	CheckSatisfied bool
 	// Faults, when non-nil, is consulted before every modeled kernel launch
-	// (the 7 NTTs, then the 5 MSMs, all as logical device 0 — remap with
-	// gpusim.DeviceFaults when this prover runs on behalf of another
-	// device). Transient faults retry per Retry; an OOM degrades the
-	// affected GZKP table to a thriftier checkpoint interval; a device loss
-	// is fatal for the single-device prover (callers with survivors requeue
-	// the whole proof).
+	// (the 7 NTTs, then the 5 MSMs — 12 launches per ProveBatch whatever k
+	// is — all as logical device 0; remap with gpusim.DeviceFaults when
+	// this prover runs on behalf of another device). Transient faults retry
+	// per Retry; an OOM on an MSM launch degrades that run's copy of the
+	// GZKP table to a thriftier checkpoint interval; a device loss is fatal
+	// for the single-device prover (callers with survivors requeue the
+	// whole dispatch).
 	Faults gpusim.LaunchGate
 	// Retry bounds transient-fault retries (zero value = defaults).
 	Retry resilience.Policy
@@ -136,7 +133,8 @@ func (cfg ProveConfig) launch(ctx context.Context, op string, oom func() error) 
 	}
 }
 
-// ProveStats reports the stage breakdown the paper's Tables 2-4 use.
+// ProveStats reports the stage breakdown the paper's Tables 2-4 use for one
+// proof; Prove derives it from the BatchStats of its one-witness batch.
 type ProveStats struct {
 	PolyNS, MSMNS int64
 	NTTOps        int // 7
@@ -375,204 +373,24 @@ func (pk *ProvingKey) PreprocessCtx(ctx context.Context, cfg msm.Config) error {
 	return nil
 }
 
-func (pk *ProvingKey) msmRun(ctx context.Context, name string, g *curve.Group, pts []curve.Affine, scalars []ff.Element, cfg ProveConfig) (curve.Affine, msm.Stats, error) {
-	// OOM recovery: rebuild this query's table on a quartered budget so
-	// msm.AutoCheckpoint picks a larger (memory-thriftier) interval M.
-	oom := func() error {
-		if cfg.MSM.Strategy != msm.GZKP || pk.tables == nil {
-			return nil // nothing to shrink: retry as-is
-		}
-		dcfg := cfg.MSM
-		dcfg.CheckpointInterval = 0
-		if dcfg.MemoryBudget <= 0 {
-			dcfg.MemoryBudget = 1 << 30
-		}
-		dcfg.MemoryBudget /= 4
-		t, err := msm.PreprocessCtx(ctx, g, pts, dcfg)
-		if err != nil {
-			return err
-		}
-		pk.tables[name] = t
-		return nil
-	}
-	if err := cfg.launch(ctx, "MSM "+name, oom); err != nil {
-		return curve.Affine{}, msm.Stats{}, err
-	}
-	var (
-		res  curve.Affine
-		ms   msm.Stats
-		err  error
-		done bool
-	)
-	if cfg.MSM.Strategy == msm.GZKP && pk.tables != nil {
-		if t, ok := pk.tables[name]; ok {
-			res, ms, err = t.ComputeCtx(ctx, scalars, cfg.MSM)
-			done = true
-		}
-	}
-	if !done {
-		res, ms, err = msm.ComputeCtx(ctx, g, pts, scalars, cfg.MSM)
-	}
-	if err != nil {
-		return curve.Affine{}, msm.Stats{}, fmt.Errorf("groth16: MSM %s: %w", name, err)
-	}
-	return res, ms, nil
-}
-
 // Prove is ProveCtx without cancellation.
 func Prove(pk *ProvingKey, sys *r1cs.System, w []ff.Element, cfg ProveConfig, rand io.Reader) (*Proof, *ProveStats, error) {
 	return ProveCtx(context.Background(), pk, sys, w, cfg, rand)
 }
 
-// ProveCtx generates a proof for witness w (as produced by System.Solve).
-// rand supplies the blinding factors r, s (nil = crypto/rand). ctx is
-// honored cooperatively at chunk boundaries throughout both stages;
-// injected faults (ProveConfig.Faults) are recovered per class, and panics
-// below the prover return as a *resilience.PanicError.
-func ProveCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, w []ff.Element, cfg ProveConfig, rand io.Reader) (proof *Proof, stats *ProveStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			proof, stats = nil, nil
-			if pe, ok := r.(*resilience.PanicError); ok {
-				err = pe
-			} else {
-				err = &resilience.PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}
-	}()
-	c := curve.Get(pk.CurveID)
-	f := c.Fr
-	if len(w) != sys.NumVars {
-		return nil, nil, fmt.Errorf("groth16: witness length %d != %d wires", len(w), sys.NumVars)
-	}
-	if cfg.CheckSatisfied {
-		if err := sys.IsSatisfied(w); err != nil {
-			return nil, nil, err
-		}
-	}
-	st := &ProveStats{}
-
-	// Root span on the host track; the two stage spans below sit on device
-	// 0's track because the single-device prover models every NTT and MSM as
-	// a logical device-0 kernel (see ProveConfig.Faults).
-	root, ctx := telemetry.StartSpan(ctx, "prove")
-	root.SetInt("domain_n", int64(pk.DomainN))
-	root.SetInt("num_vars", int64(sys.NumVars))
-	defer root.End()
-
-	// ---- POLY stage: 7 NTT operations (internal/poly).
-	t0 := time.Now()
-	n := pk.DomainN
-	dom, err := ntt.NewDomain(f, n)
+// ProveCtx generates a proof for witness w (as produced by System.Solve):
+// ProveBatchCtx with one witness. rand supplies the blinding factors r, s
+// (nil = crypto/rand).
+func ProveCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, w []ff.Element, cfg ProveConfig, rand io.Reader) (*Proof, *ProveStats, error) {
+	proofs, bst, err := ProveBatchCtx(ctx, pk, sys, [][]ff.Element{w}, cfg, rand)
 	if err != nil {
 		return nil, nil, err
 	}
-	spPoly, pctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "poly")
-	spPoly.SetInt("n", int64(n))
-	defer spPoly.End()
-	for i := 0; i < poly.NTTCount; i++ {
-		if lerr := cfg.launch(pctx, fmt.Sprintf("NTT %d", i), nil); lerr != nil {
-			return nil, nil, lerr
-		}
-	}
-	av, bv, cv := f.NewVector(n), f.NewVector(n), f.NewVector(n)
-	for j, cons := range sys.Constraints {
-		copy(av[j], r1cs.EvalLC(f, cons.A, w))
-		copy(bv[j], r1cs.EvalLC(f, cons.B, w))
-		copy(cv[j], r1cs.EvalLC(f, cons.C, w))
-	}
-	polyRes, err := poly.ComputeHCtx(pctx, dom, av, bv, cv, cfg.NTT)
-	spPoly.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	st.NTTStats = polyRes.Stats
-	st.NTTOps = len(polyRes.Stats)
-	h := polyRes.H
-	st.PolyNS = time.Since(t0).Nanoseconds()
-
-	// ---- MSM stage: 5 multi-scalar multiplications.
-	t1 := time.Now()
-	r, err := f.RandReader(rand)
-	if err != nil {
-		return nil, nil, err
-	}
-	s, err := f.RandReader(rand)
-	if err != nil {
-		return nil, nil, err
-	}
-	spMSM, mctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "msm-stage")
-	defer spMSM.End()
-	runMSM := func(name string, g *curve.Group, pts []curve.Affine, scalars []ff.Element) (curve.Affine, error) {
-		sp, sctx := telemetry.StartSpan(mctx, "msm-"+name)
-		sp.SetInt("n", int64(len(pts)))
-		res, ms, err := pk.msmRun(sctx, name, g, pts, scalars, cfg)
-		sp.End()
-		if err != nil {
-			return curve.Affine{}, err // msmRun already names the query
-		}
-		st.MSMStats = append(st.MSMStats, ms)
-		st.MSMOps++
-		return res, nil
-	}
-	aMSM, err := runMSM("A", c.G1, pk.A, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	b2MSM, err := runMSM("B2", c.G2, pk.B2, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	b1MSM, err := runMSM("B1", c.G1, pk.B1, w)
-	if err != nil {
-		return nil, nil, err
-	}
-	hMSM, err := runMSM("H", c.G1, pk.H, h)
-	if err != nil {
-		return nil, nil, err
-	}
-	kMSM, err := runMSM("K", c.G1, pk.K, w[sys.NumPublic+1:])
-	if err != nil {
-		return nil, nil, err
-	}
-
-	ops1, ops2 := c.G1.NewOps(), c.G2.NewOps()
-	rBig, sBig := f.ToBig(r), f.ToBig(s)
-	if !pk.HasAssemblyTables() {
-		if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
-			reg.Counter("groth16.fixedbase_fallback").Add(1)
-		}
-	}
-	// A = α + Σ zᵢAᵢ + r·δ
-	var aj curve.Jacobian
-	ops1.FromAffine(&aj, pk.Alpha1)
-	ops1.AddMixedAssign(&aj, aMSM)
-	ops1.AddAssign(&aj, pk.deltaMul1(ops1, rBig))
-	proofA := ops1.ToAffine(&aj)
-	// B = β + Σ zᵢBᵢ + s·δ  (in G2, and mirrored in G1 for C)
-	var bj2 curve.Jacobian
-	ops2.FromAffine(&bj2, pk.Beta2)
-	ops2.AddMixedAssign(&bj2, b2MSM)
-	ops2.AddAssign(&bj2, pk.deltaMul2(ops2, sBig))
-	proofB := ops2.ToAffine(&bj2)
-	var bj1 curve.Jacobian
-	ops1.FromAffine(&bj1, pk.Beta1)
-	ops1.AddMixedAssign(&bj1, b1MSM)
-	ops1.AddAssign(&bj1, pk.deltaMul1(ops1, sBig))
-	// C = Σ_priv zᵢKᵢ + Σ hᵢHᵢ + s·A + r·B1 - r·s·δ
-	var cj curve.Jacobian
-	ops1.SetInfinity(&cj)
-	ops1.AddMixedAssign(&cj, kMSM)
-	ops1.AddMixedAssign(&cj, hMSM)
-	ops1.AddAssign(&cj, ops1.ScalarMul(proofA, sBig))
-	ops1.AddAssign(&cj, ops1.ScalarMul(ops1.ToAffine(&bj1), rBig))
-	rs := f.Mul(f.New(), r, s)
-	negRS := new(big.Int).Neg(f.ToBig(rs))
-	ops1.AddAssign(&cj, pk.deltaMul1(ops1, negRS))
-	proofC := ops1.ToAffine(&cj)
-
-	st.MSMNS = time.Since(t1).Nanoseconds()
-	return &Proof{CurveID: pk.CurveID, A: proofA, B: proofB, C: proofC}, st, nil
+	return proofs[0], &ProveStats{
+		PolyNS: bst.PolyNS, MSMNS: bst.MSMNS,
+		NTTOps: len(bst.NTTStats), MSMOps: len(bst.MSMStats),
+		NTTStats: bst.NTTStats, MSMStats: bst.MSMStats,
+	}, nil
 }
 
 // Verify checks a proof against public inputs (excluding the ONE wire):

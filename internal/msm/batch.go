@@ -21,72 +21,46 @@ import (
 // first len(slices[i]) bases (the Groth16 K MSM skips public inputs, so its
 // batched form passes the shortened base prefix per proof).
 func ComputeManyCtx(ctx context.Context, g *curve.Group, points []curve.Affine, slices [][]ff.Element, cfg Config) ([]curve.Affine, []Stats, error) {
-	k := len(slices)
 	for i, s := range slices {
 		if len(s) > len(points) {
 			return nil, nil, fmt.Errorf("msm: batch slice %d has %d scalars vs %d points", i, len(s), len(points))
 		}
 	}
-	if k == 0 {
-		return nil, nil, ctx.Err()
+	eval := func(ctx context.Context, scalars []ff.Element) (curve.Affine, Stats, error) {
+		return ComputeCtx(ctx, g, points[:len(scalars)], scalars, cfg)
 	}
-	sp, ctx := telemetry.StartSpan(ctx, "msm-batch")
-	sp.SetStr("strategy", cfg.Strategy.String())
-	sp.SetInt("n", int64(len(points)))
-	sp.SetInt("k", int64(k))
-	defer sp.End()
-
-	results := make([]curve.Affine, k)
-	stats := make([]Stats, k)
-	run := func(eval func(scalars []ff.Element) (curve.Affine, Stats, error)) error {
-		for i := range slices {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			res, st, err := eval(slices[i])
-			if err != nil {
-				return err
-			}
-			results[i], stats[i] = res, st
-		}
-		return nil
-	}
-	var err error
-	if cfg.Strategy == GZKP && len(points) > 0 {
+	if cfg.Strategy == GZKP && len(points) > 0 && len(slices) > 0 {
 		// One preprocessing pass serves all k computes — the batch win.
-		var table *Table
-		table, err = PreprocessCtx(ctx, g, points, cfg)
+		table, err := PreprocessCtx(ctx, g, points, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
-		err = run(func(scalars []ff.Element) (curve.Affine, Stats, error) {
+		eval = func(ctx context.Context, scalars []ff.Element) (curve.Affine, Stats, error) {
 			return table.computePrefixCtx(ctx, scalars, cfg)
-		})
-	} else {
-		err = run(func(scalars []ff.Element) (curve.Affine, Stats, error) {
-			return ComputeCtx(ctx, g, points[:len(scalars)], scalars, cfg)
-		})
+		}
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
-		reg.Counter("msm.batch_ops").Add(1)
-		reg.Counter("msm.batch_slices").Add(int64(k))
-	}
-	return results, stats, nil
+	return computeMany(ctx, cfg.Strategy.String(), slices, eval)
 }
 
 // ComputeManyCtx is ComputeManyCtx over an already-preprocessed table: the
 // k slices reuse t's checkpoint tables directly, the per-proof path of a
 // batched prover whose proving key carries prebuilt GZKP tables.
 func (t *Table) ComputeManyCtx(ctx context.Context, slices [][]ff.Element, cfg Config) ([]curve.Affine, []Stats, error) {
+	return computeMany(ctx, "gzkp-table", slices, func(ctx context.Context, scalars []ff.Element) (curve.Affine, Stats, error) {
+		return t.computePrefixCtx(ctx, scalars, cfg)
+	})
+}
+
+// computeMany is the slice loop both ComputeManyCtx forms share: one
+// "msm-batch" span, one eval per slice with ctx checked in between, and the
+// batch counters.
+func computeMany(ctx context.Context, strategy string, slices [][]ff.Element, eval func(context.Context, []ff.Element) (curve.Affine, Stats, error)) ([]curve.Affine, []Stats, error) {
 	k := len(slices)
 	if k == 0 {
 		return nil, nil, ctx.Err()
 	}
 	sp, ctx := telemetry.StartSpan(ctx, "msm-batch")
-	sp.SetStr("strategy", "gzkp-table")
+	sp.SetStr("strategy", strategy)
 	sp.SetInt("k", int64(k))
 	defer sp.End()
 	results := make([]curve.Affine, k)
@@ -95,11 +69,10 @@ func (t *Table) ComputeManyCtx(ctx context.Context, slices [][]ff.Element, cfg C
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
 		}
-		res, st, err := t.computePrefixCtx(ctx, slices[i], cfg)
-		if err != nil {
+		var err error
+		if results[i], stats[i], err = eval(ctx, slices[i]); err != nil {
 			return nil, nil, err
 		}
-		results[i], stats[i] = res, st
 	}
 	if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
 		reg.Counter("msm.batch_ops").Add(1)

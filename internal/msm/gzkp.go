@@ -64,34 +64,20 @@ func PreprocessCtx(ctx context.Context, g *curve.Group, points []curve.Affine, c
 	if n == 0 {
 		return nil, fmt.Errorf("msm: empty point vector")
 	}
-	k := cfg.WindowBits
-	if k <= 0 {
-		k = AutoWindow(n)
-		if cfg.SignedBuckets {
-			k++ // half the buckets afford one extra window bit
-		}
-	}
+	k := windowBits(n, cfg.WindowBits, cfg.SignedBuckets)
 	l := g.Fr.Bits()
-	if cfg.SignedBuckets {
-		if k < 2 {
-			k = 2
-		}
-		if k > 16 {
-			k = 16
-		}
+	if cfg.SignedBuckets && l%k == 0 {
 		// Signed recoding carries out of the top window only when k divides
 		// the scalar bit length; nudge k to the nearest non-dividing size so
 		// the carry window is provably empty and the table stays exact.
-		if l%k == 0 {
-			for d := 1; d < 16; d++ {
-				if k+d <= 16 && l%(k+d) != 0 {
-					k += d
-					break
-				}
-				if k-d >= 2 && l%(k-d) != 0 {
-					k -= d
-					break
-				}
+		for d := 1; d < 16; d++ {
+			if k+d <= 16 && l%(k+d) != 0 {
+				k += d
+				break
+			}
+			if k-d >= 2 && l%(k-d) != 0 {
+				k -= d
+				break
 			}
 		}
 	}
@@ -120,10 +106,8 @@ func PreprocessCtx(ctx context.Context, g *curve.Group, points []curve.Affine, c
 	for c := 1; c < checkpoints; c++ {
 		prev := t.pre[c-1]
 		next := make([]curve.Jacobian, n)
-		err := par.ItemsErr(ctx, n, cfg.workers(),
-			func() interface{} { return g.NewOps() },
-			func(state interface{}, i int) error {
-				ops := state.(*curve.Ops)
+		err := par.ItemsErr(ctx, n, cfg.workers(), g.NewOps,
+			func(ops *curve.Ops, i int) error {
 				var acc curve.Jacobian
 				ops.FromAffine(&acc, prev[i])
 				for d := 0; d < m*k; d++ {
@@ -155,14 +139,21 @@ func (t *Table) Compute(scalars []ff.Element, cfg Config) (curve.Affine, Stats, 
 // digit), cross-window point merging with load-grouped scheduling, and the
 // parallel-prefix bucket reduction. No window-reduction step remains. ctx
 // is checked at bucket-task boundaries.
+//
+// cfg.SignedBuckets picks the digit recoding, nothing else: unsigned digits
+// (the paper's Algorithm 1 setting) fill buckets j ∈ [1, 2^k); signed digits
+// in [-2^(k-1), 2^(k-1)] fill buckets |d| ∈ [1, 2^(k-1)] and merge negative
+// digits by mixed subtraction. The sign rides in the p_index entry
+// (±(w·n+i+1)); unsigned entries are simply never negative.
 func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
-	if cfg.SignedBuckets {
-		return t.computeSignedCtx(ctx, scalars, cfg)
-	}
 	g := t.g
 	n := len(t.pre[0])
 	if len(scalars) != n {
 		return curve.Affine{}, Stats{}, fmt.Errorf("msm: %d scalars for %d-point table", len(scalars), n)
+	}
+	signed := cfg.SignedBuckets
+	if l := g.Fr.Bits(); signed && l%t.k == 0 {
+		return curve.Affine{}, Stats{}, fmt.Errorf("msm: signed buckets need k ∤ %d (scalar bits); table has k=%d — rebuild with SignedBuckets set", l, t.k)
 	}
 	sp, ctx := telemetry.StartSpan(ctx, "msm")
 	sp.SetStr("strategy", GZKP.String())
@@ -172,19 +163,26 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 	if dg.windows != t.windows {
 		return curve.Affine{}, Stats{}, fmt.Errorf("msm: window mismatch: table %d, scalars %d", t.windows, dg.windows)
 	}
-	numBuckets := 1<<t.k - 1 // bucket j ∈ [1, 2^k); bucket 0 is free
+	dm := recodeDigits(dg, signed)
+	numBuckets := bucketCount(t.k, signed)
 
-	// --- Bucket-info (p_index) construction: counting sort by digit.
+	// --- Bucket-info (p_index) construction: counting sort by |digit|.
 	counts := make([]int32, numBuckets+1)
 	var zeros, nonzeros int64
 	for i := 0; i < n; i++ {
+		if signed && dm.digit(i, t.windows) != 0 {
+			return curve.Affine{}, Stats{}, fmt.Errorf("msm: signed recoding carried out of the top window (internal error)")
+		}
 		for w := 0; w < t.windows; w++ {
-			j := dg.digit(i, w)
-			if j == 0 {
+			d := dm.digit(i, w)
+			if d == 0 {
 				zeros++
 				continue
 			}
-			counts[j]++
+			if d < 0 {
+				d = -d
+			}
+			counts[d]++
 			nonzeros++
 		}
 	}
@@ -197,12 +195,16 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 	copy(fill, offsets[:numBuckets+1])
 	for i := 0; i < n; i++ {
 		for w := 0; w < t.windows; w++ {
-			j := dg.digit(i, w)
-			if j == 0 {
+			d := dm.digit(i, w)
+			if d == 0 {
 				continue
 			}
-			pindex[fill[j]] = int32(w*n + i)
-			fill[j]++
+			entry := int32(w*n + i + 1)
+			if d < 0 {
+				d, entry = -d, -entry
+			}
+			pindex[fill[d]] = entry
+			fill[d]++
 		}
 	}
 
@@ -234,193 +236,7 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 	// costing (M-1)·k doublings per *bucket* rather than per entry — the
 	// formulation that keeps Algorithm 1's time/space knob usable at
 	// paper scales.
-	merge := func(state interface{}, j int) error {
-		ops := state.(*curve.Ops)
-		var localAdds, localDoubles int64
-		subs := make([]curve.Jacobian, t.m)
-		for r := range subs {
-			ops.SetInfinity(&subs[r])
-		}
-		var batch []curve.Affine
-		if cfg.UseBatchAffine && offsets[j+1]-offsets[j] >= batchAffineMin {
-			batch = make([]curve.Affine, 0, offsets[j+1]-offsets[j])
-		}
-		maxRem := 0
-		for e := offsets[j]; e < offsets[j+1]; e++ {
-			entry := int(pindex[e])
-			w, i := entry/n, entry%n
-			c, rem := w/t.m, w%t.m
-			pt := t.pre[c][i]
-			if rem == 0 && batch != nil {
-				batch = append(batch, pt)
-			} else {
-				ops.AddMixedAssign(&subs[rem], pt)
-			}
-			if rem > maxRem {
-				maxRem = rem
-			}
-			localAdds++
-		}
-		if batch != nil {
-			ops.AddMixedAssign(&subs[0], t.g.AffineBatchSum(batch))
-		}
-		// Horner combine over the populated remainder classes.
-		var acc curve.Jacobian
-		ops.Copy(&acc, &subs[maxRem])
-		for r := maxRem - 1; r >= 0; r-- {
-			for d := 0; d < t.k; d++ {
-				ops.DoubleAssign(&acc)
-			}
-			localDoubles += int64(t.k)
-			ops.AddAssign(&acc, &subs[r])
-			localAdds++
-		}
-		buckets[j] = acc
-		atomic.AddInt64(&adds, localAdds)
-		atomic.AddInt64(&doubles, localDoubles)
-		return nil
-	}
-	var mergeErr error
-	if cfg.NoLoadBalance {
-		mergeErr = par.StaticItemsErr(ctx, numBuckets, cfg.workers(),
-			func() interface{} { return g.NewOps() },
-			func(state interface{}, idx int) error { return merge(state, idx+1) })
-	} else {
-		mergeErr = par.ItemsOrderedErr(ctx, numBuckets, cfg.workers(), order,
-			func() interface{} { return g.NewOps() },
-			merge)
-	}
-	if mergeErr != nil {
-		return curve.Affine{}, Stats{}, mergeErr
-	}
-
-	// --- Parallel-prefix bucket reduction: Σ j·B_j over j ∈ [1, 2^k).
-	result, err := t.reduceBuckets(ctx, buckets, cfg)
-	if err != nil {
-		return curve.Affine{}, Stats{}, err
-	}
-
-	// --- Stats (Fig. 6's histogram and spread).
-	loads := make([]int64, numBuckets+1)
-	var maxLoad, minLoad int64 = 0, 1 << 62
-	for j := 1; j <= numBuckets; j++ {
-		loads[j] = int64(counts[j])
-		if loads[j] > maxLoad {
-			maxLoad = loads[j]
-		}
-		if loads[j] > 0 && loads[j] < minLoad {
-			minLoad = loads[j]
-		}
-	}
-	spread := 0.0
-	if minLoad > 0 && minLoad != 1<<62 {
-		spread = float64(maxLoad) / float64(minLoad)
-	}
-	st := Stats{
-		WindowBits: t.k, Windows: t.windows, Checkpoint: t.m,
-		PointAdds: adds, Doubles: doubles,
-		TableBytes:  t.bytes + int64(len(pindex))*4,
-		BucketLoads: loads, LoadSpread: spread,
-		ZeroDigits: zeros, NonzeroDigit: nonzeros,
-		// Table-point loads per nonzero digit, one canonical scalar read
-		// per input, and the bucket-index array written then re-read.
-		TrafficBytes: nonzeros*pointBytes(g) +
-			int64(n)*int64(g.Fr.Limbs()*8) +
-			int64(len(pindex))*8,
-	}
-	recordMSM(ctx, sp, st)
-	return result, st, nil
-}
-
-// computeSignedCtx is the signed-digit variant of the GZKP table pipeline:
-// the same bucket-info construction, cross-window merge and parallel-prefix
-// reduction, but digits are recoded into [-2^(k-1), 2^(k-1)] so only
-// 2^(k-1) buckets exist per reduction and negative digits merge by mixed
-// subtraction. The sign rides in the p_index entry (±(w·n+i+1)).
-func (t *Table) computeSignedCtx(ctx context.Context, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
-	g := t.g
-	n := len(t.pre[0])
-	if len(scalars) != n {
-		return curve.Affine{}, Stats{}, fmt.Errorf("msm: %d scalars for %d-point table", len(scalars), n)
-	}
-	l := g.Fr.Bits()
-	if l%t.k == 0 {
-		return curve.Affine{}, Stats{}, fmt.Errorf("msm: signed buckets need k ∤ %d (scalar bits); table has k=%d — rebuild with SignedBuckets set", l, t.k)
-	}
-	sp, ctx := telemetry.StartSpan(ctx, "msm")
-	sp.SetStr("strategy", GZKP.String())
-	sp.SetInt("n", int64(n))
-	defer sp.End()
-	dg := newDigits(g.Fr, scalars, t.k)
-	if dg.windows != t.windows {
-		return curve.Affine{}, Stats{}, fmt.Errorf("msm: window mismatch: table %d, scalars %d", t.windows, dg.windows)
-	}
-	sd := signedFromDigits(dg)
-	numBuckets := 1 << (t.k - 1) // bucket j = |d| ∈ [1, 2^(k-1)]
-
-	// --- Bucket-info (p_index) construction: counting sort by |digit|.
-	counts := make([]int32, numBuckets+1)
-	var zeros, nonzeros int64
-	for i := 0; i < n; i++ {
-		if sd.digit(i, t.windows) != 0 {
-			return curve.Affine{}, Stats{}, fmt.Errorf("msm: signed recoding carried out of the top window (internal error)")
-		}
-		for w := 0; w < t.windows; w++ {
-			d := sd.digit(i, w)
-			if d == 0 {
-				zeros++
-				continue
-			}
-			j := d
-			if j < 0 {
-				j = -j
-			}
-			counts[j]++
-			nonzeros++
-		}
-	}
-	offsets := make([]int32, numBuckets+2)
-	for j := 1; j <= numBuckets; j++ {
-		offsets[j+1] = offsets[j] + counts[j]
-	}
-	pindex := make([]int32, nonzeros)
-	fill := make([]int32, numBuckets+1)
-	copy(fill, offsets[:numBuckets+1])
-	for i := 0; i < n; i++ {
-		for w := 0; w < t.windows; w++ {
-			d := sd.digit(i, w)
-			if d == 0 {
-				continue
-			}
-			entry := int32(w*n + i + 1)
-			j := d
-			if j < 0 {
-				j = -j
-				entry = -entry
-			}
-			pindex[fill[j]] = entry
-			fill[j]++
-		}
-	}
-
-	// --- Scheduling order: group buckets by load, heaviest first (§4.2).
-	order := make([]int, numBuckets)
-	for j := range order {
-		order[j] = j + 1
-	}
-	if !cfg.NoLoadBalance {
-		sort.Slice(order, func(a, b int) bool {
-			return counts[order[a]] > counts[order[b]]
-		})
-	}
-
-	// --- Cross-window point merging with the Horner checkpoint fix-up
-	// (see ComputeCtx); negative entries subtract instead of add.
-	buckets := make([]curve.Jacobian, numBuckets+1)
-	var adds, doubles int64
-	const batchAffineMin = 16
-	merge := func(state interface{}, j int) error {
-		ops := state.(*curve.Ops)
+	merge := func(ops *curve.Ops, j int) error {
 		var localAdds, localDoubles int64
 		subs := make([]curve.Jacobian, t.m)
 		for r := range subs {
@@ -459,6 +275,7 @@ func (t *Table) computeSignedCtx(ctx context.Context, scalars []ff.Element, cfg 
 		if batch != nil {
 			ops.AddMixedAssign(&subs[0], t.g.AffineBatchSum(batch))
 		}
+		// Horner combine over the populated remainder classes.
 		var acc curve.Jacobian
 		ops.Copy(&acc, &subs[maxRem])
 		for r := maxRem - 1; r >= 0; r-- {
@@ -476,24 +293,22 @@ func (t *Table) computeSignedCtx(ctx context.Context, scalars []ff.Element, cfg 
 	}
 	var mergeErr error
 	if cfg.NoLoadBalance {
-		mergeErr = par.StaticItemsErr(ctx, numBuckets, cfg.workers(),
-			func() interface{} { return g.NewOps() },
-			func(state interface{}, idx int) error { return merge(state, idx+1) })
+		mergeErr = par.StaticItemsErr(ctx, numBuckets, cfg.workers(), g.NewOps,
+			func(ops *curve.Ops, idx int) error { return merge(ops, idx+1) })
 	} else {
-		mergeErr = par.ItemsOrderedErr(ctx, numBuckets, cfg.workers(), order,
-			func() interface{} { return g.NewOps() },
-			merge)
+		mergeErr = par.ItemsOrderedErr(ctx, numBuckets, cfg.workers(), order, g.NewOps, merge)
 	}
 	if mergeErr != nil {
 		return curve.Affine{}, Stats{}, mergeErr
 	}
 
-	// --- Parallel-prefix bucket reduction over half the buckets.
+	// --- Parallel-prefix bucket reduction: Σ j·B_j over j ∈ [1, numBuckets].
 	result, err := t.reduceBuckets(ctx, buckets, cfg)
 	if err != nil {
 		return curve.Affine{}, Stats{}, err
 	}
 
+	// --- Stats (Fig. 6's histogram and spread).
 	loads := make([]int64, numBuckets+1)
 	var maxLoad, minLoad int64 = 0, 1 << 62
 	for j := 1; j <= numBuckets; j++ {
@@ -511,11 +326,13 @@ func (t *Table) computeSignedCtx(ctx context.Context, scalars []ff.Element, cfg 
 	}
 	st := Stats{
 		WindowBits: t.k, Windows: t.windows, Checkpoint: t.m,
-		Buckets: numBuckets, Signed: true,
+		Buckets: numBuckets, Signed: signed,
 		PointAdds: adds, Doubles: doubles,
 		TableBytes:  t.bytes + int64(len(pindex))*4,
 		BucketLoads: loads, LoadSpread: spread,
 		ZeroDigits: zeros, NonzeroDigit: nonzeros,
+		// Table-point loads per nonzero digit, one canonical scalar read
+		// per input, and the bucket-index array written then re-read.
 		TrafficBytes: nonzeros*pointBytes(g) +
 			int64(n)*int64(g.Fr.Limbs()*8) +
 			int64(len(pindex))*8,
@@ -541,10 +358,8 @@ func (t *Table) reduceBuckets(ctx context.Context, buckets []curve.Jacobian, cfg
 	}
 	size := (numBuckets + chunks - 1) / chunks
 	partial := make([]curve.Jacobian, chunks)
-	err := par.ItemsErr(ctx, chunks, workers,
-		func() interface{} { return g.NewOps() },
-		func(state interface{}, c int) error {
-			ops := state.(*curve.Ops)
+	err := par.ItemsErr(ctx, chunks, workers, g.NewOps,
+		func(ops *curve.Ops, c int) error {
 			a := 1 + c*size
 			b := a + size
 			if b > numBuckets+1 {

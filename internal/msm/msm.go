@@ -92,10 +92,10 @@ type Config struct {
 	// batch-affine additions (shared inversions) instead of Jacobian
 	// mixed adds — the DESIGN.md §4 extension ablation.
 	UseBatchAffine bool
-	// SignedBuckets switches the GZKP table strategy to signed-digit
-	// bucket accumulation: half the buckets per window and a one-bit-wider
-	// default window at the same bucket memory. The unsigned path remains
-	// as the differential reference.
+	// SignedBuckets selects the digit recoding of the GZKP table strategy:
+	// signed digits need half the buckets per window and default to a
+	// one-bit-wider window at the same bucket memory; unset is the paper's
+	// Algorithm 1 setting (unsigned digits, 2^k-1 buckets).
 	SignedBuckets bool
 }
 
@@ -207,12 +207,9 @@ func ComputeCtx(ctx context.Context, g *curve.Group, points []curve.Affine, scal
 			res, st, err = reference(ctx, g, points, scalars)
 		case Straus:
 			res, st, err = straus(ctx, g, points, scalars, cfg)
-		case SignedDigit:
-			res, st, err = signedPippenger(ctx, g, points, scalars, cfg, false)
-		case SignedDigitGLV:
-			res, st, err = signedPippenger(ctx, g, points, scalars, cfg, true)
 		default:
-			res, st, err = pippengerWindows(ctx, g, points, scalars, cfg)
+			signed := cfg.Strategy != PippengerWindows
+			res, st, err = windowGrid(ctx, g, points, scalars, cfg, signed, cfg.Strategy == SignedDigitGLV)
 		}
 		if err == nil {
 			recordMSM(ctx, sp, st)

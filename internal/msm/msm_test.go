@@ -67,13 +67,18 @@ func TestStrategiesAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range []StrategyID{Straus, PippengerWindows, GZKP} {
-				got, _, err := Compute(g, points, scalars, Config{Strategy: s})
+			for _, s := range []StrategyID{Straus, PippengerWindows, GZKP, SignedDigit, SignedDigitGLV} {
+				got, st, err := Compute(g, points, scalars, Config{Strategy: s})
 				if err != nil {
 					t.Fatalf("%v/%v: %v", id, s, err)
 				}
 				if !g.EqualAffine(got, want) {
 					t.Fatalf("curve=%v strategy=%v sparse=%v: MSM mismatch", id, s, sparse)
+				}
+				// Every real strategy reports its work: a zero here means
+				// msm.point_adds and gzkp.Stats.PointAdds read 0 under it.
+				if st.PointAdds <= 0 {
+					t.Fatalf("curve=%v strategy=%v: point adds not counted", id, s)
 				}
 			}
 		}

@@ -1,40 +1,42 @@
 package msm
 
 import (
-	"context"
 	"math/big"
-	"sync/atomic"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
-	"gzkp/internal/par"
 )
 
-// signedDigits holds base-2^k digits recoded into the signed range
-// [-2^(k-1), 2^(k-1)] with carry propagation: a raw digit d > 2^(k-1)
-// becomes d - 2^k with a carry into the next window. Bucket indices then
-// span |d| ∈ [1, 2^(k-1)] — half the 2^k - 1 buckets an unsigned window
-// needs — and negative digits are folded by mixed subtraction (affine
+// digitMatrix holds every scalar's base-2^k digits as one int32 matrix, the
+// digit source both bucket pipelines (the table merge and the window grid)
+// read. Unsigned digits are the raw windows, d ∈ [0, 2^k). Signed digits are
+// recoded into [-2^(k-1), 2^(k-1)] with carry propagation: a raw digit
+// d > 2^(k-1) becomes d - 2^k with a carry into the next window. Bucket
+// indices then span |d| ∈ [1, 2^(k-1)] — half the 2^k - 1 buckets an unsigned
+// window needs — and negative digits are folded by mixed subtraction (affine
 // negation is free). One extra window absorbs the final carry.
-type signedDigits struct {
+type digitMatrix struct {
 	dig     []int32 // row-major: dig[i*windows + t]
 	windows int
-	n       int
-	k       int
 }
 
-// digit returns signed window t of scalar i.
-func (sd *signedDigits) digit(i, t int) int32 { return sd.dig[i*sd.windows+t] }
+// digit returns window t of scalar i.
+func (dm *digitMatrix) digit(i, t int) int32 { return dm.dig[i*dm.windows+t] }
 
-// signedFromDigits recodes an unsigned digit matrix.
-func signedFromDigits(d *digits) *signedDigits {
-	nw := d.windows + 1
-	sd := &signedDigits{dig: make([]int32, d.n*nw), windows: nw, n: d.n, k: d.k}
-	half := int32(1) << (d.k - 1)
+// recodeDigits lays a digit accessor out as a matrix, recoding into the
+// signed range when signed is set.
+func recodeDigits(d *digits, signed bool) *digitMatrix {
+	nw := d.windows
 	full := int32(1) << d.k
+	half := full // unsigned: no digit exceeds it, so nothing ever carries
+	if signed {
+		nw++
+		half >>= 1
+	}
+	dm := &digitMatrix{dig: make([]int32, d.n*nw), windows: nw}
 	for i := 0; i < d.n; i++ {
 		carry := int32(0)
-		row := sd.dig[i*nw : (i+1)*nw]
+		row := dm.dig[i*nw : (i+1)*nw]
 		for t := 0; t < d.windows; t++ {
 			v := int32(d.digit(i, t)) + carry
 			carry = 0
@@ -44,20 +46,50 @@ func signedFromDigits(d *digits) *signedDigits {
 			}
 			row[t] = v
 		}
-		row[d.windows] = carry
+		if signed {
+			row[d.windows] = carry
+		}
 	}
-	return sd
+	return dm
 }
 
-// newSignedDigits canonicalizes scalars and recodes them in one pass.
-func newSignedDigits(f *ff.Field, scalars []ff.Element, k int) *signedDigits {
-	return signedFromDigits(newDigits(f, scalars, k))
+// bucketCount is the number of buckets one accumulation unit needs for
+// k-bit digits: |d| ∈ [1, 2^(k-1)] signed, d ∈ [1, 2^k) unsigned.
+func bucketCount(k int, signed bool) int {
+	if signed {
+		return 1 << (k - 1)
+	}
+	return 1<<k - 1
+}
+
+// windowBits derives the window size k from the configured value (0 = the
+// profiling-based default for n points). Halving the bucket count affords
+// one extra window bit at the same bucket memory, so the signed default is
+// AutoWindow + 1, clamped to [2, 16].
+func windowBits(n, configured int, signed bool) int {
+	k := configured
+	if !signed {
+		if k <= 0 {
+			k = AutoWindow(n)
+		}
+		return k
+	}
+	if k <= 0 {
+		k = AutoWindow(n) + 1
+	}
+	if k < 2 {
+		k = 2
+	}
+	if k > 16 {
+		k = 16
+	}
+	return k
 }
 
 // negateRow flips every digit of scalar row i (folds a negative GLV half
 // into the digit signs instead of negating points).
-func (sd *signedDigits) negateRow(i int) {
-	row := sd.dig[i*sd.windows : (i+1)*sd.windows]
+func (dm *digitMatrix) negateRow(i int) {
+	row := dm.dig[i*dm.windows : (i+1)*dm.windows]
 	for t := range row {
 		row[t] = -row[t]
 	}
@@ -79,7 +111,7 @@ func wordsFromBig(dst []uint64, v *big.Int) {
 // recodes both halves as signed digits: row i holds k1ᵢ, row n+i holds k2ᵢ
 // (signs folded into the digits). The caller pairs rows with the doubled
 // point set {Pᵢ, φ(Pᵢ)}.
-func glvSignedDigits(f *ff.Field, v *curve.GLV, scalars []ff.Element, k int) *signedDigits {
+func glvSignedDigits(f *ff.Field, v *curve.GLV, scalars []ff.Element, k int) *digitMatrix {
 	n := len(scalars)
 	halfWords := (v.HalfBits + 63) / 64
 	windows := (v.HalfBits + k - 1) / k
@@ -98,165 +130,11 @@ func glvSignedDigits(f *ff.Field, v *curve.GLV, scalars []ff.Element, k int) *si
 		wordsFromBig(d.limbs[i*halfWords:(i+1)*halfWords], k1)
 		wordsFromBig(d.limbs[(n+i)*halfWords:(n+i+1)*halfWords], k2)
 	}
-	sd := signedFromDigits(d)
+	dm := recodeDigits(d, true)
 	for i, neg := range negs {
 		if neg {
-			sd.negateRow(i)
+			dm.negateRow(i)
 		}
 	}
-	return sd
-}
-
-// signedWindow clamps/derives the window size for the signed strategies:
-// halving the bucket count affords one extra window bit at the same bucket
-// memory, so the default is AutoWindow + 1.
-func signedWindow(n, configured int) int {
-	k := configured
-	if k <= 0 {
-		k = AutoWindow(n) + 1
-	}
-	if k < 2 {
-		k = 2
-	}
-	if k > 16 {
-		k = 16
-	}
-	return k
-}
-
-// signedPippenger is the signed-digit rebuild of the Pippenger path: the
-// same horizontal sub-MSM × window task grid as pippengerWindows, but each
-// task accumulates only 2^(k-1) buckets over signed digits, subtracting
-// the point for negative digits. With useGLV (and a group exposing the
-// endomorphism) every scalar first splits into sub-√r halves against the
-// doubled point set, halving the window count per point.
-func signedPippenger(ctx context.Context, g *curve.Group, points []curve.Affine, scalars []ff.Element, cfg Config, useGLV bool) (curve.Affine, Stats, error) {
-	k := signedWindow(len(points), cfg.WindowBits)
-
-	var sd *signedDigits
-	pts := points
-	glvApplied := false
-	if useGLV {
-		if v := g.GLV(); v != nil {
-			n := len(points)
-			ext := make([]curve.Affine, 2*n)
-			copy(ext, points)
-			for i, p := range points {
-				ext[n+i] = v.Phi(p)
-			}
-			pts = ext
-			sd = glvSignedDigits(g.Fr, v, scalars, k)
-			glvApplied = true
-		}
-	}
-	if sd == nil {
-		sd = newSignedDigits(g.Fr, scalars, k)
-	}
-
-	n := len(pts)
-	nw := sd.windows
-	numBuckets := 1 << (k - 1)
-	subSize := cfg.SubMSMSize
-	if subSize <= 0 {
-		subSize = n / cfg.workers()
-		if subSize < numBuckets {
-			subSize = numBuckets
-		}
-		if subSize > n {
-			subSize = n
-		}
-	}
-	numSub := (n + subSize - 1) / subSize
-
-	var zeros, nonzeros int64
-	for _, d := range sd.dig {
-		if d == 0 {
-			zeros++
-		} else {
-			nonzeros++
-		}
-	}
-	var stats Stats
-	stats.WindowBits = k
-	stats.Windows = nw
-	stats.Buckets = numBuckets
-	stats.Signed = true
-	stats.GLV = glvApplied
-	stats.ZeroDigits = zeros
-	stats.NonzeroDigit = nonzeros
-	stats.TableBytes = int64(numSub) * int64(nw) * int64(numBuckets) * int64(3*g.K.Words()*8)
-	stats.TrafficBytes = int64(n)*int64(nw)*pointBytes(g) +
-		int64(len(scalars))*int64(g.Fr.Limbs()*8) +
-		int64(len(sd.dig))*4
-
-	var adds, doubles int64
-	windowSums := make([]curve.Jacobian, numSub*nw)
-	tasks := numSub * nw
-	err := par.ItemsErr(ctx, tasks, cfg.workers(),
-		func() interface{} {
-			return &pippengerScratch{
-				ops:     g.NewOps(),
-				buckets: make([]curve.Jacobian, numBuckets),
-			}
-		},
-		func(state interface{}, task int) error {
-			s := state.(*pippengerScratch)
-			ops := s.ops
-			sub, t := task/nw, task%nw
-			lo, hi := sub*subSize, (sub+1)*subSize
-			if hi > n {
-				hi = n
-			}
-			for j := range s.buckets {
-				ops.SetInfinity(&s.buckets[j])
-			}
-			var localAdds int64
-			for i := lo; i < hi; i++ {
-				d := sd.digit(i, t)
-				if d == 0 {
-					continue
-				}
-				if d > 0 {
-					ops.AddMixedAssign(&s.buckets[d-1], pts[i])
-				} else {
-					ops.SubMixedAssign(&s.buckets[-d-1], pts[i])
-				}
-				localAdds++
-			}
-			// Running-sum bucket reduction: Σ j·B_j over half the buckets.
-			var running, acc curve.Jacobian
-			ops.SetInfinity(&running)
-			ops.SetInfinity(&acc)
-			for j := len(s.buckets) - 1; j >= 0; j-- {
-				ops.AddAssign(&running, &s.buckets[j])
-				ops.AddAssign(&acc, &running)
-				localAdds += 2
-			}
-			windowSums[task] = acc
-			atomic.AddInt64(&adds, localAdds)
-			return nil
-		})
-	if err != nil {
-		return curve.Affine{}, stats, err
-	}
-
-	// Sum sub-MSM partials per window, then the serial window reduction.
-	ops := g.NewOps()
-	var total curve.Jacobian
-	ops.SetInfinity(&total)
-	for t := nw - 1; t >= 0; t-- {
-		if t != nw-1 {
-			for b := 0; b < k; b++ {
-				ops.DoubleAssign(&total)
-			}
-			doubles += int64(k)
-		}
-		for sub := 0; sub < numSub; sub++ {
-			ops.AddAssign(&total, &windowSums[sub*nw+t])
-			adds++
-		}
-	}
-	stats.PointAdds = adds
-	stats.Doubles = doubles
-	return ops.ToAffine(&total), stats, nil
+	return dm
 }

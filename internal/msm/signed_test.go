@@ -15,7 +15,7 @@ func TestSignedDigitsReconstructScalar(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(2))
 	for _, k := range []int{2, 4, 13, 16} {
 		scalars := []ff.Element{f.Rand(rng), f.Zero(), f.One(), f.FromInt64(-1)}
-		sd := newSignedDigits(f, scalars, k)
+		sd := recodeDigits(newDigits(f, scalars, k), true)
 		half := int32(1) << (k - 1)
 		for i, s := range scalars {
 			acc := new(big.Int)

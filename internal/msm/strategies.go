@@ -3,6 +3,7 @@ package msm
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -34,10 +35,8 @@ func straus(ctx context.Context, g *curve.Group, points []curve.Affine, scalars 
 	// plus writing the tables once during the build.
 	stats.TrafficBytes = int64(n)*int64(dg.windows)*pointBytes(g) +
 		int64(n)*int64(g.Fr.Limbs()*8) + stats.TableBytes
-	err := par.ItemsErr(ctx, n, cfg.workers(),
-		func() interface{} { return g.NewOps() },
-		func(state interface{}, i int) error {
-			ops := state.(*curve.Ops)
+	err := par.ItemsErr(ctx, n, cfg.workers(), g.NewOps,
+		func(ops *curve.Ops, i int) error {
 			jacs := make([]curve.Jacobian, tableWidth)
 			var acc curve.Jacobian
 			ops.SetInfinity(&acc)
@@ -56,10 +55,10 @@ func straus(ctx context.Context, g *curve.Group, points []curve.Affine, scalars 
 	workers := cfg.workers()
 	partial := make([]curve.Jacobian, workers)
 	chunk := (n + workers - 1) / workers
-	err = par.ItemsErr(ctx, workers, workers,
-		func() interface{} { return g.NewOps() },
-		func(state interface{}, w int) error {
-			ops := state.(*curve.Ops)
+	var adds, doubles int64
+	err = par.ItemsErr(ctx, workers, workers, g.NewOps,
+		func(ops *curve.Ops, w int) error {
+			var localAdds, localDoubles int64
 			lo, hi := w*chunk, (w+1)*chunk
 			if hi > n {
 				hi = n
@@ -74,6 +73,7 @@ func straus(ctx context.Context, g *curve.Group, points []curve.Affine, scalars 
 					for b := 0; b < k; b++ {
 						ops.DoubleAssign(&acc)
 					}
+					localDoubles += int64(k)
 				}
 				for i := lo; i < hi; i++ {
 					j := dg.digit(i, t)
@@ -81,9 +81,12 @@ func straus(ctx context.Context, g *curve.Group, points []curve.Affine, scalars 
 						continue
 					}
 					ops.AddMixedAssign(&acc, tables[i][j-1])
+					localAdds++
 				}
 			}
 			partial[w] = acc
+			atomic.AddInt64(&adds, localAdds)
+			atomic.AddInt64(&doubles, localDoubles)
 			return nil
 		})
 	if err != nil {
@@ -95,55 +98,85 @@ func straus(ctx context.Context, g *curve.Group, points []curve.Affine, scalars 
 	for i := range partial {
 		ops.AddAssign(&total, &partial[i])
 	}
+	// Table build (one mixed add per entry), the window walk, the final fold.
+	stats.PointAdds = int64(n)*int64(tableWidth) + adds + int64(workers)
+	stats.Doubles = doubles
 	return ops.ToAffine(&total), stats, nil
 }
 
-// pippengerWindows is the bellperson-like strategy (§2.3, Fig. 3): the
-// point vector is split horizontally into sub-MSMs; each (sub-MSM, window)
-// pair accumulates its own 2^k-1 buckets and reduces them; per-window
-// partials are summed and combined with k doublings between windows
-// (the window-reduction step GZKP eliminates).
-func pippengerWindows(ctx context.Context, g *curve.Group, points []curve.Affine, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
-	n := len(points)
-	k := cfg.WindowBits
-	if k <= 0 {
-		k = AutoWindow(n)
+// windowGrid is the bellperson-like strategy (§2.3, Fig. 3) and its
+// signed-digit rebuilds, one routine parameterised by the digit recoding:
+// the point vector is split horizontally into sub-MSMs; each (sub-MSM,
+// window) task accumulates its own buckets and reduces them with a running
+// sum; per-window partials are summed and combined with k doublings between
+// windows (the window-reduction step GZKP eliminates). Unsigned digits
+// (PippengerWindows) use 2^k-1 buckets per task; signed digits (SignedDigit)
+// use 2^(k-1) and subtract the point for negative digits. With useGLV (and a
+// group exposing the endomorphism) every scalar first splits into sub-√r
+// halves against the doubled point set, halving the window count per point.
+func windowGrid(ctx context.Context, g *curve.Group, points []curve.Affine, scalars []ff.Element, cfg Config, signed, useGLV bool) (curve.Affine, Stats, error) {
+	k := windowBits(len(points), cfg.WindowBits, signed)
+
+	var dm *digitMatrix
+	pts := points
+	if v := g.GLV(); useGLV && v != nil {
+		n := len(points)
+		pts = make([]curve.Affine, 2*n)
+		copy(pts, points)
+		for i, p := range points {
+			pts[n+i] = v.Phi(p)
+		}
+		dm = glvSignedDigits(g.Fr, v, scalars, k)
+	} else {
+		useGLV = false
+		dm = recodeDigits(newDigits(g.Fr, scalars, k), signed)
 	}
-	f := g.Fr
-	dg := newDigits(f, scalars, k)
-	nw := dg.windows
+
+	n := len(pts)
+	nw := dm.windows
+	numBuckets := bucketCount(k, signed)
 	subSize := cfg.SubMSMSize
 	if subSize <= 0 {
 		subSize = n / cfg.workers()
-		if subSize < 1<<k {
-			subSize = 1 << k
+		if subSize < numBuckets {
+			subSize = numBuckets
 		}
 		if subSize > n {
 			subSize = n
 		}
 	}
 	numSub := (n + subSize - 1) / subSize
-	var stats Stats
-	stats.WindowBits = k
-	stats.Windows = nw
-	stats.TableBytes = int64(numSub) * int64(nw) * int64(1<<k-1) * int64(3*g.K.Words()*8)
-	// Every (sub-MSM, window) task re-streams its point slice, so each point
-	// is loaded once per window; scalars are read once in canonical form.
-	stats.TrafficBytes = int64(n)*int64(nw)*pointBytes(g) +
-		int64(n)*int64(g.Fr.Limbs()*8)
+
+	stats := Stats{
+		WindowBits: k, Windows: nw, Buckets: numBuckets, Signed: signed, GLV: useGLV,
+		TableBytes: int64(numSub) * int64(nw) * int64(numBuckets) * int64(3*g.K.Words()*8),
+		// Every (sub-MSM, window) task re-streams its point slice, so each
+		// point is loaded once per window; scalars are read once in
+		// canonical form and the digit matrix once.
+		TrafficBytes: int64(n)*int64(nw)*pointBytes(g) +
+			int64(len(scalars))*int64(g.Fr.Limbs()*8) +
+			int64(len(dm.dig))*4,
+	}
+	for _, d := range dm.dig {
+		if d == 0 {
+			stats.ZeroDigits++
+		} else {
+			stats.NonzeroDigit++
+		}
+	}
 
 	// One task per (sub, window): bucket accumulate + running-sum reduce.
+	type scratch struct {
+		ops     *curve.Ops
+		buckets []curve.Jacobian
+	}
+	var adds, doubles int64
 	windowSums := make([]curve.Jacobian, numSub*nw)
-	tasks := numSub * nw
-	err := par.ItemsErr(ctx, tasks, cfg.workers(),
-		func() interface{} {
-			return &pippengerScratch{
-				ops:     g.NewOps(),
-				buckets: make([]curve.Jacobian, 1<<k-1),
-			}
+	err := par.ItemsErr(ctx, numSub*nw, cfg.workers(),
+		func() *scratch {
+			return &scratch{ops: g.NewOps(), buckets: make([]curve.Jacobian, numBuckets)}
 		},
-		func(state interface{}, task int) error {
-			s := state.(*pippengerScratch)
+		func(s *scratch, task int) error {
 			ops := s.ops
 			sub, t := task/nw, task%nw
 			lo, hi := sub*subSize, (sub+1)*subSize
@@ -153,12 +186,18 @@ func pippengerWindows(ctx context.Context, g *curve.Group, points []curve.Affine
 			for j := range s.buckets {
 				ops.SetInfinity(&s.buckets[j])
 			}
+			var localAdds int64
 			for i := lo; i < hi; i++ {
-				j := dg.digit(i, t)
-				if j == 0 {
+				d := dm.digit(i, t)
+				if d == 0 {
 					continue
 				}
-				ops.AddMixedAssign(&s.buckets[j-1], points[i])
+				if d > 0 {
+					ops.AddMixedAssign(&s.buckets[d-1], pts[i])
+				} else {
+					ops.SubMixedAssign(&s.buckets[-d-1], pts[i])
+				}
+				localAdds++
 			}
 			// Running-sum bucket reduction: Σ j·B_j.
 			var running, acc curve.Jacobian
@@ -167,8 +206,10 @@ func pippengerWindows(ctx context.Context, g *curve.Group, points []curve.Affine
 			for j := len(s.buckets) - 1; j >= 0; j-- {
 				ops.AddAssign(&running, &s.buckets[j])
 				ops.AddAssign(&acc, &running)
+				localAdds += 2
 			}
 			windowSums[task] = acc
+			atomic.AddInt64(&adds, localAdds)
 			return nil
 		})
 	if err != nil {
@@ -184,17 +225,15 @@ func pippengerWindows(ctx context.Context, g *curve.Group, points []curve.Affine
 			for b := 0; b < k; b++ {
 				ops.DoubleAssign(&total)
 			}
+			doubles += int64(k)
 		}
 		for sub := 0; sub < numSub; sub++ {
 			ops.AddAssign(&total, &windowSums[sub*nw+t])
+			adds++
 		}
 	}
+	stats.PointAdds, stats.Doubles = adds, doubles
 	return ops.ToAffine(&total), stats, nil
-}
-
-type pippengerScratch struct {
-	ops     *curve.Ops
-	buckets []curve.Jacobian
 }
 
 // guardIndexWidth rejects scales whose bucket-info array would overflow the

@@ -26,8 +26,8 @@ func (d *Domain) TransformBatchCtx(ctx context.Context, vecs [][]ff.Element, dir
 	}
 	stats := make([]Stats, len(vecs))
 	err := par.ItemsErr(ctx, len(vecs), cfg.Workers,
-		func() interface{} { return nil },
-		func(_ interface{}, i int) error {
+		nil,
+		func(_ struct{}, i int) error {
 			// Per-vector serial plan: batching trades per-transform
 			// parallelism for cross-transform throughput.
 			st, err := d.serial(ctx, vecs[i], dir, true)

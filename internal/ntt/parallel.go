@@ -97,14 +97,13 @@ func (d *Domain) gzkp(ctx context.Context, a []ff.Element, dir Direction, cfg Co
 		blocks := (groups + g - 1) / g
 		sdoneB, bbB := sdone, bb
 		err := par.ItemsErr(ctx, blocks, cfg.Workers,
-			func() interface{} {
+			func() *groupScratch {
 				return &groupScratch{
 					local: d.F.NewVector(g * size),
 					t:     d.F.New(), u: d.F.New(),
 				}
 			},
-			func(state interface{}, blk int) error {
-				s := state.(*groupScratch)
+			func(s *groupScratch, blk int) error {
 				g0 := blk * g
 				gn := g0 + g
 				if gn > groups {
@@ -199,11 +198,10 @@ func (d *Domain) shuffleBaseline(ctx context.Context, a []ff.Element, dir Direct
 		sdB, bbB := sdone, bb
 		data := cur
 		err := par.ItemsErr(ctx, groups, cfg.Workers,
-			func() interface{} {
+			func() *groupScratch {
 				return &groupScratch{t: d.F.New(), u: d.F.New()}
 			},
-			func(state interface{}, g int) error {
-				s := state.(*groupScratch)
+			func(s *groupScratch, g int) error {
 				sub := data[g*size : (g+1)*size]
 				d.processGroup(sub, sdB, bbB, g&loMask, roots, s.t, s.u)
 				return nil

@@ -3,17 +3,16 @@
 // state, and explicitly ordered scheduling used by GZKP's load-grouped
 // heaviest-first bucket dispatch (§4.2).
 //
-// Every pool is cancellable and panic-safe: the *Err variants take a
-// context checked at chunk/item boundaries, the first worker error cancels
-// the remaining work, and a worker panic is recovered into a
-// *resilience.PanicError instead of crashing the process. The legacy
-// error-less entry points are wrappers that re-raise a recovered panic on
-// the caller's goroutine, where a pipeline-level recover can contain it.
+// Every pool is cancellable and panic-safe: it takes a context checked at
+// chunk/item boundaries, the first worker error cancels the remaining work,
+// and a worker panic is recovered into a *resilience.PanicError instead of
+// crashing the process. The item pools are generic over the per-worker
+// scratch type S; a nil mkState gives every worker the zero S (stateless
+// callers use struct{}).
 package par
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -94,18 +93,12 @@ func runGroup(ctx context.Context, workers int, body func(ctx context.Context) e
 	return ctx.Err()
 }
 
-// reraise converts an error from a legacy (error-less) wrapper back into a
-// panic on the caller's goroutine. Only panics can reach here: the wrapped
-// bodies return no errors and the context is never cancelled.
-func reraise(err error) {
-	if err == nil {
-		return
+// newState builds one worker's scratch; a nil mkState yields the zero S.
+func newState[S any](mkState func() S) (st S) {
+	if mkState != nil {
+		st = mkState()
 	}
-	var pe *resilience.PanicError
-	if errors.As(err, &pe) {
-		panic(pe)
-	}
-	panic(err)
+	return st
 }
 
 // RangeErr splits [0, n) into contiguous chunks across workers. Each chunk
@@ -149,25 +142,11 @@ func RangeErr(ctx context.Context, n, workers int, fn func(lo, hi int) error) er
 	})
 }
 
-// Range splits [0, n) into contiguous chunks across workers.
-func Range(n, workers int, fn func(lo, hi int)) {
-	reraise(RangeErr(context.Background(), n, workers, func(lo, hi int) error {
-		fn(lo, hi)
-		return nil
-	}))
-}
-
 // ItemsErr schedules n independent items dynamically over a pool; mkState
 // builds per-worker scratch once per worker. Item boundaries are
 // cancellation points and the first error cancels the remaining items.
-func ItemsErr(ctx context.Context, n, workers int, mkState func() interface{}, fn func(state interface{}, item int) error) error {
+func ItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn func(state S, item int) error) error {
 	return ItemsOrderedErr(ctx, n, workers, nil, mkState, fn)
-}
-
-// Items schedules n independent items dynamically over a pool; mkState
-// builds per-worker scratch once per worker.
-func Items(n, workers int, mkState func() interface{}, fn func(state interface{}, item int)) {
-	ItemsOrdered(n, workers, nil, mkState, fn)
 }
 
 // ItemsOrderedErr is ItemsErr with an explicit dispatch order: order[pos]
@@ -175,7 +154,7 @@ func Items(n, workers int, mkState func() interface{}, fn func(state interface{}
 // plus a heaviest-first order is the CPU analogue of GZKP's fine-grained
 // task mapping: stragglers are started first, so no worker is left holding
 // a heavy bucket at the tail.
-func ItemsOrderedErr(ctx context.Context, n, workers int, order []int, mkState func() interface{}, fn func(state interface{}, item int) error) error {
+func ItemsOrderedErr[S any](ctx context.Context, n, workers int, order []int, mkState func() S, fn func(state S, item int) error) error {
 	workers = Workers(workers)
 	if workers > n {
 		workers = n
@@ -192,7 +171,7 @@ func ItemsOrderedErr(ctx context.Context, n, workers int, order []int, mkState f
 	}
 	if workers <= 1 {
 		return recovering(func() error {
-			st := mkState()
+			st := newState(mkState)
 			for i := 0; i < n; i++ {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -206,7 +185,7 @@ func ItemsOrderedErr(ctx context.Context, n, workers int, order []int, mkState f
 	}
 	var next int64
 	return runGroup(ctx, workers, func(gctx context.Context) error {
-		st := mkState()
+		st := newState(mkState)
 		for {
 			if gctx.Err() != nil {
 				return nil
@@ -222,42 +201,19 @@ func ItemsOrderedErr(ctx context.Context, n, workers int, order []int, mkState f
 	})
 }
 
-// ItemsOrdered is Items with an explicit dispatch order (nil = natural).
-func ItemsOrdered(n, workers int, order []int, mkState func() interface{}, fn func(state interface{}, item int)) {
-	reraise(ItemsOrderedErr(context.Background(), n, workers, order, mkState,
-		func(st interface{}, i int) error {
-			fn(st, i)
-			return nil
-		}))
-}
-
 // StaticItemsErr assigns items in fixed contiguous chunks with no stealing
 // — the naive scheduling GZKP's load balancing is compared against (the
 // "GZKP-no-LB" ablation): a worker stuck with heavy items straggles. Items
 // remain cancellation points and panics are contained.
-func StaticItemsErr(ctx context.Context, n, workers int, mkState func() interface{}, fn func(state interface{}, item int) error) error {
+func StaticItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn func(state S, item int) error) error {
 	workers = Workers(workers)
 	if workers > n {
 		workers = n
 	}
-	if n <= 0 {
-		return ctx.Err()
+	if workers <= 1 { // one chunk (or no items): nothing to steal either way
+		return ItemsOrderedErr(ctx, n, 1, nil, mkState, fn)
 	}
 	account(ctx, n, workers)
-	if workers <= 1 {
-		return recovering(func() error {
-			st := mkState()
-			for i := 0; i < n; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := fn(st, i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
 	chunk := (n + workers - 1) / workers
 	var nextChunk int64
 	return runGroup(ctx, workers, func(gctx context.Context) error {
@@ -270,7 +226,7 @@ func StaticItemsErr(ctx context.Context, n, workers int, mkState func() interfac
 		if hi > n {
 			hi = n
 		}
-		st := mkState()
+		st := newState(mkState)
 		for i := lo; i < hi; i++ {
 			if gctx.Err() != nil {
 				return nil
@@ -281,13 +237,4 @@ func StaticItemsErr(ctx context.Context, n, workers int, mkState func() interfac
 		}
 		return nil
 	})
-}
-
-// StaticItems assigns items in fixed contiguous chunks with no stealing.
-func StaticItems(n, workers int, mkState func() interface{}, fn func(state interface{}, item int)) {
-	reraise(StaticItemsErr(context.Background(), n, workers, mkState,
-		func(st interface{}, i int) error {
-			fn(st, i)
-			return nil
-		}))
 }

@@ -22,14 +22,19 @@ func TestWorkers(t *testing.T) {
 }
 
 func TestRangeCoversAll(t *testing.T) {
+	ctx := context.Background()
 	for _, n := range []int{0, 1, 7, 100, 1000} {
 		for _, w := range []int{1, 3, 8, 200} {
 			seen := make([]int32, n)
-			Range(n, w, func(lo, hi int) {
+			err := RangeErr(ctx, n, w, func(lo, hi int) error {
 				for i := lo; i < hi; i++ {
 					atomic.AddInt32(&seen[i], 1)
 				}
+				return nil
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i, c := range seen {
 				if c != 1 {
 					t.Fatalf("n=%d w=%d: index %d visited %d times", n, w, i, c)
@@ -42,42 +47,49 @@ func TestRangeCoversAll(t *testing.T) {
 func TestItemsCoversAllWithState(t *testing.T) {
 	n := 500
 	var visited int64
-	var states sync.Map
-	Items(n, 4, func() interface{} {
+	var mu sync.Mutex
+	var states []*int
+	err := ItemsErr(context.Background(), n, 4, func() *int {
 		s := new(int)
-		states.Store(s, true)
+		mu.Lock()
+		states = append(states, s)
+		mu.Unlock()
 		return s
-	}, func(state interface{}, item int) {
-		*(state.(*int))++
+	}, func(state *int, item int) error {
+		*state++
 		atomic.AddInt64(&visited, 1)
+		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if visited != int64(n) {
 		t.Fatalf("visited %d of %d", visited, n)
 	}
 	// Per-worker state increments must sum to n.
 	var total int
-	states.Range(func(k, _ interface{}) bool {
-		total += *(k.(*int))
-		return true
-	})
-	if total != n {
-		t.Fatalf("state increments %d != %d", total, n)
+	for _, s := range states {
+		total += *s
+	}
+	if total != n || len(states) > 4 {
+		t.Fatalf("state increments %d != %d over %d states", total, n, len(states))
 	}
 }
 
 func TestItemsOrderedRespectsOrder(t *testing.T) {
+	ctx := context.Background()
 	n := 64
 	order := make([]int, n)
 	for i := range order {
 		order[i] = n - 1 - i // reverse
 	}
 	var got []int
-	var mu sync.Mutex
-	ItemsOrdered(n, 1, order, func() interface{} { return nil }, func(_ interface{}, item int) {
-		mu.Lock()
+	if err := ItemsOrderedErr(ctx, n, 1, order, nil, func(_ struct{}, item int) error {
 		got = append(got, item)
-		mu.Unlock()
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, v := range got {
 		if v != n-1-i {
 			t.Fatalf("single-worker ordered dispatch broke at %d: %d", i, v)
@@ -85,9 +97,12 @@ func TestItemsOrderedRespectsOrder(t *testing.T) {
 	}
 	// Multi-worker: all items exactly once.
 	seen := make([]int32, n)
-	ItemsOrdered(n, 5, order, func() interface{} { return nil }, func(_ interface{}, item int) {
+	if err := ItemsOrderedErr(ctx, n, 5, order, nil, func(_ struct{}, item int) error {
 		atomic.AddInt32(&seen[item], 1)
-	})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for i, c := range seen {
 		if c != 1 {
 			t.Fatalf("item %d visited %d times", i, c)
@@ -95,26 +110,58 @@ func TestItemsOrderedRespectsOrder(t *testing.T) {
 	}
 }
 
-func TestStaticItemsCoversAll(t *testing.T) {
-	n := 333
-	seen := make([]int32, n)
-	StaticItems(n, 7, func() interface{} { return nil }, func(_ interface{}, item int) {
-		atomic.AddInt32(&seen[item], 1)
-	})
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("item %d visited %d times", i, c)
+// Static scheduling hands each worker one contiguous chunk: every item is
+// visited once, and the items sharing a worker's state form one interval of
+// at most ceil(n/workers) items.
+func TestStaticItemsChunksContiguously(t *testing.T) {
+	type span struct{ lo, hi, count int }
+	for _, workers := range []int{1, 7} {
+		n := 333
+		seen := make([]int32, n)
+		var mu sync.Mutex
+		var spans []*span
+		err := StaticItemsErr(context.Background(), n, workers, func() *span {
+			s := &span{lo: n, hi: -1}
+			mu.Lock()
+			spans = append(spans, s)
+			mu.Unlock()
+			return s
+		}, func(s *span, item int) error {
+			atomic.AddInt32(&seen[item], 1)
+			s.lo, s.hi, s.count = min(s.lo, item), max(s.hi, item), s.count+1
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range seen {
+			if c != 1 {
+				t.Fatalf("workers=%d: item %d visited %d times", workers, i, c)
+			}
+		}
+		chunk := (n + workers - 1) / workers
+		for _, s := range spans {
+			if s.count > 0 && (s.hi-s.lo+1 != s.count || s.count > chunk) {
+				t.Fatalf("workers=%d: non-contiguous or oversized chunk %+v (chunk %d)", workers, *s, chunk)
+			}
 		}
 	}
 }
 
 func TestZeroItems(t *testing.T) {
-	// None of these may panic or call fn.
+	// None of these may panic, call fn, or report an error.
+	ctx := context.Background()
 	called := false
-	fn := func(_ interface{}, _ int) { called = true }
-	Items(0, 4, func() interface{} { return nil }, fn)
-	StaticItems(0, 4, func() interface{} { return nil }, fn)
-	Range(0, 4, func(lo, hi int) { called = true })
+	fn := func(_ struct{}, _ int) error { called = true; return nil }
+	if err := ItemsErr(ctx, 0, 4, nil, fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := StaticItemsErr(ctx, 0, 4, nil, fn); err != nil {
+		t.Fatal(err)
+	}
+	if err := RangeErr(ctx, 0, 4, func(lo, hi int) error { called = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
 	if called {
 		t.Fatal("work executed for n=0")
 	}
@@ -122,8 +169,8 @@ func TestZeroItems(t *testing.T) {
 
 func TestItemsErrPanicRecovered(t *testing.T) {
 	err := ItemsErr(context.Background(), 100, 4,
-		func() interface{} { return nil },
-		func(_ interface{}, item int) error {
+		nil,
+		func(_ struct{}, item int) error {
 			if item == 37 {
 				panic("injected worker panic")
 			}
@@ -138,38 +185,19 @@ func TestItemsErrPanicRecovered(t *testing.T) {
 	}
 	// Single-worker inline path recovers too.
 	err = ItemsErr(context.Background(), 3, 1,
-		func() interface{} { return nil },
-		func(_ interface{}, _ int) error { panic("inline") })
+		nil,
+		func(_ struct{}, _ int) error { panic("inline") })
 	if !errors.As(err, &pe) || pe.Value != "inline" {
 		t.Fatalf("inline panic not recovered: %v", err)
 	}
-}
-
-func TestLegacyItemsReraisesOnCaller(t *testing.T) {
-	// A worker panic must surface as a panic on the CALLER's goroutine
-	// (catchable by a pipeline-level recover), not crash the process.
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic swallowed")
-		}
-		if _, ok := r.(*resilience.PanicError); !ok {
-			t.Fatalf("re-raised value is %T, want *resilience.PanicError", r)
-		}
-	}()
-	Items(50, 4, func() interface{} { return nil }, func(_ interface{}, item int) {
-		if item == 10 {
-			panic("boom")
-		}
-	})
 }
 
 func TestFirstErrorCancelsRemaining(t *testing.T) {
 	boom := errors.New("boom")
 	var executed int64
 	err := ItemsErr(context.Background(), 10000, 4,
-		func() interface{} { return nil },
-		func(_ interface{}, item int) error {
+		nil,
+		func(_ struct{}, item int) error {
 			atomic.AddInt64(&executed, 1)
 			if item == 5 {
 				return boom
@@ -191,8 +219,8 @@ func TestCancellationStopsWorkAndJoins(t *testing.T) {
 	var executed int64
 	done := make(chan error, 1)
 	go func() {
-		done <- ItemsErr(ctx, 100000, 4, func() interface{} { return nil },
-			func(_ interface{}, _ int) error {
+		done <- ItemsErr(ctx, 100000, 4, nil,
+			func(_ struct{}, _ int) error {
 				atomic.AddInt64(&executed, 1)
 				time.Sleep(200 * time.Microsecond)
 				return nil
@@ -218,11 +246,11 @@ func TestErrVariantsPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	called := false
-	fn := func(_ interface{}, _ int) error { called = true; return nil }
-	if err := ItemsErr(ctx, 10, 4, func() interface{} { return nil }, fn); !errors.Is(err, context.Canceled) {
+	fn := func(_ struct{}, _ int) error { called = true; return nil }
+	if err := ItemsErr(ctx, 10, 4, nil, fn); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ItemsErr: %v", err)
 	}
-	if err := StaticItemsErr(ctx, 10, 4, func() interface{} { return nil }, fn); !errors.Is(err, context.Canceled) {
+	if err := StaticItemsErr(ctx, 10, 4, nil, fn); !errors.Is(err, context.Canceled) {
 		t.Fatalf("StaticItemsErr: %v", err)
 	}
 	if err := RangeErr(ctx, 10, 4, func(_, _ int) error { called = true; return nil }); !errors.Is(err, context.Canceled) {

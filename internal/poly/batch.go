@@ -29,6 +29,10 @@ type BatchResult struct {
 // launch walks one shared stage plan across all k vectors. The arithmetic
 // per proof is exactly ComputeHCtx's, so every returned H[i] is
 // bit-identical to a solo ComputeHCtx on the same inputs.
+//
+// k = 1 dispatches to ComputeHCtx: the single-vector strategies parallelise
+// within a transform, the strided form across vectors, so each is the
+// better schedule on its side of k = 1.
 func ComputeHBatchCtx(ctx context.Context, dom *ntt.Domain, avs, bvs, cvs [][]ff.Element, cfg ntt.Config) (*BatchResult, error) {
 	k := len(avs)
 	if len(bvs) != k || len(cvs) != k {
@@ -45,6 +49,14 @@ func ComputeHBatchCtx(ctx context.Context, dom *ntt.Domain, avs, bvs, cvs [][]ff
 	res := &BatchResult{H: make([][]ff.Element, k)}
 	if k == 0 {
 		return res, ctx.Err()
+	}
+	if k == 1 {
+		solo, err := ComputeHCtx(ctx, dom, avs[0], bvs[0], cvs[0], cfg)
+		if err != nil {
+			return nil, err
+		}
+		res.H[0], res.Stats, res.FusedNTTs = solo.H, solo.Stats, len(solo.Stats)
+		return res, nil
 	}
 	sp, ctx := telemetry.StartSpan(ctx, "poly-batch")
 	sp.SetInt("k", int64(k))

@@ -1,16 +1,12 @@
 package service
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
-	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
-	"gzkp/internal/par"
 	"gzkp/internal/telemetry"
 )
 
@@ -20,235 +16,30 @@ type ProofInput struct {
 	Secret []string `json:"secret"`
 }
 
-// SubmitBatch admits k same-circuit prove requests as one atomic batch:
-// either every job fits the queue bound (each proof counts as one admitted
-// job) or the whole batch is rejected with an OverloadError — partial
-// admission would hand the caller an unpredictable mix of accepted and
-// shed work. Admitted jobs get individual job records, so polling,
+// SubmitBatch admits k same-circuit prove requests as one atomic batch (see
+// admit). Admitted jobs get individual job records, so polling,
 // checkpointing, and failover treat them exactly like solo submissions.
 func (s *Service) SubmitBatch(circuitID string, inputs []ProofInput) ([]*Job, error) {
 	return s.SubmitBatchTraced("", circuitID, inputs, telemetry.SpanContext{})
 }
 
 // SubmitBatchTraced is SubmitBatch with an idempotency key and a propagated
-// trace context. A non-empty clientKey dedupes the whole batch: a re-submit
-// of the same key returns the originally admitted jobs (cluster leader
-// re-forwards attach instead of proving twice). The jobs are enqueued as
-// one group on a single device queue so the scheduler's same-circuit
-// dispatch hands them to the worker as affinity batches.
+// trace context. A non-empty clientKey dedupes the whole batch (member i is
+// keyed clientKey#i): a re-submit of the same key returns the originally
+// admitted jobs, so cluster leader re-forwards attach instead of proving
+// twice.
 func (s *Service) SubmitBatchTraced(clientKey, circuitID string, inputs []ProofInput, sc telemetry.SpanContext) ([]*Job, error) {
-	k := len(inputs)
-	if k == 0 {
+	if len(inputs) == 0 {
 		return nil, &InputError{Msg: "empty batch"}
 	}
-	s.mu.Lock()
-	if !s.accepting {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
+	var keys []string
 	if clientKey != "" {
-		if jobs := s.batchJobsLocked(clientKey, k); jobs != nil {
-			s.mu.Unlock()
-			s.cDeduped.Add(1)
-			return jobs, nil
+		keys = make([]string, len(inputs))
+		for i := range keys {
+			keys[i] = fmt.Sprintf("%s#%d", clientKey, i)
 		}
 	}
-	e, ok := s.circuits[circuitID]
-	s.mu.Unlock()
-	if !ok {
-		s.cRejected.Add(int64(k))
-		return nil, &NotFoundError{What: "circuit", ID: circuitID}
-	}
-	f := curve.Get(e.curveID).Fr
-	for i, in := range inputs {
-		if _, err := parseInputs(f, in.Public, e.sys.NumPublic, "public"); err != nil {
-			s.cRejected.Add(int64(k))
-			return nil, &InputError{Msg: fmt.Sprintf("batch proof %d: %v", i, err)}
-		}
-		if _, err := parseInputs(f, in.Secret, e.sys.NumSecret, "secret"); err != nil {
-			s.cRejected.Add(int64(k))
-			return nil, &InputError{Msg: fmt.Sprintf("batch proof %d: %v", i, err)}
-		}
-	}
-
-	s.mu.Lock()
-	if !s.accepting {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if clientKey != "" {
-		if jobs := s.batchJobsLocked(clientKey, k); jobs != nil {
-			s.mu.Unlock()
-			s.cDeduped.Add(1)
-			return jobs, nil
-		}
-	}
-	// Atomic k-slot admission: the batch counts k jobs against the bound.
-	if s.admitted+k > s.cfg.QueueCapacity {
-		depth := s.admitted
-		s.mu.Unlock()
-		s.cRejected.Add(int64(k))
-		return nil, &OverloadError{
-			Depth: depth, Capacity: s.cfg.QueueCapacity,
-			RetryAfter: s.retryAfterEstimate(depth + k),
-		}
-	}
-	s.admitted += k
-	jobs := make([]*Job, k)
-	for i, in := range inputs {
-		s.jobSeq++
-		id := fmt.Sprintf("job-%08d", s.jobSeq)
-		j := newJob(id, circuitID, in.Public, in.Secret, s.jobDone)
-		j.trace = sc
-		s.jobs[id] = j
-		if clientKey != "" {
-			s.clientJobs[batchJobKey(clientKey, i)] = j
-		}
-		jobs[i] = j
-	}
-	s.mu.Unlock()
-
-	s.cAccepted.Add(int64(k))
-	if !s.sched.enqueueGroup(jobs) {
-		for _, j := range jobs {
-			j.finish(JobFailed, nil, errors.New("service: no surviving devices"))
-		}
-		return jobs, nil
-	}
-	s.gQueueDepth.Set(float64(s.sched.depth()))
-	return jobs, nil
-}
-
-// batchJobKey derives the per-proof idempotency key of batch member i.
-func batchJobKey(clientKey string, i int) string { return fmt.Sprintf("%s#%d", clientKey, i) }
-
-// batchJobsLocked returns the k jobs previously admitted under clientKey,
-// or nil when the batch is unknown. Caller holds s.mu.
-func (s *Service) batchJobsLocked(clientKey string, k int) []*Job {
-	jobs := make([]*Job, k)
-	for i := 0; i < k; i++ {
-		j := s.clientJobs[batchJobKey(clientKey, i)]
-		if j == nil {
-			return nil
-		}
-		jobs[i] = j
-	}
-	return jobs
-}
-
-// runBatch proves a same-circuit dispatch batch through the fused
-// groth16.ProveBatch pipeline. Any batch-level failure (a bad witness, a
-// fault escaping the prover) falls back to the per-job loop, which carries
-// the full per-job recovery ladder — fusion is an optimization, never a
-// new way to lose jobs.
-func (s *Service) runBatch(ctx context.Context, dev int, batch []*Job) {
-	s.mu.Lock()
-	e := s.circuits[batch[0].CircuitID]
-	s.mu.Unlock()
-	if e == nil { // unreachable: Submit validated the id
-		for _, j := range batch {
-			j.finish(JobFailed, nil, &NotFoundError{What: "circuit", ID: j.CircuitID})
-		}
-		return
-	}
-	k := len(batch)
-	sp, bctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(dev), "fused-batch")
-	sp.SetStr("circuit", batch[0].CircuitID)
-	sp.SetInt("jobs", int64(k))
-	defer sp.End()
-
-	fallback := func(reason string, err error) {
-		s.cBatchFall.Add(1)
-		s.events.Log(telemetry.LevelWarn, "service", "batch_fallback", map[string]any{
-			"device": dev, "jobs": k, "reason": reason, "error": fmt.Sprint(err),
-		})
-		for _, j := range batch {
-			s.runJob(ctx, dev, j)
-		}
-	}
-
-	// Fan out the witness solves; a single bad witness sends the whole
-	// dispatch down the per-job path so its failure is attributed to the
-	// right job (and the healthy jobs still prove).
-	f := curve.Get(e.curveID).Fr
-	wits := make([][]ff.Element, k)
-	pubs := make([][]ff.Element, k)
-	solveErr := par.ItemsErr(bctx, k, 0,
-		func() interface{} { return nil },
-		func(_ interface{}, i int) error {
-			pub, err := parseInputs(f, batch[i].Public, e.sys.NumPublic, "public")
-			if err != nil {
-				return err
-			}
-			sec, err := parseInputs(f, batch[i].Secret, e.sys.NumSecret, "secret")
-			if err != nil {
-				return err
-			}
-			w, err := e.sys.Solve(pub, sec)
-			if err != nil {
-				return err
-			}
-			wits[i], pubs[i] = w, pub
-			return nil
-		})
-	if solveErr != nil {
-		fallback("witness_solve", solveErr)
-		return
-	}
-
-	for _, j := range batch {
-		j.markRunning(dev)
-		s.hQueueWait.Record(j.queueNS)
-	}
-	s.gInflight.Set(float64(s.inflight.Add(int64(k))))
-	defer func() { s.gInflight.Set(float64(s.inflight.Add(int64(-k)))) }()
-
-	cfg := groth16.ProveConfig{NTT: s.cfg.NTT, MSM: s.cfg.MSM, Retry: s.cfg.Retry}
-	if s.cfg.Faults != nil {
-		cfg.Faults = &gpusim.DeviceFaults{Plan: s.cfg.Faults, Device: dev}
-	}
-	t0 := time.Now()
-	proofs, _, err := groth16.ProveBatchCtx(bctx, e.pk, e.sys, wits, cfg, nil)
-	if err != nil {
-		for _, j := range batch {
-			j.markQueued()
-		}
-		fallback("prove_batch", err)
-		return
-	}
-	batchNS := time.Since(t0).Nanoseconds()
-	perProofNS := batchNS / int64(k)
-	s.cFusedBatches.Add(1)
-
-	// Server-side verification of every proof, same policy as runJob: a
-	// verification failure is that job's failure, not the batch's.
-	for i, j := range batch {
-		vsp, _ := telemetry.StartSpan(bctx, "verify")
-		tv := time.Now()
-		verr := groth16.Verify(e.vk, proofs[i], pubs[i])
-		verifyNS := time.Since(tv).Nanoseconds()
-		vsp.End()
-		if verr != nil {
-			j.finish(JobFailed, nil, fmt.Errorf("service: produced proof failed verification: %w", verr))
-			s.cFailed.Add(1)
-			s.hE2E.Record(time.Since(j.enqueued).Nanoseconds())
-			continue
-		}
-		blob, merr := proofs[i].MarshalCompressed()
-		if merr != nil {
-			j.finish(JobFailed, nil, merr)
-			s.cFailed.Add(1)
-			continue
-		}
-		j.mu.Lock()
-		j.proveNS = perProofNS
-		j.verifyNS = verifyNS
-		j.mu.Unlock()
-		j.finish(JobDone, blob, nil)
-		s.cDone.Add(1)
-		s.hProve.Record(perProofNS)
-		s.hE2E.Record(time.Since(j.enqueued).Nanoseconds())
-	}
+	return s.admit(keys, circuitID, inputs, sc)
 }
 
 // VerifyBatch checks k compressed proofs against a registered circuit's

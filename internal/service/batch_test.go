@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,7 +10,10 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
+	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
+	"gzkp/internal/msm"
+	"gzkp/internal/ntt"
 	"gzkp/internal/telemetry"
 )
 
@@ -182,8 +186,8 @@ func TestSubmitBatchAdmission(t *testing.T) {
 }
 
 // TestRunBatchFallback forces a batch-level witness-solve failure (division
-// by zero fails at solve time) and checks the dispatch falls back to the
-// per-job loop: the bad job fails with the solve error, the good jobs
+// by zero fails at solve time) and checks the dispatch is re-run as
+// singletons: the bad job fails with the solve error, the good jobs
 // still prove.
 func TestRunBatchFallback(t *testing.T) {
 	cfg := fastConfig()
@@ -263,5 +267,48 @@ func TestRunBatchBadWitnessIsolation(t *testing.T) {
 	snap := svc.Registry().Snapshot()
 	if snap.Counters["service.batches.fused"] < 1 {
 		t.Fatalf("batch should have stayed fused: %+v", snap.Counters)
+	}
+}
+
+// TestFusedBatchRecoversInPlace: an OOM on the first MSM launch and two
+// transients on the next base set hit a k=4 fused dispatch. The prover's
+// one MSM step carries the launch gate and the OOM hook at every k, so the
+// dispatch recovers in place: all four jobs finish, the batch counts as
+// fused, and nothing falls back to singletons.
+func TestFusedBatchRecoversInPlace(t *testing.T) {
+	cfg := Config{
+		Devices: 1, MaxBatch: 4, FusedBatch: true, Preprocess: true,
+		NTT: ntt.Config{Strategy: ntt.GZKP},
+		MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true, MemoryBudget: 1 << 17},
+		// Launches 0-6 are the NTTs; A is 7 (OOM, retried as 8), B2 is 9.
+		Faults: gpusim.NewFaultPlan(1,
+			gpusim.Fault{Kind: gpusim.FaultOOM, Device: 0, Step: 7},
+			gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 9, Times: 2}),
+	}
+	cfg.Retry.Sleep = func(context.Context, time.Duration) error { return nil }
+	svc := New(cfg)
+	defer svc.Close()
+	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, _ := cubicBatchInputs(2, 3, 4, 5)
+	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatal("job did not finish")
+		}
+		if j.State() != JobDone {
+			t.Fatalf("job %d state %v after in-place recovery: %s", i, j.State(), j.Snapshot().Error)
+		}
+	}
+	c := svc.Registry().Snapshot().Counters
+	if c["service.batches.fallback"] != 0 || c["service.batches.fused"] != 1 {
+		t.Fatalf("fallback=%d fused=%d, want 0 and 1", c["service.batches.fallback"], c["service.batches.fused"])
 	}
 }

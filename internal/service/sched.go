@@ -46,88 +46,46 @@ func newScheduler(devices, maxBatch int) *scheduler {
 	return s
 }
 
-// enqueue places a job: among alive devices, a queue already holding the
-// job's circuit wins if it is not more than one batch longer than the
-// shortest queue (affinity pays only while it does not cost latency);
-// otherwise the shortest queue wins. Returns false when no device survives.
-func (s *scheduler) enqueue(j *Job) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed || s.nAlive == 0 {
-		return false
+// shortestLocked returns the alive device with the shortest queue and that
+// queue's length (-1 when no device survives or the scheduler is closed).
+func (s *scheduler) shortestLocked() (best, bestLen int) {
+	best, bestLen = -1, int(^uint(0)>>1)
+	if s.closed {
+		return best, bestLen
 	}
-	best, bestLen := -1, int(^uint(0)>>1)
 	for d, q := range s.queues {
-		if !s.alive[d] {
-			continue
-		}
-		if len(q) < bestLen {
+		if s.alive[d] && len(q) < bestLen {
 			best, bestLen = d, len(q)
 		}
 	}
-	affinity := -1
-	for d, q := range s.queues {
-		if !s.alive[d] || len(q) > bestLen+s.maxBatch {
-			continue
-		}
-		for _, qj := range q {
-			if qj.CircuitID == j.CircuitID {
-				affinity = d
-				break
-			}
-		}
-		if affinity >= 0 {
-			break
-		}
-	}
-	if affinity >= 0 {
-		best = affinity
-	}
-	s.queues[best] = append(s.queues[best], j)
-	s.cond.Broadcast()
-	return true
+	return best, bestLen
 }
 
-// enqueueGroup places a batch submission's jobs contiguously on one queue —
-// the same affinity/shortest-queue choice as enqueue, made once — so the
-// device worker receives them as same-circuit dispatch batches instead of
-// having the group scattered across devices. Returns false when no device
+// enqueue places one submission's same-circuit jobs contiguously on one
+// queue, so the device worker receives them as one dispatch instead of
+// having the group scattered across devices. Among alive devices, a queue
+// already holding the circuit wins if it is not more than one batch longer
+// than the shortest queue (affinity pays only while it does not cost
+// latency); otherwise the shortest queue wins. Returns false when no device
 // survives.
-func (s *scheduler) enqueueGroup(jobs []*Job) bool {
-	if len(jobs) == 0 {
-		return true
-	}
+func (s *scheduler) enqueue(jobs ...*Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.nAlive == 0 {
+	best, bestLen := s.shortestLocked()
+	if best < 0 {
 		return false
 	}
-	best, bestLen := -1, int(^uint(0)>>1)
-	for d, q := range s.queues {
-		if !s.alive[d] {
-			continue
-		}
-		if len(q) < bestLen {
-			best, bestLen = d, len(q)
-		}
-	}
-	affinity := -1
+affinity:
 	for d, q := range s.queues {
 		if !s.alive[d] || len(q) > bestLen+s.maxBatch {
 			continue
 		}
 		for _, qj := range q {
 			if qj.CircuitID == jobs[0].CircuitID {
-				affinity = d
-				break
+				best = d
+				break affinity
 			}
 		}
-		if affinity >= 0 {
-			break
-		}
-	}
-	if affinity >= 0 {
-		best = affinity
 	}
 	s.queues[best] = append(s.queues[best], jobs...)
 	s.cond.Broadcast()
@@ -139,14 +97,9 @@ func (s *scheduler) enqueueGroup(jobs []*Job) bool {
 func (s *scheduler) requeue(j *Job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed || s.nAlive == 0 {
+	best, _ := s.shortestLocked()
+	if best < 0 {
 		return false
-	}
-	best, bestLen := -1, int(^uint(0)>>1)
-	for d, q := range s.queues {
-		if s.alive[d] && len(q) < bestLen {
-			best, bestLen = d, len(q)
-		}
 	}
 	s.queues[best] = append([]*Job{j}, s.queues[best]...)
 	s.cond.Broadcast()

@@ -36,6 +36,7 @@ import (
 	"gzkp/internal/groth16"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
+	"gzkp/internal/par"
 	"gzkp/internal/r1cs"
 	"gzkp/internal/resilience"
 	"gzkp/internal/telemetry"
@@ -56,11 +57,9 @@ type Config struct {
 	// MaxBatch caps how many same-circuit jobs one dispatch groups
 	// (default 4).
 	MaxBatch int
-	// FusedBatch routes multi-job same-circuit dispatches through
-	// groth16.ProveBatch (one fused NTT/MSM pipeline for the whole batch)
-	// instead of proving jobs one at a time. The per-job loop remains the
-	// differential reference — any batch-level failure falls back to it, so
-	// enabling fusion never loses jobs.
+	// FusedBatch chooses the width a same-circuit dispatch is handed to run
+	// at: the whole dispatch as one k-wide prove (true), or its jobs one at
+	// a time (false). Both go through the same run.
 	FusedBatch bool
 	// MaxCircuits bounds the registered-circuit cache — each registration
 	// runs a trusted setup and pins a proving key in memory (default 16).
@@ -565,32 +564,57 @@ func (s *Service) SubmitKeyed(clientKey, circuitID string, public, secret []stri
 // returns the original job with its original trace — re-forwards after
 // a leader change keep the trace the job was born with.
 func (s *Service) SubmitTraced(clientKey, circuitID string, public, secret []string, sc telemetry.SpanContext) (*Job, error) {
+	var keys []string
+	if clientKey != "" {
+		keys = []string{clientKey}
+	}
+	jobs, err := s.admit(keys, circuitID, []ProofInput{{Public: public, Secret: secret}}, sc)
+	if err != nil {
+		return nil, err
+	}
+	return jobs[0], nil
+}
+
+// admit is the one admission path, for a solo submission (k = 1) and a
+// batch alike. keys, when non-nil, holds one idempotency key per input; if
+// every key already names an admitted job those jobs are returned instead
+// of admitting again. Admission is atomic: either all k jobs fit the queue
+// bound (each proof counts as one admitted job) or the whole submission is
+// rejected with an OverloadError — partial admission would hand the caller
+// an unpredictable mix of accepted and shed work. The jobs are enqueued as
+// one group on a single device queue so the scheduler's same-circuit
+// dispatch hands them to the worker together.
+func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc telemetry.SpanContext) ([]*Job, error) {
+	k := len(inputs)
 	s.mu.Lock()
 	if !s.accepting {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if clientKey != "" {
-		if j := s.clientJobs[clientKey]; j != nil {
-			s.mu.Unlock()
-			s.cDeduped.Add(1)
-			return j, nil
-		}
+	if jobs := s.jobsForKeysLocked(keys); jobs != nil {
+		s.mu.Unlock()
+		s.cDeduped.Add(1)
+		return jobs, nil
 	}
 	e, ok := s.circuits[circuitID]
 	s.mu.Unlock()
 	if !ok {
-		s.cRejected.Add(1)
+		s.cRejected.Add(int64(k))
 		return nil, &NotFoundError{What: "circuit", ID: circuitID}
 	}
 	f := curve.Get(e.curveID).Fr
-	if _, err := parseInputs(f, public, e.sys.NumPublic, "public"); err != nil {
-		s.cRejected.Add(1)
-		return nil, err
-	}
-	if _, err := parseInputs(f, secret, e.sys.NumSecret, "secret"); err != nil {
-		s.cRejected.Add(1)
-		return nil, err
+	for i, in := range inputs {
+		_, err := parseInputs(f, in.Public, e.sys.NumPublic, "public")
+		if err == nil {
+			_, err = parseInputs(f, in.Secret, e.sys.NumSecret, "secret")
+		}
+		if err != nil {
+			s.cRejected.Add(int64(k))
+			if k > 1 {
+				err = &InputError{Msg: fmt.Sprintf("batch proof %d: %v", i, err)}
+			}
+			return nil, err
+		}
 	}
 
 	s.mu.Lock()
@@ -598,42 +622,61 @@ func (s *Service) SubmitTraced(clientKey, circuitID string, public, secret []str
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	// Re-check the key under the admission lock: two concurrent
-	// re-forwards of the same job must collapse to one admission.
-	if clientKey != "" {
-		if j := s.clientJobs[clientKey]; j != nil {
-			s.mu.Unlock()
-			s.cDeduped.Add(1)
-			return j, nil
-		}
+	// Re-check the keys under the admission lock: two concurrent
+	// re-forwards of the same submission must collapse to one admission.
+	if jobs := s.jobsForKeysLocked(keys); jobs != nil {
+		s.mu.Unlock()
+		s.cDeduped.Add(1)
+		return jobs, nil
 	}
-	if s.admitted >= s.cfg.QueueCapacity {
+	if s.admitted+k > s.cfg.QueueCapacity {
 		depth := s.admitted
 		s.mu.Unlock()
-		s.cRejected.Add(1)
+		s.cRejected.Add(int64(k))
 		return nil, &OverloadError{
 			Depth: depth, Capacity: s.cfg.QueueCapacity,
-			RetryAfter: s.retryAfterEstimate(depth),
+			RetryAfter: s.retryAfterEstimate(depth + k),
 		}
 	}
-	s.admitted++
-	s.jobSeq++
-	id := fmt.Sprintf("job-%08d", s.jobSeq)
-	j := newJob(id, circuitID, public, secret, s.jobDone)
-	j.trace = sc
-	s.jobs[id] = j
-	if clientKey != "" {
-		s.clientJobs[clientKey] = j
+	s.admitted += k
+	jobs := make([]*Job, k)
+	for i, in := range inputs {
+		s.jobSeq++
+		id := fmt.Sprintf("job-%08d", s.jobSeq)
+		j := newJob(id, circuitID, in.Public, in.Secret, s.jobDone)
+		j.trace = sc
+		s.jobs[id] = j
+		if keys != nil {
+			s.clientJobs[keys[i]] = j
+		}
+		jobs[i] = j
 	}
 	s.mu.Unlock()
 
-	s.cAccepted.Add(1)
-	if !s.sched.enqueue(j) {
-		j.finish(JobFailed, nil, errors.New("service: no surviving devices"))
-		return j, nil
+	s.cAccepted.Add(int64(k))
+	if !s.sched.enqueue(jobs...) {
+		for _, j := range jobs {
+			j.finish(JobFailed, nil, errors.New("service: no surviving devices"))
+		}
+		return jobs, nil
 	}
 	s.gQueueDepth.Set(float64(s.sched.depth()))
-	return j, nil
+	return jobs, nil
+}
+
+// jobsForKeysLocked returns the jobs previously admitted under keys, or nil
+// when there are no keys or any of them is unknown. Caller holds s.mu.
+func (s *Service) jobsForKeysLocked(keys []string) []*Job {
+	if keys == nil {
+		return nil
+	}
+	jobs := make([]*Job, len(keys))
+	for i, key := range keys {
+		if jobs[i] = s.clientJobs[key]; jobs[i] == nil {
+			return nil
+		}
+	}
+	return jobs
 }
 
 // retryAfterEstimate sizes the 429 Retry-After header: the time for the
@@ -680,8 +723,9 @@ func (s *Service) jobDone(j *Job) {
 	s.gQueueDepth.Set(float64(s.sched.depth()))
 }
 
-// worker is one device's dispatch loop: take a batch, prove each job,
-// recover faults per resilience class.
+// worker is one device's dispatch loop: take a same-circuit dispatch off
+// the scheduler, stamp its jobs as running, and hand it to run — whole when
+// Config.FusedBatch is set, one job at a time otherwise.
 func (s *Service) worker(dev int) {
 	defer s.wg.Done()
 	for {
@@ -689,132 +733,167 @@ func (s *Service) worker(dev int) {
 		if batch == nil {
 			return
 		}
+		k := int64(len(batch))
 		s.cBatches.Add(1)
-		s.hBatchSize.Record(int64(len(batch)))
-		var bsp telemetry.Span
-		ctx := s.ctx
-		if len(batch) > 1 {
-			bsp, ctx = telemetry.StartSpanOn(s.ctx, telemetry.DeviceTrack(dev), "batch")
-			bsp.SetStr("circuit", batch[0].CircuitID)
-			bsp.SetInt("jobs", int64(len(batch)))
+		s.hBatchSize.Record(k)
+		for _, j := range batch {
+			j.markRunning(dev)
+			s.hQueueWait.Record(j.queueNS)
 		}
-		if s.cfg.FusedBatch && len(batch) > 1 {
-			s.runBatch(ctx, dev, batch)
+		s.gInflight.Set(float64(s.inflight.Add(k)))
+		if s.cfg.FusedBatch {
+			s.run(s.ctx, dev, batch)
 		} else {
 			for _, j := range batch {
-				s.runJob(ctx, dev, j)
+				s.run(s.ctx, dev, []*Job{j})
 			}
 		}
-		bsp.End()
+		s.gInflight.Set(float64(s.inflight.Add(-k)))
 		s.gQueueDepth.Set(float64(s.sched.depth()))
 	}
 }
 
-// runJob drives one job on one device: solve the witness, prove with the
-// fault plan pinned to this device, verify the result server-side, and
-// classify any failure — DeviceLost kills the device and requeues the job
-// on survivors; everything else that escapes groth16's internal recovery
-// fails the job.
-func (s *Service) runJob(ctx context.Context, dev int, j *Job) {
-	j.markRunning(dev)
-	s.hQueueWait.Record(j.queueNS)
-	s.gInflight.Set(float64(s.inflight.Add(1)))
-	defer func() { s.gInflight.Set(float64(s.inflight.Add(-1))) }()
-
+// run drives k same-circuit jobs on one device: solve the witnesses, prove
+// them k-wide with the fault plan pinned to this device, verify every proof
+// server-side, finish the jobs. It is the only caller of the prover.
+//
+// Whatever escapes groth16's in-place recovery is handled by width. At
+// k > 1 the error cannot be attributed to a job (one bad witness fails the
+// whole solve fan-out), so the jobs are re-dispatched as singletons: the
+// healthy ones still prove and the failure lands on the right job. At k = 1
+// the error is classified — DeviceLost kills the device and requeues the
+// job on survivors; everything else fails the job.
+func (s *Service) run(ctx context.Context, dev int, jobs []*Job) {
+	k := len(jobs)
 	s.mu.Lock()
-	e := s.circuits[j.CircuitID]
+	e := s.circuits[jobs[0].CircuitID]
 	s.mu.Unlock()
-	if e == nil { // unreachable: Submit validated the id
-		j.finish(JobFailed, nil, &NotFoundError{What: "circuit", ID: j.CircuitID})
+	if e == nil { // unreachable: admit validated the id
+		for _, j := range jobs {
+			s.fail(j, &NotFoundError{What: "circuit", ID: j.CircuitID})
+		}
 		return
 	}
 
-	sp, jctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(dev), "job")
-	sp.SetStr("id", j.ID)
-	sp.SetStr("circuit", j.CircuitID)
-	j.trace.Annotate(sp)
-	sp.SetInt("queue_ns", j.queueNS)
-	defer sp.End()
+	dsp, ctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(dev), "dispatch")
+	dsp.SetStr("circuit", e.id)
+	dsp.SetInt("jobs", int64(k))
+	defer dsp.End()
+	for _, j := range jobs { // one span per job, open for the whole dispatch
+		sp, _ := telemetry.StartSpan(ctx, "job")
+		sp.SetStr("id", j.ID)
+		j.trace.Annotate(sp)
+		sp.SetInt("queue_ns", j.queueNS)
+		defer sp.End()
+	}
 
 	cfg := groth16.ProveConfig{NTT: s.cfg.NTT, MSM: s.cfg.MSM, Retry: s.cfg.Retry}
 	if s.cfg.Faults != nil {
 		cfg.Faults = &gpusim.DeviceFaults{Plan: s.cfg.Faults, Device: dev}
 	}
-
 	f := curve.Get(e.curveID).Fr
+	wits := make([][]ff.Element, k)
+	pubs := make([][]ff.Element, k)
 	t0 := time.Now()
-	pub, err := parseInputs(f, j.Public, e.sys.NumPublic, "public")
-	var proof *groth16.Proof
+	ssp, sctx := telemetry.StartSpan(ctx, "solve")
+	err := par.ItemsErr(sctx, k, 0, nil, func(_ struct{}, i int) error {
+		pub, err := parseInputs(f, jobs[i].Public, e.sys.NumPublic, "public")
+		if err != nil {
+			return err
+		}
+		sec, err := parseInputs(f, jobs[i].Secret, e.sys.NumSecret, "secret")
+		if err != nil {
+			return err
+		}
+		wits[i], err = e.sys.Solve(pub, sec)
+		pubs[i] = pub
+		return err
+	})
+	ssp.End()
+	var proofs []*groth16.Proof
 	if err == nil {
-		var sec []ff.Element
-		if sec, err = parseInputs(f, j.Secret, e.sys.NumSecret, "secret"); err == nil {
-			var w []ff.Element
-			ssp, _ := telemetry.StartSpan(jctx, "solve")
-			w, err = e.sys.Solve(pub, sec)
-			ssp.End()
-			if err == nil {
-				psp, pctx := telemetry.StartSpan(jctx, "prove")
-				proof, _, err = groth16.ProveCtx(pctx, e.pk, e.sys, w, cfg, nil)
-				psp.End()
-			}
-		}
+		psp, pctx := telemetry.StartSpan(ctx, "prove")
+		proofs, _, err = groth16.ProveBatchCtx(pctx, e.pk, e.sys, wits, cfg, nil)
+		psp.End()
 	}
-	proveNS := time.Since(t0).Nanoseconds()
+	// The one definition of prove_ns, for every k: the dispatch's solve +
+	// prove wall time, shared equally by its jobs.
+	proveNS := time.Since(t0).Nanoseconds() / int64(k)
 
-	if err != nil {
-		switch resilience.Classify(err) {
-		case resilience.DeviceLost:
-			survivors := s.sched.kill(dev)
-			s.gDevicesAlive.Set(float64(s.sched.devicesAlive()))
-			resilience.Record(jctx, telemetry.DeviceTrack(dev), resilience.DeviceLost,
-				telemetry.Str("job", j.ID), telemetry.Int("device", int64(dev)))
-			s.events.Log(telemetry.LevelError, "service", "device_lost", map[string]any{
-				"device": dev, "job": j.ID, "trace_id": j.trace.TraceID,
-			})
-			if survivors && j.attemptCount() <= s.cfg.Devices {
-				j.markQueued()
-				s.cRequeued.Add(1)
-				if s.sched.requeue(j) {
-					return // the job lives on; a survivor finishes it
-				}
-			}
-			j.finish(JobFailed, nil, fmt.Errorf("service: job %s: no surviving device: %w", j.ID, err))
-		default:
-			j.finish(JobFailed, nil, err)
+	switch {
+	case err == nil:
+	case k > 1:
+		s.cBatchFall.Add(1)
+		s.events.Log(telemetry.LevelWarn, "service", "batch_fallback", map[string]any{
+			"device": dev, "jobs": k, "error": err.Error(),
+		})
+		for _, j := range jobs {
+			s.run(ctx, dev, []*Job{j})
 		}
-		s.cFailed.Add(1)
-		s.hE2E.Record(time.Since(j.enqueued).Nanoseconds())
 		return
+	case resilience.Classify(err) == resilience.DeviceLost:
+		j := jobs[0]
+		survivors := s.sched.kill(dev)
+		s.gDevicesAlive.Set(float64(s.sched.devicesAlive()))
+		resilience.Record(ctx, telemetry.DeviceTrack(dev), resilience.DeviceLost,
+			telemetry.Str("job", j.ID), telemetry.Int("device", int64(dev)))
+		s.events.Log(telemetry.LevelError, "service", "device_lost", map[string]any{
+			"device": dev, "job": j.ID, "trace_id": j.trace.TraceID,
+		})
+		if survivors && j.attemptCount() <= s.cfg.Devices {
+			j.markQueued()
+			s.cRequeued.Add(1)
+			if s.sched.requeue(j) {
+				return // the job lives on; a survivor finishes it
+			}
+		}
+		s.fail(j, fmt.Errorf("service: job %s: no surviving device: %w", j.ID, err))
+		return
+	default:
+		s.fail(jobs[0], err)
+		return
+	}
+	if k > 1 {
+		s.cFusedBatches.Add(1)
 	}
 
 	// Server-side verification: the service never returns a proof it has
 	// not checked (catching miscompiled circuits and recovery bugs at the
-	// boundary instead of at the client).
-	vsp, _ := telemetry.StartSpan(jctx, "verify")
-	tv := time.Now()
-	verr := groth16.Verify(e.vk, proof, pub)
-	verifyNS := time.Since(tv).Nanoseconds()
-	vsp.End()
-	if verr != nil {
-		j.finish(JobFailed, nil, fmt.Errorf("service: produced proof failed verification: %w", verr))
-		s.cFailed.Add(1)
+	// boundary instead of at the client). A verification failure is that
+	// job's failure, not the dispatch's.
+	for i, j := range jobs {
+		vsp, _ := telemetry.StartSpan(ctx, "verify")
+		tv := time.Now()
+		verr := groth16.Verify(e.vk, proofs[i], pubs[i])
+		verifyNS := time.Since(tv).Nanoseconds()
+		vsp.End()
+		if verr != nil {
+			s.fail(j, fmt.Errorf("service: produced proof failed verification: %w", verr))
+			continue
+		}
+		blob, merr := proofs[i].MarshalCompressed()
+		if merr != nil {
+			s.fail(j, merr)
+			continue
+		}
+		j.mu.Lock()
+		j.proveNS = proveNS
+		j.verifyNS = verifyNS
+		j.mu.Unlock()
+		// Count before finishing: finish releases the admission slot, and
+		// a Drain woken by the last slot reads these counters.
+		s.cDone.Add(1)
+		s.hProve.Record(proveNS)
 		s.hE2E.Record(time.Since(j.enqueued).Nanoseconds())
-		return
+		j.finish(JobDone, blob, nil)
 	}
-	blob, merr := proof.MarshalCompressed()
-	if merr != nil {
-		j.finish(JobFailed, nil, merr)
-		s.cFailed.Add(1)
-		return
-	}
-	j.mu.Lock()
-	j.proveNS = proveNS
-	j.verifyNS = verifyNS
-	j.mu.Unlock()
-	j.finish(JobDone, blob, nil)
-	s.cDone.Add(1)
-	s.hProve.Record(proveNS)
+}
+
+// fail moves a job to its terminal failed state (counted first, see run).
+func (s *Service) fail(j *Job, err error) {
+	s.cFailed.Add(1)
 	s.hE2E.Record(time.Since(j.enqueued).Nanoseconds())
+	j.finish(JobFailed, nil, err)
 }
 
 // CheckpointEntry is one stranded job in a drain checkpoint.
