@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +22,21 @@ import (
 const cubicSrc = "public out\nsecret x\nlet y = x^3 + x + 5\nassert y == out\n"
 
 var cubicSpec = service.CircuitSpec{Curve: "bn254", Source: cubicSrc}
+
+// slowCubicSpec is cubicSpec padded with an n-step multiplication chain that
+// never reaches out: same inputs, same public value, but a proof that runs
+// tens of ms on the serial node config below — long enough for the tests
+// that kill a node or a leader mid-job to land the kill inside one (the
+// plain cubic proves and verifies in a few ms).
+func slowCubicSpec(n int) service.CircuitSpec {
+	var b strings.Builder
+	b.WriteString("public out\nsecret x\nlet y = x^3 + x + 5\nlet p0 = x * x\n")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "let p%d = p%d * x\n", i, i-1)
+	}
+	b.WriteString("assert y == out\n")
+	return service.CircuitSpec{Curve: "bn254", Source: b.String()}
+}
 
 // fastNodeConfig keeps node-side proofs cheap and deterministic.
 func fastNodeConfig() service.Config {
@@ -109,7 +125,7 @@ func verifyProof(t *testing.T, vkBytes, proofBytes []byte) {
 // prober must evict the corpse.
 func TestClusterKillNodeMidLoad(t *testing.T) {
 	c, nodes := startCluster(t, 3, nil)
-	info, err := c.Register(cubicSpec)
+	info, err := c.Register(slowCubicSpec(1024))
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -245,9 +261,10 @@ func TestClusterRegisterSurvivesKeyLoss(t *testing.T) {
 // stranded job. Replaying the checkpoint twice must not double-submit.
 func TestClusterDrainRestore(t *testing.T) {
 	c, _ := startCluster(t, 2, func(cfg *Config) {
-		// Small per-node drain budget so the load below strands jobs
-		// (each cubic proof runs tens of ms on one device).
-		cfg.NodeDrainTimeout = 250 * time.Millisecond
+		// A per-node drain budget well under the load below, so jobs are
+		// stranded (a cubic proof with its verification runs ~5 ms on one
+		// device; 20 of them over two nodes need tens of ms).
+		cfg.NodeDrainTimeout = 2 * time.Millisecond
 	})
 	info, err := c.Register(cubicSpec)
 	if err != nil {

@@ -128,7 +128,7 @@ func TestReplicaFailoverMidLoad(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "initial leader", func() bool { return a.rep.Role() == RoleLeader })
 	coordA := a.rep.Coordinator()
-	info, err := coordA.Register(cubicSpec)
+	info, err := coordA.Register(slowCubicSpec(1024))
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -224,8 +224,12 @@ func TestReplicaFailoverMidLoad(t *testing.T) {
 	if failed != 0 || done+failed+checkpointed != accepted {
 		t.Fatalf("books: done=%d failed=%d checkpointed=%d accepted=%d", done, failed, checkpointed, accepted)
 	}
-	if redriven := reg.Counter("cluster.jobs.redriven").Value(); redriven != int64(unfinishedAtKill) {
-		t.Fatalf("redriven = %d, want %d", redriven, unfinishedAtKill)
+	// Exactly the jobs the new leader holds were re-driven. That can be
+	// fewer than the standby's journal showed just before the kill: a job
+	// that finishes, and replicates, between that read and the halt is
+	// terminal by takeover (a few ms per job makes the window reachable).
+	if redriven := reg.Counter("cluster.jobs.redriven").Value(); redriven != int64(verified) || verified > unfinishedAtKill {
+		t.Fatalf("redriven = %d, want %d (unfinished at kill %d)", redriven, verified, unfinishedAtKill)
 	}
 	if reg.Counter("cluster.ha.promotions").Value() != 1 {
 		t.Fatal("promotion not counted")

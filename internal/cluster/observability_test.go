@@ -85,7 +85,7 @@ func TestClusterObservabilityFailoverTrace(t *testing.T) {
 
 	waitFor(t, 5*time.Second, "initial leader", func() bool { return a.rep.Role() == RoleLeader })
 	coord := a.rep.Coordinator()
-	info, err := coord.Register(cubicSpec)
+	info, err := coord.Register(slowCubicSpec(1024))
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}

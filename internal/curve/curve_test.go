@@ -299,14 +299,27 @@ func TestG2TwistStructure(t *testing.T) {
 	}
 }
 
-func BenchmarkAddMixed(b *testing.B) {
+// benchGroups lists every group with its benchmark label: G1 of each
+// curve, plus G2 where the curve has one.
+func benchGroups() (names []string, groups []*Group) {
 	for _, id := range IDs {
 		c := Get(id)
-		g := c.G1
+		names, groups = append(names, c.Name+"/G1"), append(groups, c.G1)
+		if c.G2 != nil {
+			names, groups = append(names, c.Name+"/G2"), append(groups, c.G2)
+		}
+	}
+	return names, groups
+}
+
+func BenchmarkAddMixed(b *testing.B) {
+	names, groups := benchGroups()
+	for i, g := range groups {
 		ops := g.NewOps()
 		p := ops.ScalarMul(g.Generator(), big.NewInt(1234567))
 		qa := ops.ToAffine(ops.ScalarMul(g.Generator(), big.NewInt(7654321)))
-		b.Run(c.Name, func(b *testing.B) {
+		b.Run(names[i], func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ops.AddMixedAssign(p, qa)
 			}
@@ -315,15 +328,44 @@ func BenchmarkAddMixed(b *testing.B) {
 }
 
 func BenchmarkDouble(b *testing.B) {
-	for _, id := range IDs {
-		c := Get(id)
-		g := c.G1
+	names, groups := benchGroups()
+	for i, g := range groups {
 		ops := g.NewOps()
 		p := ops.ScalarMul(g.Generator(), big.NewInt(1234567))
-		b.Run(c.Name, func(b *testing.B) {
+		b.Run(names[i], func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ops.DoubleAssign(p)
 			}
 		})
+	}
+}
+
+// TestPointFormulasDoNotAllocate: the bucket-accumulation workhorses run
+// allocation-free in both groups of both pairing curves — G2 because its
+// coordinate field binds to the tower's fixed-width Fq2 kernels.
+func TestPointFormulasDoNotAllocate(t *testing.T) {
+	for _, id := range []ID{BN254, BLS12381} {
+		c := Get(id)
+		if c.Fq2.Fast() == nil || c.KFull.Fast() == nil {
+			t.Fatalf("%s: tower not bound to the fast kernels", c.Name)
+		}
+		for _, g := range []*Group{c.G1, c.G2} {
+			ops := g.NewOps()
+			p := ops.ScalarMul(g.Generator(), big.NewInt(1234567))
+			qa := ops.ToAffine(ops.ScalarMul(g.Generator(), big.NewInt(7654321)))
+			if a := testing.AllocsPerRun(50, func() { ops.AddMixedAssign(p, qa) }); a != 0 {
+				t.Errorf("%s AddMixedAssign: %v allocs/op, want 0", g.Name, a)
+			}
+			if a := testing.AllocsPerRun(50, func() { ops.SubMixedAssign(p, qa) }); a != 0 {
+				t.Errorf("%s SubMixedAssign: %v allocs/op, want 0", g.Name, a)
+			}
+			if a := testing.AllocsPerRun(50, func() { ops.DoubleAssign(p) }); a != 0 {
+				t.Errorf("%s DoubleAssign: %v allocs/op, want 0", g.Name, a)
+			}
+		}
+	}
+	if c := Get(MNT4753Sim); c.Fq2 != nil {
+		t.Fatal("MNT4753-sim grew a pairing tower; revisit which shapes bind fast")
 	}
 }

@@ -14,9 +14,10 @@ type fieldKern struct {
 }
 
 // bindKern builds the table for coordinate field K. Prime fields (G1 — the
-// MSM and NTT workhorse) bind straight to the ff dispatch table, skipping
-// the tower.Field interface entirely; extension fields (G2) keep their
-// Karatsuba tower multiply behind one interface hop.
+// MSM and NTT workhorse) bind straight to the ff dispatch table and
+// extension fields (G2) to the tower's — on BN254 and BLS12-381 the
+// allocation-free fixed-width Fq2 kernels — skipping the tower.Field
+// interface entirely.
 func bindKern(K tower.Field) fieldKern {
 	if p, ok := K.(*tower.Prime); ok {
 		k := p.F.Kernels()
@@ -29,12 +30,6 @@ func bindKern(K tower.Field) fieldKern {
 			double: func(z, x []uint64) { k.Double(z, x) },
 		}
 	}
-	return fieldKern{
-		mul:    func(z, x, y []uint64) { K.Mul(z, x, y) },
-		add:    func(z, x, y []uint64) { K.Add(z, x, y) },
-		sub:    func(z, x, y []uint64) { K.Sub(z, x, y) },
-		square: func(z, x []uint64) { K.Square(z, x) },
-		neg:    func(z, x []uint64) { K.Neg(z, x) },
-		double: func(z, x []uint64) { K.Double(z, x) },
-	}
+	k := K.(*tower.Ext).Kernels()
+	return fieldKern{mul: k.Mul, add: k.Add, sub: k.Sub, square: k.Square, neg: k.Neg, double: k.Double}
 }

@@ -51,6 +51,9 @@ type Curve struct {
 	Fq2       *tower.Ext // quadratic extension (G2 coordinates)
 	KFull     *tower.Ext // full tower Fq^k
 	TwistIsM  bool       // M-type twist (BLS12-381) vs D-type (BN254)
+	// X is the family parameter the curve is generated from and the optimal
+	// ate Miller loop runs over (6X+2 on BN254, X on BLS12-381).
+	X *big.Int
 
 	// FrobeniusTrace t with #E(Fq) = q + 1 - t; nil when unknown.
 	FrobeniusTrace *big.Int
@@ -59,41 +62,37 @@ type Curve struct {
 // PairingSupported reports whether the curve carries a full pairing tower.
 func (c *Curve) PairingSupported() bool { return c.Embedding > 0 }
 
-var (
-	cache   = map[ID]*Curve{}
-	cacheMu sync.Mutex
-)
+// cache holds one slot per ID; the Once makes a hit an atomic load, so the
+// verifier's per-proof Get never meets a lock.
+var cache [len(constructors)]struct {
+	once sync.Once
+	c    *Curve
+	err  error
+}
+
+var constructors = [...]func() (*Curve, error){
+	BN254: newBN254, BLS12381: newBLS12381, MNT4753Sim: newMNT4753Sim,
+}
 
 // Get returns the (cached) curve instance for id, constructing and
 // self-verifying it on first use.
 func Get(id ID) *Curve {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if c, ok := cache[id]; ok {
-		return c
+	if id < 0 || int(id) >= len(cache) {
+		panic(fmt.Sprintf("curve: construction failed: curve: unknown id %d", id))
 	}
-	var c *Curve
-	var err error
-	switch id {
-	case BN254:
-		c, err = newBN254()
-	case BLS12381:
-		c, err = newBLS12381()
-	case MNT4753Sim:
-		c, err = newMNT4753Sim()
-	default:
-		err = fmt.Errorf("curve: unknown id %d", id)
+	e := &cache[id]
+	e.once.Do(func() { e.c, e.err = constructors[id]() })
+	if e.err != nil {
+		panic("curve: construction failed: " + e.err.Error())
 	}
-	if err != nil {
-		panic("curve: construction failed: " + err.Error())
-	}
-	cache[id] = c
-	return c
+	return e.c
 }
 
 const (
 	bn254Q = "21888242871839275222246405745257275088696311157297823662689037894645226208583"
 	bn254R = "21888242871839275222246405745257275088548364400416034343698204186575808495617"
+	// BN parameter x: q = 36x⁴+36x³+24x²+6x+1.
+	bn254X = "4965661367192848881"
 
 	bls381Q = "0x1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab"
 	bls381R = "0x73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001"
@@ -124,6 +123,7 @@ func newBN254() (*Curve, error) {
 		Fq: fq, Fr: fr,
 		Embedding: 12, Fq2: fq2, KFull: fq12, TwistIsM: false,
 	}
+	c.X, _ = new(big.Int).SetString(bn254X, 0)
 	// #E(Fq) = r exactly (cofactor 1), so t = q + 1 - r.
 	q, r := fq.Modulus(), fr.Modulus()
 	c.FrobeniusTrace = new(big.Int).Add(q, big.NewInt(1))
@@ -168,8 +168,8 @@ func newBLS12381() (*Curve, error) {
 		Fq: fq, Fr: fr,
 		Embedding: 12, Fq2: fq2, KFull: fq12, TwistIsM: true,
 	}
-	x, _ := new(big.Int).SetString(bls381X, 0)
-	c.FrobeniusTrace = new(big.Int).Add(x, big.NewInt(1))
+	c.X, _ = new(big.Int).SetString(bls381X, 0)
+	c.FrobeniusTrace = new(big.Int).Add(c.X, big.NewInt(1))
 
 	q := fq.Modulus()
 	r := fr.Modulus()

@@ -72,3 +72,12 @@ func (f *Field) installGeneric() {
 		Double: func(z, x Element) { f.addGeneric(z, x, x) },
 	}
 }
+
+// MontParams returns the modulus limbs (shared, read-only) and -p⁻¹ mod 2⁶⁴
+// that the exported fixed-width kernels of fixedops_gen.go (MulMont4,
+// AddMod6, ...) take. Those kernels are ordinary functions over array
+// pointers: unlike a call through Kernels' func values, a direct call does
+// not send its operands to the heap, which is what lets internal/tower
+// keep the Karatsuba temporaries of Fq2/Fq6/Fq12 on the stack. Callers
+// must check FastPathWidth first.
+func (f *Field) MontParams() (p []uint64, inv uint64) { return f.p, f.inv }

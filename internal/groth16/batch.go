@@ -32,7 +32,7 @@ const weightBits = 120
 // final exponentiation: each proof is weighted by a random 120-bit scalar
 // rᵢ and the combined equation
 //
-//	∏ e(rᵢ·Aᵢ, Bᵢ) · e(-Σ rᵢ·α, β) · e(-Σ rᵢ·vkxᵢ, γ) · e(-Σ rᵢ·Cᵢ, δ) = 1
+//	∏ e(rᵢ·Aᵢ, Bᵢ) · e(Σ rᵢ·α, -β) · e(Σ rᵢ·vkxᵢ, -γ) · e(Σ rᵢ·Cᵢ, -δ) = 1
 //
 // holds iff (with overwhelming probability over rᵢ) every individual
 // equation holds. This amortizes verification for block producers that
@@ -76,12 +76,13 @@ func batchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]ff.Element, weig
 	}
 	c := curve.Get(vk.CurveID)
 	ops1 := c.G1.NewOps()
-	eng, err := pairing.New(c)
+	pk, err := vk.prepared()
 	if err != nil {
 		return err
 	}
 
-	var ps, qs []curve.Affine
+	var ps []curve.Affine
+	var ls []*pairing.Lines
 	var alphaAcc, vkxAcc, cAcc curve.Jacobian
 	ops1.SetInfinity(&alphaAcc)
 	ops1.SetInfinity(&vkxAcc)
@@ -104,7 +105,7 @@ func batchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]ff.Element, weig
 		// e(rᵢ·Aᵢ, Bᵢ) term.
 		rA := ops1.ToAffine(ops1.ScalarMulWNAF(proof.A, r, 4))
 		ps = append(ps, rA)
-		qs = append(qs, proof.B)
+		ls = append(ls, pk.eng.Prepare(proof.B))
 
 		// Accumulate the G1 sides of the fixed-G2 terms.
 		ops1.AddAssign(&alphaAcc, ops1.ScalarMulWNAF(vk.Alpha1, r, 4))
@@ -116,15 +117,11 @@ func batchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]ff.Element, weig
 		ops1.AddAssign(&vkxAcc, ops1.ScalarMulWNAF(ops1.ToAffine(&vkx), r, 4))
 		ops1.AddAssign(&cAcc, ops1.ScalarMulWNAF(proof.C, r, 4))
 	}
-	neg := func(j *curve.Jacobian) curve.Affine { return c.G1.NegAffine(ops1.ToAffine(j)) }
-	ps = append(ps, neg(&alphaAcc), neg(&vkxAcc), neg(&cAcc))
-	qs = append(qs, vk.Beta2, vk.Gamma2, vk.Delta2)
+	ps = append(ps, ops1.ToAffine(&alphaAcc), ops1.ToAffine(&vkxAcc), ops1.ToAffine(&cAcc))
+	ls = append(ls, pk.negBeta, pk.negGamma, pk.negDelta)
 
-	ok, err := eng.PairingCheck(ps, qs)
-	if err != nil {
-		return err
-	}
-	if !ok {
+	eng := pk.eng
+	if !eng.GTEqual(eng.FinalExp(eng.MillerLoopLines(ps, ls)), eng.GTOne()) {
 		return fmt.Errorf("groth16: batch pairing check failed")
 	}
 	return nil

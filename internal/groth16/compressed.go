@@ -155,7 +155,7 @@ func (vk *VerifyingKey) UnmarshalCompressed(data []byte) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("groth16: %d trailing bytes after key", r.Len())
 	}
-	*vk = *out
+	vk.CurveID, vk.Alpha1, vk.Beta2, vk.Gamma2, vk.Delta2, vk.IC = out.CurveID, out.Alpha1, out.Beta2, out.Gamma2, out.Delta2, out.IC
 	return nil
 }
 

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -59,6 +60,41 @@ type VerifyingKey struct {
 	Beta2, Gamma2, Delta2 curve.Affine
 	// IC[i] = ((β·u_i + α·v_i + w_i)/γ)·G1 for the ONE wire and publics.
 	IC []curve.Affine
+
+	// prep is the pairing-ready form of the key, built by the first
+	// verification and read-only afterwards; it is never serialized, and a
+	// key must not be copied once it has verified.
+	prep struct {
+		once sync.Once
+		key  *preparedKey
+		err  error
+	}
+}
+
+// preparedKey holds what every verification under one key shares: e(α, β)
+// and the Miller-loop line coefficients of -β, -γ and -δ (negated so the
+// G1 side of each pair is used as computed).
+type preparedKey struct {
+	eng                         *pairing.Engine
+	alphaBeta                   pairing.GT
+	negBeta, negGamma, negDelta *pairing.Lines
+}
+
+func (vk *VerifyingKey) prepared() (*preparedKey, error) {
+	vk.prep.once.Do(func() {
+		c := curve.Get(vk.CurveID)
+		eng, err := pairing.New(c)
+		if err != nil {
+			vk.prep.err = err
+			return
+		}
+		neg := func(q curve.Affine) *pairing.Lines { return eng.Prepare(c.G2.NegAffine(q)) }
+		vk.prep.key = &preparedKey{
+			eng: eng, alphaBeta: eng.Pair(vk.Alpha1, vk.Beta2),
+			negBeta: neg(vk.Beta2), negGamma: neg(vk.Gamma2), negDelta: neg(vk.Delta2),
+		}
+	})
+	return vk.prep.key, vk.prep.err
 }
 
 // Proof is the three-element Groth16 proof (≈200 B on BN254).
@@ -394,7 +430,8 @@ func ProveCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, w []ff.Elem
 }
 
 // Verify checks a proof against public inputs (excluding the ONE wire):
-// e(A,B) = e(α,β)·e(Σ pubᵢ·ICᵢ, γ)·e(C,δ).
+// e(A,B)·e(Σ pubᵢ·ICᵢ, -γ)·e(C, -δ) = e(α,β) — one Miller loop over B's
+// lines and the key's prepared ones, one final exponentiation.
 func Verify(vk *VerifyingKey, proof *Proof, public []ff.Element) error {
 	if proof.CurveID != vk.CurveID {
 		return fmt.Errorf("groth16: proof curve %v != key curve %v", proof.CurveID, vk.CurveID)
@@ -414,18 +451,14 @@ func Verify(vk *VerifyingKey, proof *Proof, public []ff.Element) error {
 	}
 	vkx := ops1.ToAffine(&acc)
 
-	eng, err := pairing.New(c)
+	pk, err := vk.prepared()
 	if err != nil {
 		return err
 	}
-	ok, err := eng.PairingCheck(
-		[]curve.Affine{proof.A, c.G1.NegAffine(vk.Alpha1), c.G1.NegAffine(vkx), c.G1.NegAffine(proof.C)},
-		[]curve.Affine{proof.B, vk.Beta2, vk.Gamma2, vk.Delta2},
-	)
-	if err != nil {
-		return err
-	}
-	if !ok {
+	f := pk.eng.MillerLoopLines(
+		[]curve.Affine{proof.A, vkx, proof.C},
+		[]*pairing.Lines{pk.eng.Prepare(proof.B), pk.negGamma, pk.negDelta})
+	if !pk.eng.GTEqual(pk.eng.FinalExp(f), pk.alphaBeta) {
 		return fmt.Errorf("groth16: pairing check failed")
 	}
 	return nil

@@ -231,8 +231,9 @@ func TestRunBatchFallback(t *testing.T) {
 
 // TestRunBatchBadWitnessIsolation: a witness that solves but does not
 // satisfy the circuit stays on the fused path (Solve does not check
-// constraints) and is caught by server-side verification — the failure is
-// attributed to that one job, the rest of the batch still succeeds.
+// constraints), so one proof of the four reaches server-side verification
+// invalid. The dispatch's one BatchVerify rejects, the per-proof pass
+// attributes the failure: three done, one failed, nothing re-proved.
 func TestRunBatchBadWitnessIsolation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Devices = 1
@@ -244,29 +245,38 @@ func TestRunBatchBadWitnessIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inputs, _ := cubicBatchInputs(2, 3)
+	inputs, _ := cubicBatchInputs(2, 3, 4, 5)
 	// out does not match x³+x+5: solves fine, fails verification.
-	inputs = append(inputs, ProofInput{Public: []string{"1"}, Secret: []string{"3"}})
+	const bad = 2
+	inputs[bad] = ProofInput{Public: []string{"1"}, Secret: []string{"3"}}
 	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range jobs {
+	for i, j := range jobs {
 		select {
 		case <-j.Done():
 		case <-time.After(30 * time.Second):
 			t.Fatal("job did not finish")
 		}
+		want := JobDone
+		if i == bad {
+			want = JobFailed
+		}
+		if j.State() != want {
+			t.Fatalf("job %d state %v, want %v: %s", i, j.State(), want, j.Snapshot().Error)
+		}
+		// verify_ns is the dispatch's verification wall time ÷ k.
+		if i != bad && (j.Snapshot().VerifyNS <= 0 || j.Snapshot().VerifyNS != jobs[0].Snapshot().VerifyNS) {
+			t.Fatalf("job %d verify_ns %d, job 0 %d: want one shared positive value",
+				i, j.Snapshot().VerifyNS, jobs[0].Snapshot().VerifyNS)
+		}
 	}
-	if jobs[0].State() != JobDone || jobs[1].State() != JobDone {
-		t.Fatalf("good jobs states: %v / %v", jobs[0].State(), jobs[1].State())
-	}
-	if jobs[2].State() != JobFailed {
-		t.Fatalf("bad-witness job state %v, want failed", jobs[2].State())
-	}
-	snap := svc.Registry().Snapshot()
-	if snap.Counters["service.batches.fused"] < 1 {
-		t.Fatalf("batch should have stayed fused: %+v", snap.Counters)
+	c := svc.Registry().Snapshot().Counters
+	if c["service.batches.fused"] != 1 || c["service.batches.fallback"] != 0 ||
+		c["service.jobs.done"] != 3 || c["service.jobs.failed"] != 1 {
+		t.Fatalf("fused=%d fallback=%d done=%d failed=%d, want 1 0 3 1", c["service.batches.fused"],
+			c["service.batches.fallback"], c["service.jobs.done"], c["service.jobs.failed"])
 	}
 }
 

@@ -754,8 +754,8 @@ func (s *Service) worker(dev int) {
 }
 
 // run drives k same-circuit jobs on one device: solve the witnesses, prove
-// them k-wide with the fault plan pinned to this device, verify every proof
-// server-side, finish the jobs. It is the only caller of the prover.
+// them k-wide with the fault plan pinned to this device, verify the proofs
+// server-side (as one batch), finish the jobs. It is the only caller of the prover.
 //
 // Whatever escapes groth16's in-place recovery is handled by width. At
 // k > 1 the error cannot be attributed to a job (one bad witness fails the
@@ -859,16 +859,24 @@ func (s *Service) run(ctx context.Context, dev int, jobs []*Job) {
 
 	// Server-side verification: the service never returns a proof it has
 	// not checked (catching miscompiled circuits and recovery bugs at the
-	// boundary instead of at the client). A verification failure is that
-	// job's failure, not the dispatch's.
+	// boundary instead of at the client). A k-wide dispatch is checked by
+	// one random-linear-combination BatchVerify; only if that rejects are
+	// the proofs checked one by one, so the failure lands on the job that
+	// owns it and on no other. verify_ns, like prove_ns, is the dispatch's
+	// wall time shared equally by its jobs.
+	vsp, _ := telemetry.StartSpan(ctx, "verify")
+	tv := time.Now()
+	verrs := make([]error, k)
+	if k == 1 || groth16.BatchVerify(e.vk, proofs, pubs) != nil {
+		for i := range jobs {
+			verrs[i] = groth16.Verify(e.vk, proofs[i], pubs[i])
+		}
+	}
+	verifyNS := time.Since(tv).Nanoseconds() / int64(k)
+	vsp.End()
 	for i, j := range jobs {
-		vsp, _ := telemetry.StartSpan(ctx, "verify")
-		tv := time.Now()
-		verr := groth16.Verify(e.vk, proofs[i], pubs[i])
-		verifyNS := time.Since(tv).Nanoseconds()
-		vsp.End()
-		if verr != nil {
-			s.fail(j, fmt.Errorf("service: produced proof failed verification: %w", verr))
+		if verrs[i] != nil {
+			s.fail(j, fmt.Errorf("service: produced proof failed verification: %w", verrs[i]))
 			continue
 		}
 		blob, merr := proofs[i].MarshalCompressed()

@@ -7,7 +7,9 @@
 //
 //	BN254:      Fq2 = Fq[u]/(u²+1), Fq6 = Fq2[v]/(v³-(9+u)), Fq12 = Fq6[w]/(w²-v)
 //	BLS12-381:  Fq2 = Fq[u]/(u²+1), Fq6 = Fq2[v]/(v³-(1+u)), Fq12 = Fq6[w]/(w²-v)
-//	MNT4753sim: Fq2 = Fq[u]/(u²-nqr)
+//
+// Both are bound at construction to the fixed-width, allocation-free
+// kernels of fast.go; Ext's own coefficient loops serve every other shape.
 package tower
 
 import (
@@ -29,8 +31,6 @@ type Field interface {
 	Degree() int
 	// Order is the number of field elements (p^Degree).
 	Order() *big.Int
-	// Characteristic returns the prime p.
-	Characteristic() *big.Int
 
 	Zero() []uint64
 	One() []uint64
@@ -67,7 +67,6 @@ func (p *Prime) Name() string             { return p.F.Name() }
 func (p *Prime) Words() int               { return p.F.Limbs() }
 func (p *Prime) Degree() int              { return 1 }
 func (p *Prime) Order() *big.Int          { return p.F.Modulus() }
-func (p *Prime) Characteristic() *big.Int { return p.F.Modulus() }
 func (p *Prime) Zero() []uint64           { return p.F.New() }
 func (p *Prime) One() []uint64            { return p.F.One() }
 func (p *Prime) IsZero(x []uint64) bool   { return p.F.IsZero(x) }
@@ -94,9 +93,20 @@ func (p *Prime) MulByBase(z, x []uint64, c ff.Element) []uint64 {
 func (p *Prime) String(x []uint64) string      { return p.F.String(x) }
 func (p *Prime) Rand(rng *mrand.Rand) []uint64 { return p.F.Rand(rng) }
 
-// Ext is a degree-D extension Base[z]/(z^D - NR). Supported degrees for
-// Inverse are 2 and 3 (the steps all GZKP towers are built from); other
-// degrees fall back to Fermat inversion via Exp.
+// Kernels is an extension field's arithmetic dispatch table, the tower's
+// counterpart of ff.Kernels: written once in NewExt — the fixed-width
+// kernels of fast.go when the shape binds, the generic coefficient loops
+// below otherwise — and read-only afterwards. Hot loops (internal/curve's
+// G2 point formulas) hoist it instead of dispatching through Field.
+type Kernels struct {
+	// Three-operand ops: z = x op y. z may alias x or y.
+	Mul, Add, Sub func(z, x, y []uint64)
+	// Two-operand ops: z = op(x). z may alias x.
+	Square, Neg, Double func(z, x []uint64)
+}
+
+// Ext is a quadratic or cubic extension Base[z]/(z^D - NR), the two steps
+// all GZKP towers are built from.
 type Ext struct {
 	name  string
 	base  Field
@@ -104,20 +114,27 @@ type Ext struct {
 	nr    []uint64 // non-residue in the base field
 	words int
 	order *big.Int
+
+	kern Kernels
+	// fast is the fixed-width kernel set this level is bound to and level
+	// its rung in the 2·3·2 tower (2, 6 or 12); nil and 0 on the generic
+	// path (fast.go says which shapes bind).
+	fast  *Fast
+	level int
 }
 
 // NewExt constructs Base[z]/(z^d - nr). nr must be a base-field element for
 // which the polynomial is irreducible (the caller guarantees this; the
 // standard parameter sets are wired in internal/curve).
 func NewExt(name string, base Field, d int, nr []uint64) *Ext {
-	if d < 2 {
-		panic("tower: extension degree must be >= 2")
+	if d != 2 && d != 3 {
+		panic("tower: extension degree must be 2 or 3")
 	}
 	order := new(big.Int).Set(base.Order())
 	for i := 1; i < d; i++ {
 		order.Mul(order, base.Order())
 	}
-	return &Ext{
+	e := &Ext{
 		name:  name,
 		base:  base,
 		d:     d,
@@ -125,22 +142,34 @@ func NewExt(name string, base Field, d int, nr []uint64) *Ext {
 		words: d * base.Words(),
 		order: order,
 	}
+	e.installKernels()
+	return e
+}
+
+// Kernels returns the field's dispatch table for hoisting into hot loops.
+// The returned pointer is shared and read-only.
+func (e *Ext) Kernels() *Kernels { return &e.kern }
+
+// Fast returns the fixed-width kernel set e is bound to, nil when e runs
+// on the generic path.
+func (e *Ext) Fast() *Fast { return e.fast }
+
+func (e *Ext) installGeneric() {
+	e.kern = Kernels{
+		Mul: e.mulGeneric, Add: e.addGeneric, Sub: e.subGeneric,
+		Square: func(z, x []uint64) { e.mulGeneric(z, x, x) },
+		Neg:    e.negGeneric,
+		Double: func(z, x []uint64) { e.addGeneric(z, x, x) },
+	}
 }
 
 // Base returns the field this extension is built over.
 func (e *Ext) Base() Field { return e.base }
 
-// ExtDegree returns the relative degree d of this step.
-func (e *Ext) ExtDegree() int { return e.d }
-
-// NonResidue returns (a copy of) the defining non-residue.
-func (e *Ext) NonResidue() []uint64 { return e.base.Copy(e.nr) }
-
-func (e *Ext) Name() string             { return e.name }
-func (e *Ext) Words() int               { return e.words }
-func (e *Ext) Degree() int              { return e.d * e.base.Degree() }
-func (e *Ext) Order() *big.Int          { return new(big.Int).Set(e.order) }
-func (e *Ext) Characteristic() *big.Int { return e.base.Characteristic() }
+func (e *Ext) Name() string    { return e.name }
+func (e *Ext) Words() int      { return e.words }
+func (e *Ext) Degree() int     { return e.d * e.base.Degree() }
+func (e *Ext) Order() *big.Int { return new(big.Int).Set(e.order) }
 
 // coeff returns the i-th base coefficient view of x.
 func (e *Ext) coeff(x []uint64, i int) []uint64 {
@@ -197,40 +226,38 @@ func (e *Ext) Set(z, x []uint64) []uint64 {
 	return z
 }
 
-func (e *Ext) Add(z, x, y []uint64) []uint64 {
+func (e *Ext) Add(z, x, y []uint64) []uint64 { e.kern.Add(z, x, y); return z }
+func (e *Ext) Sub(z, x, y []uint64) []uint64 { e.kern.Sub(z, x, y); return z }
+func (e *Ext) Neg(z, x []uint64) []uint64    { e.kern.Neg(z, x); return z }
+func (e *Ext) Double(z, x []uint64) []uint64 { e.kern.Double(z, x); return z }
+func (e *Ext) Mul(z, x, y []uint64) []uint64 { e.kern.Mul(z, x, y); return z }
+func (e *Ext) Square(z, x []uint64) []uint64 { e.kern.Square(z, x); return z }
+
+func (e *Ext) addGeneric(z, x, y []uint64) {
 	for i := 0; i < e.d; i++ {
 		e.base.Add(e.coeff(z, i), e.coeff(x, i), e.coeff(y, i))
 	}
-	return z
 }
 
-func (e *Ext) Sub(z, x, y []uint64) []uint64 {
+func (e *Ext) subGeneric(z, x, y []uint64) {
 	for i := 0; i < e.d; i++ {
 		e.base.Sub(e.coeff(z, i), e.coeff(x, i), e.coeff(y, i))
 	}
-	return z
 }
 
-func (e *Ext) Neg(z, x []uint64) []uint64 {
+func (e *Ext) negGeneric(z, x []uint64) {
 	for i := 0; i < e.d; i++ {
 		e.base.Neg(e.coeff(z, i), e.coeff(x, i))
 	}
-	return z
 }
 
-func (e *Ext) Double(z, x []uint64) []uint64 { return e.Add(z, x, x) }
-
-// Mul computes z = x*y. Quadratic and cubic steps use Karatsuba
-// (3 resp. 6 base multiplications); other degrees fall back to schoolbook
-// convolution with z^d → nr folding.
-func (e *Ext) Mul(z, x, y []uint64) []uint64 {
-	switch e.d {
-	case 2:
-		return e.mul2(z, x, y)
-	case 3:
-		return e.mul3(z, x, y)
+// mulGeneric computes z = x*y by Karatsuba (3 resp. 6 base multiplications).
+func (e *Ext) mulGeneric(z, x, y []uint64) {
+	if e.d == 2 {
+		e.mul2(z, x, y)
+	} else {
+		e.mul3(z, x, y)
 	}
-	return e.mulSchoolbook(z, x, y)
 }
 
 // mul2: Karatsuba for z² = nr.
@@ -292,34 +319,6 @@ func (e *Ext) mul3(z, x, y []uint64) []uint64 {
 	return z
 }
 
-func (e *Ext) mulSchoolbook(z, x, y []uint64) []uint64 {
-	bw := e.base.Words()
-	acc := make([]uint64, (2*e.d-1)*bw) // unreduced coefficients
-	t := make([]uint64, bw)
-	for i := 0; i < e.d; i++ {
-		xi := e.coeff(x, i)
-		if allZero(xi) {
-			continue
-		}
-		for j := 0; j < e.d; j++ {
-			e.base.Mul(t, xi, e.coeff(y, j))
-			a := acc[(i+j)*bw : (i+j+1)*bw]
-			e.base.Add(a, a, t)
-		}
-	}
-	// Fold degrees >= d: z^k = nr * z^(k-d).
-	for k := 2*e.d - 2; k >= e.d; k-- {
-		hi := acc[k*bw : (k+1)*bw]
-		e.base.Mul(t, hi, e.nr)
-		lo := acc[(k-e.d)*bw : (k-e.d+1)*bw]
-		e.base.Add(lo, lo, t)
-	}
-	copy(z, acc[:e.words])
-	return z
-}
-
-func (e *Ext) Square(z, x []uint64) []uint64 { return e.Mul(z, x, x) }
-
 func (e *Ext) MulByBase(z, x []uint64, c ff.Element) []uint64 {
 	for i := 0; i < e.d; i++ {
 		e.base.MulByBase(e.coeff(z, i), e.coeff(x, i), c)
@@ -343,15 +342,10 @@ func (e *Ext) Inverse(x []uint64) []uint64 {
 	if e.IsZero(x) {
 		return e.Zero()
 	}
-	switch e.d {
-	case 2:
+	if e.d == 2 {
 		return e.inverse2(x)
-	case 3:
-		return e.inverse3(x)
-	default:
-		// Fermat fallback: x^(order-2).
-		return e.Exp(x, new(big.Int).Sub(e.order, big.NewInt(2)))
 	}
+	return e.inverse3(x)
 }
 
 // inverse2: (a0 + a1 z)^{-1} = (a0 - a1 z) / (a0² - nr·a1²).
@@ -521,13 +515,4 @@ func (e *Ext) Sqrt(x []uint64) ([]uint64, error) {
 		return nil, fmt.Errorf("tower: %s: element is not a square", e.name)
 	}
 	return z, nil
-}
-
-func allZero(x []uint64) bool {
-	for _, w := range x {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
 }

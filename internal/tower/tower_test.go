@@ -13,21 +13,8 @@ import (
 // Test towers: BN254's full Fq2/Fq6/Fq12 chain plus a small prime for cheap
 // exhaustive-ish checks.
 func bn254Towers(t testing.TB) (*Prime, *Ext, *Ext, *Ext) {
-	fq := ff.MustField("BN254Fq",
-		"21888242871839275222246405745257275088696311157297823662689037894645226208583")
-	base := NewPrime(fq)
-	// Fq2 = Fq[u]/(u²+1): nr = -1.
-	fq2 := NewExt("BN254Fq2", base, 2, fq.FromInt64(-1))
-	// Fq6 = Fq2[v]/(v³-(9+u)).
-	xi := fq2.Zero()
-	fq2.SetCoeff(xi, 0, fq.FromUint64(9))
-	fq2.SetCoeff(xi, 1, fq.One())
-	fq6 := NewExt("BN254Fq6", fq2, 3, xi)
-	// Fq12 = Fq6[w]/(w²-v).
-	v := fq6.Zero()
-	fq6.SetCoeff(v, 1, fq2.One())
-	fq12 := NewExt("BN254Fq12", fq6, 2, v)
-	return base, fq2, fq6, fq12
+	tw := build232("BN254", bn254Modulus, 9)
+	return tw.fq2.Base().(*Prime), tw.fq2, tw.fq6, tw.fq12
 }
 
 func towerQuickConfig(f Field, seed int64) *quick.Config {
@@ -57,8 +44,10 @@ func TestTowerSizes(t *testing.T) {
 }
 
 func TestTowerFieldAxioms(t *testing.T) {
+	// Both bindings: the fast kernels NewExt selects for this shape, and
+	// the generic coefficient loops behind a WithoutFastPath view.
 	_, fq2, fq6, fq12 := bn254Towers(t)
-	for _, f := range []Field{fq2, fq6, fq12} {
+	for _, f := range []Field{fq2, fq6, fq12, fq2.WithoutFastPath(), fq6.WithoutFastPath(), fq12.WithoutFastPath()} {
 		f := f
 		t.Run(f.Name(), func(t *testing.T) {
 			mulComm := func(a, b []uint64) bool {
