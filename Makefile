@@ -25,6 +25,7 @@ loc:
 fuzz:
 	$(GO) test ./internal/ff -run FuzzFixedVsGeneric -fuzz FuzzFixedVsGeneric -fuzztime 30s
 	$(GO) test ./internal/tower -run FuzzTowerFastVsGeneric -fuzz FuzzTowerFastVsGeneric -fuzztime 30s
+	$(GO) test ./internal/msm -run FuzzBucketKernel -fuzz FuzzBucketKernel -fuzztime 30s
 
 # Refresh the committed benchmark baseline. Run on a quiet machine and
 # commit the result; the CI bench-gate job compares every run against it.

@@ -1,127 +1,187 @@
 package curve
 
-// AffineBatchSum adds a set of affine points with tree-reduction batch-
-// affine additions: each level pairs points up and resolves all the
-// slope denominators with one shared inversion (Montgomery's trick),
-// making an effective addition cost ~6 field muls instead of the ~11 of a
-// Jacobian mixed add. This is the batch-affine bucket-accumulation
-// extension DESIGN.md §4 calls out (adopted by post-GZKP MSM engines);
-// msm.Config.UseBatchAffine switches it on.
-func (g *Group) AffineBatchSum(points []Affine) Affine {
-	K := g.K
-	kr := bindKern(K)
-	// Work on a compacted copy (drop infinities).
-	work := make([]Affine, 0, len(points))
-	for _, p := range points {
-		if !p.Inf {
-			work = append(work, g.CopyAffine(p))
-		}
-	}
-	dens := make([][]uint64, 0, len(work)/2)
-	nums := make([][]uint64, 0, len(work)/2)
-	lambda := K.Zero()
-	t := K.Zero()
-	for len(work) > 1 {
-		half := len(work) / 2
-		dens = dens[:0]
-		nums = nums[:0]
-		// Pass 1: slope numerators/denominators for each pair.
-		kind := make([]byte, half) // 0 add, 1 double, 2 cancel (→ O)
-		for i := 0; i < half; i++ {
-			p, q := work[2*i], work[2*i+1]
-			switch {
-			case K.Equal(p.X, q.X) && K.Equal(p.Y, q.Y):
-				if K.IsZero(p.Y) {
-					kind[i] = 2 // 2-torsion doubling → O
-					dens = append(dens, K.One())
-					nums = append(nums, K.Zero())
-					continue
-				}
-				kind[i] = 1 // double: λ = (3x²+a)/(2y)
-				num := K.Zero()
-				kr.square(num, p.X)
-				kr.add(t, num, num)
-				kr.add(num, num, t) // 3x²
-				if !K.IsZero(g.A) {
-					kr.add(num, num, g.A)
-				}
-				nums = append(nums, num)
-				den := K.Zero()
-				kr.double(den, p.Y)
-				dens = append(dens, den)
-			case K.Equal(p.X, q.X):
-				kind[i] = 2 // P + (-P) = O
-				dens = append(dens, K.One())
-				nums = append(nums, K.Zero())
-			default:
-				num := K.Zero()
-				kr.sub(num, q.Y, p.Y)
-				nums = append(nums, num)
-				den := K.Zero()
-				kr.sub(den, q.X, p.X)
-				dens = append(dens, den)
-			}
-		}
-		batchInvertK(K, dens)
-		// Pass 2: apply λ to get the sums.
-		next := work[:0]
-		for i := 0; i < half; i++ {
-			if kind[i] == 2 {
-				continue // pair cancelled to infinity
-			}
-			p, q := work[2*i], work[2*i+1]
-			kr.mul(lambda, nums[i], dens[i])
-			// x3 = λ² - x1 - x2; y3 = λ(x1-x3) - y1.
-			x3 := K.Zero()
-			kr.square(x3, lambda)
-			kr.sub(x3, x3, p.X)
-			kr.sub(x3, x3, q.X)
-			y3 := K.Zero()
-			kr.sub(y3, p.X, x3)
-			kr.mul(y3, y3, lambda)
-			kr.sub(y3, y3, p.Y)
-			next = append(next, Affine{X: x3, Y: y3})
-		}
-		// Carry the odd leftover.
-		if len(work)%2 == 1 {
-			next = append(next, work[len(work)-1])
-		}
-		work = next
-	}
-	if len(work) == 0 {
-		return Affine{Inf: true}
-	}
-	return work[0]
+import (
+	"gzkp/internal/ff"
+	"gzkp/internal/tower"
+)
+
+// AffineAdder adds many independent affine pairs at once, resolving every
+// queued slope denominator on Flush with one shared inversion (Montgomery's
+// trick): an addition costs 5M + 1S + 6 add/sub plus a share of that
+// inversion, against a Jacobian mixed add's 7M + 4S + 13 add/sub. It is the
+// bucket kernel of msm's GZKP table routine. Points live in the adder's
+// flat limb slab (slot i is x‖y at slab[2iw:2(i+1)w]), sized once: Load,
+// Queue and Flush never allocate. Not safe for concurrent use.
+type AffineAdder struct {
+	g     *Group
+	k     fieldKern
+	w     int
+	slab  []uint64
+	inf   []bool
+	pairs []affinePair
+	// den[s·w:(s+1)·w] is the s-th queued slope's denominator, then its
+	// inverse; pre holds the batch inversion's prefix products alike.
+	den, pre []uint64
+	slopes   int
+	t        [5][]uint64
+	one      []uint64
+	f        *ff.Field // the prime field: K, or K's base on G2
+	half     int       // words per Fq2 coefficient on G2, else 0
 }
 
-// batchInvertK is Montgomery's inversion trick over a tower field.
-func batchInvertK(K interface {
-	One() []uint64
-	Zero() []uint64
-	Copy(x []uint64) []uint64
-	IsZero(x []uint64) bool
-	Mul(z, x, y []uint64) []uint64
-	Set(z, x []uint64) []uint64
-	Inverse(x []uint64) []uint64
-}, xs [][]uint64) {
-	if len(xs) == 0 {
+// affinePair is one queued slot out = slot p + slot q.
+type affinePair struct {
+	p, q, out int32
+	kind      uint8
+}
+
+const (
+	pairAdd    = iota // distinct x: chord slope (qy − py)/(qx − px)
+	pairDouble        // p == q: tangent slope (3x² + A)/(2y)
+	pairCancel        // p == −q (or a 2-torsion double): the sum is O
+	pairCopy          // q absent: out = p
+)
+
+// NewAffineAdder allocates an adder for g with a slab of the given number
+// of slots. A batch — one round of in-place pairing over the slab — holds
+// at most that many pairs, at most half of them additions or doublings.
+func (g *Group) NewAffineAdder(slots int) *AffineAdder {
+	w, half := g.K.Words(), (slots+1)/2
+	a := &AffineAdder{
+		g: g, k: bindKern(g.K), w: w,
+		slab: make([]uint64, 2*w*slots), inf: make([]bool, slots),
+		pairs: make([]affinePair, 0, slots),
+		den:   make([]uint64, w*half), pre: make([]uint64, w*half),
+		one: g.K.One(),
+	}
+	for i := range a.t {
+		a.t[i] = make([]uint64, w)
+	}
+	if p, ok := g.K.(*tower.Prime); ok {
+		a.f = p.F
+	} else {
+		bp := basePrime(g.K.(*tower.Ext)) // G2: quadratic over Fq
+		a.f, a.half = bp.F, bp.Words()
+	}
+	return a
+}
+
+func (a *AffineAdder) x(i int32) []uint64 { return a.slab[2*int(i)*a.w : (2*int(i)+1)*a.w] }
+func (a *AffineAdder) y(i int32) []uint64 { return a.slab[(2*int(i)+1)*a.w : 2*(int(i)+1)*a.w] }
+
+// Load copies p, or −p when neg, into slot i: the one copy a table point
+// makes on its way into a bucket. p may not be the point at infinity.
+func (a *AffineAdder) Load(i int32, p Affine, neg bool) {
+	a.inf[i] = false
+	copy(a.x(i), p.X)
+	if neg {
+		a.k.neg(a.y(i), p.Y)
+	} else {
+		copy(a.y(i), p.Y)
+	}
+}
+
+// Point returns slot i, aliasing the slab.
+func (a *AffineAdder) Point(i int32) Affine {
+	return Affine{X: a.x(i), Y: a.y(i), Inf: a.inf[i]}
+}
+
+// Queue schedules slot out = slot p + slot q (q < 0: the copy out = p) for
+// the next Flush; neither operand may be the point at infinity. Outputs are
+// written in queue order, so out may alias an operand of its own pair or of
+// an earlier one, never of a later one.
+func (a *AffineAdder) Queue(p, q, out int32) {
+	pr := affinePair{p: p, q: q, out: out, kind: pairCopy}
+	if q >= 0 {
+		k, den := &a.k, a.slope(a.slopes)
+		k.sub(den, a.x(q), a.x(p))
+		switch py := a.y(p); {
+		case !a.g.K.IsZero(den):
+			pr.kind = pairAdd
+			a.slopes++
+		case a.g.K.Equal(py, a.y(q)) && !a.g.K.IsZero(py):
+			pr.kind = pairDouble
+			k.double(den, py)
+			a.slopes++
+		default:
+			pr.kind = pairCancel
+		}
+	}
+	a.pairs = append(a.pairs, pr)
+}
+
+func (a *AffineAdder) slope(s int) []uint64 { return a.den[s*a.w : (s+1)*a.w] }
+
+// Flush inverts every queued denominator with one field inversion, writes
+// every queued sum, and empties the batch.
+func (a *AffineAdder) Flush() {
+	w, k := a.w, &a.k
+	acc, inv, lam, x3, y3 := a.t[0], a.t[1], a.t[2], a.t[3], a.t[4]
+	if a.slopes > 0 {
+		copy(acc, a.one)
+		for s := 0; s < a.slopes; s++ {
+			copy(a.pre[s*w:(s+1)*w], acc)
+			k.mul(acc, acc, a.slope(s))
+		}
+		a.invert(inv, acc)
+		for s := a.slopes - 1; s >= 0; s-- {
+			den := a.slope(s)
+			k.mul(lam, inv, a.pre[s*w:(s+1)*w]) // den⁻¹
+			k.mul(inv, inv, den)
+			copy(den, lam)
+		}
+	}
+	s := 0
+	for _, pr := range a.pairs {
+		a.inf[pr.out] = pr.kind == pairCancel
+		px, py := a.x(pr.p), a.y(pr.p)
+		switch pr.kind {
+		case pairCancel:
+			continue
+		case pairCopy:
+			copy(a.x(pr.out), px)
+			copy(a.y(pr.out), py)
+			continue
+		case pairAdd:
+			k.sub(y3, a.y(pr.q), py)
+		case pairDouble:
+			k.square(y3, px)
+			k.double(lam, y3)
+			k.add(y3, y3, lam)
+			if !a.g.K.IsZero(a.g.A) {
+				k.add(y3, y3, a.g.A)
+			}
+		}
+		k.mul(lam, y3, a.slope(s))
+		s++
+		// x3 = λ² − px − qx; y3 = λ(px − x3) − py, via scratch: out may alias p or q.
+		k.square(x3, lam)
+		k.sub(x3, x3, px)
+		k.sub(x3, x3, a.x(pr.q))
+		k.sub(y3, px, x3)
+		k.mul(y3, y3, lam)
+		k.sub(y3, y3, py)
+		copy(a.x(pr.out), x3)
+		copy(a.y(pr.out), y3)
+	}
+	a.pairs, a.slopes = a.pairs[:0], 0
+}
+
+// invert sets z = x⁻¹ for x ≠ 0 without allocating, with a.t[2:] as
+// scratch: Fermat on a prime field (ff.Field.InverseTo); on a quadratic
+// extension the norm map x⁻¹ = x̄ / (x·x̄) down to one prime inversion.
+func (a *AffineAdder) invert(z, x []uint64) {
+	if a.half == 0 {
+		a.f.InverseTo(z, x)
 		return
 	}
-	prefix := make([][]uint64, len(xs))
-	acc := K.One()
-	for i, x := range xs {
-		prefix[i] = K.Copy(acc)
-		if !K.IsZero(x) {
-			K.Mul(acc, acc, x)
-		}
-	}
-	inv := K.Inverse(acc)
-	for i := len(xs) - 1; i >= 0; i-- {
-		if K.IsZero(xs[i]) {
-			continue
-		}
-		tmp := K.Copy(xs[i])
-		K.Mul(xs[i], inv, prefix[i])
-		K.Mul(inv, inv, tmp)
-	}
+	// x = x0 + x1·u: x̄ = x0 − x1·u and x·x̄ = x0² − nr·x1² lies in the base.
+	h, k := a.half, a.f.Kernels()
+	conj, norm, ninv := a.t[2], a.t[3], a.t[4][:h]
+	copy(conj[:h], x[:h])
+	k.Neg(conj[h:], x[h:])
+	a.k.mul(norm, x, conj)
+	a.f.InverseTo(ninv, norm[:h])
+	k.Mul(z[:h], conj[:h], ninv)
+	k.Mul(z[h:], conj[h:], ninv)
 }

@@ -94,14 +94,15 @@ func (g *Group) IsOnCurve(p Affine) bool {
 // create its own Ops with NewOps; the methods are not safe for concurrent
 // use of a single Ops.
 type Ops struct {
-	g *Group
-	k fieldKern
-	t [12][]uint64
+	g   *Group
+	k   fieldKern
+	t   [12][]uint64
+	one []uint64
 }
 
 // NewOps allocates scratch for point arithmetic on g.
 func (g *Group) NewOps() *Ops {
-	o := &Ops{g: g, k: bindKern(g.K)}
+	o := &Ops{g: g, k: bindKern(g.K), one: g.K.One()}
 	for i := range o.t {
 		o.t[i] = g.K.Zero()
 	}
@@ -138,7 +139,7 @@ func (o *Ops) FromAffine(p *Jacobian, a Affine) {
 	}
 	K.Set(p.X, a.X)
 	K.Set(p.Y, a.Y)
-	K.Set(p.Z, K.One())
+	K.Set(p.Z, o.one)
 }
 
 // Copy sets dst = src.
@@ -286,7 +287,7 @@ func (o *Ops) addMixed(p *Jacobian, qx, qy []uint64) {
 		}
 		K.Set(p.X, qx)
 		K.Set(p.Y, qy)
-		K.Set(p.Z, K.One())
+		K.Set(p.Z, o.one)
 		return
 	}
 	K := o.g.K

@@ -32,10 +32,23 @@ func (f *Field) ExpUint64(x Element, e uint64) Element {
 // Inverse returns x^{-1} via Fermat's little theorem (x^{p-2}).
 // Inverse of zero returns zero, matching the usual proof-system convention.
 func (f *Field) Inverse(x Element) Element {
-	if f.IsZero(x) {
-		return f.New()
+	z := f.New()
+	if !f.IsZero(x) {
+		f.InverseTo(z, x)
 	}
-	return f.Exp(x, f.pMinus2)
+	return z
+}
+
+// InverseTo sets z = x^{-1} for x ≠ 0 without allocating — the MSM bucket
+// kernel inverts once per tree round. z must not alias x.
+func (f *Field) InverseTo(z, x Element) {
+	copy(z, f.r)
+	for i := f.pMinus2.BitLen() - 1; i >= 0; i-- {
+		f.kern.Square(z, z)
+		if f.pMinus2.Bit(i) == 1 {
+			f.kern.Mul(z, z, x)
+		}
+	}
 }
 
 // BatchInvert inverts every element of xs in place using Montgomery's trick:

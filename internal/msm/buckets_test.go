@@ -1,0 +1,403 @@
+package msm
+
+import (
+	"context"
+	"math/big"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"gzkp/internal/curve"
+	"gzkp/internal/ff"
+	"gzkp/internal/par"
+)
+
+// mixedAddBuckets is the bucket loop affineBuckets replaced — one Jacobian
+// mixed add (or subtraction, for a negative digit) per entry into a
+// per-remainder-class accumulator, one task per bucket, then the Horner
+// combine — kept as the differential oracle for the kernel's results and
+// counters.
+func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) (int64, int64, error) {
+	var adds, doubles int64
+	merge := func(ops *curve.Ops, j int) error {
+		var localAdds, localDoubles int64
+		subs := make([]curve.Jacobian, p.m)
+		top := 0
+		for r := range subs {
+			ops.SetInfinity(&subs[r])
+			for _, raw := range p.segment(j, r) {
+				top = r
+				neg := raw < 0
+				if neg {
+					raw = -raw
+				}
+				e := int(raw) - 1
+				w, i := e/p.n, e%p.n
+				if pt := t.pre[w/p.m][i]; neg {
+					ops.SubMixedAssign(&subs[r], pt)
+				} else {
+					ops.AddMixedAssign(&subs[r], pt)
+				}
+				localAdds++
+			}
+		}
+		ops.Copy(&buckets[j], &subs[top])
+		for r := top - 1; r >= 0; r-- {
+			for d := 0; d < t.k; d++ {
+				ops.DoubleAssign(&buckets[j])
+			}
+			localDoubles += int64(t.k)
+			ops.AddAssign(&buckets[j], &subs[r])
+			localAdds++
+		}
+		atomic.AddInt64(&adds, localAdds)
+		atomic.AddInt64(&doubles, localDoubles)
+		return nil
+	}
+	numBuckets := len(buckets) - 1
+	var err error
+	if cfg.NoLoadBalance {
+		err = par.StaticItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
+			func(ops *curve.Ops, idx int) error { return merge(ops, idx+1) })
+	} else {
+		err = par.ItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
+			func(ops *curve.Ops, pos int) error { return merge(ops, p.order[pos]) })
+	}
+	return adds, doubles, err
+}
+
+// checkKernel runs one table MSM through the bucket kernel and the
+// mixed-add oracle and requires identical results and identical counters
+// (PointAdds, Doubles, BucketLoads, LoadSpread, digit counts, TableBytes);
+// a non-nil want is the Reference result both must equal.
+func checkKernel(t testing.TB, table *Table, scalars []ff.Element, cfg Config, want *curve.Affine, what string) Stats {
+	t.Helper()
+	g := table.g
+	got, gs, err := table.ComputeCtx(context.Background(), scalars, cfg)
+	if err != nil {
+		t.Fatalf("%s: kernel: %v", what, err)
+	}
+	orc, os, err := table.computeWith(context.Background(), scalars, cfg, mixedAddBuckets)
+	if err != nil {
+		t.Fatalf("%s: oracle: %v", what, err)
+	}
+	if !g.EqualAffine(got, orc) {
+		t.Fatalf("%s: kernel disagrees with the mixed-add oracle", what)
+	}
+	if want != nil && !g.EqualAffine(got, *want) {
+		t.Fatalf("%s: kernel disagrees with Reference", what)
+	}
+	if !reflect.DeepEqual(gs, os) {
+		t.Fatalf("%s: counters differ\nkernel %+v\noracle %+v", what, gs, os)
+	}
+	return gs
+}
+
+func referenceMSM(t testing.TB, g *curve.Group, points []curve.Affine, scalars []ff.Element) *curve.Affine {
+	t.Helper()
+	want, _, err := Compute(g, points, scalars, Config{Strategy: Reference})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &want
+}
+
+// TestBatchAffineBucketPath: the affine bucket kernel ≡ the mixed-add
+// oracle ≡ Reference across dense and sparse scalars, checkpoint intervals
+// (which split buckets into remainder classes), both digit recodings and
+// both schedules, in G1 and G2 of both pairing curves.
+func TestBatchAffineBucketPath(t *testing.T) {
+	for _, id := range []curve.ID{curve.BN254, curve.BLS12381} {
+		for gi, g := range []*curve.Group{curve.Get(id).G1, curve.Get(id).G2} {
+			n := 400
+			if id != curve.BN254 || gi == 1 {
+				n = 96
+			}
+			for _, sparse := range []float64{0, 0.7} {
+				points, scalars := testVectors(g, n, 37, sparse)
+				want := referenceMSM(t, g, points, scalars)
+				for _, m := range []int{1, 3} {
+					for _, signed := range []bool{false, true} {
+						cfg := Config{Strategy: GZKP, CheckpointInterval: m, WindowBits: 6, SignedBuckets: signed}
+						table, err := Preprocess(g, points, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, nolb := range []bool{false, true} {
+							cfg.NoLoadBalance = nolb
+							checkKernel(t, table, scalars, cfg, want, g.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBucketKernelCounters pins the counters msm.point_adds and
+// msm.doubles are built from to the mixed-add loop's accounting — one add
+// per entry plus one per Horner step, k doublings per Horner step — and
+// the digit/load statistics to the oracle's, case by case.
+func TestBucketKernelCounters(t *testing.T) {
+	g := curve.Get(curve.BN254).G1
+	for _, c := range []struct {
+		name   string
+		sparse float64
+		cfg    Config
+	}{
+		{"dense unsigned M=1", 0, Config{WindowBits: 8}},
+		{"dense signed M=1", 0, Config{WindowBits: 9, SignedBuckets: true}},
+		{"sparse signed M=1", 0.8, Config{WindowBits: 9, SignedBuckets: true}},
+		{"dense unsigned M=3", 0, Config{WindowBits: 8, CheckpointInterval: 3}},
+		{"sparse signed M=4 no-LB", 0.6, Config{WindowBits: 7, SignedBuckets: true, CheckpointInterval: 4, NoLoadBalance: true}},
+		{"dense signed M=nw", 0, Config{WindowBits: 5, SignedBuckets: true, CheckpointInterval: 1 << 10}},
+	} {
+		points, scalars := testVectors(g, 300, 73, c.sparse)
+		table, err := Preprocess(g, points, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := checkKernel(t, table, scalars, c.cfg, nil, c.name)
+		if st.PointAdds < st.NonzeroDigit || st.Doubles%int64(st.WindowBits) != 0 {
+			t.Fatalf("%s: adds %d / doubles %d inconsistent with %d entries at k=%d",
+				c.name, st.PointAdds, st.Doubles, st.NonzeroDigit, st.WindowBits)
+		}
+		if table.m == 1 && (st.PointAdds != st.NonzeroDigit || st.Doubles != 0) {
+			t.Fatalf("%s: M=1 must cost exactly one add per entry and no doublings (%d adds, %d doubles, %d entries)",
+				c.name, st.PointAdds, st.Doubles, st.NonzeroDigit)
+		}
+	}
+}
+
+var (
+	fuzzBasesMu sync.Mutex
+	fuzzBases   = map[*curve.Group][]curve.Affine{}
+)
+
+// kernelBases returns eight fixed points of g: (3i+1)·G.
+func kernelBases(g *curve.Group) []curve.Affine {
+	fuzzBasesMu.Lock()
+	defer fuzzBasesMu.Unlock()
+	if b, ok := fuzzBases[g]; ok {
+		return b
+	}
+	ops := g.NewOps()
+	jacs := make([]curve.Jacobian, 8)
+	for i := range jacs {
+		ops.Copy(&jacs[i], ops.ScalarMul(g.Generator(), big.NewInt(int64(3*i+1))))
+	}
+	fuzzBases[g] = g.BatchToAffine(jacs)
+	return fuzzBases[g]
+}
+
+func kernelGroups() []*curve.Group {
+	bn, bls := curve.Get(curve.BN254), curve.Get(curve.BLS12381)
+	return []*curve.Group{bn.G1, bn.G2, bls.G1, bls.G2, curve.Get(curve.MNT4753Sim).G1}
+}
+
+// bucketCase decodes fuzz bytes into one table MSM: a group, a config
+// (k, M ∈ {1, 3, nw}, signed/unsigned, schedule) and n points and scalars
+// drawn from the degenerate menu — repeated bases (doublings in a bucket),
+// negated bases (cancellations), bases at infinity; zero, one, r−1,
+// one-hot, repeated and negated scalars.
+func bucketCase(raw []byte) (*curve.Group, []curve.Affine, []ff.Element, Config) {
+	next := func() int {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := int(raw[0])
+		raw = raw[1:]
+		return b
+	}
+	groups := kernelGroups()
+	g := groups[next()%len(groups)]
+	flags := next()
+	cfg := Config{
+		Strategy:           GZKP,
+		SignedBuckets:      flags&1 != 0,
+		NoLoadBalance:      flags&2 != 0,
+		CheckpointInterval: []int{1, 3, 1 << 10, 1}[flags>>2&3],
+		WindowBits:         3 + flags>>4&7,
+		Workers:            2,
+	}
+	n := 1 + next()%12
+	if g == curve.Get(curve.MNT4753Sim).G1 { // 753-bit scalars: small n, k ≥ 6
+		n, cfg.WindowBits = 1+(n-1)%4, max(cfg.WindowBits, 6)
+	}
+	bases := kernelBases(g)
+	f := g.Fr
+	points := make([]curve.Affine, n)
+	scalars := make([]ff.Element, n)
+	for i := range points {
+		pb, sb := next(), next()
+		switch pb % 5 {
+		case 2:
+			if i > 0 {
+				points[i] = points[i-1]
+				break
+			}
+			fallthrough
+		case 0, 1:
+			points[i] = bases[pb/5%len(bases)]
+		case 3:
+			if i > 0 {
+				points[i] = g.NegAffine(points[i-1])
+			} else {
+				points[i] = g.NegAffine(bases[0])
+			}
+		case 4:
+			points[i] = g.Infinity()
+		}
+		switch sb % 7 {
+		case 0:
+			scalars[i] = f.Zero()
+		case 1:
+			scalars[i] = f.One()
+		case 2:
+			scalars[i] = f.FromInt64(-1) // r − 1
+		case 3:
+			scalars[i] = f.FromBig(new(big.Int).Lsh(big.NewInt(1), uint(sb/7)%uint(f.Bits()-1)))
+		case 4, 5:
+			if i > 0 {
+				scalars[i] = f.Copy(scalars[i-1])
+				if sb%7 == 5 {
+					f.Neg(scalars[i], scalars[i])
+				}
+				break
+			}
+			fallthrough
+		default:
+			x := new(big.Int).SetBytes(raw)
+			x.Mul(x, big.NewInt(int64(sb+1)))
+			x.Add(x, big.NewInt(int64(1000003*(i+1))))
+			x.Exp(x, big.NewInt(7), f.Modulus())
+			scalars[i] = f.FromBig(x)
+		}
+	}
+	return g, points, scalars, cfg
+}
+
+func checkBucketCase(t testing.TB, raw []byte) {
+	t.Helper()
+	g, points, scalars, cfg := bucketCase(raw)
+	table, err := Preprocess(g, points, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkKernel(t, table, scalars, cfg, referenceMSM(t, g, points, scalars), g.Name)
+}
+
+// TestBucketKernelDegenerate runs the degenerate menu deterministically:
+// each input below under M ∈ {1, 3, nw} × signed/unsigned × both schedules,
+// on G1 and G2 of both pairing curves and MNT4753-sim G1.
+func TestBucketKernelDegenerate(t *testing.T) {
+	type pt struct{ kind, base int } // kind: 0 base, 2 repeat previous, 3 negate previous, 4 infinity
+	type sc struct{ kind, arg int }  // kind: 0 zero, 1 one, 2 r−1, 3 one-hot 2^arg, 4 repeat, 5 negate previous, 6 dense
+	inputs := []struct {
+		name string
+		pts  []pt
+		scs  []sc
+	}{
+		{"duplicated bases", []pt{{0, 1}, {2, 0}, {0, 2}, {2, 0}, {2, 0}}, []sc{{6, 1}, {4, 0}, {6, 2}, {4, 0}, {4, 0}}},
+		{"base and its negation", []pt{{0, 3}, {3, 0}, {0, 4}, {3, 0}}, []sc{{6, 3}, {4, 0}, {6, 4}, {5, 0}}},
+		{"bases at infinity", []pt{{4, 0}, {0, 5}, {4, 0}, {0, 6}}, []sc{{6, 5}, {6, 6}, {6, 7}, {6, 8}}},
+		{"zero, one, r-1, one-hot", []pt{{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}}, []sc{{0, 0}, {1, 0}, {2, 0}, {3, 30}, {3, 7}}},
+		{"all zero", []pt{{0, 1}, {0, 2}}, []sc{{0, 0}, {0, 0}}},
+		{"one entry per bucket", []pt{{0, 7}}, []sc{{1, 0}}},
+		{"two entries per bucket", []pt{{0, 7}, {0, 6}}, []sc{{1, 0}, {1, 0}}},
+	}
+	for gi := range kernelGroups() {
+		for _, in := range inputs {
+			if gi == 4 && len(in.pts) > 4 {
+				continue // MNT4753-sim at small n only
+			}
+			for flags := 0; flags < 12; flags++ {
+				// Hand-build the bytes bucketCase decodes: group, flags, n,
+				// then (point, scalar) byte pairs; k = 5 (6 on MNT4753-sim).
+				raw := []byte{byte(gi), byte(flags | 2<<4), byte(len(in.pts) - 1)}
+				for i, p := range in.pts {
+					s := in.scs[i]
+					raw = append(raw, byte(p.kind+5*p.base), byte(s.kind+7*s.arg))
+				}
+				checkBucketCase(t, append(raw, 0x5a, 0xc3, byte(gi)))
+			}
+		}
+	}
+}
+
+// FuzzBucketKernel differentially fuzzes the affine bucket kernel against
+// the mixed-add oracle and Reference over the degenerate menu of
+// bucketCase. Run by the CI fuzz leg and `make fuzz`.
+func FuzzBucketKernel(f *testing.F) {
+	f.Add([]byte{0, 0, 5, 0, 6, 2, 4, 3, 5, 4, 6})
+	f.Add([]byte{1, 5, 3, 1, 1, 2, 2, 3, 5, 4, 0})
+	f.Add([]byte{2, 0x17, 7, 10, 6, 12, 4, 13, 5, 14, 3, 9, 2})
+	f.Add([]byte{3, 0x2b, 4, 0, 6, 5, 4, 8, 6, 2, 1})
+	f.Add([]byte{4, 0x09, 2, 0, 6, 2, 4, 3, 5})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkBucketCase(t, raw)
+	})
+}
+
+// TestComputeAllocsBounded: a table MSM at fixed Workers allocates a number
+// of times independent of n and of the bucket count — the bucket kernel's
+// scratch is one slab per worker, the buckets one slab per MSM. The
+// mixed-add oracle's per-bucket accumulators are the contrast.
+func TestComputeAllocsBounded(t *testing.T) {
+	g := curve.Get(curve.BN254).G1
+	ctx := context.Background()
+	measure := func(n, k int, kernel bucketKernel) float64 {
+		points, scalars := testVectors(g, n, 79, 0.3)
+		cfg := Config{WindowBits: k, CheckpointInterval: 3, SignedBuckets: true, Workers: 2}
+		table, err := Preprocess(g, points, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := table.computeWith(ctx, scalars, cfg, kernel); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const slack = 8
+	base := measure(256, 6, affineBuckets)
+	for _, c := range []struct{ n, k int }{{2048, 6}, {256, 9}} {
+		got := measure(c.n, c.k, affineBuckets)
+		t.Logf("n=%d k=%d: %v allocs (n=256 k=6: %v)", c.n, c.k, got, base)
+		if got > base+slack {
+			t.Errorf("n=%d k=%d: %v allocs vs %v at n=256 k=6: allocations grow with the input", c.n, c.k, got, base)
+		}
+	}
+	if o6, o9 := measure(256, 6, mixedAddBuckets), measure(256, 9, mixedAddBuckets); o9 < o6+slack {
+		t.Errorf("oracle allocs %v → %v at k 6 → 9: the test no longer sees per-bucket allocation", o6, o9)
+	}
+}
+
+// BenchmarkBucketKernel: the affine bucket kernel against the mixed-add
+// oracle it replaced, on the prover's configuration (signed digits, the
+// default window and M) at n = 2^10, G1 and G2 (run with -benchmem).
+func BenchmarkBucketKernel(b *testing.B) {
+	bn := curve.Get(curve.BN254)
+	for _, g := range []*curve.Group{bn.G1, bn.G2} {
+		points, scalars := testVectors(g, 1<<10, 41, 0)
+		cfg := Config{Strategy: GZKP, SignedBuckets: true}
+		table, err := Preprocess(g, points, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []struct {
+			name   string
+			kernel bucketKernel
+		}{{"affine", affineBuckets}, {"mixed-add-oracle", mixedAddBuckets}} {
+			b.Run(g.Name+"/"+k.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := table.computeWith(context.Background(), scalars, cfg, k.kernel); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-	"sync/atomic"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -138,14 +137,41 @@ func (t *Table) Compute(scalars []ff.Element, cfg Config) (curve.Affine, Stats, 
 // bucket-info construction (counting sort of all (window, point) pairs by
 // digit), cross-window point merging with load-grouped scheduling, and the
 // parallel-prefix bucket reduction. No window-reduction step remains. ctx
-// is checked at bucket-task boundaries.
+// is checked at bucket-group boundaries.
 //
 // cfg.SignedBuckets picks the digit recoding, nothing else: unsigned digits
 // (the paper's Algorithm 1 setting) fill buckets j ∈ [1, 2^k); signed digits
 // in [-2^(k-1), 2^(k-1)] fill buckets |d| ∈ [1, 2^(k-1)] and merge negative
-// digits by mixed subtraction. The sign rides in the p_index entry
+// digits as the negated point. The sign rides in the p_index entry
 // (±(w·n+i+1)); unsigned entries are simply never negative.
 func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
+	return t.computeWith(ctx, scalars, cfg, affineBuckets)
+}
+
+// bucketPlan is what a bucket kernel reads of one table MSM besides the table.
+type bucketPlan struct {
+	n, m int
+	// pindex holds every nonzero digit as ±(w·n+i+1), counting-sorted by
+	// segment s = j·M + (w mod M) — bucket j, then remainder class — so
+	// segment s is pindex[offsets[s]:offsets[s+1]].
+	pindex  []int32
+	offsets []int32
+	loads   []int64 // entries per bucket (index 0 unused)
+	order   []int   // buckets 1..B, heaviest first (index order under NoLoadBalance)
+}
+
+// segment returns the entries of bucket j's remainder class r.
+func (p *bucketPlan) segment(j, r int) []int32 {
+	s := j*p.m + r
+	return p.pindex[p.offsets[s]:p.offsets[s+1]]
+}
+
+// bucketKernel sets buckets[j] = B_j (j ≥ 1), returning its add and doubling counts.
+type bucketKernel func(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) (adds, doubles int64, err error)
+
+// computeWith is ComputeCtx around a given bucket kernel — the seam where
+// the tests' mixed-add oracle (buckets_test.go) runs on the same plan.
+func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Config, kernel bucketKernel) (curve.Affine, Stats, error) {
 	g := t.g
 	n := len(t.pre[0])
 	if len(scalars) != n {
@@ -165,9 +191,12 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 	}
 	dm := recodeDigits(dg, signed)
 	numBuckets := bucketCount(t.k, signed)
+	m := t.m
 
-	// --- Bucket-info (p_index) construction: counting sort by |digit|.
-	counts := make([]int32, numBuckets+1)
+	// --- Bucket-info (p_index) construction: counting sort by segment.
+	segs := (numBuckets + 1) * m
+	offsets := make([]int32, segs+1)
+	loads := make([]int64, numBuckets+1)
 	var zeros, nonzeros int64
 	for i := 0; i < n; i++ {
 		if signed && dm.digit(i, t.windows) != 0 {
@@ -182,17 +211,17 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 			if d < 0 {
 				d = -d
 			}
-			counts[d]++
+			offsets[int(d)*m+w%m+1]++
+			loads[d]++
 			nonzeros++
 		}
 	}
-	offsets := make([]int32, numBuckets+2)
-	for j := 1; j <= numBuckets; j++ {
-		offsets[j+1] = offsets[j] + counts[j]
+	for s := 1; s <= segs; s++ {
+		offsets[s] += offsets[s-1]
 	}
 	pindex := make([]int32, nonzeros)
-	fill := make([]int32, numBuckets+1)
-	copy(fill, offsets[:numBuckets+1])
+	fill := make([]int32, segs)
+	copy(fill, offsets)
 	for i := 0; i < n; i++ {
 		for w := 0; w < t.windows; w++ {
 			d := dm.digit(i, w)
@@ -203,8 +232,9 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 			if d < 0 {
 				d, entry = -d, -entry
 			}
-			pindex[fill[d]] = entry
-			fill[d]++
+			s := int(d)*m + w%m
+			pindex[fill[s]] = entry
+			fill[s]++
 		}
 	}
 
@@ -215,91 +245,22 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 	}
 	if !cfg.NoLoadBalance {
 		sort.Slice(order, func(a, b int) bool {
-			return counts[order[a]] > counts[order[b]]
+			return loads[order[a]] > loads[order[b]]
 		})
 	}
+	plan := &bucketPlan{n: n, m: m, pindex: pindex, offsets: offsets, loads: loads, order: order}
 
-	// --- Cross-window point merging: one task per bucket.
+	// --- Cross-window point merging into buckets whose limbs share one slab.
+	w := g.K.Words()
+	limbs := make([]uint64, 3*w*(numBuckets+1))
 	buckets := make([]curve.Jacobian, numBuckets+1)
-	var adds, doubles int64
-	// batchAffineMin: below this bucket load the shared-inversion batch
-	// path costs more than plain mixed adds.
-	const batchAffineMin = 16
-	//
-	// Algorithm 1's checkpoint fix-up, amortized: instead of doubling each
-	// non-checkpoint point individually ((w mod M)·k doublings per entry),
-	// the task keeps one sub-accumulator per remainder class r = w mod M
-	// and combines them once with a Horner chain
-	//
-	//	B_j = (...(S_{M-1}·2^k + S_{M-2})·2^k + ...)·2^k + S_0,
-	//
-	// costing (M-1)·k doublings per *bucket* rather than per entry — the
-	// formulation that keeps Algorithm 1's time/space knob usable at
-	// paper scales.
-	merge := func(ops *curve.Ops, j int) error {
-		var localAdds, localDoubles int64
-		subs := make([]curve.Jacobian, t.m)
-		for r := range subs {
-			ops.SetInfinity(&subs[r])
-		}
-		var batch []curve.Affine
-		if cfg.UseBatchAffine && offsets[j+1]-offsets[j] >= batchAffineMin {
-			batch = make([]curve.Affine, 0, offsets[j+1]-offsets[j])
-		}
-		maxRem := 0
-		for e := offsets[j]; e < offsets[j+1]; e++ {
-			raw := pindex[e]
-			neg := raw < 0
-			if neg {
-				raw = -raw
-			}
-			entry := int(raw) - 1
-			w, i := entry/n, entry%n
-			c, rem := w/t.m, w%t.m
-			pt := t.pre[c][i]
-			switch {
-			case rem == 0 && batch != nil && !neg:
-				batch = append(batch, pt)
-			case rem == 0 && batch != nil:
-				batch = append(batch, t.g.NegAffine(pt))
-			case neg:
-				ops.SubMixedAssign(&subs[rem], pt)
-			default:
-				ops.AddMixedAssign(&subs[rem], pt)
-			}
-			if rem > maxRem {
-				maxRem = rem
-			}
-			localAdds++
-		}
-		if batch != nil {
-			ops.AddMixedAssign(&subs[0], t.g.AffineBatchSum(batch))
-		}
-		// Horner combine over the populated remainder classes.
-		var acc curve.Jacobian
-		ops.Copy(&acc, &subs[maxRem])
-		for r := maxRem - 1; r >= 0; r-- {
-			for d := 0; d < t.k; d++ {
-				ops.DoubleAssign(&acc)
-			}
-			localDoubles += int64(t.k)
-			ops.AddAssign(&acc, &subs[r])
-			localAdds++
-		}
-		buckets[j] = acc
-		atomic.AddInt64(&adds, localAdds)
-		atomic.AddInt64(&doubles, localDoubles)
-		return nil
+	for j := range buckets {
+		b := limbs[3*w*j : 3*w*(j+1)]
+		buckets[j] = curve.Jacobian{X: b[:w:w], Y: b[w : 2*w : 2*w], Z: b[2*w:]} // Z = 0: O
 	}
-	var mergeErr error
-	if cfg.NoLoadBalance {
-		mergeErr = par.StaticItemsErr(ctx, numBuckets, cfg.workers(), g.NewOps,
-			func(ops *curve.Ops, idx int) error { return merge(ops, idx+1) })
-	} else {
-		mergeErr = par.ItemsOrderedErr(ctx, numBuckets, cfg.workers(), order, g.NewOps, merge)
-	}
-	if mergeErr != nil {
-		return curve.Affine{}, Stats{}, mergeErr
+	adds, doubles, err := kernel(ctx, t, plan, buckets, cfg)
+	if err != nil {
+		return curve.Affine{}, Stats{}, err
 	}
 
 	// --- Parallel-prefix bucket reduction: Σ j·B_j over j ∈ [1, numBuckets].
@@ -309,23 +270,19 @@ func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config
 	}
 
 	// --- Stats (Fig. 6's histogram and spread).
-	loads := make([]int64, numBuckets+1)
-	var maxLoad, minLoad int64 = 0, 1 << 62
-	for j := 1; j <= numBuckets; j++ {
-		loads[j] = int64(counts[j])
-		if loads[j] > maxLoad {
-			maxLoad = loads[j]
-		}
-		if loads[j] > 0 && loads[j] < minLoad {
-			minLoad = loads[j]
+	var maxLoad, minLoad int64
+	for _, l := range loads[1:] {
+		maxLoad = max(maxLoad, l)
+		if l > 0 && (minLoad == 0 || l < minLoad) {
+			minLoad = l
 		}
 	}
 	spread := 0.0
-	if minLoad > 0 && minLoad != 1<<62 {
+	if minLoad > 0 {
 		spread = float64(maxLoad) / float64(minLoad)
 	}
 	st := Stats{
-		WindowBits: t.k, Windows: t.windows, Checkpoint: t.m,
+		WindowBits: t.k, Windows: t.windows, Checkpoint: m,
 		Buckets: numBuckets, Signed: signed,
 		PointAdds: adds, Doubles: doubles,
 		TableBytes:  t.bytes + int64(len(pindex))*4,

@@ -308,55 +308,6 @@ func BenchmarkMSM(b *testing.B) {
 	}
 }
 
-func TestBatchAffineBucketPath(t *testing.T) {
-	// UseBatchAffine must not change results, across dense and sparse
-	// scalars and checkpoint intervals (which mix affine and fixed-up
-	// bucket entries).
-	g := curve.Get(curve.BN254).G1
-	for _, sparse := range []float64{0, 0.7} {
-		points, scalars := testVectors(g, 400, 37, sparse)
-		want, _, err := Compute(g, points, scalars, Config{Strategy: Reference})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []int{1, 3} {
-			got, _, err := Compute(g, points, scalars, Config{
-				Strategy: GZKP, UseBatchAffine: true, CheckpointInterval: m, WindowBits: 6,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !g.EqualAffine(got, want) {
-				t.Fatalf("batch-affine path mismatch (sparse=%v, M=%d)", sparse, m)
-			}
-		}
-	}
-}
-
-func BenchmarkBatchAffineAblation(b *testing.B) {
-	// DESIGN.md §4 ablation 8: Jacobian mixed adds vs batch-affine buckets.
-	g := curve.Get(curve.BN254).G1
-	n := 1 << 11
-	points, scalars := testVectors(g, n, 41, 0)
-	table, err := Preprocess(g, points, Config{WindowBits: 6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, ba := range []bool{false, true} {
-		name := "jacobian"
-		if ba {
-			name = "batch-affine"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := table.Compute(scalars, Config{UseBatchAffine: ba, WindowBits: 6}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkCheckpointM(b *testing.B) {
 	// DESIGN.md §4 ablation 4: Algorithm 1's time/space knob.
 	g := curve.Get(curve.BN254).G1

@@ -13,8 +13,8 @@ import (
 // recoded into [-2^(k-1), 2^(k-1)] with carry propagation: a raw digit
 // d > 2^(k-1) becomes d - 2^k with a carry into the next window. Bucket
 // indices then span |d| ∈ [1, 2^(k-1)] — half the 2^k - 1 buckets an unsigned
-// window needs — and negative digits are folded by mixed subtraction (affine
-// negation is free). One extra window absorbs the final carry.
+// window needs — and a negative digit enters its bucket as the negated point
+// (affine negation is free). One extra window absorbs the final carry.
 type digitMatrix struct {
 	dig     []int32 // row-major: dig[i*windows + t]
 	windows int

@@ -48,7 +48,6 @@ func TestSignedStrategiesAgree(t *testing.T) {
 				{Strategy: SignedDigitGLV},
 				{Strategy: GZKP, SignedBuckets: true},
 				{Strategy: GZKP, SignedBuckets: true, NoLoadBalance: true},
-				{Strategy: GZKP, SignedBuckets: true, UseBatchAffine: true},
 			} {
 				got, st, err := Compute(g, points, scalars, cfg)
 				if err != nil {

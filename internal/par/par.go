@@ -142,19 +142,14 @@ func RangeErr(ctx context.Context, n, workers int, fn func(lo, hi int) error) er
 	})
 }
 
-// ItemsErr schedules n independent items dynamically over a pool; mkState
-// builds per-worker scratch once per worker. Item boundaries are
-// cancellation points and the first error cancels the remaining items.
+// ItemsErr schedules n independent items dynamically over a pool, handing
+// them out in index order; mkState builds per-worker scratch once per
+// worker. Item boundaries are cancellation points and the first error
+// cancels the remaining items. Dynamic dispatch over items sorted
+// heaviest-first is the CPU analogue of GZKP's fine-grained task mapping:
+// stragglers are started first, so no worker is left holding a heavy task
+// at the tail.
 func ItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn func(state S, item int) error) error {
-	return ItemsOrderedErr(ctx, n, workers, nil, mkState, fn)
-}
-
-// ItemsOrderedErr is ItemsErr with an explicit dispatch order: order[pos]
-// is the item to hand out pos-th (nil = natural order). Dynamic dispatch
-// plus a heaviest-first order is the CPU analogue of GZKP's fine-grained
-// task mapping: stragglers are started first, so no worker is left holding
-// a heavy bucket at the tail.
-func ItemsOrderedErr[S any](ctx context.Context, n, workers int, order []int, mkState func() S, fn func(state S, item int) error) error {
 	workers = Workers(workers)
 	if workers > n {
 		workers = n
@@ -163,12 +158,6 @@ func ItemsOrderedErr[S any](ctx context.Context, n, workers int, order []int, mk
 		return ctx.Err()
 	}
 	account(ctx, n, workers)
-	item := func(pos int) int {
-		if order == nil {
-			return pos
-		}
-		return order[pos]
-	}
 	if workers <= 1 {
 		return recovering(func() error {
 			st := newState(mkState)
@@ -176,7 +165,7 @@ func ItemsOrderedErr[S any](ctx context.Context, n, workers int, order []int, mk
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				if err := fn(st, item(i)); err != nil {
+				if err := fn(st, i); err != nil {
 					return err
 				}
 			}
@@ -194,7 +183,7 @@ func ItemsOrderedErr[S any](ctx context.Context, n, workers int, order []int, mk
 			if pos >= n {
 				return nil
 			}
-			if err := fn(st, item(pos)); err != nil {
+			if err := fn(st, pos); err != nil {
 				return err
 			}
 		}
@@ -211,7 +200,7 @@ func StaticItemsErr[S any](ctx context.Context, n, workers int, mkState func() S
 		workers = n
 	}
 	if workers <= 1 { // one chunk (or no items): nothing to steal either way
-		return ItemsOrderedErr(ctx, n, 1, nil, mkState, fn)
+		return ItemsErr(ctx, n, 1, mkState, fn)
 	}
 	account(ctx, n, workers)
 	chunk := (n + workers - 1) / workers

@@ -76,28 +76,26 @@ func TestItemsCoversAllWithState(t *testing.T) {
 	}
 }
 
-func TestItemsOrderedRespectsOrder(t *testing.T) {
+// Dynamic dispatch hands items out in index order — what msm's bucket
+// kernel relies on to start its heaviest-first groups first.
+func TestItemsDispatchInIndexOrder(t *testing.T) {
 	ctx := context.Background()
 	n := 64
-	order := make([]int, n)
-	for i := range order {
-		order[i] = n - 1 - i // reverse
-	}
 	var got []int
-	if err := ItemsOrderedErr(ctx, n, 1, order, nil, func(_ struct{}, item int) error {
+	if err := ItemsErr(ctx, n, 1, nil, func(_ struct{}, item int) error {
 		got = append(got, item)
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range got {
-		if v != n-1-i {
-			t.Fatalf("single-worker ordered dispatch broke at %d: %d", i, v)
+		if v != i {
+			t.Fatalf("single-worker dispatch broke index order at %d: %d", i, v)
 		}
 	}
 	// Multi-worker: all items exactly once.
 	seen := make([]int32, n)
-	if err := ItemsOrderedErr(ctx, n, 5, order, nil, func(_ struct{}, item int) error {
+	if err := ItemsErr(ctx, n, 5, nil, func(_ struct{}, item int) error {
 		atomic.AddInt32(&seen[item], 1)
 		return nil
 	}); err != nil {
