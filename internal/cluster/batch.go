@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"time"
 
@@ -15,11 +14,9 @@ import (
 // Batch forwarding: a batch prove is one synchronous node round-trip for
 // k same-circuit proofs, so the coordinator forwards the whole request to
 // a single replica (splitting it would forfeit the node-side fusion the
-// batch exists for). Failover mirrors the per-job loop one request at a
-// time: transient statuses retry with jittered backoff, a lost node is
-// struck and the batch re-forwards to a survivor — the node-side batch
-// idempotency key makes the re-forward attach instead of proving twice on
-// the node that already started.
+// batch exists for). It rides the same forward loop as a solo job, k jobs
+// wide; the node-side batch idempotency key makes a re-forward attach
+// instead of proving twice on a node that already started.
 
 // ProveBatch forwards a k-proof batch to the best replica of its circuit
 // and returns the node's per-proof job statuses. The batch counts k jobs
@@ -32,187 +29,73 @@ func (c *Coordinator) ProveBatch(traceID, circuitID string, inputs []service.Pro
 	if traceID == "" {
 		traceID = telemetry.NewTraceID()
 	}
-	c.mu.Lock()
-	if !c.accepting {
-		c.mu.Unlock()
-		return nil, service.ErrDraining
+	key, err := c.admit("cb", circuitID, k, true)
+	if err != nil {
+		return nil, err
 	}
-	if c.circuits[circuitID] == nil {
-		c.mu.Unlock()
-		c.cRejected.Add(int64(k))
-		return nil, &service.NotFoundError{What: "circuit", ID: circuitID}
-	}
-	if c.admitted+k > c.cfg.MaxInflight {
-		depth := c.admitted
-		c.mu.Unlock()
-		c.cRejected.Add(int64(k))
-		return nil, &service.OverloadError{
-			Depth: depth, Capacity: c.cfg.MaxInflight,
-			RetryAfter: 2 * time.Second,
-		}
-	}
-	c.admitted += k
-	c.jobSeq++
-	// Namespaced like cluster job ids: re-forwards after failover carry
-	// the same key, so the node's batch dedupe attaches to running work.
-	batchKey := fmt.Sprintf("cb-%08d", c.jobSeq)
-	if c.cfg.ID != "" {
-		batchKey = fmt.Sprintf("cb-%s-%08d", c.cfg.ID, c.jobSeq)
-	}
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.admitted -= k
-		if c.admitted == 0 {
-			c.idle.Broadcast()
-		}
-		c.mu.Unlock()
-		c.gInflight.Set(float64(c.inflightCount()))
-	}()
-
-	c.cAccepted.Add(int64(k))
-	c.gInflight.Set(float64(c.inflightCount()))
+	defer c.release(k)
 	c.events.Log(telemetry.LevelDebug, "cluster", "batch_accepted", map[string]any{
-		"batch": batchKey, "circuit": circuitID, "jobs": k, "trace_id": traceID,
+		"batch": key, "circuit": circuitID, "jobs": k, "trace_id": traceID,
 	})
-
-	req := service.ProveBatchRequest{CircuitID: circuitID, Proofs: inputs, ClientBatchID: batchKey}
 	root := c.tracer.Root(telemetry.TrackHost, "cluster.prove_batch")
 	telemetry.SpanContext{TraceID: traceID}.Annotate(root)
 	root.SetStr("circuit", circuitID)
 	root.SetInt("jobs", int64(k))
 	defer root.End()
 
-	p := c.cfg.Retry.WithDefaults()
-	tried := map[string]bool{}
-	transient, maxTransient := 0, 2*p.MaxAttempts
-	attempt := 0
-	for {
-		if c.ctx.Err() != nil {
-			return nil, fmt.Errorf("cluster: coordinator closed: %w", c.ctx.Err())
-		}
-		name := c.pickNode(circuitID, tried)
-		if name == "" {
-			name = c.replaceReplica(circuitID, tried)
-		}
-		if name == "" {
-			c.cFailed.Add(int64(k))
-			return nil, fmt.Errorf("cluster: batch %s: no surviving node can hold circuit %s", batchKey, circuitID)
-		}
-
-		attempt++
-		c.addInflight(name, 1)
-		fsp := root.Child("forward-batch")
-		fsp.SetStr("node", name)
-		fsp.SetInt("attempt", int64(attempt))
-		fctx := telemetry.ContextWithSpanContext(c.ctx,
-			telemetry.SpanContext{TraceID: traceID, SpanID: fsp.ID()})
-		var out service.ProveBatchResponse
-		c.reg.Counter("cluster.batches.forwarded").Add(1)
-		status, err := c.fwd.provePath(fctx, c.baseOf(name), "/v1/prove-batch?sync=1", req, &out)
-		fsp.End()
-		c.addInflight(name, -1)
-
-		if err == nil && status == http.StatusOK {
-			c.noteNodeOK(name)
-			done, failed := 0, 0
-			for _, js := range out.Jobs {
-				if js.State == "done" {
-					done++
-				} else {
-					failed++
-				}
+	out, _, err := forward(c, request[service.ProveBatchResponse]{
+		kind: "batch", id: key, circuit: circuitID, trace: traceID, jobs: k,
+		path: "/v1/prove-batch?sync=1", root: root,
+		counter: c.reg.Counter("cluster.batches.forwarded"),
+		body:    service.ProveBatchRequest{CircuitID: circuitID, Proofs: inputs, ClientBatchID: key},
+		settle: func(out *service.ProveBatchResponse) error {
+			if len(out.Jobs) != k {
+				return fmt.Errorf("cluster: batch %s: node answered %d jobs, want %d", key, len(out.Jobs), k)
 			}
-			c.cDone.Add(int64(done))
-			c.cFailed.Add(int64(failed))
-			return &out, nil
-		}
-		if err == nil && status == http.StatusAccepted {
-			// The node saw our connection die mid-batch; the work keeps
-			// running there, so re-forwarding to the same node attaches.
-			err = fmt.Errorf("cluster: node %s detached sync batch %s", name, batchKey)
-		}
-
-		switch resilience.ClassifyHTTP(status, err) {
-		case resilience.Canceled:
-			c.cFailed.Add(int64(k))
-			return nil, err
-		case resilience.Transient:
-			transient++
-			if transient >= maxTransient {
-				c.cFailed.Add(int64(k))
-				return nil, mapNodeError(fmt.Errorf("cluster: batch %s: retries exhausted: %w", batchKey, err), err)
-			}
-			delay := p.JitterBackoff(transient-1, rand.Float64())
-			if ra := retryAfterOf(err); ra > delay {
-				delay = ra
-			}
-			if serr := p.Sleep(c.ctx, delay); serr != nil {
-				c.cFailed.Add(int64(k))
-				return nil, serr
-			}
-		case resilience.DeviceLost:
-			c.noteNodeError(name, err)
-			tried[name] = true
-			c.cMigrated.Add(int64(k))
-			c.events.Log(telemetry.LevelWarn, "cluster", "batch_migrated", map[string]any{
-				"batch": batchKey, "from": name, "jobs": k,
-			})
-		default: // Fatal: this batch is doomed on any node
-			c.cFailed.Add(int64(k))
-			return nil, mapNodeError(err, err)
+			return nil
+		},
+	})
+	if err != nil {
+		c.cFailed.Add(int64(k))
+		return nil, mapNodeError(err)
+	}
+	for _, js := range out.Jobs {
+		switch js.State {
+		case "done":
+			c.cDone.Add(1)
+		case "checkpointed":
+			c.cCheckpointed.Add(1)
+		default:
+			c.cFailed.Add(1)
 		}
 	}
+	return out, nil
 }
 
 // VerifyBatch forwards one RLC batch-verification request to a replica of
-// the circuit. Verification is cheap and stateless, so failover is the
-// control-call pattern: strike dead nodes, try the next replica.
+// the circuit through the same forward loop (no jobs ride on it).
 func (c *Coordinator) VerifyBatch(circuitID string, proofs [][]byte, publics [][]string) error {
-	c.mu.Lock()
-	known := c.circuits[circuitID] != nil
-	c.mu.Unlock()
-	if !known {
-		return &service.NotFoundError{What: "circuit", ID: circuitID}
+	if _, err := c.Circuit(circuitID); err != nil {
+		return err
 	}
 	if len(proofs) == 0 {
 		return &service.InputError{Msg: "empty batch"}
 	}
-	req := service.VerifyBatchRequest{CircuitID: circuitID, Proofs: proofs, Publics: publics}
-	tried := map[string]bool{}
-	for {
-		name := c.pickNode(circuitID, tried)
-		if name == "" {
-			name = c.replaceReplica(circuitID, tried)
-		}
-		if name == "" {
-			return fmt.Errorf("cluster: no surviving node can verify against circuit %s", circuitID)
-		}
-		c.reg.Counter("cluster.batch_verifies.forwarded").Add(1)
-		err := c.fwd.control(c.ctx, http.MethodPost, c.baseOf(name)+"/v1/verify-batch", req, nil)
-		if err == nil {
-			c.noteNodeOK(name)
-			return nil
-		}
-		var he *resilience.HTTPError
-		if errors.As(err, &he) {
-			// The node answered: its verdict (or input complaint) is the
-			// answer, not a node failure.
-			c.noteNodeOK(name)
-			return mapNodeError(err, err)
-		}
-		c.noteNodeError(name, err)
-		tried[name] = true
-	}
+	_, _, err := forward(c, request[service.VerifyBatchResponse]{
+		kind: "verify", id: circuitID, circuit: circuitID, path: "/v1/verify-batch",
+		counter: c.reg.Counter("cluster.batch_verifies.forwarded"),
+		body:    service.VerifyBatchRequest{CircuitID: circuitID, Proofs: proofs, Publics: publics},
+	})
+	return mapNodeError(err)
 }
 
 // mapNodeError lifts a node HTTP status back into the service error
 // vocabulary so the coordinator's own edge re-serializes it with the
-// right status code (the wrapped message keeps the node's error text).
-func mapNodeError(wrapped, cause error) error {
+// right status code (the message keeps the node's error text).
+func mapNodeError(err error) error {
 	var he *resilience.HTTPError
-	if !errors.As(cause, &he) {
-		return wrapped
+	if !errors.As(err, &he) {
+		return err
 	}
 	switch he.Status {
 	case http.StatusTooManyRequests:
@@ -222,10 +105,10 @@ func mapNodeError(wrapped, cause error) error {
 		}
 		return &service.OverloadError{RetryAfter: ra}
 	case http.StatusBadRequest:
-		return &service.InputError{Msg: wrapped.Error()}
+		return &service.InputError{Msg: err.Error()}
 	case http.StatusNotFound:
-		return &service.NotFoundError{What: "resource", ID: wrapped.Error()}
+		return &service.NotFoundError{What: "resource", ID: err.Error()}
 	default:
-		return wrapped
+		return err
 	}
 }

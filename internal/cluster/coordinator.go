@@ -236,34 +236,16 @@ func New(cfg Config) (*Coordinator, error) {
 	c.gInflight = r.Gauge("cluster.inflight")
 	c.gReplPending = r.Gauge("cluster.replication_pending")
 	c.hProbe = r.Histogram("cluster.probe_ns")
-	client := cfg.Client
-	if cfg.Chaos != nil {
-		names := map[string]string{}
-		for _, ns := range cfg.Nodes {
-			if u, err := url.Parse(ns.URL); err == nil && u.Host != "" {
-				name := ns.Name
-				if name == "" {
-					name = u.Host
-				}
-				names[u.Host] = name
-			}
-		}
-		cfg.Chaos.Bind(r)
-		client = ChaosClient(cfg.Chaos, client, names)
-	}
-	c.fwd = &forwarder{
-		client: client, policy: cfg.Retry, timeout: cfg.ControlTimeout,
-		hForward:  r.Histogram("cluster.cluster_forward_ns"),
-		cForwards: r.Counter("cluster.forwarded"),
-	}
+	hosts := map[string]string{} // URL host → node name, for the chaos client
 	for _, ns := range cfg.Nodes {
 		name := ns.Name
-		if name == "" {
-			if u, err := url.Parse(ns.URL); err == nil && u.Host != "" {
+		if u, err := url.Parse(ns.URL); err == nil && u.Host != "" {
+			if name == "" {
 				name = u.Host
-			} else {
-				name = ns.URL
 			}
+			hosts[u.Host] = name
+		} else if name == "" {
+			name = ns.URL
 		}
 		if _, dup := c.nodes[name]; dup {
 			cancel()
@@ -280,6 +262,16 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		c.order = append(c.order, name)
 		c.ring.add(name)
+	}
+	client := cfg.Client
+	if cfg.Chaos != nil {
+		cfg.Chaos.Bind(r)
+		client = ChaosClient(cfg.Chaos, client, hosts)
+	}
+	c.fwd = &forwarder{
+		client: client, policy: cfg.Retry, timeout: cfg.ControlTimeout,
+		hForward:  r.Histogram("cluster.cluster_forward_ns"),
+		cForwards: r.Counter("cluster.forwarded"),
 	}
 	c.gNodesAlive.Set(float64(len(c.nodes)))
 	c.wg.Add(2)
@@ -442,7 +434,9 @@ type replTask struct {
 const maxReplAttempts = 6
 
 // enqueueReplication schedules an async key import, deduping per
-// (circuit, node) so retries and repeated registrations do not stack.
+// (circuit, node) so retries and repeated registrations do not stack. It
+// never blocks (strike calls it, and the replicator strikes): a full queue
+// drops the task, and replaceReplica repairs placement on demand.
 func (c *Coordinator) enqueueReplication(circuitID, node string) {
 	key := circuitID + "/" + node
 	c.mu.Lock()
@@ -456,7 +450,7 @@ func (c *Coordinator) enqueueReplication(circuitID, node string) {
 	c.gReplPending.Set(float64(pending))
 	select {
 	case c.replCh <- replTask{circuitID: circuitID, node: node}:
-	case <-c.ctx.Done():
+	default:
 		c.finishReplication(key)
 	}
 }
@@ -482,22 +476,18 @@ func (c *Coordinator) replicatorLoop() {
 		case t := <-c.replCh:
 			key := t.circuitID + "/" + t.node
 			c.mu.Lock()
-			e := c.circuits[t.circuitID]
 			nd := c.nodes[t.node]
-			done := e == nil || e.keys == nil || nd == nil || !nd.alive || nd.circuits[t.circuitID]
+			done := nd == nil || !nd.alive || nd.circuits[t.circuitID]
 			c.mu.Unlock()
 			if done {
 				c.finishReplication(key)
 				continue
 			}
-			err := c.fwd.control(c.ctx, http.MethodPost, c.baseOf(t.node)+"/v1/circuits/import", e.keys, nil)
-			if err == nil {
-				c.markHolds(t.node, t.circuitID)
+			if c.importKeys(t.node, t.circuitID) == nil {
 				c.cReplicated.Add(1)
 				c.finishReplication(key)
 				continue
 			}
-			c.noteNodeError(t.node, err)
 			if t.attempt+1 >= maxReplAttempts || c.ctx.Err() != nil {
 				c.finishReplication(key)
 				continue
@@ -544,38 +534,10 @@ func (c *Coordinator) SubmitTraced(traceID, circuitID string, public, secret []s
 	if traceID == "" {
 		traceID = telemetry.NewTraceID()
 	}
-	c.mu.Lock()
-	if !c.accepting {
-		c.mu.Unlock()
-		return nil, service.ErrDraining
+	id, err := c.admit("cj", circuitID, 1, true)
+	if err != nil {
+		return nil, err
 	}
-	if c.circuits[circuitID] == nil {
-		c.mu.Unlock()
-		c.cRejected.Add(1)
-		return nil, &service.NotFoundError{What: "circuit", ID: circuitID}
-	}
-	if c.admitted >= c.cfg.MaxInflight {
-		depth := c.admitted
-		c.mu.Unlock()
-		c.cRejected.Add(1)
-		return nil, &service.OverloadError{
-			Depth: depth, Capacity: c.cfg.MaxInflight,
-			RetryAfter: 2 * time.Second,
-		}
-	}
-	c.admitted++
-	c.jobSeq++
-	id := fmt.Sprintf("cj-%08d", c.jobSeq)
-	if c.cfg.ID != "" {
-		id = fmt.Sprintf("cj-%s-%08d", c.cfg.ID, c.jobSeq)
-	}
-	j := newJob(id, circuitID, public, secret, c.jobDone)
-	j.TraceID = traceID
-	c.jobs[id] = j
-	c.mu.Unlock()
-
-	c.cAccepted.Add(1)
-	c.gInflight.Set(float64(c.inflightCount()))
 	c.events.Log(telemetry.LevelDebug, "cluster", "job_accepted", map[string]any{
 		"job": id, "circuit": circuitID, "trace_id": traceID,
 	})
@@ -585,9 +547,70 @@ func (c *Coordinator) SubmitTraced(traceID, circuitID string, public, secret []s
 		ID: id, Event: JobEventAccepted, CircuitID: circuitID,
 		Public: public, Secret: secret, TraceID: traceID,
 	}})
+	return c.launch(id, circuitID, traceID, "", public, secret), nil
+}
+
+// admit is the one admission path: it takes k slots for circuitID, all or
+// none, and names the work <prefix>-<seq> (<prefix>-<ID>-<seq> on an HA
+// replica, so ids stay unique across leader changes). A solo submit takes
+// one capped slot, a batch k; a redrive bypasses the cap because the old
+// leader admitted the job already.
+func (c *Coordinator) admit(prefix, circuitID string, k int, capped bool) (string, error) {
+	c.mu.Lock()
+	var err error
+	switch {
+	case !c.accepting:
+		err = service.ErrDraining
+	case c.circuits[circuitID] == nil:
+		err = &service.NotFoundError{What: "circuit", ID: circuitID}
+	case capped && c.admitted+k > c.cfg.MaxInflight:
+		err = &service.OverloadError{
+			Depth: c.admitted, Capacity: c.cfg.MaxInflight,
+			RetryAfter: 2 * time.Second,
+		}
+	}
+	if err != nil {
+		c.mu.Unlock()
+		if !errors.Is(err, service.ErrDraining) {
+			c.cRejected.Add(int64(k))
+		}
+		return "", err
+	}
+	c.admitted += k
+	c.jobSeq++
+	seq, inflight := c.jobSeq, c.admitted
+	c.mu.Unlock()
+	c.cAccepted.Add(int64(k))
+	c.gInflight.Set(float64(inflight))
+	if c.cfg.ID != "" {
+		return fmt.Sprintf("%s-%s-%08d", prefix, c.cfg.ID, seq), nil
+	}
+	return fmt.Sprintf("%s-%08d", prefix, seq), nil
+}
+
+// release returns k admission slots (a finished job, a returned batch).
+func (c *Coordinator) release(k int) {
+	c.mu.Lock()
+	c.admitted -= k
+	if c.admitted == 0 {
+		c.idle.Broadcast()
+	}
+	inflight := c.admitted
+	c.mu.Unlock()
+	c.gInflight.Set(float64(inflight))
+}
+
+// launch records an admitted job and starts its forwarding goroutine;
+// preferred is the node a redrive tries first.
+func (c *Coordinator) launch(id, circuitID, traceID, preferred string, public, secret []string) *Job {
+	j := newJob(id, circuitID, public, secret, c.jobDone)
+	j.TraceID = traceID
+	c.mu.Lock()
+	c.jobs[id] = j
+	c.mu.Unlock()
 	c.wg.Add(1)
-	go c.runJob(j)
-	return j, nil
+	go c.runJob(j, preferred)
+	return j
 }
 
 // InstallCircuit seeds the coordinator's circuit cache from a journaled
@@ -608,33 +631,20 @@ func (c *Coordinator) InstallCircuit(rec CircuitRecord) {
 // prove instead of starting a second one). Redriven jobs bypass the
 // admission cap — they were already admitted once, by the old leader —
 // and count toward cluster.jobs.accepted so the done+failed+checkpointed
-// == accepted invariant holds on the new leader too.
+// == accepted invariant holds on the new leader too. Redrives run one at a
+// time (promotion replays the journal in order).
 func (c *Coordinator) Redrive(id, circuitID string, public, secret []string, preferred, traceID string) (*Job, error) {
-	c.mu.Lock()
-	if existing := c.jobs[id]; existing != nil {
-		c.mu.Unlock()
-		return existing, nil
+	if j, err := c.Job(id); err == nil {
+		return j, nil
 	}
-	if c.circuits[circuitID] == nil {
-		c.mu.Unlock()
-		return nil, &service.NotFoundError{What: "circuit", ID: circuitID}
+	if _, err := c.admit("cj", circuitID, 1, false); err != nil {
+		return nil, err
 	}
-	c.admitted++
-	j := newJob(id, circuitID, public, secret, c.jobDone)
-	j.preferred = preferred
-	j.TraceID = traceID
-	c.jobs[id] = j
-	c.mu.Unlock()
-
-	c.cAccepted.Add(1)
 	c.cRedriven.Add(1)
-	c.gInflight.Set(float64(c.inflightCount()))
 	c.events.Log(telemetry.LevelInfo, "cluster", "job_redriven", map[string]any{
 		"job": id, "circuit": circuitID, "preferred": preferred, "trace_id": traceID,
 	})
-	c.wg.Add(1)
-	go c.runJob(j)
-	return j, nil
+	return c.launch(id, circuitID, traceID, preferred, public, secret), nil
 }
 
 // Job looks up an accepted cluster job.
@@ -649,13 +659,7 @@ func (c *Coordinator) Job(id string) (*Job, error) {
 }
 
 func (c *Coordinator) jobDone(j *Job) {
-	c.mu.Lock()
-	c.admitted--
-	if c.admitted == 0 {
-		c.idle.Broadcast()
-	}
-	c.mu.Unlock()
-	c.gInflight.Set(float64(c.inflightCount()))
+	c.release(1)
 	// Journal the terminal state so standbys stop counting the job as
 	// re-drivable.
 	var event string
@@ -676,12 +680,6 @@ func (c *Coordinator) jobDone(j *Job) {
 	c.journalAppend(Entry{Kind: EntryJob, Job: rec})
 }
 
-func (c *Coordinator) inflightCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.admitted
-}
-
 func (c *Coordinator) baseOf(name string) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -699,23 +697,21 @@ func (c *Coordinator) markHolds(name, circuitID string) {
 	c.mu.Unlock()
 }
 
-// nodeUsable reports whether name can run a job for circuitID right now.
-func (c *Coordinator) nodeUsable(name, circuitID string, skip map[string]bool) bool {
+// pickNode chooses the alive replica for a circuit: preferred when it
+// holds the key (a redrive going back to where the old leader forwarded
+// it), else the holder with the fewest outstanding forwards plus
+// last-probed queue depth. Nodes in skip (moved off for this request) are
+// excluded.
+func (c *Coordinator) pickNode(circuitID, preferred string, skip map[string]bool) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nd := c.nodes[name]
-	return nd != nil && nd.alive && !skip[name] && nd.circuits[circuitID]
-}
-
-// pickNode chooses the best alive replica for a circuit: the node holding
-// its key with the fewest outstanding forwards plus last-probed queue
-// depth. Nodes in skip (already struck for this job) are excluded.
-func (c *Coordinator) pickNode(circuitID string, skip map[string]bool) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	usable := func(nd *node) bool { return nd != nil && nd.alive && !skip[nd.name] && nd.circuits[circuitID] }
+	if usable(c.nodes[preferred]) {
+		return preferred
+	}
 	best, bestLoad := "", 0.0
 	for _, nd := range c.nodes {
-		if !nd.alive || skip[nd.name] || !nd.circuits[circuitID] {
+		if !usable(nd) {
 			continue
 		}
 		load := float64(nd.inflight) + nd.queueDepth
@@ -727,226 +723,261 @@ func (c *Coordinator) pickNode(circuitID string, skip map[string]bool) string {
 }
 
 // replaceReplica repairs placement for a circuit with no usable replica:
-// it imports the coordinator's cached key bundle onto the best alive node
+// it imports the coordinator's cached key bundle onto an alive node
 // outside skip and returns that node ("" when none exists or the import
 // fails everywhere). This is the no-cold-start path — the bundle was
 // exported at registration, so the new replica skips the trusted setup.
 func (c *Coordinator) replaceReplica(circuitID string, skip map[string]bool) string {
 	c.mu.Lock()
-	e := c.circuits[circuitID]
-	var candidates []*node
+	var candidates []string
 	for _, nd := range c.nodes {
 		if nd.alive && !skip[nd.name] && !nd.circuits[circuitID] {
-			candidates = append(candidates, nd)
+			candidates = append(candidates, nd.name)
 		}
 	}
 	c.mu.Unlock()
-	if e == nil || e.keys == nil {
-		return ""
-	}
-	for _, nd := range candidates {
-		if err := c.fwd.control(c.ctx, http.MethodPost, nd.base+"/v1/circuits/import", e.keys, nil); err != nil {
-			c.noteNodeError(nd.name, err)
-			continue
+	for _, name := range candidates {
+		if c.importKeys(name, circuitID) == nil {
+			c.cReregistered.Add(1)
+			return name
 		}
-		c.markHolds(nd.name, circuitID)
-		c.cReregistered.Add(1)
-		return nd.name
 	}
 	return ""
 }
 
-// runJob drives one cluster job to a terminal state: forward to the best
-// replica, classify each failure, retry transients with jittered backoff
-// (honoring Retry-After), migrate off lost nodes, and checkpoint instead
-// of failing when the cluster is draining.
-func (c *Coordinator) runJob(j *Job) {
-	defer c.wg.Done()
-	// Root span for the coordinator's view of the job. The trace_id
-	// attribute is the cross-process join key: node-side spans for the
-	// same job carry it too (via the injected header), so the stitcher
-	// lines both processes up on one timeline.
-	sc := telemetry.SpanContext{TraceID: j.TraceID}
-	root := c.tracer.Root(telemetry.TrackHost, "cluster.job")
-	sc.Annotate(root)
-	root.SetStr("job", j.ID)
-	root.SetStr("circuit", j.CircuitID)
-	attempt := 0
-	defer func() {
-		root.SetStr("state", j.State().String())
-		root.SetInt("migrations", int64(j.migrationCount()))
-		root.End()
-	}()
-	// ClientJobID makes re-forwards idempotent: if a new leader re-drives
-	// this job to a node already proving it, the node attaches to the
-	// running job instead of proving twice.
-	req := service.ProveRequest{
-		CircuitID: j.CircuitID, Public: j.Public, Secret: j.Secret,
-		ClientJobID: j.ID,
+// importKeys installs circuitID's cached key bundle on a node and records
+// the placement. It is the one key-import path: the async replicator and
+// replaceReplica both call it. A DeviceLost failure strikes the node.
+func (c *Coordinator) importKeys(name, circuitID string) error {
+	c.mu.Lock()
+	e := c.circuits[circuitID]
+	c.mu.Unlock()
+	if e == nil || e.keys == nil {
+		return fmt.Errorf("cluster: no cached key bundle for circuit %s", circuitID)
 	}
+	if err := c.fwd.control(c.ctx, http.MethodPost, c.baseOf(name)+"/v1/circuits/import", e.keys, nil); err != nil {
+		c.noteNodeError(name, err)
+		return err
+	}
+	c.markHolds(name, circuitID)
+	return nil
+}
+
+// request is one unit of work forward carries to a node: a solo job, a
+// k-proof batch or a verify-batch. The kinds differ only in route and
+// body, in jobs (how many admitted cluster jobs ride on it: 1, k, or 0 for
+// a verify, which is not admitted) and in settle.
+type request[T any] struct {
+	kind, id, circuit, trace string
+	jobs                     int
+	path                     string
+	body                     any
+	job                      *Job   // solo only: forward/migrate bookkeeping
+	preferred                string // solo redrive: the node to try first
+	root                     telemetry.Span
+	counter                  *telemetry.Counter // per-kind forward count, or nil
+	// settle reads a node's 200 answer: nil when it is terminal, errMove
+	// when the work must leave that node, any other error to fail Fatal.
+	// A nil settle takes every 200 as terminal.
+	settle func(*T) error
+}
+
+// errMove moves a request off a node without striking it: the node
+// detached the sync call (202), or checkpointed a job outside a cluster
+// drain.
+var errMove = errors.New("cluster: move off node")
+
+// errPlacementGap is the no-node outcome: no alive node holds the circuit
+// and none took its keys. It is Transient — an import may succeed or a
+// node rejoin before the budget runs out.
+var errPlacementGap = &resilience.TransientError{Op: "place circuit: no alive node holds it or can import its keys"}
+
+// forward is the coordinator's one forward loop. It picks the node (redrive
+// preference, then pickNode, then replaceReplica), counts the inflight
+// forward, opens the per-attempt span whose id rides in the trace headers,
+// and classifies every outcome once:
+//
+//   - 2xx: settle decides (a 202 always moves off the node);
+//   - Canceled: fail;
+//   - Transient, including a placement gap: full-jitter backoff floored by
+//     Retry-After, under one budget; during a cluster drain it fails with
+//     ErrDraining instead (a solo job checkpoints on that);
+//   - DeviceLost: strike the node, exclude it and migrate;
+//   - Fatal: fail with the node's status.
+//
+// It returns the settled answer, or the error and the HTTP status the
+// client should see.
+func forward[T any](c *Coordinator, r request[T]) (*T, int, error) {
 	p := c.cfg.Retry.WithDefaults()
-	tried := map[string]bool{} // nodes struck for this job (transport-dead)
-	transient := 0
-	maxTransient := 2 * p.MaxAttempts
+	tried := map[string]bool{} // nodes this request moved off
+	transient, attempt := 0, 0
 	for {
-		if c.ctx.Err() != nil {
-			j.finish(service.JobFailed, nil, fmt.Errorf("cluster: coordinator closed: %w", c.ctx.Err()), http.StatusServiceUnavailable)
-			c.cFailed.Add(1)
-			return
+		if err := c.ctx.Err(); err != nil {
+			return nil, http.StatusServiceUnavailable, fmt.Errorf("cluster: coordinator closed: %w", err)
 		}
-		name := ""
-		// A redriven job goes back to the node the old leader forwarded it
-		// to, if that node is still usable — that is where the dedupe key
-		// finds the running prove.
-		if pref := j.takePreferred(); pref != "" && c.nodeUsable(pref, j.CircuitID, tried) {
-			name = pref
-		}
+		// A redrive's preferred node is where the dedupe key finds the
+		// running prove; it is a one-shot hint.
+		name := c.pickNode(r.circuit, r.preferred, tried)
+		r.preferred = ""
 		if name == "" {
-			name = c.pickNode(j.CircuitID, tried)
+			name = c.replaceReplica(r.circuit, tried)
 		}
-		if name == "" {
-			name = c.replaceReplica(j.CircuitID, tried)
-		}
-		if name == "" {
-			if c.isDraining() {
-				c.checkpointJob(j, nil, false)
-				return
+		var (
+			out    T
+			status int
+			err    error = errPlacementGap
+		)
+		if name != "" {
+			if r.job != nil {
+				r.job.markForwarded(name)
+				c.journalAppend(Entry{Kind: EntryJob, Job: &JobRecord{
+					ID: r.id, Event: JobEventForwarded, Node: name,
+				}})
 			}
-			j.finish(service.JobFailed, nil,
-				fmt.Errorf("cluster: job %s: no surviving node can hold circuit %s", j.ID, j.CircuitID),
-				http.StatusServiceUnavailable)
-			c.cFailed.Add(1)
-			return
+			attempt++
+			c.addInflight(name, 1)
+			r.counter.Add(1)
+			fsp := r.root.Child("forward")
+			fsp.SetStr("node", name)
+			fsp.SetInt("attempt", int64(attempt))
+			fctx := telemetry.ContextWithSpanContext(c.ctx,
+				telemetry.SpanContext{TraceID: r.trace, SpanID: fsp.ID()})
+			status, err = c.fwd.post(fctx, c.baseOf(name)+r.path, r.body, &out)
+			fsp.End()
+			c.addInflight(name, -1)
 		}
-
-		j.markForwarded(name)
-		c.journalAppend(Entry{Kind: EntryJob, Job: &JobRecord{
-			ID: j.ID, Event: JobEventForwarded, Node: name,
-		}})
-		c.addInflight(name, 1)
-		// One forward span per attempt; its id rides in the parent-span
-		// header so the node's job span records which hop caused it.
-		attempt++
-		fsp := root.Child("forward")
-		fsp.SetStr("node", name)
-		fsp.SetInt("attempt", int64(attempt))
-		fctx := telemetry.ContextWithSpanContext(c.ctx,
-			telemetry.SpanContext{TraceID: j.TraceID, SpanID: fsp.ID()})
-		var st service.JobStatus
-		status, err := c.fwd.prove(fctx, c.baseOf(name), req, &st)
-		fsp.End()
-		c.addInflight(name, -1)
-
-		if err == nil && status == http.StatusOK {
-			switch st.State {
-			case "done":
-				c.noteNodeOK(name)
-				j.finish(service.JobDone, &st, nil, http.StatusOK)
-				c.cDone.Add(1)
-				return
-			case "failed":
-				// A node-side terminal failure (bad witness, recovery
-				// exhausted) is deterministic for this request: migrating
-				// would re-run the same doomed work.
-				c.noteNodeOK(name)
-				j.finish(service.JobFailed, &st, fmt.Errorf("cluster: node %s: %s", name, st.Error), http.StatusOK)
-				c.cFailed.Add(1)
-				return
-			case "checkpointed":
-				if c.isDraining() {
-					// The node's drain checkpoint owns this job's inputs;
-					// they ride back in the merged cluster checkpoint.
-					c.checkpointJob(j, &st, true)
-					return
+		if err == nil {
+			err = errMove // 202: the node saw our connection die mid-call
+			if status != http.StatusAccepted {
+				err = nil
+				if r.settle != nil {
+					err = r.settle(&out)
 				}
-				// A single node drained under us outside a cluster drain:
-				// its checkpoint will resubmit on ITS successor; meanwhile
-				// the job migrates so this cluster's client still gets an
-				// answer (at-least-once proving is harmless).
-				tried[name] = true
-				c.migrate(j)
-				continue
-			default:
-				err = fmt.Errorf("cluster: node %s returned non-terminal state %q on sync prove", name, st.State)
 			}
-		}
-		if err == nil && status == http.StatusAccepted {
-			// 202 on the sync path means the node saw our connection die
-			// mid-prove (coordinator restart race); treat like a lost node.
-			err = fmt.Errorf("cluster: node %s detached sync prove for job %s", name, j.ID)
-			tried[name] = true
-			c.migrate(j)
-			continue
+			if err == nil {
+				c.noteNodeOK(name)
+				return &out, http.StatusOK, nil
+			}
 		}
 
-		switch resilience.ClassifyHTTP(status, err) {
-		case resilience.Canceled:
-			j.finish(service.JobFailed, nil, err, http.StatusServiceUnavailable)
-			c.cFailed.Add(1)
-			return
-		case resilience.Transient:
-			if c.isDraining() {
-				// 503s during cluster drain are expected: the nodes stopped
-				// accepting. The coordinator checkpoints instead of burning
-				// the retry budget — zero accepted jobs lost.
-				c.checkpointJob(j, nil, false)
-				return
+		switch class := resilience.ClassifyHTTP(status, err); {
+		case errors.Is(err, errMove), class == resilience.DeviceLost:
+			c.noteNodeError(name, err) // strikes DeviceLost only
+			tried[name] = true
+			if r.job != nil {
+				r.job.markMigrated()
 			}
-			transient++
-			if transient >= maxTransient {
+			c.cMigrated.Add(int64(r.jobs))
+			c.events.Log(telemetry.LevelWarn, "cluster", r.kind+"_migrated", map[string]any{
+				r.kind: r.id, "from": name, "jobs": r.jobs, "trace_id": r.trace,
+			})
+			c.tracer.Emit(telemetry.TrackHost, "cluster", "migrate",
+				telemetry.Str(r.kind, r.id), telemetry.Str("trace_id", r.trace))
+		case class == resilience.Canceled:
+			return nil, http.StatusServiceUnavailable, err
+		case class == resilience.Transient:
+			if c.isDraining() {
+				// 503s and gaps are expected while the nodes drain: stop
+				// burning the budget and let the caller checkpoint or fail.
+				return nil, http.StatusServiceUnavailable, fmt.Errorf("cluster: %s %s: %w", r.kind, r.id, service.ErrDraining)
+			}
+			if transient++; transient >= 2*p.MaxAttempts {
 				code := http.StatusServiceUnavailable
 				var he *resilience.HTTPError
 				if errors.As(err, &he) && he.Status == http.StatusTooManyRequests {
 					code = http.StatusTooManyRequests
 				}
-				j.finish(service.JobFailed, nil, fmt.Errorf("cluster: job %s: retries exhausted: %w", j.ID, err), code)
-				c.cFailed.Add(1)
-				return
+				return nil, code, fmt.Errorf("cluster: %s %s: retries exhausted: %w", r.kind, r.id, err)
 			}
 			delay := p.JitterBackoff(transient-1, rand.Float64())
 			if ra := retryAfterOf(err); ra > delay {
 				delay = ra
 			}
 			if serr := p.Sleep(c.ctx, delay); serr != nil {
-				j.finish(service.JobFailed, nil, serr, http.StatusServiceUnavailable)
-				c.cFailed.Add(1)
-				return
+				return nil, http.StatusServiceUnavailable, serr
 			}
-		case resilience.DeviceLost:
-			// Mid-request node failure: strike it (counts toward eviction)
-			// and move the job to a survivor.
-			c.noteNodeError(name, err)
-			tried[name] = true
-			c.migrate(j)
-		default: // Fatal: this request is doomed anywhere (400/404/500)
-			code := status
-			if code == 0 {
-				code = http.StatusInternalServerError
+		default: // Fatal: doomed on any node (400/404/500, a malformed answer)
+			if status < 300 {
+				status = http.StatusInternalServerError
 			}
-			j.finish(service.JobFailed, nil, err, code)
-			c.cFailed.Add(1)
-			return
+			return nil, status, err
 		}
 	}
 }
 
-func (c *Coordinator) migrate(j *Job) {
-	j.markMigrated()
-	c.cMigrated.Add(1)
-	c.events.Log(telemetry.LevelWarn, "cluster", "job_migrated", map[string]any{
-		"job": j.ID, "from": j.nodeName(), "migrations": j.migrationCount(),
-		"trace_id": j.TraceID,
+// runJob drives one cluster job through forward and lands it in exactly
+// one terminal state: done, failed, or checkpointed (a cluster drain
+// stranded it, or a node checkpointed it during one). Counters move before
+// finish, so they already agree with the job when Done closes.
+func (c *Coordinator) runJob(j *Job, preferred string) {
+	defer c.wg.Done()
+	// Root span for the coordinator's view of the job. The trace_id
+	// attribute is the cross-process join key: node-side spans for the
+	// same job carry it too (via the injected header), so the stitcher
+	// lines both processes up on one timeline.
+	root := c.tracer.Root(telemetry.TrackHost, "cluster.job")
+	telemetry.SpanContext{TraceID: j.TraceID}.Annotate(root)
+	root.SetStr("job", j.ID)
+	root.SetStr("circuit", j.CircuitID)
+	defer func() {
+		root.SetStr("state", j.State().String())
+		root.SetInt("migrations", int64(j.migrationCount()))
+		root.End()
+	}()
+	st, code, err := forward(c, request[service.JobStatus]{
+		kind: "job", id: j.ID, circuit: j.CircuitID, trace: j.TraceID, jobs: 1,
+		path: "/v1/prove", job: j, preferred: preferred, root: root,
+		// ClientJobID makes re-forwards idempotent: if a new leader
+		// re-drives this job to a node already proving it, the node
+		// attaches to the running job instead of proving twice.
+		body: service.ProveRequest{
+			CircuitID: j.CircuitID, Public: j.Public, Secret: j.Secret,
+			ClientJobID: j.ID,
+		},
+		settle: func(st *service.JobStatus) error {
+			switch {
+			case st.State == "done", st.State == "failed":
+				return nil
+			case st.State == "checkpointed" && c.isDraining():
+				return nil
+			case st.State == "checkpointed":
+				// A single node drained outside a cluster drain: its
+				// checkpoint resubmits on ITS successor; meanwhile the job
+				// moves so this cluster's client still gets an answer
+				// (at-least-once proving is harmless).
+				return errMove
+			}
+			return fmt.Errorf("cluster: node %s returned non-terminal state %q on sync prove", j.nodeName(), st.State)
+		},
 	})
-	c.tracer.Emit(telemetry.TrackHost, "cluster", "migrate",
-		telemetry.Str("job", j.ID), telemetry.Str("trace_id", j.TraceID))
+	switch {
+	case errors.Is(err, service.ErrDraining):
+		c.checkpointJob(j, nil, false)
+	case err != nil:
+		c.cFailed.Add(1)
+		j.finish(service.JobFailed, nil, err, code)
+	case st.State == "done":
+		c.cDone.Add(1)
+		j.finish(service.JobDone, st, nil, http.StatusOK)
+	case st.State == "failed":
+		// A node-side terminal failure (bad witness, recovery exhausted) is
+		// deterministic for this request: migrating would re-run the same
+		// doomed work.
+		c.cFailed.Add(1)
+		j.finish(service.JobFailed, st, fmt.Errorf("cluster: node %s: %s", j.nodeName(), st.Error), http.StatusOK)
+	default:
+		// The node's drain checkpoint owns this job's inputs; they ride
+		// back in the merged cluster checkpoint.
+		c.checkpointJob(j, st, true)
+	}
 }
 
 func (c *Coordinator) checkpointJob(j *Job, remote *service.JobStatus, nodeOwned bool) {
 	if nodeOwned {
 		j.markNodeOwned()
 	}
-	j.finish(service.JobCheckpointed, remote, service.ErrCheckpointed, http.StatusOK)
 	c.cCheckpointed.Add(1)
+	j.finish(service.JobCheckpointed, remote, service.ErrCheckpointed, http.StatusOK)
 }
 
 func (c *Coordinator) addInflight(name string, d int) {
@@ -981,6 +1012,10 @@ func (c *Coordinator) noteNodeError(name string, err error) {
 }
 
 // strike adds one failure to a node's tally, evicting at the threshold.
+// Eviction queues a key import onto each ring replica that now lacks a
+// circuit the dead node held: the per-job replaceReplica path already
+// guarantees correctness, this restores the k-replica invariant eagerly so
+// the NEXT loss also finds a warm key.
 func (c *Coordinator) strike(name string) {
 	c.mu.Lock()
 	nd := c.nodes[name]
@@ -991,60 +1026,31 @@ func (c *Coordinator) strike(name string) {
 	nd.strikes++
 	nd.cFailures.Add(1)
 	evict := nd.strikes >= c.cfg.FailThreshold
+	var repl []replTask
 	if evict {
 		nd.alive = false
 		c.ring.remove(name)
+		for id := range nd.circuits {
+			for _, t := range c.ring.replicas(id, c.cfg.Replicas) {
+				if tn := c.nodes[t]; tn != nil && tn.alive && !tn.circuits[id] {
+					repl = append(repl, replTask{circuitID: id, node: t})
+				}
+			}
+		}
 	}
 	alive := c.aliveLocked()
 	c.mu.Unlock()
-	if evict {
-		c.cEvictions.Add(1)
-		c.gNodesAlive.Set(float64(alive))
-		c.events.Log(telemetry.LevelWarn, "cluster", "node_evicted", map[string]any{
-			"node": name, "strikes": c.cfg.FailThreshold, "nodes_alive": alive,
-		})
-		c.journalAppend(Entry{Kind: EntryNode, Node: &NodeRecord{Name: name, Alive: false}})
-		// Repair replication for every circuit the dead node held. The
-		// per-job replaceReplica path already guarantees correctness; this
-		// restores the k-replica invariant eagerly so the NEXT loss also
-		// finds a warm key.
-		go c.reReplicate(name)
+	if !evict {
+		return
 	}
-}
-
-// reReplicate re-places circuits held by a lost node onto its ring
-// successors, importing the cached key bundles (no cold setup).
-func (c *Coordinator) reReplicate(lost string) {
-	c.mu.Lock()
-	held := []string{}
-	if nd := c.nodes[lost]; nd != nil {
-		for id := range nd.circuits {
-			held = append(held, id)
-		}
-	}
-	c.mu.Unlock()
-	for _, id := range held {
-		c.mu.Lock()
-		targets := c.ring.replicas(id, c.cfg.Replicas)
-		e := c.circuits[id]
-		var missing []string
-		for _, t := range targets {
-			if nd := c.nodes[t]; nd != nil && nd.alive && !nd.circuits[id] {
-				missing = append(missing, t)
-			}
-		}
-		c.mu.Unlock()
-		if e == nil || e.keys == nil {
-			continue
-		}
-		for _, t := range missing {
-			if err := c.fwd.control(c.ctx, http.MethodPost, c.baseOf(t)+"/v1/circuits/import", e.keys, nil); err != nil {
-				c.noteNodeError(t, err)
-				continue
-			}
-			c.markHolds(t, id)
-			c.cReregistered.Add(1)
-		}
+	c.cEvictions.Add(1)
+	c.gNodesAlive.Set(float64(alive))
+	c.events.Log(telemetry.LevelWarn, "cluster", "node_evicted", map[string]any{
+		"node": name, "strikes": c.cfg.FailThreshold, "nodes_alive": alive,
+	})
+	c.journalAppend(Entry{Kind: EntryNode, Node: &NodeRecord{Name: name, Alive: false}})
+	for _, t := range repl {
+		c.enqueueReplication(t.circuitID, t.node)
 	}
 }
 

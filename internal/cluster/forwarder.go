@@ -106,22 +106,16 @@ func (f *forwarder) control(ctx context.Context, method, url string, body, out a
 	return err
 }
 
-// prove forwards one job to a node synchronously — a single long attempt
-// bounded only by ctx, timed into the cluster_forward histogram. Retry and
-// migration decisions belong to the caller's job loop, not here: a prove
-// can legitimately run for minutes, so blind re-attempts would double
-// work.
-func (f *forwarder) prove(ctx context.Context, base string, req, out any) (int, error) {
-	return f.provePath(ctx, base, "/v1/prove", req, out)
-}
-
-// provePath is prove against an arbitrary synchronous prove route — the
-// batch endpoint shares the single-long-attempt policy and the forward
-// accounting.
-func (f *forwarder) provePath(ctx context.Context, base, path string, req, out any) (int, error) {
+// post forwards one unit of work (a job, a batch, a verify-batch)
+// synchronously: a single long attempt bounded only by ctx, counted in
+// cluster.forwarded and timed into the cluster_forward histogram. Retry
+// and migration decisions belong to the caller's forward loop, not here:
+// a prove can legitimately run for minutes, so blind re-attempts would
+// double work.
+func (f *forwarder) post(ctx context.Context, url string, req, out any) (int, error) {
 	f.cForwards.Add(1)
 	t0 := time.Now()
-	status, err := f.do(ctx, http.MethodPost, base+path, req, out)
+	status, err := f.do(ctx, http.MethodPost, url, req, out)
 	f.hForward.Record(time.Since(t0).Nanoseconds())
 	return status, err
 }

@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"gzkp/internal/service"
@@ -40,67 +38,8 @@ import (
 // Distributed tracing: POST /v1/prove adopts the client's X-Gzkp-Trace-Id
 // (generating one when absent), echoes it back in the same header, and
 // injects it on every node forward so one trace id spans coordinator and
-// node processes.
-const maxClusterBody = 1 << 20
-
-// maxBatchBody matches the node-side batch body limit: k input
-// assignments or k compressed proofs outgrow single-prove bodies.
-const maxBatchBody = 8 << 20
-
-type apiError struct {
-	Error      string `json:"error"`
-	RetryAfter int    `json:"retry_after_seconds,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// writeError maps the service error vocabulary (which the coordinator
-// reuses) onto HTTP semantics, matching the node-side mapping.
-func writeError(w http.ResponseWriter, err error) {
-	var (
-		over     *service.OverloadError
-		input    *service.InputError
-		notFound *service.NotFoundError
-	)
-	switch {
-	case errors.As(err, &over):
-		secs := int(over.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error(), RetryAfter: secs})
-	case errors.Is(err, service.ErrDraining):
-		w.Header().Set("Retry-After", "10")
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error(), RetryAfter: 10})
-	case errors.As(err, &input):
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-	case errors.As(err, &notFound):
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-	}
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeBodyLimit(w, r, v, maxClusterBody)
-}
-
-func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &service.InputError{Msg: fmt.Sprintf("bad request body: %v", err)}
-	}
-	return nil
-}
+// node processes. Responses, error mapping and body decoding are the
+// node's own (service.WriteJSON and friends), so both edges answer alike.
 
 // NewHandler mounts the coordinator API on a fresh mux.
 func NewHandler(c *Coordinator) http.Handler {
@@ -108,102 +47,102 @@ func NewHandler(c *Coordinator) http.Handler {
 
 	mux.HandleFunc("POST /v1/circuits", func(w http.ResponseWriter, r *http.Request) {
 		var spec service.CircuitSpec
-		if err := decodeBody(w, r, &spec); err != nil {
-			writeError(w, err)
+		if err := service.DecodeBody(w, r, &spec); err != nil {
+			service.WriteError(w, err)
 			return
 		}
 		info, err := c.Register(spec)
 		if err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
 		code := http.StatusCreated
 		if info.Cached {
 			code = http.StatusOK
 		}
-		writeJSON(w, code, info)
+		service.WriteJSON(w, code, info)
 	})
 
 	mux.HandleFunc("GET /v1/circuits/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, err := c.Circuit(r.PathValue("id"))
 		if err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		service.WriteJSON(w, http.StatusOK, info)
 	})
 
 	mux.HandleFunc("POST /v1/prove", func(w http.ResponseWriter, r *http.Request) {
 		var req service.ProveRequest
-		if err := decodeBody(w, r, &req); err != nil {
-			writeError(w, err)
+		if err := service.DecodeBody(w, r, &req); err != nil {
+			service.WriteError(w, err)
 			return
 		}
 		j, err := c.SubmitTraced(telemetry.ExtractTrace(r.Header).TraceID,
 			req.CircuitID, req.Public, req.Secret)
 		if err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
 		if j.TraceID != "" {
 			w.Header().Set(telemetry.TraceIDHeader, j.TraceID)
 		}
 		if r.URL.Query().Get("async") != "" {
-			writeJSON(w, http.StatusAccepted, j.Status())
+			service.WriteJSON(w, http.StatusAccepted, j.Status())
 			return
 		}
 		select {
 		case <-j.Done():
-			writeJSON(w, j.syncCode(), j.Status())
+			service.WriteJSON(w, j.syncCode(), j.Status())
 		case <-r.Context().Done():
 			// The client went away; the job keeps running (or migrating)
 			// and stays pollable under its cluster id.
-			writeJSON(w, http.StatusAccepted, j.Status())
+			service.WriteJSON(w, http.StatusAccepted, j.Status())
 		}
 	})
 
 	mux.HandleFunc("POST /v1/prove-batch", func(w http.ResponseWriter, r *http.Request) {
 		var req service.ProveBatchRequest
-		if err := decodeBodyLimit(w, r, &req, maxBatchBody); err != nil {
-			writeError(w, err)
+		if err := service.DecodeBodyLimit(w, r, &req, service.MaxBatchBodyBytes); err != nil {
+			service.WriteError(w, err)
 			return
 		}
 		trace := telemetry.ExtractTrace(r.Header).TraceID
 		resp, err := c.ProveBatch(trace, req.CircuitID, req.Proofs)
 		if err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
 		if trace != "" {
 			w.Header().Set(telemetry.TraceIDHeader, trace)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		service.WriteJSON(w, http.StatusOK, resp)
 	})
 
 	mux.HandleFunc("POST /v1/verify-batch", func(w http.ResponseWriter, r *http.Request) {
 		var req service.VerifyBatchRequest
-		if err := decodeBodyLimit(w, r, &req, maxBatchBody); err != nil {
-			writeError(w, err)
+		if err := service.DecodeBodyLimit(w, r, &req, service.MaxBatchBodyBytes); err != nil {
+			service.WriteError(w, err)
 			return
 		}
 		if err := c.VerifyBatch(req.CircuitID, req.Proofs, req.Publics); err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, service.VerifyBatchResponse{OK: true, Proofs: len(req.Proofs)})
+		service.WriteJSON(w, http.StatusOK, service.VerifyBatchResponse{OK: true, Proofs: len(req.Proofs)})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, err := c.Job(r.PathValue("id"))
 		if err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, j.Status())
+		service.WriteJSON(w, http.StatusOK, j.Status())
 	})
 
 	mux.HandleFunc("GET /v1/nodes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, c.Nodes())
+		service.WriteJSON(w, http.StatusOK, c.Nodes())
 	})
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
@@ -211,7 +150,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		if v := r.URL.Query().Get("timeout"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
-				writeError(w, &service.InputError{Msg: fmt.Sprintf("bad drain timeout %q", v)})
+				service.WriteError(w, &service.InputError{Msg: fmt.Sprintf("bad drain timeout %q", v)})
 				return
 			}
 			timeout = d
@@ -220,46 +159,40 @@ func NewHandler(c *Coordinator) http.Handler {
 		defer cancel()
 		rep, err := c.Drain(ctx)
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, service.DrainResponse{Finished: rep.Finished, Checkpoint: rep.Checkpoint})
+		service.WriteJSON(w, http.StatusOK, service.DrainResponse{Finished: rep.Finished, Checkpoint: rep.Checkpoint})
 	})
 
 	mux.HandleFunc("POST /v1/restore", func(w http.ResponseWriter, r *http.Request) {
 		var cp service.Checkpoint
-		if err := decodeBody(w, r, &cp); err != nil {
-			writeError(w, err)
+		if err := service.DecodeBody(w, r, &cp); err != nil {
+			service.WriteError(w, err)
 			return
 		}
 		n, err := c.Restore(&cp)
 		if err != nil {
-			writeError(w, err)
+			service.WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]int{"restored": n})
+		service.WriteJSON(w, http.StatusOK, map[string]int{"restored": n})
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
+		code, status := http.StatusOK, "ready"
 		if !c.Ready() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-				"status":      "not ready",
-				"nodes_alive": c.NodesAlive(),
-			})
-			return
+			code, status = http.StatusServiceUnavailable, "not ready"
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":      "ready",
-			"nodes_alive": c.NodesAlive(),
-		})
+		service.WriteJSON(w, code, map[string]any{"status": status, "nodes_alive": c.NodesAlive()})
 	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeSnapshot(w, r, c.Registry().Snapshot())
+		service.WriteMetrics(w, r, c.Registry().Snapshot())
 	})
 
 	mux.HandleFunc("GET /v1/cluster/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -267,7 +200,7 @@ func NewHandler(c *Coordinator) http.Handler {
 		defer cancel()
 		fed := c.FederateMetrics(ctx)
 		if r.URL.Query().Get("format") == "json" {
-			writeJSON(w, http.StatusOK, fed)
+			service.WriteJSON(w, http.StatusOK, fed)
 			return
 		}
 		w.Header().Set("Content-Type", telemetry.PromContentType)
@@ -276,49 +209,8 @@ func NewHandler(c *Coordinator) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/cluster/events", func(w http.ResponseWriter, r *http.Request) {
-		writeEvents(w, r, c.Events())
+		service.WriteEvents(w, r, c.Events())
 	})
 
 	return mux
-}
-
-// writeSnapshot serves one registry snapshot: JSON by default (the HA
-// prober and existing tooling decode it as telemetry.Snapshot), or
-// Prometheus text exposition with ?format=prom.
-func writeSnapshot(w http.ResponseWriter, r *http.Request, snap telemetry.Snapshot) {
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", telemetry.PromContentType)
-		w.WriteHeader(http.StatusOK)
-		_ = snap.WritePrometheus(w)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// writeEvents serves a ring-buffered event log with ?since= / ?max= paging
-// (mirrors the node-side endpoint; a nil log reads as empty, not 404).
-func writeEvents(w http.ResponseWriter, r *http.Request, log *telemetry.EventLog) {
-	var since uint64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			writeError(w, &service.InputError{Msg: fmt.Sprintf("bad since %q", v)})
-			return
-		}
-		since = n
-	}
-	max := 256
-	if v := r.URL.Query().Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			writeError(w, &service.InputError{Msg: fmt.Sprintf("bad max %q", v)})
-			return
-		}
-		max = n
-	}
-	resp := service.EventsResponse{Events: log.Since(since, max), Seq: log.Seq()}
-	if resp.Events == nil {
-		resp.Events = []telemetry.EventRecord{}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

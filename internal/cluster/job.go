@@ -24,12 +24,9 @@ type Job struct {
 	// it, and injected on every forward hop. Immutable after admission.
 	TraceID string
 
-	mu    sync.Mutex
-	state service.JobState
-	node  string // node currently (or last) running it
-	// preferred is the node a redriven job should go back to first (where
-	// the previous leader forwarded it); consumed by the first pick.
-	preferred  string
+	mu         sync.Mutex
+	state      service.JobState
+	node       string // node currently (or last) running it
 	remote     service.JobStatus
 	migrations int // times the job moved off a failed node
 	err        error
@@ -62,16 +59,6 @@ func (j *Job) State() service.JobState {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state
-}
-
-// takePreferred consumes the redrive placement hint (one shot: if the
-// preferred node fails, normal placement takes over).
-func (j *Job) takePreferred() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	p := j.preferred
-	j.preferred = ""
-	return p
 }
 
 // markForwarded notes which node is running the job now.

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"gzkp/internal/service"
 	"gzkp/internal/telemetry"
 )
 
@@ -691,60 +692,38 @@ type roleInfo struct {
 
 // --- HTTP surface ----------------------------------------------------
 
-// ServeHTTP multiplexes the replica: group-internal endpoints first,
-// then the full coordinator API while leading, read-only + 307 while
-// standing by, and a blanket 503 when halted.
+// ServeHTTP multiplexes the replica: a blanket 503 when halted, else
+// group-internal endpoints first, then the full coordinator API while
+// leading, read-only + 307 while standing by.
 func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	r.mu.Lock()
+	role, handler, leader := r.role, r.handler, r.leader
+	r.mu.Unlock()
+	if role == RoleHalted {
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "replica halted"})
+		return
+	}
 	switch {
 	case req.URL.Path == "/v1/cluster/replicate" && req.Method == http.MethodPost:
 		r.handleReplicate(w, req)
-		return
 	case req.URL.Path == "/v1/cluster/role" && req.Method == http.MethodGet:
 		r.handleRole(w)
-		return
 	case req.URL.Path == "/metrics" && req.Method == http.MethodGet:
-		if r.Role() == RoleHalted {
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "replica halted"})
-			return
-		}
-		writeSnapshot(w, req, r.reg.Snapshot())
-		return
+		service.WriteMetrics(w, req, r.reg.Snapshot())
 	case req.URL.Path == "/v1/cluster/events" && req.Method == http.MethodGet:
 		// The event log is shared across roles (standbys record elections
 		// too), so every non-halted replica serves it locally — no
 		// redirect, events must stay observable while the leader is down.
-		if r.Role() == RoleHalted {
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "replica halted"})
-			return
-		}
-		writeEvents(w, req, r.events)
-		return
+		service.WriteEvents(w, req, r.events)
 	case req.URL.Path == "/healthz":
-		if r.Role() == RoleHalted {
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "replica halted"})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": r.Role().String()})
-		return
-	}
-
-	r.mu.Lock()
-	role := r.role
-	handler := r.handler
-	leader := r.leader
-	r.mu.Unlock()
-	switch role {
-	case RoleHalted:
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "replica halted"})
-	case RoleLeader:
-		if handler == nil {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "promoting", RetryAfter: 1})
-			return
-		}
-		handler.ServeHTTP(w, req)
-	default:
+		service.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok", "role": role.String()})
+	case role != RoleLeader:
 		r.serveStandby(w, req, leader)
+	case handler == nil:
+		w.Header().Set("Retry-After", "1")
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "promoting", RetryAfter: 1})
+	default:
+		handler.ServeHTTP(w, req)
 	}
 }
 
@@ -756,11 +735,11 @@ func (r *Replica) handleRole(w http.ResponseWriter) {
 	}
 	r.mu.Unlock()
 	if info.Role == RoleHalted.String() {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "replica halted"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "replica halted"})
 		return
 	}
 	info.Seq = r.journal.Seq()
-	writeJSON(w, http.StatusOK, info)
+	service.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleReplicate is the standby's ingest path and the epoch arbiter: a
@@ -771,19 +750,19 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 	var in replicateRequest
 	req.Body = http.MaxBytesReader(w, req.Body, maxReplicateBody)
 	if err := json.NewDecoder(req.Body).Decode(&in); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad replicate body: %v", err)})
+		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad replicate body: %v", err)})
 		return
 	}
 	r.mu.Lock()
 	if r.role == RoleHalted {
 		r.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "replica halted"})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "replica halted"})
 		return
 	}
 	if in.Epoch < r.epoch {
 		resp := replicateResponse{Ack: r.journal.Seq(), Epoch: r.epoch, Leader: r.leader}
 		r.mu.Unlock()
-		writeJSON(w, http.StatusConflict, resp)
+		service.WriteJSON(w, http.StatusConflict, resp)
 		return
 	}
 	if r.role == RoleLeader {
@@ -792,7 +771,7 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 			// Equal-epoch duel: the lower index keeps the lease.
 			resp := replicateResponse{Ack: r.journal.Seq(), Epoch: r.epoch, Leader: r.cfg.Self}
 			r.mu.Unlock()
-			writeJSON(w, http.StatusConflict, resp)
+			service.WriteJSON(w, http.StatusConflict, resp)
 			return
 		}
 		r.mu.Unlock()
@@ -807,7 +786,7 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 	r.lastBeat = time.Now()
 	r.mu.Unlock()
 	ack := r.journal.Ingest(in.FromSeq, in.Entries)
-	writeJSON(w, http.StatusOK, replicateResponse{Ack: ack, Epoch: in.Epoch, Leader: in.From})
+	service.WriteJSON(w, http.StatusOK, replicateResponse{Ack: ack, Epoch: in.Epoch, Leader: in.From})
 }
 
 // serveStandby answers what the journal can answer and 307-redirects the
@@ -817,7 +796,7 @@ func (r *Replica) serveStandby(w http.ResponseWriter, req *http.Request, leader 
 	switch {
 	case req.URL.Path == "/readyz":
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+		service.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{
 			"status": "standby", "leader": leader,
 		})
 		return
@@ -832,12 +811,12 @@ func (r *Replica) serveStandby(w http.ResponseWriter, req *http.Request, leader 
 			}
 			out = append(out, NodeStatus{Name: name, URL: ns.URL, Alive: r.journal.NodeAlive(name)})
 		}
-		writeJSON(w, http.StatusOK, out)
+		service.WriteJSON(w, http.StatusOK, out)
 		return
 	case strings.HasPrefix(req.URL.Path, "/v1/jobs/") && req.Method == http.MethodGet:
 		id := strings.TrimPrefix(req.URL.Path, "/v1/jobs/")
 		if st, ok := r.journal.JobView(id); ok {
-			writeJSON(w, http.StatusOK, st)
+			service.WriteJSON(w, http.StatusOK, st)
 			return
 		}
 		// The journal lags the leader by up to a heartbeat (plus the
@@ -850,7 +829,7 @@ func (r *Replica) serveStandby(w http.ResponseWriter, req *http.Request, leader 
 		if !strings.Contains(id, "/") {
 			if info, ok := r.journal.CircuitInfo(id); ok {
 				info.Cached = true
-				writeJSON(w, http.StatusOK, info)
+				service.WriteJSON(w, http.StatusOK, info)
 				return
 			}
 			// Same lag argument as jobs: redirect, don't 404.
@@ -858,13 +837,13 @@ func (r *Replica) serveStandby(w http.ResponseWriter, req *http.Request, leader 
 	}
 	if leader == "" || leader == r.cfg.Self {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "no leader known", RetryAfter: 1})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "no leader known", RetryAfter: 1})
 		return
 	}
 	base := r.peerURL(leader)
 	if base == "" {
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "leader unknown to peer list", RetryAfter: 1})
+		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "leader unknown to peer list", RetryAfter: 1})
 		return
 	}
 	http.Redirect(w, req, base+req.URL.RequestURI(), http.StatusTemporaryRedirect)

@@ -47,8 +47,9 @@ import (
 const (
 	maxBodyBytes    = 1 << 20
 	maxKeyBodyBytes = 64 << 20
-	// Batch routes carry k proofs/input sets per request.
-	maxBatchBodyBytes = 8 << 20
+	// MaxBatchBodyBytes bounds batch routes, which carry k proofs/input
+	// sets per request (the cluster coordinator's edge shares it).
+	MaxBatchBodyBytes = 8 << 20
 )
 
 // batchResponse snapshots every job of a batch submission.
@@ -109,12 +110,14 @@ type DrainResponse struct {
 	Checkpoint *Checkpoint `json:"checkpoint,omitempty"`
 }
 
-type apiError struct {
+// APIError is the JSON body of every error response (service and cluster).
+type APIError struct {
 	Error      string `json:"error"`
 	RetryAfter int    `json:"retry_after_seconds,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as an indented JSON response with status code.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -122,8 +125,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// writeError maps service error types onto HTTP semantics.
-func writeError(w http.ResponseWriter, err error) {
+// WriteError maps service error types onto HTTP semantics.
+func WriteError(w http.ResponseWriter, err error) {
 	var (
 		over     *OverloadError
 		input    *InputError
@@ -136,24 +139,27 @@ func writeError(w http.ResponseWriter, err error) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error(), RetryAfter: secs})
+		WriteJSON(w, http.StatusTooManyRequests, APIError{Error: err.Error(), RetryAfter: secs})
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "10")
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error(), RetryAfter: 10})
+		WriteJSON(w, http.StatusServiceUnavailable, APIError{Error: err.Error(), RetryAfter: 10})
 	case errors.As(err, &input):
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+		WriteJSON(w, http.StatusBadRequest, APIError{Error: err.Error()})
 	case errors.As(err, &notFound):
-		writeJSON(w, http.StatusNotFound, apiError{Error: err.Error()})
+		WriteJSON(w, http.StatusNotFound, APIError{Error: err.Error()})
 	default:
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+		WriteJSON(w, http.StatusInternalServerError, APIError{Error: err.Error()})
 	}
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeBodyLimit(w, r, v, maxBodyBytes)
+// DecodeBody decodes a JSON request body (at most 1 MiB, unknown fields
+// rejected) into v; a bad body comes back as an *InputError.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	return DecodeBodyLimit(w, r, v, maxBodyBytes)
 }
 
-func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
+// DecodeBodyLimit is DecodeBody with an explicit size limit.
+func DecodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) error {
 	r.Body = http.MaxBytesReader(w, r.Body, limit)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -169,101 +175,101 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("POST /v1/circuits", func(w http.ResponseWriter, r *http.Request) {
 		var spec CircuitSpec
-		if err := decodeBody(w, r, &spec); err != nil {
-			writeError(w, err)
+		if err := DecodeBody(w, r, &spec); err != nil {
+			WriteError(w, err)
 			return
 		}
 		info, err := s.Register(spec)
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		code := http.StatusCreated
 		if info.Cached {
 			code = http.StatusOK
 		}
-		writeJSON(w, code, info)
+		WriteJSON(w, code, info)
 	})
 
 	mux.HandleFunc("GET /v1/circuits", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.ExportCircuits())
+		WriteJSON(w, http.StatusOK, s.ExportCircuits())
 	})
 
 	mux.HandleFunc("GET /v1/circuits/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, err := s.Circuit(r.PathValue("id"))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	})
 
 	mux.HandleFunc("GET /v1/circuits/{id}/keys", func(w http.ResponseWriter, r *http.Request) {
 		kb, err := s.ExportKeys(r.PathValue("id"))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, kb)
+		WriteJSON(w, http.StatusOK, kb)
 	})
 
 	mux.HandleFunc("POST /v1/circuits/import", func(w http.ResponseWriter, r *http.Request) {
 		var kb KeyBundle
-		if err := decodeBodyLimit(w, r, &kb, maxKeyBodyBytes); err != nil {
-			writeError(w, err)
+		if err := DecodeBodyLimit(w, r, &kb, maxKeyBodyBytes); err != nil {
+			WriteError(w, err)
 			return
 		}
 		info, err := s.RegisterImported(kb)
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		code := http.StatusCreated
 		if info.Cached {
 			code = http.StatusOK
 		}
-		writeJSON(w, code, info)
+		WriteJSON(w, code, info)
 	})
 
 	mux.HandleFunc("POST /v1/prove", func(w http.ResponseWriter, r *http.Request) {
 		var req ProveRequest
-		if err := decodeBody(w, r, &req); err != nil {
-			writeError(w, err)
+		if err := DecodeBody(w, r, &req); err != nil {
+			WriteError(w, err)
 			return
 		}
 		j, err := s.SubmitTraced(req.ClientJobID, req.CircuitID, req.Public, req.Secret,
 			telemetry.ExtractTrace(r.Header))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		if tid := j.Snapshot().TraceID; tid != "" {
 			w.Header().Set(telemetry.TraceIDHeader, tid)
 		}
 		if r.URL.Query().Get("async") != "" {
-			writeJSON(w, http.StatusAccepted, j.Snapshot())
+			WriteJSON(w, http.StatusAccepted, j.Snapshot())
 			return
 		}
 		select {
 		case <-j.Done():
-			writeJSON(w, http.StatusOK, j.Snapshot())
+			WriteJSON(w, http.StatusOK, j.Snapshot())
 		case <-r.Context().Done():
 			// The client went away; the job still runs to completion and
 			// stays pollable under its id.
-			writeJSON(w, http.StatusAccepted, j.Snapshot())
+			WriteJSON(w, http.StatusAccepted, j.Snapshot())
 		}
 	})
 
 	mux.HandleFunc("POST /v1/prove-batch", func(w http.ResponseWriter, r *http.Request) {
 		var req ProveBatchRequest
-		if err := decodeBody(w, r, &req); err != nil {
-			writeError(w, err)
+		if err := DecodeBody(w, r, &req); err != nil {
+			WriteError(w, err)
 			return
 		}
 		jobs, err := s.SubmitBatchTraced(req.ClientBatchID, req.CircuitID, req.Proofs,
 			telemetry.ExtractTrace(r.Header))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		if tid := jobs[0].Snapshot().TraceID; tid != "" {
@@ -283,32 +289,32 @@ func NewHandler(s *Service) http.Handler {
 					break wait
 				}
 			}
-			writeJSON(w, code, batchResponse(jobs))
+			WriteJSON(w, code, batchResponse(jobs))
 			return
 		}
-		writeJSON(w, http.StatusAccepted, batchResponse(jobs))
+		WriteJSON(w, http.StatusAccepted, batchResponse(jobs))
 	})
 
 	mux.HandleFunc("POST /v1/verify-batch", func(w http.ResponseWriter, r *http.Request) {
 		var req VerifyBatchRequest
-		if err := decodeBodyLimit(w, r, &req, maxBatchBodyBytes); err != nil {
-			writeError(w, err)
+		if err := DecodeBodyLimit(w, r, &req, MaxBatchBodyBytes); err != nil {
+			WriteError(w, err)
 			return
 		}
 		if err := s.VerifyBatch(req.CircuitID, req.Proofs, req.Publics); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, VerifyBatchResponse{OK: true, Proofs: len(req.Proofs)})
+		WriteJSON(w, http.StatusOK, VerifyBatchResponse{OK: true, Proofs: len(req.Proofs)})
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		j, err := s.Job(r.PathValue("id"))
 		if err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, j.Snapshot())
+		WriteJSON(w, http.StatusOK, j.Snapshot())
 	})
 
 	mux.HandleFunc("POST /v1/drain", func(w http.ResponseWriter, r *http.Request) {
@@ -316,7 +322,7 @@ func NewHandler(s *Service) http.Handler {
 		if v := r.URL.Query().Get("timeout"); v != "" {
 			d, err := time.ParseDuration(v)
 			if err != nil || d <= 0 {
-				writeError(w, &InputError{Msg: fmt.Sprintf("bad drain timeout %q", v)})
+				WriteError(w, &InputError{Msg: fmt.Sprintf("bad drain timeout %q", v)})
 				return
 			}
 			timeout = d
@@ -325,52 +331,54 @@ func NewHandler(s *Service) http.Handler {
 		defer cancel()
 		rep, err := s.Drain(ctx)
 		if err != nil && !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
 		// A deadline is not a failure: the stranded jobs ride back in the
 		// checkpoint instead of being dropped.
-		writeJSON(w, http.StatusOK, DrainResponse{Finished: rep.Finished, Checkpoint: rep.Checkpointed})
+		WriteJSON(w, http.StatusOK, DrainResponse{Finished: rep.Finished, Checkpoint: rep.Checkpointed})
 	})
 
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.Ready() {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"status":        "not ready",
 				"devices_alive": s.DevicesAlive(),
 			})
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{
+		WriteJSON(w, http.StatusOK, map[string]any{
 			"status":        "ready",
 			"devices_alive": s.DevicesAlive(),
 		})
 	})
 
-	mux.HandleFunc("GET /v1/events", eventsHandler(s.Events))
+	mux.HandleFunc("GET /v1/events", func(w http.ResponseWriter, r *http.Request) {
+		WriteEvents(w, r, s.Events())
+	})
 
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		writeMetrics(w, r, s.Registry().Snapshot())
+		WriteMetrics(w, r, s.Registry().Snapshot())
 	})
 
 	return mux
 }
 
-// writeMetrics serves a registry snapshot: JSON by default (the cluster
+// WriteMetrics serves a registry snapshot: JSON by default (the cluster
 // prober and existing tooling decode it as telemetry.Snapshot), or
 // Prometheus text exposition with ?format=prom.
-func writeMetrics(w http.ResponseWriter, r *http.Request, snap telemetry.Snapshot) {
+func WriteMetrics(w http.ResponseWriter, r *http.Request, snap telemetry.Snapshot) {
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", telemetry.PromContentType)
 		w.WriteHeader(http.StatusOK)
 		_ = snap.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, snap)
+	WriteJSON(w, http.StatusOK, snap)
 }
 
 // EventsResponse is the body of GET /v1/events (service and cluster).
@@ -381,35 +389,32 @@ type EventsResponse struct {
 	Seq uint64 `json:"seq"`
 }
 
-// eventsHandler serves a ring-buffered event log with ?since= / ?max=
-// paging. events() returning nil means event logging is disabled — the
-// endpoint then reports an empty log rather than 404, so scrapers can
-// probe for it uniformly.
-func eventsHandler(events func() *telemetry.EventLog) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var since uint64
-		if v := r.URL.Query().Get("since"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				writeError(w, &InputError{Msg: fmt.Sprintf("bad since %q", v)})
-				return
-			}
-			since = n
+// WriteEvents serves a ring-buffered event log with ?since= / ?max=
+// paging. A nil log means event logging is disabled — the endpoint then
+// reports an empty log rather than 404, so scrapers can probe for it
+// uniformly.
+func WriteEvents(w http.ResponseWriter, r *http.Request, log *telemetry.EventLog) {
+	var since uint64
+	if v := r.URL.Query().Get("since"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			WriteError(w, &InputError{Msg: fmt.Sprintf("bad since %q", v)})
+			return
 		}
-		max := 256
-		if v := r.URL.Query().Get("max"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				writeError(w, &InputError{Msg: fmt.Sprintf("bad max %q", v)})
-				return
-			}
-			max = n
-		}
-		log := events()
-		resp := EventsResponse{Events: log.Since(since, max), Seq: log.Seq()}
-		if resp.Events == nil {
-			resp.Events = []telemetry.EventRecord{}
-		}
-		writeJSON(w, http.StatusOK, resp)
+		since = n
 	}
+	max := 256
+	if v := r.URL.Query().Get("max"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			WriteError(w, &InputError{Msg: fmt.Sprintf("bad max %q", v)})
+			return
+		}
+		max = n
+	}
+	resp := EventsResponse{Events: log.Since(since, max), Seq: log.Seq()}
+	if resp.Events == nil {
+		resp.Events = []telemetry.EventRecord{}
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
