@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"gzkp/internal/gpusim"
+	"gzkp/internal/msm"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -39,7 +42,7 @@ func TestExperimentsRunQuick(t *testing.T) {
 	anchors := map[string][]string{
 		"table2":      {"Table 2 (modeled", "GZKP total"},
 		"table3":      {"Table 3 (modeled", "Sprout"},
-		"table4":      {"4dev gain", "outputs identical"},
+		"table4":      {"4dev gain"},
 		"table5":      {"753b GZKP", "serial(libsnark)"},
 		"table6":      {"GTX1080Ti"},
 		"table7":      {"753b MINA", "381b BG"},
@@ -110,7 +113,16 @@ func TestFormatters(t *testing.T) {
 
 func TestWindowForShapes(t *testing.T) {
 	// MINA is pinned small; bellperson tracks chunks; GZKP grows with N.
-	if windowFor(0, 20) == 0 {
-		t.Skip("enum values compared below")
+	for _, logN := range []int{10, 16, 20} {
+		if got := windowFor(msm.ModelStraus, logN); got != 5 {
+			t.Errorf("logN=%d: Straus window %d, want 5", logN, got)
+		}
+		_, k := msm.BellpersonPlan(1<<logN, gpusim.V100())
+		if got := windowFor(msm.ModelBellperson, logN); got != k {
+			t.Errorf("logN=%d: Bellperson window %d, want BellpersonPlan's %d", logN, got, k)
+		}
+		if got, want := windowFor(msm.ModelGZKPFull, logN), msm.AutoWindow(1<<logN); got != want {
+			t.Errorf("logN=%d: GZKP window %d, want AutoWindow's %d", logN, got, want)
+		}
 	}
 }

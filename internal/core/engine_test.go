@@ -1,7 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/msm"
@@ -59,27 +63,6 @@ func TestEnginesAgree(t *testing.T) {
 	}
 }
 
-func TestMultiDeviceMatchesSingle(t *testing.T) {
-	p := smallPipeline(t, curve.BN254)
-	single := NewGZKP(curve.BN254)
-	multi := NewGZKP(curve.BN254)
-	multi.Devices = 4
-	r1, err := single.ProvePipeline(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r4, err := multi.ProvePipeline(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := curve.Get(curve.BN254).G1
-	for i := range r1.Outputs {
-		if !g.EqualAffine(r1.Outputs[i], r4.Outputs[i]) {
-			t.Fatalf("4-device partition changed MSM output %d", i)
-		}
-	}
-}
-
 func TestCurveMismatchRejected(t *testing.T) {
 	p := smallPipeline(t, curve.BN254)
 	if _, err := NewGZKP(curve.BLS12381).ProvePipeline(p); err == nil {
@@ -104,10 +87,9 @@ func TestMNT4753SimPipeline(t *testing.T) {
 func TestStrategyOverrides(t *testing.T) {
 	p := smallPipeline(t, curve.BN254)
 	e := &Engine{
-		Curve:   curve.Get(curve.BN254),
-		NTT:     ntt.Config{Strategy: ntt.SerialPrecomp},
-		MSM:     msm.Config{Strategy: msm.Straus, WindowBits: 3},
-		Devices: 1,
+		Curve: curve.Get(curve.BN254),
+		NTT:   ntt.Config{Strategy: ntt.SerialPrecomp},
+		MSM:   msm.Config{Strategy: msm.Straus, WindowBits: 3},
 	}
 	ref, err := NewGZKP(curve.BN254).ProvePipeline(p)
 	if err != nil {
@@ -122,5 +104,47 @@ func TestStrategyOverrides(t *testing.T) {
 		if !g.EqualAffine(ref.Outputs[i], got.Outputs[i]) {
 			t.Fatalf("strategy override changed result %d", i)
 		}
+	}
+}
+
+// Cancelling mid-pipeline returns ctx.Err() promptly and leaks no worker
+// goroutines.
+func TestCancellationMidPipeline(t *testing.T) {
+	app := workload.App{Name: "cancel", VectorSize: 8000, Curve: curve.BN254, Sparsity: 0.6}
+	p, err := workload.BuildPipeline(app, 8192, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewGZKP(curve.BN254)
+	e.MSM.MemoryBudget = 1 // single checkpoint: no heavy table build
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	res, err := e.ProvePipelineCtx(ctx, p)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got res=%v err=%v", res, err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("cancellation took %v", el)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+1 {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
+func TestPreCanceledContext(t *testing.T) {
+	p := smallPipeline(t, curve.BN254)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NewGZKP(curve.BN254).ProvePipelineCtx(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

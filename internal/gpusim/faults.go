@@ -83,11 +83,12 @@ func (d *DeviceFaults) BeforeLaunch(int) error {
 }
 
 // FaultPlan deterministically injects device faults into pipeline
-// launches. Consumers (internal/core's engine, groth16's prover, Device.Run)
-// call BeforeLaunch once per kernel launch / shard compute; the plan keeps
-// a per-device launch counter and fires the scheduled faults at their
-// steps. The same seed and schedule always produce the same fault
-// sequence, which is what makes fault-recovery tests reproducible.
+// launches. Consumers (groth16's prover, directly or through the service's
+// DeviceFaults, and Device.Run) call BeforeLaunch once per kernel launch /
+// shard compute; the plan keeps a per-device launch counter and fires the
+// scheduled faults at their steps. The same seed and schedule always
+// produce the same fault sequence, which is what makes fault-recovery tests
+// reproducible.
 type FaultPlan struct {
 	mu       sync.Mutex
 	launches map[int]int

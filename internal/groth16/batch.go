@@ -184,14 +184,14 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	}
 	st := &BatchStats{Proofs: k}
 
-	// Root span on the host track; the two stage spans below sit on device
-	// 0's track because the single-device prover models every NTT and MSM as
-	// a logical device-0 kernel (see ProveConfig.Faults).
+	// The root span inherits the caller's track; the two stage spans below
+	// sit on the device track that runs every NTT and MSM (see stageTrack).
 	root, ctx := telemetry.StartSpan(ctx, "prove")
 	root.SetInt("k", int64(k))
 	root.SetInt("domain_n", int64(pk.DomainN))
 	root.SetInt("num_vars", int64(sys.NumVars))
 	defer root.End()
+	track := stageTrack(ctx)
 
 	if cfg.CheckSatisfied {
 		err := par.ItemsErr(ctx, k, cfg.NTT.Workers, nil,
@@ -208,7 +208,7 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	if err != nil {
 		return nil, nil, err
 	}
-	spPoly, pctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "poly")
+	spPoly, pctx := telemetry.StartSpanOn(ctx, track, "poly")
 	spPoly.SetInt("n", int64(n))
 	spPoly.SetInt("k", int64(k))
 	defer spPoly.End()
@@ -259,7 +259,7 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	}
 
 	// ---- MSM stage: 5 base sets, each serving all k proofs.
-	spMSM, mctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(0), "msm-stage")
+	spMSM, mctx := telemetry.StartSpanOn(ctx, track, "msm-stage")
 	defer spMSM.End()
 	privSlices := make([][]ff.Element, k)
 	for i, w := range witnesses {

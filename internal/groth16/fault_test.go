@@ -3,6 +3,7 @@ package groth16
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"gzkp/internal/ntt"
 	"gzkp/internal/r1cs"
 	"gzkp/internal/resilience"
+	"gzkp/internal/telemetry"
 )
 
 // faultFixture sets up a medium circuit with preprocessed GZKP tables and
@@ -170,6 +172,137 @@ func TestProvePanicSurfacesAsError(t *testing.T) {
 		if err == nil || !errors.As(err, &pe) {
 			t.Fatalf("step %d: want PanicError, got %v", step, err)
 		}
+	}
+}
+
+// A transient fault that outlasts the retry budget surfaces the error,
+// still classified as transient.
+func TestProveTransientRetriesExhausted(t *testing.T) {
+	pk, _, sys, w, _, cfg := faultFixture(t, 1<<20)
+	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 0, Times: 100})
+	cfg.Retry.MaxAttempts = 3
+	cfg.Retry.Sleep = func(context.Context, time.Duration) error { return nil }
+	_, _, err := Prove(pk, sys, w, cfg, nil)
+	if err == nil || resilience.Classify(err) != resilience.Transient {
+		t.Fatalf("want transient exhaustion, got %v", err)
+	}
+}
+
+// Every launch recovery leaves exactly one telemetry record, on device 0's
+// track for a standalone prove: each transient retry a "retry" event, each
+// OOM degrade an "oom-degrade" event, tallied under the matching
+// resilience.<class> counter.
+func TestProveFaultEventsRecorded(t *testing.T) {
+	cases := []struct {
+		name, event, counter string
+		fault                gpusim.Fault
+		recoveries           int
+	}{
+		{"transient-retry", "retry", "resilience.transient",
+			gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 8, Times: 2}, 2},
+		{"oom-degrade", "oom-degrade", "resilience.oom",
+			gpusim.Fault{Kind: gpusim.FaultOOM, Device: 0, Step: 7}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pk, _, sys, w, _, cfg := faultFixture(t, 1<<17)
+			cfg.Faults = gpusim.NewFaultPlan(1, tc.fault)
+			cfg.Retry.Sleep = func(context.Context, time.Duration) error { return nil }
+			tr := telemetry.New()
+			ctx := telemetry.NewContext(context.Background(), tr)
+			if _, _, err := ProveCtx(ctx, pk, sys, w, cfg, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for _, ev := range tr.Events() {
+				if ev.Cat != "resilience" {
+					continue
+				}
+				if ev.Name != tc.event {
+					t.Fatalf("unexpected %q event", ev.Name)
+				}
+				if ev.Track != telemetry.DeviceTrack(0) {
+					t.Fatalf("%q event on track %d, want %d", ev.Name, ev.Track, telemetry.DeviceTrack(0))
+				}
+				got++
+			}
+			if got != tc.recoveries {
+				t.Fatalf("recorded %d %q events for %d recoveries", got, tc.event, tc.recoveries)
+			}
+			if c := tr.Registry().Snapshot().Counters[tc.counter]; c != int64(tc.recoveries) {
+				t.Fatalf("counter %s = %d, want %d", tc.counter, c, tc.recoveries)
+			}
+		})
+	}
+}
+
+// A prove under a span on device 1's track — a service dispatch on device 1
+// — puts its stage spans and launch-recovery events on that track, not on
+// device 0's.
+func TestProveSpansFollowDeviceTrack(t *testing.T) {
+	pk, _, sys, w, _, cfg := faultFixture(t, 1<<20)
+	plan := gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultTransient, Device: 1, Step: 8})
+	cfg.Faults = &gpusim.DeviceFaults{Plan: plan, Device: 1}
+	cfg.Retry.Sleep = func(context.Context, time.Duration) error { return nil }
+	tr := telemetry.New()
+	want := telemetry.DeviceTrack(1)
+	dsp, ctx := telemetry.StartSpanOn(telemetry.NewContext(context.Background(), tr), want, "dispatch")
+	_, _, err := ProveCtx(ctx, pk, sys, w, cfg, nil)
+	dsp.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]int{}
+	for _, sp := range tr.Spans() {
+		if sp.Name == "poly" || sp.Name == "msm-stage" {
+			stages[sp.Name]++
+			if sp.Track != want {
+				t.Errorf("span %q on track %d, want %d", sp.Name, sp.Track, want)
+			}
+		}
+	}
+	if stages["poly"] != 1 || stages["msm-stage"] != 1 {
+		t.Fatalf("stage spans %v, want one poly and one msm-stage", stages)
+	}
+	retries := 0
+	for _, ev := range tr.Events() {
+		if ev.Cat == "resilience" && ev.Name == "retry" {
+			retries++
+			if ev.Track != want {
+				t.Errorf("retry event on track %d, want %d", ev.Track, want)
+			}
+		}
+	}
+	if retries != 1 {
+		t.Fatalf("recorded %d retry events, want 1", retries)
+	}
+}
+
+// Cancelling mid-prove returns ctx.Err() promptly and leaks no worker
+// goroutines. The reference MSM keeps the medium circuit's prove running
+// well past the 5 ms cancellation point.
+func TestProveCancellationMidProve(t *testing.T) {
+	pk, _, sys, w, _, cfg := faultFixture(t, 1<<20)
+	cfg.MSM = msm.Config{Strategy: msm.Reference}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		cancel()
+	}()
+	start := time.Now()
+	if _, _, err := ProveCtx(ctx, pk, sys, w, cfg, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("cancellation took %v", el)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before+1 {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
 	}
 }
 

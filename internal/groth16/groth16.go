@@ -5,8 +5,7 @@
 // multiplications (§5.2) — and pairing-based verification.
 //
 // The prover's NTT and MSM strategies are injected via ProveConfig, which
-// is how the GZKP engine (internal/core) swaps its optimized kernels for
-// the baselines.
+// is how callers swap GZKP's optimized kernels for the baselines.
 package groth16
 
 import (
@@ -123,6 +122,16 @@ type ProveConfig struct {
 	Retry resilience.Policy
 }
 
+// stageTrack is the trace track the prover's stage spans and launch-recovery
+// events go on: the enclosing span's when that is a device track (a service
+// dispatch on device d), device 0's for a standalone prove.
+func stageTrack(ctx context.Context) int {
+	if tr := telemetry.SpanFromContext(ctx).Track(); tr != telemetry.TrackHost {
+		return tr
+	}
+	return telemetry.DeviceTrack(0)
+}
+
 // launch accounts one modeled kernel launch against the fault plan and
 // drives its recovery: bounded transient retries, an oom hook (nil = OOM
 // is fatal), everything else propagated.
@@ -146,7 +155,7 @@ func (cfg ProveConfig) launch(ctx context.Context, op string, oom func() error) 
 			if attempts >= pol.MaxAttempts {
 				return fmt.Errorf("groth16: %s: retries exhausted: %w", op, err)
 			}
-			resilience.Record(ctx, telemetry.DeviceTrack(0), resilience.Transient,
+			resilience.Record(ctx, stageTrack(ctx), resilience.Transient,
 				telemetry.Str("op", op), telemetry.Int("attempt", int64(attempts)))
 			if serr := pol.Sleep(ctx, pol.Backoff(attempts-1)); serr != nil {
 				return serr
@@ -156,7 +165,7 @@ func (cfg ProveConfig) launch(ctx context.Context, op string, oom func() error) 
 			if oom == nil || ooms > 2 {
 				return fmt.Errorf("groth16: %s: %w", op, err)
 			}
-			resilience.Record(ctx, telemetry.DeviceTrack(0), resilience.OOM,
+			resilience.Record(ctx, stageTrack(ctx), resilience.OOM,
 				telemetry.Str("op", op))
 			if derr := oom(); derr != nil {
 				return derr

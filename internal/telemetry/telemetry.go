@@ -175,6 +175,9 @@ func (s Span) End() {
 // caused to another process.
 func (s Span) ID() uint64 { return s.id }
 
+// Track returns the track the span sits on (TrackHost for a zero span).
+func (s Span) Track() int { return int(s.track) }
+
 // ElapsedNS reports nanoseconds since the span started (0 for a zero span).
 func (s Span) ElapsedNS() int64 {
 	if s.tr == nil {
