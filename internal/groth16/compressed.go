@@ -130,7 +130,7 @@ func (vk *VerifyingKey) UnmarshalCompressed(data []byte) error {
 		return fmt.Errorf("groth16: truncated key")
 	}
 	icLen := binary.BigEndian.Uint32(n[:])
-	if icLen == 0 || icLen > 1<<24 {
+	if icLen == 0 || icLen > 1<<24 || int(icLen)*c.G1.CompressedLen() > r.Len() {
 		return fmt.Errorf("groth16: implausible IC length %d", icLen)
 	}
 	out := &VerifyingKey{CurveID: c.ID}

@@ -177,7 +177,8 @@ func (vk *VerifyingKey) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("groth16: truncated key")
 	}
 	icLen := binary.BigEndian.Uint32(n[:])
-	if icLen == 0 || icLen > 1<<24 {
+	// An IC point takes at least its one-byte flag.
+	if icLen == 0 || icLen > 1<<24 || int(icLen) > r.Len() {
 		return fmt.Errorf("groth16: implausible IC length %d", icLen)
 	}
 	if vk.Alpha1, err = readPoint(r, c.G1); err != nil {
@@ -260,7 +261,9 @@ func (pk *ProvingKey) UnmarshalBinary(data []byte) error {
 			return nil, fmt.Errorf("groth16: truncated proving key")
 		}
 		cnt := binary.BigEndian.Uint32(n[:])
-		if cnt > 1<<28 {
+		// A point takes at least its one-byte flag, so the bytes left bound
+		// the count before anything is allocated.
+		if cnt > 1<<28 || int(cnt) > r.Len() {
 			return nil, fmt.Errorf("groth16: implausible query length %d", cnt)
 		}
 		pts := make([]curve.Affine, cnt)

@@ -12,7 +12,7 @@ import (
 // ComputeManyCtx evaluates k MSMs over one shared base set: result[i] =
 // Σ_j slices[i][j]·points[j]. This is the batched-prover shape — k
 // same-circuit proofs share every base vector (A/B1/B2/H/K), so the strategy
-// setup (GZKP preprocessing, window profiling, digit canonicalization plans)
+// setup (the GZKP table layout, window profiling, digit canonicalization plans)
 // is paid once and the per-slice kernels stream over it. Each slice's
 // result is bit-identical to a solo ComputeCtx with the same cfg: slices
 // are independent sums, so amortizing setup cannot change the arithmetic.
@@ -30,8 +30,8 @@ func ComputeManyCtx(ctx context.Context, g *curve.Group, points []curve.Affine, 
 		return ComputeCtx(ctx, g, points[:len(scalars)], scalars, cfg)
 	}
 	if cfg.Strategy == GZKP && len(points) > 0 && len(slices) > 0 {
-		// One preprocessing pass serves all k computes — the batch win.
-		table, err := PreprocessCtx(ctx, g, points, cfg)
+		// One table layout (and its digit geometry) serves all k computes.
+		table, err := newTable(ctx, g, points, cfg, false)
 		if err != nil {
 			return nil, nil, err
 		}

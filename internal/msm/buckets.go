@@ -2,7 +2,6 @@ package msm
 
 import (
 	"context"
-	"sync/atomic"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/par"
@@ -24,15 +23,11 @@ const (
 // (bucket, remainder class) as one tree in a per-worker limb slab
 // (curve.AffineAdder): entries' table points are loaded — as (x, −y) for a
 // negative digit, points at infinity dropped — and each round pairs every
-// segment's survivors in place under one shared inversion. Each bucket then
-// combines its classes with the Horner chain
-//
-//	B_j = (...(S_{M-1}·2^k + S_{M-2})·2^k + ...)·2^k + S_0,
-//
-// Algorithm 1's checkpoint fix-up at (M-1)·k doublings per bucket rather
-// than (w mod M)·k per entry. Counts are the mixed-add loop's it replaced:
-// one add per entry plus one per Horner step.
-func affineBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) (int64, int64, error) {
+// segment's survivors in place under one shared inversion. Each segment's
+// sum S_{j,r} lands in buckets[j·M+r]; reduceBuckets weights the classes, so
+// Algorithm 1's checkpoint fix-up costs (M-1)·k doublings per MSM rather
+// than per bucket.
+func affineBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) error {
 	workers := cfg.workers()
 	cuts, slots, segs := p.groups(workers)
 	mk := func() *bucketWorker {
@@ -41,19 +36,15 @@ func affineBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve
 			start: make([]int32, segs), live: make([]int32, segs),
 		}
 	}
-	var adds, doubles int64
 	run := func(bw *bucketWorker, gi int) error {
-		a, d := bw.reduce(t, p, p.order[cuts[gi]:cuts[gi+1]], buckets)
-		atomic.AddInt64(&adds, a)
-		atomic.AddInt64(&doubles, d)
+		bw.reduce(t, p, p.order[cuts[gi]:cuts[gi+1]], buckets)
 		return nil
 	}
 	schedule := par.ItemsErr[*bucketWorker] // dynamic, in the heaviest-first order
 	if cfg.NoLoadBalance {
 		schedule = par.StaticItemsErr[*bucketWorker]
 	}
-	err := schedule(ctx, len(cuts)-1, workers, mk, run)
-	return adds, doubles, err
+	return schedule(ctx, len(cuts)-1, workers, mk, run)
 }
 
 // groups cuts the schedule order into bucket groups, returning the cut
@@ -83,9 +74,8 @@ type bucketWorker struct {
 	start, live []int32
 }
 
-// reduce sets buckets[j] = B_j for the group's buckets and returns its add
-// and doubling counts.
-func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, buckets []curve.Jacobian) (adds, doubles int64) {
+// reduce sets buckets[j·M+r] = S_{j,r} for the group's buckets.
+func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, buckets []curve.Jacobian) {
 	m, a := p.m, bw.add
 	start, live := bw.start[:len(group)*m], bw.live[:len(group)*m]
 	// Load every segment's entries into consecutive slots.
@@ -139,28 +129,11 @@ func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, buckets []c
 			a.Flush()
 		}
 	}
-	// Horner combine over the populated remainder classes.
-	result := func(s int) curve.Affine {
-		if live[s] == 0 {
-			return curve.Affine{Inf: true}
-		}
-		return a.Point(start[s])
-	}
 	for gi, j := range group {
-		top := m - 1 // the highest populated class starts the chain
-		for top > 0 && len(p.segment(j, top)) == 0 {
-			top--
-		}
-		acc := &buckets[j]
-		bw.ops.FromAffine(acc, result(gi*m+top))
-		for r := top - 1; r >= 0; r-- {
-			for d := 0; d < t.k; d++ {
-				bw.ops.DoubleAssign(acc)
+		for r := 0; r < m; r++ {
+			if s := gi*m + r; live[s] > 0 {
+				bw.ops.FromAffine(&buckets[j*m+r], a.Point(start[s]))
 			}
-			bw.ops.AddMixedAssign(acc, result(gi*m+r))
 		}
-		adds += p.loads[j] + int64(top)
-		doubles += int64(top * t.k)
 	}
-	return adds, doubles
 }

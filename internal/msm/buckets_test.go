@@ -2,10 +2,11 @@ package msm
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"reflect"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"gzkp/internal/curve"
@@ -15,19 +16,14 @@ import (
 
 // mixedAddBuckets is the bucket loop affineBuckets replaced — one Jacobian
 // mixed add (or subtraction, for a negative digit) per entry into a
-// per-remainder-class accumulator, one task per bucket, then the Horner
-// combine — kept as the differential oracle for the kernel's results and
-// counters.
-func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) (int64, int64, error) {
-	var adds, doubles int64
+// per-remainder-class accumulator, one task per bucket — kept as the
+// differential oracle for the kernel's per-class sums.
+func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) error {
 	merge := func(ops *curve.Ops, j int) error {
-		var localAdds, localDoubles int64
 		subs := make([]curve.Jacobian, p.m)
-		top := 0
 		for r := range subs {
 			ops.SetInfinity(&subs[r])
 			for _, raw := range p.segment(j, r) {
-				top = r
 				neg := raw < 0
 				if neg {
 					raw = -raw
@@ -39,32 +35,18 @@ func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []cur
 				} else {
 					ops.AddMixedAssign(&subs[r], pt)
 				}
-				localAdds++
 			}
+			ops.Copy(&buckets[j*p.m+r], &subs[r])
 		}
-		ops.Copy(&buckets[j], &subs[top])
-		for r := top - 1; r >= 0; r-- {
-			for d := 0; d < t.k; d++ {
-				ops.DoubleAssign(&buckets[j])
-			}
-			localDoubles += int64(t.k)
-			ops.AddAssign(&buckets[j], &subs[r])
-			localAdds++
-		}
-		atomic.AddInt64(&adds, localAdds)
-		atomic.AddInt64(&doubles, localDoubles)
 		return nil
 	}
-	numBuckets := len(buckets) - 1
-	var err error
+	numBuckets := len(buckets)/p.m - 1
 	if cfg.NoLoadBalance {
-		err = par.StaticItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
+		return par.StaticItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
 			func(ops *curve.Ops, idx int) error { return merge(ops, idx+1) })
-	} else {
-		err = par.ItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
-			func(ops *curve.Ops, pos int) error { return merge(ops, p.order[pos]) })
 	}
-	return adds, doubles, err
+	return par.ItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
+		func(ops *curve.Ops, pos int) error { return merge(ops, p.order[pos]) })
 }
 
 // checkKernel runs one table MSM through the bucket kernel and the
@@ -136,9 +118,9 @@ func TestBatchAffineBucketPath(t *testing.T) {
 }
 
 // TestBucketKernelCounters pins the counters msm.point_adds and
-// msm.doubles are built from to the mixed-add loop's accounting — one add
-// per entry plus one per Horner step, k doublings per Horner step — and
-// the digit/load statistics to the oracle's, case by case.
+// msm.doubles are built from — one add per entry, (M-1)·k doublings per
+// MSM in the final chain — and the digit/load statistics to the oracle's,
+// case by case.
 func TestBucketKernelCounters(t *testing.T) {
 	g := curve.Get(curve.BN254).G1
 	for _, c := range []struct {
@@ -159,14 +141,91 @@ func TestBucketKernelCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := checkKernel(t, table, scalars, c.cfg, nil, c.name)
-		if st.PointAdds < st.NonzeroDigit || st.Doubles%int64(st.WindowBits) != 0 {
-			t.Fatalf("%s: adds %d / doubles %d inconsistent with %d entries at k=%d",
-				c.name, st.PointAdds, st.Doubles, st.NonzeroDigit, st.WindowBits)
+		if st.PointAdds != st.NonzeroDigit {
+			t.Fatalf("%s: %d adds for %d entries", c.name, st.PointAdds, st.NonzeroDigit)
 		}
-		if table.m == 1 && (st.PointAdds != st.NonzeroDigit || st.Doubles != 0) {
-			t.Fatalf("%s: M=1 must cost exactly one add per entry and no doublings (%d adds, %d doubles, %d entries)",
-				c.name, st.PointAdds, st.Doubles, st.NonzeroDigit)
+		if want := int64((table.m - 1) * table.k); st.Doubles != want {
+			t.Fatalf("%s: %d doublings at M=%d k=%d, want %d", c.name, st.Doubles, table.m, table.k, want)
 		}
+	}
+}
+
+// TestOneShotMatchesTabled: an MSM with no kept table — M = windows, the
+// input as its only checkpoint — ≡ the same MSM against a kept M = 1 table
+// ≡ Reference, on G1 and G2 of both pairing curves, both recodings, dense
+// and sparse scalars.
+func TestOneShotMatchesTabled(t *testing.T) {
+	for _, id := range []curve.ID{curve.BN254, curve.BLS12381} {
+		for _, g := range []*curve.Group{curve.Get(id).G1, curve.Get(id).G2} {
+			for _, n := range []int{1, 2, 63, 256} {
+				for _, signed := range []bool{false, true} {
+					cfg := Config{Strategy: GZKP, SignedBuckets: signed}
+					var table *Table
+					for _, sparse := range []float64{0, 0.7} {
+						points, scalars := testVectors(g, n, 59, sparse) // same points for both
+						if table == nil {
+							kept := cfg
+							kept.CheckpointInterval = 1
+							var err error
+							if table, err = Preprocess(g, points, kept); err != nil {
+								t.Fatal(err)
+							}
+						}
+						what := fmt.Sprintf("%s n=%d signed=%v sparse=%v", g.Name, n, signed, sparse)
+						got, st, err := Compute(g, points, scalars, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if st.Checkpoint != st.Windows {
+							t.Fatalf("%s: one-shot MSM ran at M=%d, want M = windows = %d", what, st.Checkpoint, st.Windows)
+						}
+						tabled, _, err := table.Compute(scalars, cfg)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if want := referenceMSM(t, g, points, scalars); !g.EqualAffine(got, *want) || !g.EqualAffine(tabled, *want) {
+							t.Fatalf("%s: one-shot / tabled / Reference disagree", what)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOneShotBuildsNoTable: a one-shot MSM allocates under a quarter of the
+// bytes a kept M = 1 table of the same points costs — it holds no
+// n-element []Jacobian and converts no level.
+func TestOneShotBuildsNoTable(t *testing.T) {
+	g := curve.Get(curve.BN254).G1
+	points, scalars := testVectors(g, 256, 67, 0)
+	cfg := Config{Strategy: GZKP, SignedBuckets: true, Workers: 2}
+	allocated := func(f func() error) uint64 {
+		least := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	oneShot := allocated(func() error {
+		_, _, err := Compute(g, points, scalars, cfg)
+		return err
+	})
+	kept := cfg
+	kept.CheckpointInterval = 1
+	table := allocated(func() error {
+		_, err := Preprocess(g, points, kept)
+		return err
+	})
+	t.Logf("one-shot MSM %d B, M = 1 table %d B", oneShot, table)
+	if 4*oneShot >= table {
+		t.Fatalf("one-shot MSM allocated %d B, not under a quarter of the %d B table build", oneShot, table)
 	}
 }
 
@@ -197,7 +256,7 @@ func kernelGroups() []*curve.Group {
 }
 
 // bucketCase decodes fuzz bytes into one table MSM: a group, a config
-// (k, M ∈ {1, 3, nw}, signed/unsigned, schedule) and n points and scalars
+// (k, M ∈ {1, 3, nw, one-shot}, signed/unsigned, schedule) and n points and scalars
 // drawn from the degenerate menu — repeated bases (doublings in a bucket),
 // negated bases (cancellations), bases at infinity; zero, one, r−1,
 // one-hot, repeated and negated scalars.
@@ -217,7 +276,7 @@ func bucketCase(raw []byte) (*curve.Group, []curve.Affine, []ff.Element, Config)
 		Strategy:           GZKP,
 		SignedBuckets:      flags&1 != 0,
 		NoLoadBalance:      flags&2 != 0,
-		CheckpointInterval: []int{1, 3, 1 << 10, 1}[flags>>2&3],
+		CheckpointInterval: []int{1, 3, 1 << 10, 0}[flags>>2&3], // 0: M = windows, one-shot
 		WindowBits:         3 + flags>>4&7,
 		Workers:            2,
 	}
@@ -281,7 +340,7 @@ func bucketCase(raw []byte) (*curve.Group, []curve.Affine, []ff.Element, Config)
 func checkBucketCase(t testing.TB, raw []byte) {
 	t.Helper()
 	g, points, scalars, cfg := bucketCase(raw)
-	table, err := Preprocess(g, points, cfg)
+	table, err := newTable(context.Background(), g, points, cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +348,7 @@ func checkBucketCase(t testing.TB, raw []byte) {
 }
 
 // TestBucketKernelDegenerate runs the degenerate menu deterministically:
-// each input below under M ∈ {1, 3, nw} × signed/unsigned × both schedules,
+// each input below under M ∈ {1, 3, nw, one-shot} × signed/unsigned × both schedules,
 // on G1 and G2 of both pairing curves and MNT4753-sim G1.
 func TestBucketKernelDegenerate(t *testing.T) {
 	type pt struct{ kind, base int } // kind: 0 base, 2 repeat previous, 3 negate previous, 4 infinity
@@ -312,7 +371,7 @@ func TestBucketKernelDegenerate(t *testing.T) {
 			if gi == 4 && len(in.pts) > 4 {
 				continue // MNT4753-sim at small n only
 			}
-			for flags := 0; flags < 12; flags++ {
+			for flags := 0; flags < 16; flags++ {
 				// Hand-build the bytes bucketCase decodes: group, flags, n,
 				// then (point, scalar) byte pairs; k = 5 (6 on MNT4753-sim).
 				raw := []byte{byte(gi), byte(flags | 2<<4), byte(len(in.pts) - 1)}

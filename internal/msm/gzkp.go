@@ -54,11 +54,22 @@ func Preprocess(g *curve.Group, points []curve.Affine, cfg Config) (*Table, erro
 	return PreprocessCtx(context.Background(), g, points, cfg)
 }
 
-// PreprocessCtx builds the weighted-point table for a point vector.
+// PreprocessCtx builds the weighted-point table for a point vector that the
+// caller keeps: a zero cfg.CheckpointInterval takes the smallest M whose
+// table fits cfg.MemoryBudget.
 func PreprocessCtx(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Config) (*Table, error) {
 	sp, ctx := telemetry.StartSpan(ctx, "msm preprocess")
 	sp.SetInt("n", int64(len(points)))
 	defer sp.End()
+	return newTable(ctx, g, points, cfg, true)
+}
+
+// newTable lays out a table over points. kept says whether the table
+// outlives one MSM call: only then is a zero cfg.CheckpointInterval derived
+// from the budget. A one-shot table takes M = windows, a single checkpoint
+// that is the input itself, so nothing is doubled or converted. An explicit
+// CheckpointInterval is honoured either way.
+func newTable(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Config, kept bool) (*Table, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, fmt.Errorf("msm: empty point vector")
@@ -84,15 +95,15 @@ func PreprocessCtx(ctx context.Context, g *curve.Group, points []curve.Affine, c
 	if err := guardIndexWidth(n, nw); err != nil {
 		return nil, err
 	}
-	budget := cfg.MemoryBudget
-	if budget <= 0 {
-		budget = 1 << 30
-	}
 	m := cfg.CheckpointInterval
-	if m <= 0 {
+	if m <= 0 && kept {
+		budget := cfg.MemoryBudget
+		if budget <= 0 {
+			budget = 1 << 30
+		}
 		m = AutoCheckpoint(g.K.Words(), n, k, l, budget)
 	}
-	if m > nw {
+	if m <= 0 || m > nw {
 		m = nw
 	}
 	checkpoints := (nw + m - 1) / m
@@ -136,8 +147,9 @@ func (t *Table) Compute(scalars []ff.Element, cfg Config) (curve.Affine, Stats, 
 // ComputeCtx runs the GZKP MSM for one scalar vector against the table:
 // bucket-info construction (counting sort of all (window, point) pairs by
 // digit), cross-window point merging with load-grouped scheduling, and the
-// parallel-prefix bucket reduction. No window-reduction step remains. ctx
-// is checked at bucket-group boundaries.
+// parallel-prefix bucket reduction of each remainder class, combined by one
+// Horner chain. At M = 1 no window-reduction step remains. ctx is checked
+// at bucket-group boundaries.
 //
 // cfg.SignedBuckets picks the digit recoding, nothing else: unsigned digits
 // (the paper's Algorithm 1 setting) fill buckets j ∈ [1, 2^k); signed digits
@@ -166,8 +178,9 @@ func (p *bucketPlan) segment(j, r int) []int32 {
 	return p.pindex[p.offsets[s]:p.offsets[s+1]]
 }
 
-// bucketKernel sets buckets[j] = B_j (j ≥ 1), returning its add and doubling counts.
-type bucketKernel func(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) (adds, doubles int64, err error)
+// bucketKernel sets buckets[j·M+r] = S_{j,r}, the sum of segment (j, r)'s
+// entries, for every bucket j ≥ 1 and class r.
+type bucketKernel func(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) error
 
 // computeWith is ComputeCtx around a given bucket kernel — the seam where
 // the tests' mixed-add oracle (buckets_test.go) runs on the same plan.
@@ -250,20 +263,19 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	}
 	plan := &bucketPlan{n: n, m: m, pindex: pindex, offsets: offsets, loads: loads, order: order}
 
-	// --- Cross-window point merging into buckets whose limbs share one slab.
+	// --- Cross-window point merging into one (bucket, class) slab.
 	w := g.K.Words()
-	limbs := make([]uint64, 3*w*(numBuckets+1))
-	buckets := make([]curve.Jacobian, numBuckets+1)
-	for j := range buckets {
-		b := limbs[3*w*j : 3*w*(j+1)]
-		buckets[j] = curve.Jacobian{X: b[:w:w], Y: b[w : 2*w : 2*w], Z: b[2*w:]} // Z = 0: O
+	limbs := make([]uint64, 3*w*segs)
+	buckets := make([]curve.Jacobian, segs)
+	for s := range buckets {
+		b := limbs[3*w*s : 3*w*(s+1)]
+		buckets[s] = curve.Jacobian{X: b[:w:w], Y: b[w : 2*w : 2*w], Z: b[2*w:]} // Z = 0: O
 	}
-	adds, doubles, err := kernel(ctx, t, plan, buckets, cfg)
-	if err != nil {
+	if err := kernel(ctx, t, plan, buckets, cfg); err != nil {
 		return curve.Affine{}, Stats{}, err
 	}
 
-	// --- Parallel-prefix bucket reduction: Σ j·B_j over j ∈ [1, numBuckets].
+	// --- Parallel-prefix bucket reduction per class, then one Horner chain.
 	result, err := t.reduceBuckets(ctx, buckets, cfg)
 	if err != nil {
 		return curve.Affine{}, Stats{}, err
@@ -284,7 +296,8 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	st := Stats{
 		WindowBits: t.k, Windows: t.windows, Checkpoint: m,
 		Buckets: numBuckets, Signed: signed,
-		PointAdds: adds, Doubles: doubles,
+		// One add per entry; k doublings per step of the final chain.
+		PointAdds: nonzeros, Doubles: int64((m - 1) * t.k),
 		TableBytes:  t.bytes + int64(len(pindex))*4,
 		BucketLoads: loads, LoadSpread: spread,
 		ZeroDigits: zeros, NonzeroDigit: nonzeros,
@@ -298,47 +311,41 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	return result, st, nil
 }
 
-// reduceBuckets computes Σ_{j=1}^{B-1} j·B_j with chunked suffix sums:
-// chunk [a,b) contributes Σ (j-a+1)·B_j + (a-1)·Σ B_j, each chunk built
-// with the running-sum trick and combined with one small scalar multiple —
-// the parallel-prefix formulation of §4.1's final step.
+// reduceBuckets computes Σ_r 2^(r·k)·W_r with W_r = Σ_{j=1}^{B} j·S_{j,r}.
+// Each class is cut into chunks, and chunk [a,b) contributes
+// Σ (j-a+1)·S_j + (a-1)·Σ S_j, built with the running-sum trick and one
+// small scalar multiple — the parallel-prefix formulation of §4.1's final
+// step, run over (class, chunk) items. One Horner chain over the classes
+// then costs (M-1)·k doublings per MSM.
 func (t *Table) reduceBuckets(ctx context.Context, buckets []curve.Jacobian, cfg Config) (curve.Affine, error) {
-	g := t.g
-	numBuckets := len(buckets) - 1 // index 0 unused
+	g, m := t.g, t.m
+	numBuckets := len(buckets)/m - 1 // bucket 0 unused
 	workers := cfg.workers()
-	chunks := workers * 4
-	if chunks > numBuckets {
-		chunks = numBuckets
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
+	chunks := min(max((workers*4+m-1)/m, 1), numBuckets) // per class
 	size := (numBuckets + chunks - 1) / chunks
-	partial := make([]curve.Jacobian, chunks)
-	err := par.ItemsErr(ctx, chunks, workers, g.NewOps,
-		func(ops *curve.Ops, c int) error {
+	partial := make([]curve.Jacobian, m*chunks)
+	err := par.ItemsErr(ctx, len(partial), workers, g.NewOps,
+		func(ops *curve.Ops, item int) error {
+			r, c := item/chunks, item%chunks
 			a := 1 + c*size
-			b := a + size
-			if b > numBuckets+1 {
-				b = numBuckets + 1
-			}
+			b := min(a+size, numBuckets+1)
 			if a >= b {
-				ops.SetInfinity(&partial[c])
+				ops.SetInfinity(&partial[item])
 				return nil
 			}
 			var running, local curve.Jacobian
 			ops.SetInfinity(&running)
 			ops.SetInfinity(&local)
 			for j := b - 1; j >= a; j-- {
-				ops.AddAssign(&running, &buckets[j])
+				ops.AddAssign(&running, &buckets[j*m+r])
 				ops.AddAssign(&local, &running)
 			}
-			// local = Σ (j-a+1)·B_j; add (a-1)·running.
+			// local = Σ (j-a+1)·S_j; add (a-1)·running.
 			if a > 1 {
 				scaled := ops.ScalarMul(ops.ToAffine(&running), big.NewInt(int64(a-1)))
 				ops.AddAssign(&local, scaled)
 			}
-			partial[c] = local
+			partial[item] = local
 			return nil
 		})
 	if err != nil {
@@ -347,8 +354,15 @@ func (t *Table) reduceBuckets(ctx context.Context, buckets []curve.Jacobian, cfg
 	ops := g.NewOps()
 	var total curve.Jacobian
 	ops.SetInfinity(&total)
-	for i := range partial {
-		ops.AddAssign(&total, &partial[i])
+	for r := m - 1; r >= 0; r-- {
+		if r < m-1 {
+			for d := 0; d < t.k; d++ {
+				ops.DoubleAssign(&total)
+			}
+		}
+		for c := 0; c < chunks; c++ {
+			ops.AddAssign(&total, &partial[r*chunks+c])
+		}
 	}
 	return ops.ToAffine(&total), nil
 }

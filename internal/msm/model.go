@@ -326,8 +326,9 @@ func ModelMSM(dev *gpusim.Device, v ModelVariantMSM, stats DigitStats, coordWord
 		tableB := int64(checkpoints) * n * pointB
 		pidxB := stats.NonzeroDigits * 4
 		adds := stats.NonzeroDigits
-		// Checkpoint fix-up via the per-bucket Horner chain: (M-1)·k
-		// doublings plus M-1 adds per bucket, independent of N.
+		// Checkpoint fix-up via the paper's per-bucket Horner chain: (M-1)·k
+		// doublings plus M-1 adds per bucket, independent of N. (The CPU
+		// kernel runs one chain per MSM instead; the model prices the paper's.)
 		fixDoubles := numBuckets * int64((m-1)*k)
 		adds += numBuckets * int64(m-1)
 		useFP := v != ModelGZKPNoLB

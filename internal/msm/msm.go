@@ -19,7 +19,9 @@
 //
 // GZKP's bucket kernel (buckets.go) adds affine points: each task reduces
 // a group of buckets as one tree, every round sharing one inversion, so a
-// bucket entry costs ≈ 5M + 1S instead of a mixed add's 7M + 4S.
+// bucket entry costs ≈ 5M + 1S instead of a mixed add's 7M + 4S. Only a
+// kept table (Preprocess) is worth building; a GZKP MSM without one runs
+// the kernel on the input points as the single checkpoint, M = windows.
 //
 // All strategies are generic over the curve group (G1 and G2).
 package msm
@@ -81,10 +83,13 @@ type Config struct {
 	// WindowBits is the Pippenger window size k; 0 selects the
 	// profiling-based default for the strategy and scale (§4.1).
 	WindowBits int
-	// CheckpointInterval is Algorithm 1's M (GZKP preprocessing density);
-	// 0 derives it from MemoryBudget.
+	// CheckpointInterval is Algorithm 1's M (GZKP preprocessing density).
+	// 0 derives it from MemoryBudget for a table Preprocess builds to be
+	// kept, and means M = windows — no table built, the input points as the
+	// only checkpoint — for an MSM that has none.
 	CheckpointInterval int
-	// MemoryBudget caps the preprocessed-table size in bytes (0 = 1 GiB).
+	// MemoryBudget caps a kept preprocessed table's size in bytes
+	// (0 = 1 GiB) when CheckpointInterval is 0.
 	MemoryBudget int64
 	// SubMSMSize is the horizontal chunk for PippengerWindows/Straus
 	// (0 = auto).
@@ -219,7 +224,7 @@ func ComputeCtx(ctx context.Context, g *curve.Group, points []curve.Affine, scal
 		}
 		return res, st, err
 	case GZKP:
-		table, err := PreprocessCtx(ctx, g, points, cfg)
+		table, err := newTable(ctx, g, points, cfg, false)
 		if err != nil {
 			return curve.Affine{}, Stats{}, err
 		}

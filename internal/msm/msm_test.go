@@ -93,7 +93,9 @@ func TestWindowAndCheckpointVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range []int{1, 3, 8, 13} {
-		for _, m := range []int{1, 2, 5, 100} {
+		// m = 0 (no table kept) runs at M = windows; an explicit m is
+		// honoured up to the window count.
+		for _, m := range []int{0, 1, 2, 5, 100} {
 			got, st, err := Compute(g, points, scalars, Config{
 				Strategy: GZKP, WindowBits: k, CheckpointInterval: m,
 			})
@@ -105,6 +107,13 @@ func TestWindowAndCheckpointVariants(t *testing.T) {
 			}
 			if st.WindowBits != k {
 				t.Fatalf("stats window %d != %d", st.WindowBits, k)
+			}
+			wantM := min(m, st.Windows)
+			if m == 0 {
+				wantM = st.Windows
+			}
+			if st.Checkpoint != wantM {
+				t.Fatalf("k=%d m=%d: ran at M=%d, want %d", k, m, st.Checkpoint, wantM)
 			}
 		}
 	}

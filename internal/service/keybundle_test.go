@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"math/big"
+	"net/http"
+	"runtime"
 	"testing"
 
 	"gzkp/internal/curve"
@@ -105,5 +107,48 @@ func TestKeyBundleFixedBaseRoundTrip(t *testing.T) {
 	defer rej.Close()
 	if _, err := rej.RegisterImported(bad); err == nil {
 		t.Fatal("corrupted fixed-base tables accepted")
+	}
+}
+
+// TestImportRejectsShortKeysBeforeAllocating: a key whose length prefix
+// promises more points than its bytes can hold is refused before the
+// decoder allocates for the count. A 9-byte proving key claiming 2^20 A
+// points gets a 400 from POST /v1/circuits/import, and neither it nor a
+// verifying key claiming 2^20 IC points after valid α, β, γ, δ costs the
+// decoders 1 MB.
+func TestImportRejectsShortKeysBeforeAllocating(t *testing.T) {
+	svc, srv := newTestServer(t, fastConfig())
+	spec := CircuitSpec{Curve: "bn254", Source: cubicSrc}
+	pk := []byte{byte(curve.BN254), 0, 0, 0, 4, 0, 0x10, 0, 0} // domain 4, |A| = 2^20, no points
+	resp, body := postJSON(t, srv.URL+"/v1/circuits/import", KeyBundle{Spec: spec, ProvingKey: pk})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("import of a 9-byte proving key: %d %s, want 400", resp.StatusCode, body)
+	}
+
+	info, err := svc.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := curve.Get(curve.BN254)
+	vk := append([]byte(nil), info.VerifyingKey[:5+c.G1.CompressedLen()+3*c.G2.CompressedLen()]...)
+	copy(vk[1:5], []byte{0, 0x10, 0, 0}) // |IC| = 2^20, no IC points
+	for _, dec := range []struct {
+		what   string
+		key    []byte
+		decode func([]byte) error
+	}{
+		{"proving key", pk, new(groth16.ProvingKey).UnmarshalBinary},
+		{"verifying key", vk, func(b []byte) error { _, err := groth16.UnmarshalVerifyingKeyAuto(b); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := dec.decode(dec.key)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: truncated key accepted", dec.what)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Fatalf("%s: decoder allocated %d B for a key of %d B", dec.what, got, len(dec.key))
+		}
 	}
 }

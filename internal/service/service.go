@@ -64,8 +64,10 @@ type Config struct {
 	// MaxCircuits bounds the registered-circuit cache — each registration
 	// runs a trusted setup and pins a proving key in memory (default 16).
 	MaxCircuits int
-	// Preprocess builds the GZKP MSM tables at registration (deployment
-	// mode: tables are per-key, built once, off the proving path).
+	// Preprocess builds the GZKP MSM tables at registration and import
+	// (per key, built once, off the proving path): table memory for MSMs
+	// about 1.5× faster. Off, each MSM runs on the key's points directly
+	// and builds no table.
 	Preprocess bool
 	// NTT/MSM select the prover strategies (default: the paper's GZKP
 	// configuration).
