@@ -1,11 +1,11 @@
 // Command gzkp-serve runs the proving service: an HTTP front end over the
-// bounded job queue, multi-device scheduler and fault-tolerant prover of
+// bounded job queue, its two dispatchers and the fault-tolerant prover of
 // internal/service. On SIGINT/SIGTERM it drains gracefully — stops
 // accepting, finishes in-flight jobs, and checkpoints anything still
 // queued to -checkpoint so a successor process (started with the same
 // flag) resumes the work.
 //
-//	gzkp-serve -addr :8090 -devices 4 -queue 64 -prover gzkp
+//	gzkp-serve -addr :8090 -queue 64 -prover gzkp
 package main
 
 import (
@@ -30,12 +30,11 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", "localhost:8090", "listen address")
-		devices    = flag.Int("devices", 2, "simulated proving devices")
 		queueCap   = flag.Int("queue", 64, "admission-control bound on queued+running jobs")
-		maxBatch   = flag.Int("max-batch", 4, "max same-circuit jobs per device dispatch")
+		maxBatch   = flag.Int("max-batch", 4, "max same-circuit jobs per dispatch")
 		prover     = flag.String("prover", "gzkp", "gzkp | baseline | cpu")
 		preprocess = flag.Bool("preprocess", false, "build GZKP MSM tables at circuit registration: table memory for ~1.5x faster MSMs (off: MSMs build no table)")
-		faultSpec  = flag.String("inject-faults", "", `deterministic fault plan keyed by service device, e.g. "kill:0@30" (see gzkp-prove)`)
+		faultSpec  = flag.String("inject-faults", "", `deterministic fault plan, device 0 is this node's prover, e.g. "kill:0@30" (see gzkp-prove)`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed resolving @? fault steps")
 		checkpoint = flag.String("checkpoint", "", "drain checkpoint path: written on shutdown deadline, restored at startup if present")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight jobs on shutdown")
@@ -47,7 +46,6 @@ func main() {
 	flag.Parse()
 
 	cfg := service.Config{
-		Devices:       *devices,
 		QueueCapacity: *queueCap,
 		MaxBatch:      *maxBatch,
 		FusedBatch:    true,
@@ -110,8 +108,8 @@ func main() {
 	srv := &http.Server{Addr: *addr, Handler: service.NewHandler(svc)}
 	errCh := make(chan error, 1)
 	go func() {
-		fmt.Printf("gzkp-serve: listening on http://%s (devices=%d queue=%d prover=%s)\n",
-			*addr, *devices, *queueCap, *prover)
+		fmt.Printf("gzkp-serve: listening on http://%s (queue=%d prover=%s)\n",
+			*addr, *queueCap, *prover)
 		errCh <- srv.ListenAndServe()
 	}()
 

@@ -5,11 +5,12 @@
 // the dead, migrates in-flight and queued jobs off lost nodes, and
 // drains the whole cluster into one merged, restorable checkpoint.
 //
-// The design rhymes deliberately with internal/service one level down:
-// what the service does with simulated devices (per-device queues,
-// failover on DeviceLost, drain/checkpoint), the coordinator does with
-// whole nodes, reusing the same resilience classes and checkpoint format
-// so every layer of the system speaks one recovery vocabulary.
+// A node is the unit of failure: a node whose prover is lost fails its
+// stranded jobs and refuses new ones as prover-lost, and fails out of
+// readiness. The coordinator reads those answers as DeviceLost, and its
+// DeviceLost migration is the only path that survives the loss. The
+// coordinator reuses the service's resilience classes and checkpoint
+// format, so every layer of the system speaks one recovery vocabulary.
 package cluster
 
 import (
@@ -125,13 +126,12 @@ type node struct {
 	// strikes counts consecutive failures (probe or mid-request); reset on
 	// any success, eviction at the threshold.
 	strikes int
-	// queueDepth/devicesAlive mirror the node's own gauges, refreshed by
-	// the prober's /metrics scrape; placement prefers shallow queues.
-	queueDepth   float64
-	devicesAlive float64
-	probed       bool // at least one successful metrics scrape
-	inflight     int  // coordinator-side forwards outstanding
-	circuits     map[string]bool
+	// queueDepth mirrors the node's own gauge, refreshed by the prober's
+	// /metrics scrape; placement prefers shallow queues.
+	queueDepth float64
+	probed     bool // at least one successful metrics scrape
+	inflight   int  // coordinator-side forwards outstanding
+	circuits   map[string]bool
 	// lastProbeOK is when the last successful probe round-trip finished;
 	// the prober publishes its age as cluster.node.<name>.last_probe_age_ms
 	// so dashboards spot a node going quiet before eviction fires.
@@ -936,6 +936,8 @@ func (c *Coordinator) runJob(j *Job, preferred string) {
 		},
 		settle: func(st *service.JobStatus) error {
 			switch {
+			case st.State == "failed" && service.ProverLost(st.Error):
+				return errProverLost("node "+j.nodeName(), st.Error)
 			case st.State == "done", st.State == "failed":
 				return nil
 			case st.State == "checkpointed" && c.isDraining():
@@ -960,9 +962,9 @@ func (c *Coordinator) runJob(j *Job, preferred string) {
 		c.cDone.Add(1)
 		j.finish(service.JobDone, st, nil, http.StatusOK)
 	case st.State == "failed":
-		// A node-side terminal failure (bad witness, recovery exhausted) is
-		// deterministic for this request: migrating would re-run the same
-		// doomed work.
+		// Any other node-side terminal failure (bad witness, recovery
+		// exhausted) is deterministic for this request: migrating would
+		// re-run the same doomed work.
 		c.cFailed.Add(1)
 		j.finish(service.JobFailed, st, fmt.Errorf("cluster: node %s: %s", j.nodeName(), st.Error), http.StatusOK)
 	default:
@@ -1104,14 +1106,13 @@ func (c *Coordinator) AdoptCircuits() int {
 
 // NodeStatus is the JSON view of one node for GET /v1/nodes.
 type NodeStatus struct {
-	Name         string  `json:"name"`
-	URL          string  `json:"url"`
-	Alive        bool    `json:"alive"`
-	Strikes      int     `json:"strikes,omitempty"`
-	QueueDepth   float64 `json:"queue_depth"`
-	DevicesAlive float64 `json:"devices_alive"`
-	Inflight     int     `json:"inflight"`
-	Circuits     int     `json:"circuits"`
+	Name       string  `json:"name"`
+	URL        string  `json:"url"`
+	Alive      bool    `json:"alive"`
+	Strikes    int     `json:"strikes,omitempty"`
+	QueueDepth float64 `json:"queue_depth"`
+	Inflight   int     `json:"inflight"`
+	Circuits   int     `json:"circuits"`
 }
 
 // Nodes reports the cluster topology in construction order.
@@ -1123,8 +1124,7 @@ func (c *Coordinator) Nodes() []NodeStatus {
 		nd := c.nodes[name]
 		out = append(out, NodeStatus{
 			Name: nd.name, URL: nd.base, Alive: nd.alive, Strikes: nd.strikes,
-			QueueDepth: nd.queueDepth, DevicesAlive: nd.devicesAlive,
-			Inflight: nd.inflight, Circuits: len(nd.circuits),
+			QueueDepth: nd.queueDepth, Inflight: nd.inflight, Circuits: len(nd.circuits),
 		})
 	}
 	return out

@@ -121,8 +121,8 @@ func sortedNodeNames(m map[string]telemetry.Snapshot) []string {
 // WritePrometheus renders the federation as Prometheus text exposition:
 // merged counters and histograms unlabeled (they are cluster-wide sums),
 // and each gauge family as the cluster-wide sum followed by one
-// {node="..."} sample per reporting node — per-node queue depth and device
-// liveness stay one scrape away without a second endpoint.
+// {node="..."} sample per reporting node — per-node queue depth and
+// inflight count stay one scrape away without a second endpoint.
 func (f Federation) WritePrometheus(w io.Writer) error {
 	pw := telemetry.NewPromWriter(w)
 	for _, name := range sortedKeys(f.Cluster.Counters) {

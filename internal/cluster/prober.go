@@ -10,9 +10,8 @@ import (
 
 // probeLoop is the coordinator's failure detector: every ProbeInterval it
 // hits each node's /healthz and /readyz and scrapes /metrics. A failed
-// probe — a dead HTTP stack, a node that answers but is not accepting
-// work (drained, or all devices lost), or zero live devices in the
-// scrape — is a strike; strikes accumulate with mid-request transport
+// probe — a dead HTTP stack, or a node that answers but is not ready
+// (drained, or its prover lost) — is a strike; strikes accumulate with mid-request transport
 // failures toward eviction. Probing readiness, not just liveness,
 // matters: a node that drained independently keeps serving /healthz 200
 // while rejecting every prove with 503, and placement must stop
@@ -82,8 +81,9 @@ func (c *Coordinator) probeOne(name string) {
 		c.probeFailed(name)
 		return
 	}
-	// Alive is not enough: a draining node answers /healthz but sheds
-	// every job. fwd.do surfaces the 503 as an error.
+	// Alive is not enough: a draining node, or one whose prover is lost,
+	// answers /healthz but sheds every job. fwd.do surfaces the 503 as an
+	// error.
 	if _, err := c.fwd.do(ctx, http.MethodGet, base+"/readyz", nil, nil); err != nil {
 		c.probeFailed(name)
 		return
@@ -93,14 +93,7 @@ func (c *Coordinator) probeOne(name string) {
 		c.probeFailed(name)
 		return
 	}
-	devices := snap.Gauges["service.devices_alive"]
 	depth := snap.Gauges["service.queue_depth"]
-	if devices <= 0 {
-		// The HTTP stack answers but every simulated device is lost: the
-		// node cannot prove anything, which is the failure that matters.
-		c.probeFailed(name)
-		return
-	}
 	c.hProbe.Record(time.Since(t0).Nanoseconds())
 
 	c.mu.Lock()
@@ -110,7 +103,6 @@ func (c *Coordinator) probeOne(name string) {
 		nd.strikes = 0
 		nd.probed = true
 		nd.queueDepth = depth
-		nd.devicesAlive = devices
 		nd.lastProbeOK = time.Now()
 		if !nd.alive {
 			nd.alive = true

@@ -526,14 +526,31 @@ func (r *Replica) elect() {
 	maxEpoch := r.epoch
 	r.mu.Unlock()
 
-	defer2 := false
-	reachable := 0
+	// Query every peer at once under one LeaseTTL deadline: a live leader
+	// on a saturated host may answer late, but it is not taken for dead
+	// sooner than the lease itself allows, and hung peers delay an election
+	// by one LeaseTTL however many there are.
+	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.LeaseTTL)
+	defer cancel()
+	infos := make([]*roleInfo, len(r.cfg.Peers))
+	var wg sync.WaitGroup
 	for idx, p := range r.cfg.Peers {
 		if p.Name == r.cfg.Self {
 			continue
 		}
-		info, err := r.queryRole(p)
-		if err != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			infos[idx], _ = r.queryRole(ctx, p)
+		}()
+	}
+	wg.Wait()
+
+	defer2 := false
+	reachable := 0
+	for idx, p := range r.cfg.Peers {
+		info := infos[idx]
+		if info == nil {
 			continue
 		}
 		reachable++
@@ -566,12 +583,19 @@ func (r *Replica) elect() {
 			r.cfg.Self, reachable, k-1)
 		return
 	}
+	// A beat that landed while the peers were queried renews the lease:
+	// the leader is alive, only slow to answer.
+	r.mu.Lock()
+	renewed := time.Since(r.lastBeat) <= r.cfg.LeaseTTL
+	r.mu.Unlock()
+	if renewed {
+		return
+	}
 	r.promote(maxEpoch + 1)
 }
 
-func (r *Replica) queryRole(p PeerSpec) (*roleInfo, error) {
-	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.LeaseInterval)
-	defer cancel()
+// queryRole asks a peer for its role, within ctx's deadline.
+func (r *Replica) queryRole(ctx context.Context, p PeerSpec) (*roleInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.URL+"/v1/cluster/role", nil)
 	if err != nil {
 		return nil, err

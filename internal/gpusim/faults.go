@@ -57,36 +57,10 @@ type Fault struct {
 	Times int
 }
 
-// LaunchGate is the hook consumers consult before every modeled kernel
-// launch. *FaultPlan implements it directly; DeviceFaults adapts a plan to
-// a caller whose local device numbering differs from the plan's (the
-// proving service runs the single-device groth16 prover — which launches
-// everything as its device 0 — on behalf of service-level device d).
-type LaunchGate interface {
-	BeforeLaunch(dev int) error
-}
-
-// DeviceFaults pins a FaultPlan to one logical device: every launch is
-// accounted against Device regardless of the device index the caller
-// passes. It is how per-job provers share one service-wide fault plan.
-type DeviceFaults struct {
-	Plan   *FaultPlan
-	Device int
-}
-
-// BeforeLaunch accounts the launch on the pinned device.
-func (d *DeviceFaults) BeforeLaunch(int) error {
-	if d == nil || d.Plan == nil {
-		return nil
-	}
-	return d.Plan.BeforeLaunch(d.Device)
-}
-
 // FaultPlan deterministically injects device faults into pipeline
-// launches. Consumers (groth16's prover, directly or through the service's
-// DeviceFaults, and Device.Run) call BeforeLaunch once per kernel launch /
-// shard compute; the plan keeps a per-device launch counter and fires the
-// scheduled faults at their steps. The same seed and schedule always
+// launches. Consumers (groth16's prover and Device.Run) call BeforeLaunch
+// once per kernel launch / shard compute; the plan keeps a per-device
+// launch counter and fires the scheduled faults at their steps. The same seed and schedule always
 // produce the same fault sequence, which is what makes fault-recovery tests
 // reproducible.
 type FaultPlan struct {

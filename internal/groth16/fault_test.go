@@ -236,13 +236,12 @@ func TestProveFaultEventsRecorded(t *testing.T) {
 	}
 }
 
-// A prove under a span on device 1's track — a service dispatch on device 1
-// — puts its stage spans and launch-recovery events on that track, not on
-// device 0's.
+// A prove under a span on device 1's track — a service dispatch on
+// dispatcher 1 — puts its stage spans and launch-recovery events on that
+// track, not on device 0's.
 func TestProveSpansFollowDeviceTrack(t *testing.T) {
 	pk, _, sys, w, _, cfg := faultFixture(t, 1<<20)
-	plan := gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultTransient, Device: 1, Step: 8})
-	cfg.Faults = &gpusim.DeviceFaults{Plan: plan, Device: 1}
+	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 8})
 	cfg.Retry.Sleep = func(context.Context, time.Duration) error { return nil }
 	tr := telemetry.New()
 	want := telemetry.DeviceTrack(1)

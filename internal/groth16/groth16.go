@@ -111,20 +111,18 @@ type ProveConfig struct {
 	CheckSatisfied bool
 	// Faults, when non-nil, is consulted before every modeled kernel launch
 	// (the 7 NTTs, then the 5 MSMs — 12 launches per ProveBatch whatever k
-	// is — all as logical device 0; remap with gpusim.DeviceFaults when
-	// this prover runs on behalf of another device). Transient faults retry
-	// per Retry; an OOM on an MSM launch degrades that run's copy of the
-	// GZKP table to a thriftier checkpoint interval; a device loss is fatal
-	// for the single-device prover (callers with survivors requeue the
-	// whole dispatch).
-	Faults gpusim.LaunchGate
+	// is — all as logical device 0). Transient faults retry per Retry; an
+	// OOM on an MSM launch degrades that run's copy of the GZKP table to a
+	// thriftier checkpoint interval; a device loss is fatal, and sticky in
+	// the plan, so the caller's prover is gone.
+	Faults *gpusim.FaultPlan
 	// Retry bounds transient-fault retries (zero value = defaults).
 	Retry resilience.Policy
 }
 
 // stageTrack is the trace track the prover's stage spans and launch-recovery
 // events go on: the enclosing span's when that is a device track (a service
-// dispatch on device d), device 0's for a standalone prove.
+// dispatch on dispatcher d's track), device 0's for a standalone prove.
 func stageTrack(ctx context.Context) int {
 	if tr := telemetry.SpanFromContext(ctx).Track(); tr != telemetry.TrackHost {
 		return tr

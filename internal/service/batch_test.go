@@ -36,7 +36,6 @@ func cubicBatchInputs(xs ...int64) ([]ProofInput, [][]string) {
 // (and reject a tampered set).
 func TestProveBatchHTTP(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	cfg.MaxBatch = 8
 	cfg.FusedBatch = true
 	svc, srv := newTestServer(t, cfg)
@@ -125,7 +124,6 @@ func parseOne(f *ff.Field, v string) (ff.Element, error) {
 // validation failures before any slot is consumed.
 func TestSubmitBatchAdmission(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	cfg.QueueCapacity = 3
 	cfg.FusedBatch = true
 	svc := New(cfg)
@@ -191,7 +189,6 @@ func TestSubmitBatchAdmission(t *testing.T) {
 // still prove.
 func TestRunBatchFallback(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	cfg.MaxBatch = 4
 	cfg.FusedBatch = true
 	svc := New(cfg)
@@ -236,7 +233,6 @@ func TestRunBatchFallback(t *testing.T) {
 // attributes the failure: three done, one failed, nothing re-proved.
 func TestRunBatchBadWitnessIsolation(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	cfg.MaxBatch = 4
 	cfg.FusedBatch = true
 	svc := New(cfg)
@@ -287,7 +283,7 @@ func TestRunBatchBadWitnessIsolation(t *testing.T) {
 // fused, and nothing falls back to singletons.
 func TestFusedBatchRecoversInPlace(t *testing.T) {
 	cfg := Config{
-		Devices: 1, MaxBatch: 4, FusedBatch: true, Preprocess: true,
+		MaxBatch: 4, FusedBatch: true, Preprocess: true,
 		NTT: ntt.Config{Strategy: ntt.GZKP},
 		MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true, MemoryBudget: 1 << 17},
 		// Launches 0-6 are the NTTs; A is 7 (OOM, retried as 8), B2 is 9.

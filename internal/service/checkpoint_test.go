@@ -12,7 +12,6 @@ import (
 // checkpoint's job count, never double.
 func TestRestoreIdempotent(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	cfg.QueueCapacity = 32
 	svc := New(cfg)
 	defer svc.Close()
@@ -97,7 +96,6 @@ func TestMergeCheckpoints(t *testing.T) {
 
 	// Restoring the merged checkpoint runs each unique job once.
 	cfg := fastConfig()
-	cfg.Devices = 1
 	svc := New(cfg)
 	defer svc.Close()
 	n, err := svc.Restore(merged)
@@ -176,7 +174,6 @@ func TestMergeCheckpointsEdgeCases(t *testing.T) {
 
 	t.Run("restore rejects wrong version", func(t *testing.T) {
 		cfg := fastConfig()
-		cfg.Devices = 1
 		svc := New(cfg)
 		defer svc.Close()
 		bad := &Checkpoint{Version: 99, Circuits: []CircuitSpec{spec}, Jobs: []CheckpointEntry{entry("job-1")}}

@@ -12,14 +12,14 @@ import (
 type JobState int
 
 const (
-	// JobQueued: admitted, waiting for a device.
+	// JobQueued: admitted, waiting for a dispatcher.
 	JobQueued JobState = iota
-	// JobRunning: a device worker is proving it.
+	// JobRunning: a dispatcher is proving it.
 	JobRunning
 	// JobDone: proved and verified; the compressed proof is available.
 	JobDone
 	// JobFailed: proving failed terminally (bad witness, retries exhausted,
-	// no surviving devices). Admission was still honored — a failed job is
+	// prover lost). Admission was still honored — a failed job is
 	// reported, never silently dropped.
 	JobFailed
 	// JobCheckpointed: drain ran out of time before the job was scheduled;
@@ -51,24 +51,21 @@ type Job struct {
 	ID        string
 	CircuitID string
 	// Public and Secret are the decimal input assignments, in the circuit's
-	// declaration order (witness solving happens on the proving device).
+	// declaration order (witness solving happens at dispatch).
 	Public, Secret []string
 	// trace is the propagated distributed-trace context (zero when the
 	// request arrived untraced). Immutable after admission.
 	trace telemetry.SpanContext
 
-	mu       sync.Mutex
-	state    JobState
-	err      error
-	proof    []byte // compressed wire encoding (groth16.MarshalCompressed)
-	attempts int    // device assignments consumed (failovers re-use the job)
-	device   int    // last device that ran it
+	mu    sync.Mutex
+	state JobState
+	err   error
+	proof []byte // compressed wire encoding (groth16.MarshalCompressed)
 
 	enqueued   time.Time
-	started    time.Time
 	finished   time.Time
-	queueNS    int64 // enqueue → first dispatch
-	proveNS    int64 // witness solve + prove on the final device
+	queueNS    int64 // enqueue → dispatch
+	proveNS    int64 // witness solve + prove
 	verifyNS   int64 // server-side verification of the produced proof
 	doneOnce   sync.Once
 	doneCh     chan struct{}
@@ -104,8 +101,6 @@ func (j *Job) Snapshot() JobStatus {
 		CircuitID: j.CircuitID,
 		State:     j.state.String(),
 		TraceID:   j.trace.TraceID,
-		Attempts:  j.attempts,
-		Device:    j.device,
 		QueueNS:   j.queueNS,
 		ProveNS:   j.proveNS,
 		VerifyNS:  j.verifyNS,
@@ -128,8 +123,6 @@ type JobStatus struct {
 	CircuitID string `json:"circuit_id"`
 	State     string `json:"state"`
 	TraceID   string `json:"trace_id,omitempty"`
-	Attempts  int    `json:"attempts,omitempty"`
-	Device    int    `json:"device,omitempty"`
 	Proof     []byte `json:"proof,omitempty"` // compressed, base64 via encoding/json
 	Error     string `json:"error,omitempty"`
 	QueueNS   int64  `json:"queue_ns,omitempty"`
@@ -138,31 +131,11 @@ type JobStatus struct {
 	TotalNS   int64  `json:"total_ns,omitempty"`
 }
 
-// markRunning stamps the first dispatch; requeued jobs keep their original
-// queue latency.
-func (j *Job) markRunning(dev int) {
+// markRunning stamps the dispatch and the job's queue latency.
+func (j *Job) markRunning() {
 	j.mu.Lock()
 	j.state = JobRunning
-	j.device = dev
-	j.attempts++
-	if j.started.IsZero() {
-		j.started = time.Now()
-		j.queueNS = j.started.Sub(j.enqueued).Nanoseconds()
-	}
-	j.mu.Unlock()
-}
-
-// attemptCount reports device assignments consumed so far.
-func (j *Job) attemptCount() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.attempts
-}
-
-// markQueued returns a job to the queue after a device failover.
-func (j *Job) markQueued() {
-	j.mu.Lock()
-	j.state = JobQueued
+	j.queueNS = time.Since(j.enqueued).Nanoseconds()
 	j.mu.Unlock()
 }
 

@@ -1,133 +1,54 @@
 package service
 
 import (
+	"errors"
+	"slices"
 	"testing"
 	"time"
 )
 
 func mkJob(id, circuit string) *Job { return newJob(id, circuit, nil, nil, nil) }
 
-// TestSchedulerAffinity checks that same-circuit jobs group on one queue
-// while placement still bounds the imbalance by one batch.
-func TestSchedulerAffinity(t *testing.T) {
-	s := newScheduler(3, 4)
-	s.enqueue(mkJob("a1", "A"))
-	s.enqueue(mkJob("a2", "A"))
-	s.enqueue(mkJob("a3", "A"))
-	// All of A's jobs should share a queue (affinity) as long as it is not
-	// more than maxBatch over the shortest.
-	host := -1
-	for d, q := range s.queues {
-		if len(q) > 0 {
-			if host >= 0 {
-				t.Fatalf("circuit A split across queues %d and %d", host, d)
-			}
-			host = d
-		}
-	}
-	// A different circuit must go to an empty queue, not pile on.
-	s.enqueue(mkJob("b1", "B"))
-	if len(s.queues[host]) != 3 {
-		t.Fatalf("circuit B landed on circuit A's queue")
-	}
-}
-
-// TestSchedulerBatchExtraction checks next() returns the head plus same-
-// circuit jobs up to maxBatch, leaving other circuits queued in order.
+// TestSchedulerBatchExtraction checks next() over interleaved circuits: the
+// head plus same-circuit jobs up to maxBatch, the other jobs left queued in
+// their order.
 func TestSchedulerBatchExtraction(t *testing.T) {
-	s := newScheduler(1, 3)
-	for _, j := range []*Job{mkJob("a1", "A"), mkJob("b1", "B"), mkJob("a2", "A"), mkJob("a3", "A"), mkJob("a4", "A")} {
-		s.enqueue(j)
-	}
-	batch := s.next(0)
-	if len(batch) != 3 || batch[0].ID != "a1" || batch[1].ID != "a2" || batch[2].ID != "a3" {
-		t.Fatalf("unexpected batch: %v", ids(batch))
-	}
-	rest := s.next(0)
-	if len(rest) != 1 || rest[0].ID != "b1" {
-		t.Fatalf("expected b1 next, got %v", ids(rest))
-	}
-	last := s.next(0)
-	if len(last) != 1 || last[0].ID != "a4" {
-		t.Fatalf("expected a4 last, got %v", ids(last))
-	}
-}
-
-// TestSchedulerSteal checks an idle device takes the back half of the
-// longest queue.
-func TestSchedulerSteal(t *testing.T) {
-	s := newScheduler(2, 1)
-	s.mu.Lock()
-	s.queues[0] = []*Job{mkJob("1", "A"), mkJob("2", "A"), mkJob("3", "A"), mkJob("4", "A")}
-	s.mu.Unlock()
-	got := s.next(1) // queue 1 empty → steal from 0
-	if len(got) != 1 || got[0].ID != "3" {
-		t.Fatalf("steal should hand over the back half head (job 3), got %v", ids(got))
-	}
-	if n := s.stealCount(); n != 1 {
-		t.Fatalf("stealCount = %d, want 1", n)
-	}
-	s.mu.Lock()
-	l0, l1 := len(s.queues[0]), len(s.queues[1])
-	s.mu.Unlock()
-	if l0 != 2 || l1 != 1 {
-		t.Fatalf("queues after steal: %d/%d, want 2/1", l0, l1)
-	}
-}
-
-// TestSchedulerKillRedistributes checks a dead device's queue moves to
-// survivors and its worker unblocks with nil.
-func TestSchedulerKillRedistributes(t *testing.T) {
-	s := newScheduler(3, 1)
-	s.mu.Lock()
-	s.queues[0] = []*Job{mkJob("1", "A"), mkJob("2", "A"), mkJob("3", "A")}
-	s.mu.Unlock()
-	if !s.kill(0) {
-		t.Fatal("kill reported no survivors with 2 devices left")
-	}
-	if s.devicesAlive() != 2 {
-		t.Fatalf("devicesAlive = %d, want 2", s.devicesAlive())
-	}
-	s.mu.Lock()
-	total := len(s.queues[1]) + len(s.queues[2])
-	dead := len(s.queues[0])
-	s.mu.Unlock()
-	if total != 3 || dead != 0 {
-		t.Fatalf("orphans not redistributed: dead=%d survivors=%d", dead, total)
-	}
-	done := make(chan []*Job, 1)
-	go func() { done <- s.next(0) }()
-	select {
-	case b := <-done:
-		if b != nil {
-			t.Fatalf("dead device got a batch: %v", ids(b))
+	s := newScheduler(3)
+	s.enqueue(mkJob("a1", "A"), mkJob("b1", "B"), mkJob("a2", "A"), mkJob("c1", "C"))
+	s.enqueue(mkJob("a3", "A"), mkJob("a4", "A"), mkJob("b2", "B"))
+	for _, want := range [][]string{{"a1", "a2", "a3"}, {"b1", "b2"}, {"c1"}, {"a4"}} {
+		if got := ids(s.next()); !slices.Equal(got, want) {
+			t.Fatalf("dispatch %v, want %v", got, want)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("dead device's next() did not unblock")
 	}
-	if s.kill(1); s.kill(2) {
-		t.Fatal("kill reported survivors after losing every device")
-	}
-	if s.enqueue(mkJob("x", "A")) {
-		t.Fatal("enqueue accepted a job with no devices alive")
+	if d := s.depth(); d != 0 {
+		t.Fatalf("depth %d after extracting every job", d)
 	}
 }
 
-// TestSchedulerRequeueFront checks failover requeues go to the queue head.
-func TestSchedulerRequeueFront(t *testing.T) {
-	s := newScheduler(1, 1)
-	s.enqueue(mkJob("old", "A"))
-	if !s.requeue(mkJob("retry", "A")) {
-		t.Fatal("requeue failed with a live device")
+// TestSchedulerLostReturnsQueued checks that losing the prover hands back
+// every queued job in order, refuses new jobs and releases the dispatchers.
+func TestSchedulerLostReturnsQueued(t *testing.T) {
+	s := newScheduler(4)
+	s.enqueue(mkJob("1", "A"), mkJob("2", "B"))
+	s.enqueue(mkJob("3", "A"))
+	if got := ids(s.lose()); !slices.Equal(got, []string{"1", "2", "3"}) {
+		t.Fatalf("lose returned %v, want [1 2 3]", got)
 	}
-	if b := s.next(0); b[0].ID != "retry" {
-		t.Fatalf("requeued job not at the front: got %s", b[0].ID)
+	if !s.isLost() || s.depth() != 0 {
+		t.Fatalf("lost=%v depth=%d after lose", s.isLost(), s.depth())
+	}
+	if err := s.enqueue(mkJob("4", "A")); !errors.Is(err, ErrProverLost) {
+		t.Fatalf("enqueue after the prover was lost: %v, want ErrProverLost", err)
+	}
+	if b := s.next(); b != nil {
+		t.Fatalf("next handed out %v after the prover was lost", ids(b))
 	}
 }
 
-// TestSchedulerDrainPending empties every queue and returns the jobs.
+// TestSchedulerDrainPending empties the queue and returns the jobs.
 func TestSchedulerDrainPending(t *testing.T) {
-	s := newScheduler(2, 1)
+	s := newScheduler(1)
 	s.enqueue(mkJob("1", "A"))
 	s.enqueue(mkJob("2", "B"))
 	got := s.drainPending()
@@ -136,6 +57,31 @@ func TestSchedulerDrainPending(t *testing.T) {
 	}
 	if s.depth() != 0 {
 		t.Fatalf("depth %d after drainPending", s.depth())
+	}
+}
+
+// TestSchedulerCloseWakesDispatchers checks close releases every
+// dispatcher blocked on an empty queue.
+func TestSchedulerCloseWakesDispatchers(t *testing.T) {
+	s := newScheduler(1)
+	done := make(chan []*Job, dispatchers)
+	for range dispatchers {
+		go func() { done <- s.next() }()
+	}
+	time.Sleep(10 * time.Millisecond) // let them block
+	s.close()
+	for range dispatchers {
+		select {
+		case b := <-done:
+			if b != nil {
+				t.Fatalf("closed scheduler handed out %v", ids(b))
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("close did not wake a blocked dispatcher")
+		}
+	}
+	if err := s.enqueue(mkJob("x", "A")); !errors.Is(err, errClosed) {
+		t.Fatalf("enqueue after close: %v, want errClosed", err)
 	}
 }
 

@@ -1,12 +1,12 @@
 // Package service is the proving service layer: it turns the library +
 // CLI prover into a long-running system that accepts concurrent proof
 // requests over HTTP, admits them into a bounded queue (overload sheds
-// load with 429 + Retry-After instead of growing memory), schedules them
-// across simulated devices with per-device queues, same-circuit batching
-// and work stealing, recovers per-job faults through the resilience
-// classes (a device lost mid-proof requeues the job on survivors), and
-// drains gracefully on SIGTERM — stop accepting, finish in-flight work,
-// checkpoint whatever the deadline strands.
+// load with 429 + Retry-After instead of growing memory), feeds them from
+// one FIFO to two dispatchers that group same-circuit jobs into one
+// dispatch, recovers per-launch faults inside the prover, fails the node
+// out of readiness when its prover is lost, and drains gracefully on
+// SIGTERM — stop accepting, finish in-flight work, checkpoint whatever the
+// deadline strands.
 //
 // The layer composes everything below it: circuits compile through
 // internal/frontend or internal/workload, keys come from internal/groth16
@@ -24,7 +24,9 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +48,6 @@ import (
 // Config sizes and wires one Service. The zero value of every field has a
 // usable default.
 type Config struct {
-	// Devices is the number of simulated proving devices; each gets a
-	// dedicated queue + worker (default 2).
-	Devices int
 	// QueueCapacity bounds admitted-but-unfinished jobs (queued + running).
 	// Submissions beyond it are rejected with a Retry-After estimate —
 	// admission control is what keeps overload from becoming OOM
@@ -75,8 +74,10 @@ type Config struct {
 	MSM msm.Config
 	// Retry bounds transient-fault retries inside each proof.
 	Retry resilience.Policy
-	// Faults optionally injects deterministic device faults, keyed by the
-	// service's device indices.
+	// Faults optionally injects deterministic faults into every prove,
+	// device 0 of the plan standing for this node's prover. A DeviceLost
+	// is sticky, so once one escapes the prover the node is lost: its
+	// queued jobs fail and it stops being ready.
 	Faults *gpusim.FaultPlan
 	// Registry receives counters, gauges and latency histograms (default: a
 	// fresh registry; never nil after New).
@@ -86,16 +87,13 @@ type Config struct {
 	// bounded runs (tests, load experiments), not unbounded serving.
 	Tracer *telemetry.Tracer
 	// Events, when set, receives structured control-plane events (drain,
-	// restore, device loss) and backs the GET /v1/events endpoint. Nil
+	// restore, prover loss) and backs the GET /v1/events endpoint. Nil
 	// disables event logging (the ring is bounded, so unlike Tracer it is
 	// safe for unbounded serving).
 	Events *telemetry.EventLog
 }
 
 func (c Config) withDefaults() Config {
-	if c.Devices < 1 {
-		c.Devices = 2
-	}
 	if c.QueueCapacity < 1 {
 		c.QueueCapacity = 64
 	}
@@ -197,6 +195,17 @@ var ErrDraining = errors.New("service: draining, not accepting new jobs")
 // in the drain checkpoint.
 var ErrCheckpointed = errors.New("service: drained before scheduling; job checkpointed")
 
+// ErrProverLost fails the jobs a lost prover strands and refuses
+// submissions after the loss (HTTP 503, like a drain). A DeviceLost that
+// escapes the prover is sticky, so no job on this node can finish: the
+// work belongs on another node.
+var ErrProverLost = errors.New("service: prover lost")
+
+// ProverLost reports whether msg — a failed job's error or an API error
+// body — says the node's prover is lost, so a caller that saw it through
+// HTTP knows to move the work rather than fail it.
+func ProverLost(msg string) bool { return strings.HasPrefix(msg, ErrProverLost.Error()) }
+
 // Service is the proving service. Construct with New, serve it over HTTP
 // with NewHandler, stop it with Drain + Close.
 type Service struct {
@@ -204,7 +213,7 @@ type Service struct {
 	reg    *telemetry.Registry
 	events *telemetry.EventLog
 	sched  *scheduler
-	ctx    context.Context // base context for workers (carries the tracer)
+	ctx    context.Context // base context for dispatchers (carries the tracer)
 	wg     sync.WaitGroup
 
 	mu       sync.Mutex
@@ -224,29 +233,29 @@ type Service struct {
 	inflight atomic.Int64
 
 	// Cached metric handles (hot path: one atomic op each).
-	cAccepted, cRejected, cDone, cFailed  *telemetry.Counter
-	cRequeued, cBatches, cSteals          *telemetry.Counter
-	cDeduped, cFusedBatches, cBatchFall   *telemetry.Counter
-	gQueueDepth, gInflight, gDevicesAlive *telemetry.Gauge
-	hQueueWait, hProve, hE2E              *telemetry.Histogram
-	hBatchSize                            *telemetry.Histogram
+	cAccepted, cRejected, cDone, cFailed *telemetry.Counter
+	cBatches, cDeduped                   *telemetry.Counter
+	cFusedBatches, cBatchFall            *telemetry.Counter
+	gQueueDepth, gInflight               *telemetry.Gauge
+	hQueueWait, hProve, hE2E             *telemetry.Histogram
+	hBatchSize                           *telemetry.Histogram
 }
 
-// New builds the service and starts its device workers.
+// New builds the service and starts its dispatchers.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx := context.Background()
 	if cfg.Tracer != nil {
 		ctx = telemetry.NewContext(ctx, cfg.Tracer)
-		for d := 0; d < cfg.Devices; d++ {
-			cfg.Tracer.NameTrack(telemetry.DeviceTrack(d), fmt.Sprintf("device %d", d))
+		for d := 0; d < dispatchers; d++ {
+			cfg.Tracer.NameTrack(telemetry.DeviceTrack(d), fmt.Sprintf("dispatcher %d", d))
 		}
 	}
 	s := &Service{
 		cfg:        cfg,
 		reg:        cfg.Registry,
 		events:     cfg.Events,
-		sched:      newScheduler(cfg.Devices, cfg.MaxBatch),
+		sched:      newScheduler(cfg.MaxBatch),
 		ctx:        ctx,
 		circuits:   map[string]*circuitEntry{},
 		jobs:       map[string]*Job{},
@@ -260,28 +269,23 @@ func New(cfg Config) *Service {
 	s.cRejected = r.Counter("service.jobs.rejected")
 	s.cDone = r.Counter("service.jobs.done")
 	s.cFailed = r.Counter("service.jobs.failed")
-	s.cRequeued = r.Counter("service.jobs.requeued")
 	s.cDeduped = r.Counter("service.jobs.deduped")
 	s.cBatches = r.Counter("service.batches")
 	s.cFusedBatches = r.Counter("service.batches.fused")
 	s.cBatchFall = r.Counter("service.batches.fallback")
-	s.cSteals = r.Counter("service.steals")
-	s.sched.stealCtr = s.cSteals
 	s.gQueueDepth = r.Gauge("service.queue_depth")
 	s.gInflight = r.Gauge("service.inflight")
-	s.gDevicesAlive = r.Gauge("service.devices_alive")
 	s.hQueueWait = r.Histogram("service.queue_wait_ns")
 	s.hProve = r.Histogram("service.prove_ns")
 	s.hE2E = r.Histogram("service.e2e_ns")
 	// Batch-size distribution, recorded at every dispatch: makes the
-	// scheduler's same-circuit affinity batching observable (the serve smoke
+	// scheduler's same-circuit batching observable (the serve smoke
 	// asserts p50 > 1 under -batch load). Small explicit bounds — batch
 	// sizes are tiny integers, not latencies.
 	s.hBatchSize = r.HistogramWithBounds("service.batch_size", []int64{1, 2, 4, 8, 16, 32, 64})
-	s.gDevicesAlive.Set(float64(cfg.Devices))
-	for d := 0; d < cfg.Devices; d++ {
+	for d := 0; d < dispatchers; d++ {
 		s.wg.Add(1)
-		go s.worker(d)
+		go s.dispatch(d)
 	}
 	return s
 }
@@ -292,17 +296,14 @@ func (s *Service) Registry() *telemetry.Registry { return s.reg }
 // Events exposes the structured event log (nil when disabled).
 func (s *Service) Events() *telemetry.EventLog { return s.events }
 
-// Ready reports whether the service accepts work: not draining and at
-// least one device alive.
+// Ready reports whether the service accepts work: not draining and its
+// prover not lost.
 func (s *Service) Ready() bool {
 	s.mu.Lock()
 	acc := s.accepting
 	s.mu.Unlock()
-	return acc && s.sched.devicesAlive() > 0
+	return acc && !s.sched.isLost()
 }
-
-// DevicesAlive reports surviving devices.
-func (s *Service) DevicesAlive() int { return s.sched.devicesAlive() }
 
 // CircuitIDFor returns the content-hash id Register assigns spec. The
 // cluster coordinator computes consistent-hash placement from it before
@@ -584,8 +585,8 @@ func (s *Service) SubmitTraced(clientKey, circuitID string, public, secret []str
 // bound (each proof counts as one admitted job) or the whole submission is
 // rejected with an OverloadError — partial admission would hand the caller
 // an unpredictable mix of accepted and shed work. The jobs are enqueued as
-// one group on a single device queue so the scheduler's same-circuit
-// dispatch hands them to the worker together.
+// one contiguous group so the scheduler's same-circuit extraction hands
+// them to one dispatcher together.
 func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc telemetry.SpanContext) ([]*Job, error) {
 	k := len(inputs)
 	s.mu.Lock()
@@ -600,6 +601,9 @@ func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc
 	}
 	e, ok := s.circuits[circuitID]
 	s.mu.Unlock()
+	if s.sched.isLost() {
+		return nil, ErrProverLost
+	}
 	if !ok {
 		s.cRejected.Add(int64(k))
 		return nil, &NotFoundError{What: "circuit", ID: circuitID}
@@ -656,9 +660,11 @@ func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc
 	s.mu.Unlock()
 
 	s.cAccepted.Add(int64(k))
-	if !s.sched.enqueue(jobs...) {
+	if err := s.sched.enqueue(jobs...); err != nil {
+		// Lost or closed since the check above: the jobs are admitted, so
+		// they fail rather than vanish.
 		for _, j := range jobs {
-			j.finish(JobFailed, nil, errors.New("service: no surviving devices"))
+			s.fail(j, err)
 		}
 		return jobs, nil
 	}
@@ -682,18 +688,14 @@ func (s *Service) jobsForKeysLocked(keys []string) []*Job {
 }
 
 // retryAfterEstimate sizes the 429 Retry-After header: the time for the
-// surviving devices to chew through the current backlog at the observed
-// mean prove latency, clamped to [1s, 60s].
+// dispatchers to chew through the current backlog at the observed mean
+// prove latency, clamped to [1s, 60s].
 func (s *Service) retryAfterEstimate(depth int) time.Duration {
 	mean := int64(100 * time.Millisecond) // prior before any observation
 	if snap := s.hProve.Snapshot(); snap.Count > 0 {
 		mean = snap.Mean()
 	}
-	alive := s.sched.devicesAlive()
-	if alive < 1 {
-		alive = 1
-	}
-	est := time.Duration(int64(depth) * mean / int64(alive))
+	est := time.Duration(int64(depth) * mean / dispatchers)
 	if est < time.Second {
 		est = time.Second
 	}
@@ -725,13 +727,13 @@ func (s *Service) jobDone(j *Job) {
 	s.gQueueDepth.Set(float64(s.sched.depth()))
 }
 
-// worker is one device's dispatch loop: take a same-circuit dispatch off
-// the scheduler, stamp its jobs as running, and hand it to run — whole when
+// dispatch is dispatcher d's loop: take a same-circuit dispatch off the
+// queue, stamp its jobs as running, and hand it to run — whole when
 // Config.FusedBatch is set, one job at a time otherwise.
-func (s *Service) worker(dev int) {
+func (s *Service) dispatch(d int) {
 	defer s.wg.Done()
 	for {
-		batch := s.sched.next(dev)
+		batch := s.sched.next()
 		if batch == nil {
 			return
 		}
@@ -739,15 +741,15 @@ func (s *Service) worker(dev int) {
 		s.cBatches.Add(1)
 		s.hBatchSize.Record(k)
 		for _, j := range batch {
-			j.markRunning(dev)
+			j.markRunning()
 			s.hQueueWait.Record(j.queueNS)
 		}
 		s.gInflight.Set(float64(s.inflight.Add(k)))
 		if s.cfg.FusedBatch {
-			s.run(s.ctx, dev, batch)
+			s.run(s.ctx, d, batch)
 		} else {
 			for _, j := range batch {
-				s.run(s.ctx, dev, []*Job{j})
+				s.run(s.ctx, d, []*Job{j})
 			}
 		}
 		s.gInflight.Set(float64(s.inflight.Add(-k)))
@@ -755,29 +757,40 @@ func (s *Service) worker(dev int) {
 	}
 }
 
-// run drives k same-circuit jobs on one device: solve the witnesses, prove
-// them k-wide with the fault plan pinned to this device, verify the proofs
-// server-side (as one batch), finish the jobs. It is the only caller of the prover.
+// run drives k same-circuit jobs on dispatcher d: solve the witnesses,
+// prove them k-wide, verify the proofs server-side (as one batch), finish
+// the jobs. It is the only caller of the prover.
 //
-// Whatever escapes groth16's in-place recovery is handled by width. At
-// k > 1 the error cannot be attributed to a job (one bad witness fails the
-// whole solve fan-out), so the jobs are re-dispatched as singletons: the
-// healthy ones still prove and the failure lands on the right job. At k = 1
-// the error is classified — DeviceLost kills the device and requeues the
-// job on survivors; everything else fails the job.
-func (s *Service) run(ctx context.Context, dev int, jobs []*Job) {
+// Whatever escapes groth16's in-place recovery is classified. DeviceLost is
+// sticky, so the node's prover is gone and no retry can help: the queue is
+// marked lost and hands back its jobs, and those and the dispatch's own
+// jobs fail with ErrProverLost, which tells the cluster to prove them on
+// another node. Jobs already taken off the queue (the rest of a singleton
+// loop, the other dispatcher's next dispatch) fail the same way without a
+// prove. Any other error at k > 1 cannot be attributed to a job (one bad
+// witness fails the whole solve fan-out), so the jobs are re-dispatched as
+// singletons: the healthy ones still prove and the failure lands on the
+// right job. At k = 1 it fails the job.
+func (s *Service) run(ctx context.Context, d int, jobs []*Job) {
 	k := len(jobs)
 	s.mu.Lock()
 	e := s.circuits[jobs[0].CircuitID]
 	s.mu.Unlock()
-	if e == nil { // unreachable: admit validated the id
+	var err error
+	switch {
+	case e == nil: // unreachable: admit validated the id
+		err = &NotFoundError{What: "circuit", ID: jobs[0].CircuitID}
+	case s.sched.isLost():
+		err = ErrProverLost
+	}
+	if err != nil {
 		for _, j := range jobs {
-			s.fail(j, &NotFoundError{What: "circuit", ID: j.CircuitID})
+			s.fail(j, err)
 		}
 		return
 	}
 
-	dsp, ctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(dev), "dispatch")
+	dsp, ctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(d), "dispatch")
 	dsp.SetStr("circuit", e.id)
 	dsp.SetInt("jobs", int64(k))
 	defer dsp.End()
@@ -789,16 +802,13 @@ func (s *Service) run(ctx context.Context, dev int, jobs []*Job) {
 		defer sp.End()
 	}
 
-	cfg := groth16.ProveConfig{NTT: s.cfg.NTT, MSM: s.cfg.MSM, Retry: s.cfg.Retry}
-	if s.cfg.Faults != nil {
-		cfg.Faults = &gpusim.DeviceFaults{Plan: s.cfg.Faults, Device: dev}
-	}
+	cfg := groth16.ProveConfig{NTT: s.cfg.NTT, MSM: s.cfg.MSM, Retry: s.cfg.Retry, Faults: s.cfg.Faults}
 	f := curve.Get(e.curveID).Fr
 	wits := make([][]ff.Element, k)
 	pubs := make([][]ff.Element, k)
 	t0 := time.Now()
 	ssp, sctx := telemetry.StartSpan(ctx, "solve")
-	err := par.ItemsErr(sctx, k, 0, nil, func(_ struct{}, i int) error {
+	err = par.ItemsErr(sctx, k, 0, nil, func(_ struct{}, i int) error {
 		pub, err := parseInputs(f, jobs[i].Public, e.sys.NumPublic, "public")
 		if err != nil {
 			return err
@@ -824,32 +834,27 @@ func (s *Service) run(ctx context.Context, dev int, jobs []*Job) {
 
 	switch {
 	case err == nil:
+	case resilience.Classify(err) == resilience.DeviceLost:
+		queued := s.sched.lose()
+		resilience.Record(ctx, dsp.Track(), resilience.DeviceLost,
+			telemetry.Str("job", jobs[0].ID), telemetry.Int("queued", int64(len(queued))))
+		s.events.Log(telemetry.LevelError, "service", "prover_lost", map[string]any{
+			"dispatcher": d, "job": jobs[0].ID, "trace_id": jobs[0].trace.TraceID,
+			"jobs": k, "queued": len(queued), "error": err.Error(),
+		})
+		err = fmt.Errorf("%w: %w", ErrProverLost, err)
+		for _, j := range slices.Concat(jobs, queued) {
+			s.fail(j, err)
+		}
+		return
 	case k > 1:
 		s.cBatchFall.Add(1)
 		s.events.Log(telemetry.LevelWarn, "service", "batch_fallback", map[string]any{
-			"device": dev, "jobs": k, "error": err.Error(),
+			"dispatcher": d, "jobs": k, "error": err.Error(),
 		})
 		for _, j := range jobs {
-			s.run(ctx, dev, []*Job{j})
+			s.run(ctx, d, []*Job{j})
 		}
-		return
-	case resilience.Classify(err) == resilience.DeviceLost:
-		j := jobs[0]
-		survivors := s.sched.kill(dev)
-		s.gDevicesAlive.Set(float64(s.sched.devicesAlive()))
-		resilience.Record(ctx, telemetry.DeviceTrack(dev), resilience.DeviceLost,
-			telemetry.Str("job", j.ID), telemetry.Int("device", int64(dev)))
-		s.events.Log(telemetry.LevelError, "service", "device_lost", map[string]any{
-			"device": dev, "job": j.ID, "trace_id": j.trace.TraceID,
-		})
-		if survivors && j.attemptCount() <= s.cfg.Devices {
-			j.markQueued()
-			s.cRequeued.Add(1)
-			if s.sched.requeue(j) {
-				return // the job lives on; a survivor finishes it
-			}
-		}
-		s.fail(j, fmt.Errorf("service: job %s: no surviving device: %w", j.ID, err))
 		return
 	default:
 		s.fail(jobs[0], err)
@@ -942,8 +947,7 @@ type DrainReport struct {
 
 // Drain stops accepting work and waits for every admitted job to finish.
 // If ctx expires first, still-queued jobs are pulled off the scheduler,
-// marked checkpointed, and returned for persistence; running jobs are
-// still waited for briefly (they hold devices). Call Close afterwards.
+// marked checkpointed, and returned for persistence. Call Close afterwards.
 func (s *Service) Drain(ctx context.Context) (*DrainReport, error) {
 	s.mu.Lock()
 	s.accepting = false
@@ -1075,7 +1079,7 @@ func (s *Service) ExportCircuits() []CircuitExport {
 	return out
 }
 
-// Close stops the device workers. Pending jobs are abandoned — call Drain
+// Close stops the dispatchers. Pending jobs are abandoned — call Drain
 // first for a graceful stop.
 func (s *Service) Close() {
 	s.sched.close()

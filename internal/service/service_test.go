@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -19,6 +22,7 @@ import (
 	"gzkp/internal/groth16"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
+	"gzkp/internal/telemetry"
 )
 
 // cubicSrc is the tiny reference circuit every e2e test proves: x^3+x+5=out,
@@ -99,7 +103,6 @@ func verifyStatus(t *testing.T, info *CircuitInfo, st *JobStatus) {
 // no other outcome — and a drain afterwards finishes in-flight work.
 func TestServiceEndToEnd(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 2
 	cfg.QueueCapacity = 8
 	svc, srv := newTestServer(t, cfg)
 	info := registerCubic(t, srv.URL)
@@ -235,15 +238,17 @@ func TestServiceEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServiceFaultFailover is the fault-injection e2e variant: a device is
-// lost mid-load, and every accepted job must still finish successfully by
-// failing over to the survivor — zero failed accepted jobs.
+// TestServiceFaultFailover is the fault-injection e2e variant: the node's
+// prover is lost mid-load. A DeviceLost is sticky, so nothing on this node
+// can finish the remaining work: every accepted job must still reach a
+// terminal state — done with a verified proof, or failed as prover-lost —
+// submissions after the loss are refused with a 503 that says so, and the
+// node must leave readiness so the cluster prober evicts it.
 func TestServiceFaultFailover(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 2
 	cfg.QueueCapacity = 32
-	// Each proof costs 12 modeled launches (7 NTT + 5 MSM); killing device 0
-	// at launch 18 lands mid-way through its second proof.
+	// Each proof costs 12 modeled launches (7 NTT + 5 MSM); killing the
+	// prover at launch 18 lands mid-way through its second proof.
 	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{
 		Kind: gpusim.FaultDeviceLost, Device: 0, Step: 18,
 	})
@@ -252,7 +257,7 @@ func TestServiceFaultFailover(t *testing.T) {
 
 	const jobs = 12
 	var wg sync.WaitGroup
-	var ok, rejected atomic.Int64
+	var done, failed, rejected, refused atomic.Int64
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func() {
@@ -262,14 +267,30 @@ func TestServiceFaultFailover(t *testing.T) {
 			switch resp.StatusCode {
 			case http.StatusOK:
 				var st JobStatus
-				if err := json.Unmarshal(body, &st); err != nil || st.State != "done" {
-					t.Errorf("accepted job did not finish done: %s", body)
+				if err := json.Unmarshal(body, &st); err != nil {
+					t.Errorf("bad job status: %s", body)
 					return
 				}
-				verifyStatus(t, info, &st)
-				ok.Add(1)
+				switch st.State {
+				case "done":
+					verifyStatus(t, info, &st)
+					done.Add(1)
+				case "failed":
+					if !ProverLost(st.Error) {
+						t.Errorf("job failed with %q, want a prover-lost error", st.Error)
+					}
+					failed.Add(1)
+				default:
+					t.Errorf("sync prove returned non-terminal state %q", st.State)
+				}
 			case http.StatusTooManyRequests:
 				rejected.Add(1)
+			case http.StatusServiceUnavailable:
+				var ae APIError
+				if err := json.Unmarshal(body, &ae); err != nil || !ProverLost(ae.Error) {
+					t.Errorf("503 body %s, want a prover-lost error", body)
+				}
+				refused.Add(1)
 			default:
 				t.Errorf("unexpected status %d: %s", resp.StatusCode, body)
 			}
@@ -277,23 +298,186 @@ func TestServiceFaultFailover(t *testing.T) {
 	}
 	wg.Wait()
 
-	if ok.Load()+rejected.Load() != jobs {
-		t.Fatalf("accounted %d+%d of %d", ok.Load(), rejected.Load(), jobs)
+	if done.Load()+failed.Load()+rejected.Load()+refused.Load() != jobs {
+		t.Fatalf("accounted %d+%d+%d+%d of %d", done.Load(), failed.Load(), rejected.Load(), refused.Load(), jobs)
 	}
-	reg := svc.Registry()
-	if failed := reg.Counter("service.jobs.failed").Value(); failed != 0 {
-		t.Fatalf("%d accepted jobs failed despite a survivor", failed)
+	if failed.Load() == 0 {
+		t.Fatal("no job failed after the prover was lost")
 	}
-	if svc.DevicesAlive() != 1 {
-		t.Fatalf("devices alive = %d, want 1 after injected loss", svc.DevicesAlive())
+	c := svc.Registry().Snapshot().Counters
+	if c["service.jobs.done"] != done.Load() || c["service.jobs.failed"] != failed.Load() ||
+		c["service.jobs.accepted"] != done.Load()+failed.Load() {
+		t.Fatalf("counters accepted=%d done=%d failed=%d, clients saw %d done %d failed",
+			c["service.jobs.accepted"], c["service.jobs.done"], c["service.jobs.failed"],
+			done.Load(), failed.Load())
 	}
-	if req := reg.Counter("service.jobs.requeued").Value(); req == 0 {
-		t.Fatal("device loss produced no requeue")
+	if resp, _ := getJSON(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz %d after the prover was lost, want 503", resp.StatusCode)
 	}
-	// The service stays ready on the survivor.
-	resp, _ := getJSON(t, srv.URL+"/readyz")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("readyz %d with a surviving device", resp.StatusCode)
+}
+
+// TestLostProverFailsQueuedJobs: the prover dies on its first launch while
+// jobs are still queued. Every accepted job must fail (none stranded in the
+// queue), a drain must then find nothing left to finish or checkpoint, and
+// the node must report not ready.
+func TestLostProverFailsQueuedJobs(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MaxBatch = 1 // one job per dispatch, so the rest wait in the queue
+	plan, err := gpusim.ParseFaultPlan("kill:0@0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = plan
+	svc, srv := newTestServer(t, cfg)
+	info := registerCubic(t, srv.URL)
+
+	inputs, _ := cubicBatchInputs(1, 2, 3, 4, 5, 6)
+	resp, body := postJSON(t, srv.URL+"/v1/prove-batch",
+		ProveBatchRequest{CircuitID: info.CircuitID, Proofs: inputs})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async prove-batch: %d %s", resp.StatusCode, body)
+	}
+	var pb ProveBatchResponse
+	if err := json.Unmarshal(body, &pb); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(10 * time.Second)
+	for _, st := range pb.Jobs {
+		j, err := svc.Job(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-j.Done():
+		case <-deadline:
+			t.Fatalf("job %s stuck in state %v after the prover was lost", j.ID, j.State())
+		}
+		if j.State() != JobFailed {
+			t.Fatalf("job %s state %v, want failed", j.ID, j.State())
+		}
+	}
+	c := svc.Registry().Snapshot().Counters
+	if c["service.jobs.done"]+c["service.jobs.failed"] != c["service.jobs.accepted"] {
+		t.Fatalf("done %d + failed %d != accepted %d", c["service.jobs.done"],
+			c["service.jobs.failed"], c["service.jobs.accepted"])
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rep, err := svc.Drain(ctx)
+	if err != nil || ctx.Err() != nil {
+		t.Fatalf("drain hit its deadline (err %v): accepted jobs were stranded", err)
+	}
+	if rep.Checkpointed != nil {
+		t.Fatalf("drain checkpointed %d jobs; a lost prover must fail them", len(rep.Checkpointed.Jobs))
+	}
+	if resp, _ := getJSON(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("readyz %d after the prover was lost, want 503", resp.StatusCode)
+	}
+}
+
+// TestLostProverEndsDispatch: with FusedBatch off, a dispatch proves its
+// jobs one at a time. Once the first prove loses the prover, the rest of
+// the dispatch fails without a prove — one prover_lost event, not one per
+// job — and a later submission is refused with ErrProverLost, not admitted
+// to fail.
+func TestLostProverEndsDispatch(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MaxBatch = 4
+	cfg.Events = telemetry.NewEventLog(64, telemetry.LevelDebug)
+	plan, err := gpusim.ParseFaultPlan("kill:0@0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Faults = plan
+	svc := New(cfg)
+	defer svc.Close()
+	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, _ := cubicBatchInputs(1, 2, 3, 4)
+	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("job %s stuck in state %v", j.ID, j.State())
+		}
+		if st := j.Snapshot(); st.State != "failed" || !ProverLost(st.Error) {
+			t.Fatalf("job %s: %s %q, want failed as prover-lost", j.ID, st.State, st.Error)
+		}
+	}
+	lost := 0
+	for _, ev := range cfg.Events.Recent(64) {
+		if ev.Event == "prover_lost" {
+			lost++
+		}
+	}
+	if lost != 1 {
+		t.Fatalf("%d prover_lost events for one lost dispatch, want 1", lost)
+	}
+	if _, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"}); !errors.Is(err, ErrProverLost) {
+		t.Fatalf("submit after the loss: %v, want ErrProverLost", err)
+	}
+	if got := svc.Registry().Counter("service.jobs.accepted").Value(); got != 4 {
+		t.Fatalf("accepted %d, want the 4 jobs admitted before the loss", got)
+	}
+}
+
+// slowCubicSrc is cubicSrc padded with an n-step multiplication chain that
+// never reaches out: same inputs and public value, but a proof that runs
+// tens of ms on fastConfig.
+func slowCubicSrc(n int) string {
+	var b strings.Builder
+	b.WriteString("public out\nsecret x\nlet y = x^3 + x + 5\nlet p0 = x * x\n")
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, "let p%d = p%d * x\n", i, i-1)
+	}
+	b.WriteString("assert y == out\n")
+	return b.String()
+}
+
+// TestIdleDispatcherTakesQueuedJob: job B arrives on A's circuit while A
+// proves. The idle dispatcher must take B at once rather than leave it
+// queued behind A.
+func TestIdleDispatcherTakesQueuedJob(t *testing.T) {
+	svc := New(fastConfig())
+	defer svc.Close()
+	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: slowCubicSrc(1024)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wait := time.Now().Add(10 * time.Second); a.State() == JobQueued; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(wait) {
+			t.Fatal("job A never started")
+		}
+	}
+	b, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{a, b} {
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %s did not finish", j.ID)
+		}
+		if j.State() != JobDone {
+			t.Fatalf("job %s state %v: %s", j.ID, j.State(), j.Snapshot().Error)
+		}
+	}
+	as, bs := a.Snapshot(), b.Snapshot()
+	if bs.QueueNS >= as.ProveNS/2 {
+		t.Fatalf("B queued %v while A proved for %v: B waited for A",
+			time.Duration(bs.QueueNS), time.Duration(as.ProveNS))
 	}
 }
 
@@ -302,7 +486,6 @@ func TestServiceFaultFailover(t *testing.T) {
 // successor service restores and finishes them.
 func TestServiceDrainCheckpointRestore(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	cfg.QueueCapacity = 16
 	svc := New(cfg)
 	defer svc.Close()
@@ -371,7 +554,6 @@ func TestServiceDrainCheckpointRestore(t *testing.T) {
 // TestServiceValidation covers the 400/404 paths and the health endpoints.
 func TestServiceValidation(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	_, srv := newTestServer(t, cfg)
 	info := registerCubic(t, srv.URL)
 
@@ -420,7 +602,6 @@ func TestServiceValidation(t *testing.T) {
 // TestServiceAsyncLifecycle submits async and polls to completion.
 func TestServiceAsyncLifecycle(t *testing.T) {
 	cfg := fastConfig()
-	cfg.Devices = 1
 	_, srv := newTestServer(t, cfg)
 	info := registerCubic(t, srv.URL)
 

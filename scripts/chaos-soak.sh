@@ -38,7 +38,7 @@ cleanup() {
 trap cleanup EXIT
 
 for i in 0 1 2; do
-  "$BIN/gzkp-serve" -addr "localhost:2020$i" -devices 2 -prover cpu \
+  "$BIN/gzkp-serve" -addr "localhost:2020$i" -prover cpu \
     > "$ARTIFACTS/node$i.log" 2>&1 &
   PIDS+=($!)
 done
