@@ -26,6 +26,7 @@ fuzz:
 	$(GO) test ./internal/ff -run FuzzFixedVsGeneric -fuzz FuzzFixedVsGeneric -fuzztime 30s
 	$(GO) test ./internal/tower -run FuzzTowerFastVsGeneric -fuzz FuzzTowerFastVsGeneric -fuzztime 30s
 	$(GO) test ./internal/msm -run FuzzBucketKernel -fuzz FuzzBucketKernel -fuzztime 30s
+	$(GO) test ./internal/cluster -run FuzzReplicateIngest -fuzz FuzzReplicateIngest -fuzztime 30s
 
 # Refresh the committed benchmark baseline. Run on a quiet machine and
 # commit the result; the CI bench-gate job compares every run against it.
@@ -94,4 +95,4 @@ cluster-ha:
 
 # Local replica of the CI coordinator-failover job's test half.
 ha-race:
-	$(GO) test -race -timeout 20m -run 'TestReplica|TestJournal|TestChaos|TestParseChaosPlan' ./internal/cluster/
+	$(GO) test -race -timeout 20m -run 'TestReplica|TestJournal|TestSim|FuzzReplicateIngest' ./internal/cluster/

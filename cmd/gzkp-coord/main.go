@@ -11,10 +11,16 @@
 // coordinator group: one leader holds a time-bounded lease and replicates
 // its state journal to the standbys; a standby serves reads and
 // 307-redirects writes, and takes over (re-probing the fleet and
-// re-driving unfinished jobs) when the lease expires.
+// re-driving unfinished jobs) when the lease expires. A job is
+// acknowledged before its record replicates, so a job accepted within one
+// heartbeat of the leader's death can be lost. The group keeps no state on
+// disk: a restarted replica rejoins empty and catches up from the leader.
 //
 //	gzkp-coord -addr :8089 -self coordA -peers coordA=http://localhost:8089,coordB=http://localhost:8088 -nodes ...
 //	gzkp-coord -addr :8088 -self coordB -peers coordA=http://localhost:8089,coordB=http://localhost:8088 -nodes ...
+//
+// Failover is tested by the seeded control-plane simulator in
+// internal/cluster (DESIGN.md §10), not by fault flags on this command.
 package main
 
 import (
@@ -53,8 +59,6 @@ func main() {
 		peersSpec     = flag.String("peers", "", `comma-separated coordinator replicas "name=url" including self; empty = single coordinator`)
 		leaseEvery    = flag.Duration("lease-interval", 500*time.Millisecond, "leader heartbeat/replication period (HA mode)")
 		leaseTTL      = flag.Duration("lease-ttl", 0, "lease staleness before standbys elect (default 4x lease-interval)")
-		chaosSpec     = flag.String("chaos", "", `chaos schedule "KIND:TARGET@STEP[xN][+DUR],..." (kinds: leaderkill partition probedrop probedelay slowstandby)`)
-		chaosSeed     = flag.Int64("chaos-seed", 1, "seed resolving '?' steps in -chaos")
 		traceOut      = flag.String("trace-jsonl", "", "record coordinator-side spans and write them as trace JSONL here on shutdown (stitch with gzkp-tracecat)")
 		eventsOut     = flag.String("events", "", "append structured control-plane events as JSONL here (also served at /v1/cluster/events)")
 		eventLevel    = flag.String("event-level", "info", "minimum event level: debug | info | warn | error")
@@ -76,13 +80,6 @@ func main() {
 		}
 	}
 
-	var chaos *cluster.ChaosPlan
-	if *chaosSpec != "" {
-		var err error
-		chaos, err = cluster.ParseChaosPlan(*chaosSpec, *chaosSeed)
-		die(err)
-	}
-
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		tracer = telemetry.New()
@@ -97,8 +94,7 @@ func main() {
 		eventsFile = f
 		events.SetSink(f)
 	}
-	// flush writes the trace JSONL and closes the event sink on a clean
-	// shutdown (a chaos halt skips it, like the process death it models).
+	// flush writes the trace JSONL and closes the event sink on shutdown.
 	flush := func() {
 		if tracer != nil {
 			f, err := os.Create(*traceOut)
@@ -122,13 +118,12 @@ func main() {
 		FailThreshold:    *failThreshold,
 		NodeDrainTimeout: *nodeDrain,
 		Registry:         reg,
-		Chaos:            chaos,
 		Tracer:           tracer,
 		Events:           events,
 	}
 
 	if *peersSpec != "" {
-		runReplica(ccfg, *addr, *self, *peersSpec, *leaseEvery, *leaseTTL, chaos,
+		runReplica(ccfg, *addr, *self, *peersSpec, *leaseEvery, *leaseTTL,
 			*adopt, *checkpoint, *drainWait, *debugAddr, flush)
 		return
 	}
@@ -180,7 +175,7 @@ func main() {
 // only if this replica currently leads (a standby just exits — the
 // leader owns the jobs).
 func runReplica(ccfg cluster.Config, addr, self, peersSpec string,
-	leaseEvery, leaseTTL time.Duration, chaos *cluster.ChaosPlan,
+	leaseEvery, leaseTTL time.Duration,
 	adopt bool, checkpoint string, drainWait time.Duration, debugAddr string,
 	flush func()) {
 	if self == "" {
@@ -202,7 +197,7 @@ func runReplica(ccfg cluster.Config, addr, self, peersSpec string,
 	rep, err := cluster.NewReplica(cluster.ReplicaConfig{
 		Self: self, Peers: peers,
 		LeaseInterval: leaseEvery, LeaseTTL: leaseTTL,
-		Cluster: ccfg, Chaos: chaos,
+		Cluster: ccfg,
 		Logf: func(format string, args ...any) {
 			fmt.Printf("gzkp-coord: "+format+"\n", args...)
 		},
@@ -242,17 +237,6 @@ func runReplica(ccfg cluster.Config, addr, self, peersSpec string,
 	select {
 	case err := <-errCh:
 		die(err)
-	case <-rep.Halted():
-		fmt.Println("gzkp-coord: halted by chaos plan")
-		if chaos != nil {
-			for _, ev := range chaos.Trace() {
-				fmt.Printf("gzkp-coord: chaos fired %s\n", ev)
-			}
-		}
-		shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer shCancel()
-		_ = srv.Shutdown(shCtx)
-		os.Exit(3)
 	case s := <-sig:
 		fmt.Printf("gzkp-coord: %s — shutting down replica %s (role=%s)\n", s, self, rep.Role())
 	}
@@ -266,11 +250,6 @@ func runReplica(ccfg cluster.Config, addr, self, peersSpec string,
 	_ = srv.Shutdown(shCtx)
 	rep.Close()
 	flush()
-	if chaos != nil {
-		for _, ev := range chaos.Trace() {
-			fmt.Printf("gzkp-coord: chaos fired %s\n", ev)
-		}
-	}
 }
 
 func restoreFromFile(coord *cluster.Coordinator, path string) {

@@ -42,10 +42,6 @@ type Config struct {
 	// Journal, when set, receives every placement and job lifecycle event
 	// for replication to standby coordinators (see Replica).
 	Journal *Journal
-	// Chaos, when set, injects scripted control-plane failures into node
-	// traffic (the client is wrapped so probes and forwards flow through
-	// the plan's deterministic clocks).
-	Chaos *ChaosPlan
 	// Nodes is the initial membership (at least one).
 	Nodes []NodeSpec
 	// Replicas is how many nodes hold each circuit's proving key
@@ -236,16 +232,13 @@ func New(cfg Config) (*Coordinator, error) {
 	c.gInflight = r.Gauge("cluster.inflight")
 	c.gReplPending = r.Gauge("cluster.replication_pending")
 	c.hProbe = r.Histogram("cluster.probe_ns")
-	hosts := map[string]string{} // URL host → node name, for the chaos client
 	for _, ns := range cfg.Nodes {
 		name := ns.Name
-		if u, err := url.Parse(ns.URL); err == nil && u.Host != "" {
-			if name == "" {
+		if name == "" {
+			name = ns.URL
+			if u, err := url.Parse(ns.URL); err == nil && u.Host != "" {
 				name = u.Host
 			}
-			hosts[u.Host] = name
-		} else if name == "" {
-			name = ns.URL
 		}
 		if _, dup := c.nodes[name]; dup {
 			cancel()
@@ -263,13 +256,8 @@ func New(cfg Config) (*Coordinator, error) {
 		c.order = append(c.order, name)
 		c.ring.add(name)
 	}
-	client := cfg.Client
-	if cfg.Chaos != nil {
-		cfg.Chaos.Bind(r)
-		client = ChaosClient(cfg.Chaos, client, hosts)
-	}
 	c.fwd = &forwarder{
-		client: client, policy: cfg.Retry, timeout: cfg.ControlTimeout,
+		client: cfg.Client, policy: cfg.Retry, timeout: cfg.ControlTimeout,
 		hForward:  r.Histogram("cluster.cluster_forward_ns"),
 		cForwards: r.Counter("cluster.forwarded"),
 	}
@@ -292,7 +280,7 @@ func (c *Coordinator) journalAppend(e Entry) {
 }
 
 // detachJournal cuts the coordinator off from the replicated journal;
-// called before Close when a leader is deposed or halted, so in-flight
+// called before Close when a leader is deposed or closed, so in-flight
 // goroutines cannot write to a log that now belongs to another leader.
 func (c *Coordinator) detachJournal() {
 	c.mu.Lock()
@@ -601,14 +589,23 @@ func (c *Coordinator) release(k int) {
 }
 
 // launch records an admitted job and starts its forwarding goroutine;
-// preferred is the node a redrive tries first.
+// preferred is the node a redrive tries first. A coordinator closed since
+// admission fails the job instead: its goroutine must not outlive Close.
 func (c *Coordinator) launch(id, circuitID, traceID, preferred string, public, secret []string) *Job {
 	j := newJob(id, circuitID, public, secret, c.jobDone)
 	j.TraceID = traceID
 	c.mu.Lock()
 	c.jobs[id] = j
+	closed := c.ctx.Err()
+	if closed == nil {
+		c.wg.Add(1)
+	}
 	c.mu.Unlock()
-	c.wg.Add(1)
+	if closed != nil {
+		c.cFailed.Add(1)
+		j.finish(service.JobFailed, nil, fmt.Errorf("cluster: coordinator closed: %w", closed), http.StatusServiceUnavailable)
+		return j
+	}
 	go c.runJob(j, preferred)
 	return j
 }
@@ -700,8 +697,8 @@ func (c *Coordinator) markHolds(name, circuitID string) {
 // pickNode chooses the alive replica for a circuit: preferred when it
 // holds the key (a redrive going back to where the old leader forwarded
 // it), else the holder with the fewest outstanding forwards plus
-// last-probed queue depth. Nodes in skip (moved off for this request) are
-// excluded.
+// last-probed queue depth, ties to construction order. Nodes in skip
+// (moved off for this request) are excluded.
 func (c *Coordinator) pickNode(circuitID, preferred string, skip map[string]bool) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -710,7 +707,8 @@ func (c *Coordinator) pickNode(circuitID, preferred string, skip map[string]bool
 		return preferred
 	}
 	best, bestLoad := "", 0.0
-	for _, nd := range c.nodes {
+	for _, name := range c.order {
+		nd := c.nodes[name]
 		if !usable(nd) {
 			continue
 		}
@@ -730,8 +728,8 @@ func (c *Coordinator) pickNode(circuitID, preferred string, skip map[string]bool
 func (c *Coordinator) replaceReplica(circuitID string, skip map[string]bool) string {
 	c.mu.Lock()
 	var candidates []string
-	for _, nd := range c.nodes {
-		if nd.alive && !skip[nd.name] && !nd.circuits[circuitID] {
+	for _, name := range c.order {
+		if nd := c.nodes[name]; nd.alive && !skip[name] && !nd.circuits[circuitID] {
 			candidates = append(candidates, nd.name)
 		}
 	}
@@ -1295,8 +1293,8 @@ func (c *Coordinator) Restore(cp *service.Checkpoint) (int, error) {
 // Close cancels every outstanding forward and stops the prober. Call
 // Drain first for a graceful stop.
 func (c *Coordinator) Close() {
-	c.cancel()
 	c.mu.Lock()
+	c.cancel() // under mu: launch either adds to wg first or sees ctx done
 	c.accepting = false
 	c.mu.Unlock()
 	c.wg.Wait()

@@ -23,12 +23,12 @@ type testReplica struct {
 	slot *atomic.Pointer[Replica]
 }
 
-// kill simulates process death: the replica halts (stops heartbeating,
-// abandons its coordinator) and the listener starts refusing.
+// kill simulates process death: the listener starts refusing, then the
+// replica stops heartbeating and abandons its coordinator.
 func (r *testReplica) kill() {
-	r.rep.Halt()
 	r.srv.CloseClientConnections()
 	r.srv.Close()
+	r.rep.Close()
 }
 
 func startNodes(t *testing.T, count int) ([]*testNode, []NodeSpec) {
@@ -51,7 +51,7 @@ func startNodes(t *testing.T, count int) ([]*testNode, []NodeSpec) {
 
 // startReplicaGroup boots len(names) coordinator replicas over the given
 // nodes with test-speed leases. tune can inspect cfg.Self to customize
-// one member (e.g. hand only the future leader a chaos plan).
+// one member.
 func startReplicaGroup(t *testing.T, names []string, specs []NodeSpec, tune func(*ReplicaConfig)) []*testReplica {
 	t.Helper()
 	slots := make([]*atomic.Pointer[Replica], len(names))
@@ -76,6 +76,10 @@ func startReplicaGroup(t *testing.T, names []string, specs []NodeSpec, tune func
 			Self:          name,
 			Peers:         peers,
 			LeaseInterval: 25 * time.Millisecond,
+			// A TTL of 40 intervals: under -race on two cores a beat can
+			// stall for hundreds of ms, and a standby that elects on such a
+			// stall flaps leadership in the middle of an assertion.
+			LeaseTTL: time.Second,
 			Cluster: Config{
 				Nodes:         specs,
 				Replicas:      2,
@@ -577,40 +581,5 @@ func TestReplicaEpochArbitration(t *testing.T) {
 	resp, rr = post("coordA", 3)
 	if resp.StatusCode != http.StatusConflict || rr.Epoch != 7 || rr.Leader != "coordB" {
 		t.Fatalf("stale replicate: %d %+v, want 409 epoch 7 leader coordB", resp.StatusCode, rr)
-	}
-}
-
-// TestReplicaChaosLeaderKillFailover runs the scripted in-process
-// leader kill: the chaos plan halts the leader at a fixed heartbeat
-// round and the standby must take over — the deterministic analogue of
-// the CI process-kill smoke.
-func TestReplicaChaosLeaderKillFailover(t *testing.T) {
-	_, specs := startNodes(t, 1)
-	plan, err := ParseChaosPlan("leaderkill:coordA@3", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := startReplicaGroup(t, []string{"coordA", "coordB"}, specs, func(cfg *ReplicaConfig) {
-		if cfg.Self == "coordA" {
-			cfg.Chaos = plan
-		}
-	})
-	a, b := reps[0], reps[1]
-
-	select {
-	case <-a.rep.Halted():
-	case <-time.After(5 * time.Second):
-		t.Fatal("chaos never halted the leader")
-	}
-	if a.rep.Role() != RoleHalted {
-		t.Fatalf("halted replica role = %s", a.rep.Role())
-	}
-	waitFor(t, 5*time.Second, "standby takes over", func() bool { return b.rep.Role() == RoleLeader })
-	if b.rep.Epoch() < 2 {
-		t.Fatalf("takeover epoch = %d, want >= 2", b.rep.Epoch())
-	}
-	trace := plan.Trace()
-	if len(trace) != 1 || trace[0] != "leaderkill:coordA@3" {
-		t.Fatalf("chaos trace = %v", trace)
 	}
 }

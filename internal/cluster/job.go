@@ -95,11 +95,13 @@ func (j *Job) finish(state service.JobState, remote *service.JobStatus, err erro
 	j.httpCode = httpCode
 	j.finished = time.Now()
 	j.mu.Unlock()
+	// notifyDone (admission release, the terminal journal entry) runs
+	// before Done closes, so a caller woken by Done sees both.
 	j.doneOnce.Do(func() {
-		close(j.doneCh)
 		if j.notifyDone != nil {
 			j.notifyDone(j)
 		}
+		close(j.doneCh)
 	})
 }
 

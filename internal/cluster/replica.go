@@ -52,8 +52,6 @@ const (
 	RoleStandby Role = iota
 	// RoleLeader runs the Coordinator and replicates the journal.
 	RoleLeader
-	// RoleHalted is a chaos-killed replica: it answers nothing but 503.
-	RoleHalted
 )
 
 func (r Role) String() string {
@@ -62,8 +60,6 @@ func (r Role) String() string {
 		return "standby"
 	case RoleLeader:
 		return "leader"
-	case RoleHalted:
-		return "halted"
 	}
 	return fmt.Sprintf("role(%d)", int(r))
 }
@@ -92,8 +88,6 @@ type ReplicaConfig struct {
 	// Cluster configures the Coordinator the leader runs. Registry and
 	// Client are shared with the replica layer.
 	Cluster Config
-	// Chaos optionally injects scripted control-plane failures.
-	Chaos *ChaosPlan
 	// Logf receives role transitions and takeover reports (nil: silent).
 	Logf func(format string, args ...any)
 }
@@ -137,6 +131,9 @@ type Replica struct {
 	client  *http.Client
 	journal *Journal
 	selfIdx int
+	// now is the lease clock: every read and write of lastBeat goes
+	// through it (time.Now outside tests).
+	now func() time.Time
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -150,9 +147,6 @@ type Replica struct {
 	coord    *Coordinator
 	handler  http.Handler      // NewHandler(coord) while leading
 	acked    map[string]uint64 // per-peer highest acknowledged seq
-
-	haltOnce sync.Once
-	haltedCh chan struct{}
 
 	cHeartbeats, cHeartbeatFailures     *telemetry.Counter
 	cPromotions, cStepdowns, cElections *telemetry.Counter
@@ -185,15 +179,13 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		cfg.Cluster.Client = &http.Client{}
 	}
 	reg := cfg.Cluster.Registry
-	cfg.Chaos.Bind(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	r := &Replica{
 		cfg: cfg, reg: reg, events: cfg.Cluster.Events,
 		client:  cfg.Cluster.Client,
-		journal: NewJournal(reg), selfIdx: selfIdx,
+		journal: NewJournal(reg), selfIdx: selfIdx, now: time.Now,
 		ctx: ctx, cancel: cancel,
-		acked:    map[string]uint64{},
-		haltedCh: make(chan struct{}),
+		acked: map[string]uint64{},
 	}
 	r.cHeartbeats = reg.Counter("cluster.ha.heartbeats")
 	r.cHeartbeatFailures = reg.Counter("cluster.ha.heartbeat_failures")
@@ -205,18 +197,28 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	return r, nil
 }
 
-// Start joins the group: the first peer leads a fresh group immediately
-// (if it is down, the others elect past it after one TTL); everyone else
-// starts as a standby with a fresh lease.
+// Start joins the group and runs the control loop.
 func (r *Replica) Start() {
-	r.mu.Lock()
-	r.lastBeat = time.Now()
-	r.mu.Unlock()
-	if r.selfIdx == 0 {
-		r.promote(1)
-	}
+	r.join()
 	r.wg.Add(1)
 	go r.run()
+}
+
+// join is Start without the loop. The first peer runs an election at
+// once: a fresh group gets its leader without waiting out a TTL (if the
+// first peer is down, the others elect past it after one), and a restarted
+// first peer adopts the live leader or defers to a longer journal instead
+// of claiming epoch 1 and truncating the group's journal to its empty one.
+// Everyone else starts as a standby with a fresh lease.
+func (r *Replica) join() {
+	if r.selfIdx == 0 {
+		r.elect()
+	}
+	r.mu.Lock()
+	if r.lastBeat.IsZero() {
+		r.lastBeat = r.now()
+	}
+	r.mu.Unlock()
 }
 
 // Journal exposes the replica's journal (for tests and debugging).
@@ -253,40 +255,8 @@ func (r *Replica) Coordinator() *Coordinator {
 	return r.coord
 }
 
-// Halted closes when a chaos leaderkill (or explicit Halt) fires —
-// tests use it to tear down the replica's listener like a process death.
-func (r *Replica) Halted() <-chan struct{} { return r.haltedCh }
-
-// Halt is the in-process kill -9: the replica stops heartbeating,
-// abandons its coordinator, and answers every request 503 forever.
-func (r *Replica) Halt() {
-	r.haltOnce.Do(func() {
-		r.mu.Lock()
-		coord := r.coord
-		r.coord = nil
-		r.handler = nil
-		wasLeader := r.role == RoleLeader
-		r.role = RoleHalted
-		r.mu.Unlock()
-		if wasLeader {
-			r.gIsLeader.Set(0)
-		}
-		r.events.Log(telemetry.LevelError, "ha", "replica_halted", map[string]any{
-			"replica": r.cfg.Self, "was_leader": wasLeader,
-		})
-		r.logf("replica %s: halted", r.cfg.Self)
-		r.cancel()
-		if coord != nil {
-			coord.detachJournal()
-			coord.Close()
-		}
-		close(r.haltedCh)
-	})
-}
-
-// Close stops the replica cleanly (run loop, then the coordinator if
-// leading). Unlike Halt it is a graceful local stop, not a simulated
-// crash — but it performs no drain; use the coordinator's Drain first.
+// Close stops the replica (run loop, then the coordinator if leading).
+// It performs no drain; use the coordinator's Drain first.
 func (r *Replica) Close() {
 	r.cancel()
 	r.wg.Wait()
@@ -325,9 +295,8 @@ func (r *Replica) peerURL(name string) string {
 	return ""
 }
 
-// run is the replica's single control loop: leaders heartbeat every
-// LeaseInterval (and eagerly on journal appends); standbys watch the
-// lease and elect when it expires.
+// run is the replica's single control loop: it steps every LeaseInterval,
+// and a leader also steps eagerly on journal appends.
 func (r *Replica) run() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.LeaseInterval)
@@ -343,60 +312,57 @@ func (r *Replica) run() {
 				continue // standbys ingest; only leaders ship eagerly
 			}
 		}
-		switch r.Role() {
-		case RoleLeader:
-			r.heartbeatAll()
-		case RoleStandby:
-			r.maybeElect()
-		case RoleHalted:
-			return
-		}
+		r.step()
+	}
+}
+
+// step is one turn of the control loop: a leader heartbeats every peer,
+// a standby elects if its lease has expired.
+func (r *Replica) step() {
+	if r.Role() == RoleLeader {
+		r.heartbeatAll()
+	} else {
+		r.maybeElect()
 	}
 }
 
 // --- leader side -----------------------------------------------------
 
+// heartbeatAll ships one round to every peer at once, then settles any
+// 409s in peer order, so the round's outcome does not depend on which
+// reply lands first.
 func (r *Replica) heartbeatAll() {
-	if r.cfg.Chaos.onHeartbeatRound(r.cfg.Self) {
-		r.logf("replica %s: chaos leaderkill fired", r.cfg.Self)
-		r.Halt()
-		return
-	}
+	conflicts := make([]*replicateResponse, len(r.cfg.Peers))
 	var wg sync.WaitGroup
-	for _, p := range r.cfg.Peers {
-		if p.Name == r.cfg.Self {
+	for i, p := range r.cfg.Peers {
+		if i == r.selfIdx {
 			continue
 		}
 		wg.Add(1)
-		go func(peer PeerSpec) {
+		go func() {
 			defer wg.Done()
-			r.heartbeatOne(peer)
-		}(p)
+			conflicts[i] = r.heartbeatOne(p)
+		}()
 	}
 	wg.Wait()
+	for _, c := range conflicts {
+		if c != nil {
+			r.onConflict(c.Epoch, c.Leader)
+		}
+	}
 }
 
-func (r *Replica) heartbeatOne(peer PeerSpec) {
+// heartbeatOne ships the journal past peer's ack and records the new ack;
+// it returns the peer's competing claim when the peer answers 409.
+func (r *Replica) heartbeatOne(peer PeerSpec) *replicateResponse {
 	r.mu.Lock()
 	if r.role != RoleLeader {
 		r.mu.Unlock()
-		return
+		return nil
 	}
 	epoch := r.epoch
 	from := r.acked[peer.Name]
 	r.mu.Unlock()
-
-	if err, delay := r.cfg.Chaos.onReplicate(peer.Name); err != nil {
-		r.cHeartbeats.Add(1)
-		r.cHeartbeatFailures.Add(1)
-		return
-	} else if delay > 0 {
-		select {
-		case <-r.ctx.Done():
-			return
-		case <-time.After(delay):
-		}
-	}
 
 	entries := r.journal.Since(from, maxEntriesPerBeat, maxBatchBytes)
 	body, err := json.Marshal(replicateRequest{
@@ -404,7 +370,7 @@ func (r *Replica) heartbeatOne(peer PeerSpec) {
 	})
 	if err != nil {
 		r.cHeartbeatFailures.Add(1)
-		return
+		return nil
 	}
 	ctx, cancel := context.WithTimeout(r.ctx, r.cfg.ReplicateTimeout)
 	defer cancel()
@@ -412,20 +378,20 @@ func (r *Replica) heartbeatOne(peer PeerSpec) {
 		peer.URL+"/v1/cluster/replicate", bytes.NewReader(body))
 	if err != nil {
 		r.cHeartbeatFailures.Add(1)
-		return
+		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(req)
 	r.cHeartbeats.Add(1)
 	if err != nil {
 		r.cHeartbeatFailures.Add(1)
-		return
+		return nil
 	}
 	defer resp.Body.Close()
 	var rr replicateResponse
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&rr); err != nil {
 		r.cHeartbeatFailures.Add(1)
-		return
+		return nil
 	}
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -439,10 +405,11 @@ func (r *Replica) heartbeatOne(peer PeerSpec) {
 		r.acked[peer.Name] = rr.Ack
 		r.mu.Unlock()
 	case http.StatusConflict:
-		r.onConflict(rr.Epoch, rr.Leader)
+		return &rr
 	default:
 		r.cHeartbeatFailures.Add(1)
 	}
+	return nil
 }
 
 // onConflict handles a 409 from a peer that knows a competing claim: a
@@ -479,7 +446,7 @@ func (r *Replica) stepDown(epoch uint64, leader string) {
 		r.epoch = epoch
 	}
 	r.leader = leader
-	r.lastBeat = time.Now()
+	r.lastBeat = r.now()
 	epochNow := r.epoch
 	r.mu.Unlock()
 	r.cStepdowns.Add(1)
@@ -499,7 +466,7 @@ func (r *Replica) stepDown(epoch uint64, leader string) {
 
 func (r *Replica) maybeElect() {
 	r.mu.Lock()
-	expired := time.Since(r.lastBeat) > r.cfg.LeaseTTL
+	expired := r.now().Sub(r.lastBeat) > r.cfg.LeaseTTL
 	r.mu.Unlock()
 	if expired {
 		r.elect()
@@ -566,7 +533,7 @@ func (r *Replica) elect() {
 					r.epoch = info.Epoch
 				}
 				r.leader = p.Name
-				r.lastBeat = time.Now()
+				r.lastBeat = r.now()
 			}
 			r.mu.Unlock()
 			return
@@ -586,7 +553,7 @@ func (r *Replica) elect() {
 	// A beat that landed while the peers were queried renews the lease:
 	// the leader is alive, only slow to answer.
 	r.mu.Lock()
-	renewed := time.Since(r.lastBeat) <= r.cfg.LeaseTTL
+	renewed := r.now().Sub(r.lastBeat) <= r.cfg.LeaseTTL
 	r.mu.Unlock()
 	if renewed {
 		return
@@ -655,7 +622,6 @@ func (r *Replica) promote(epoch uint64) {
 	ccfg.Journal = r.journal
 	ccfg.Registry = r.reg
 	ccfg.Client = r.client
-	ccfg.Chaos = r.cfg.Chaos
 	coord, err := New(ccfg)
 	if err != nil {
 		// Config was validated in NewReplica; this cannot happen outside
@@ -667,6 +633,23 @@ func (r *Replica) promote(epoch uint64) {
 	}
 	coord.probeAll()
 	coord.AdoptCircuits()
+
+	r.mu.Lock()
+	if r.role != RoleLeader { // closed or deposed mid-takeover
+		r.mu.Unlock()
+		coord.detachJournal()
+		coord.Close()
+		return
+	}
+	r.coord = coord
+	r.handler = NewHandler(coord)
+	r.mu.Unlock()
+	// Claim the lease before any peer's TTL expires, then re-drive. A
+	// round that deposes this leader leaves the jobs to the winner.
+	r.heartbeatAll()
+	if r.Role() != RoleLeader {
+		return
+	}
 	redriven := 0
 	for _, v := range r.journal.UnfinishedJobs() {
 		if _, err := coord.Redrive(v.ID, v.CircuitID, v.Public, v.Secret, v.Node, v.TraceID); err == nil {
@@ -676,19 +659,6 @@ func (r *Replica) promote(epoch uint64) {
 	if redriven > 0 {
 		r.logf("replica %s: re-driving %d unfinished jobs", r.cfg.Self, redriven)
 	}
-
-	r.mu.Lock()
-	if r.role != RoleLeader { // halted or deposed mid-takeover
-		r.mu.Unlock()
-		coord.detachJournal()
-		coord.Close()
-		return
-	}
-	r.coord = coord
-	r.handler = NewHandler(coord)
-	r.mu.Unlock()
-	// Claim the lease before any peer's TTL expires.
-	r.heartbeatAll()
 }
 
 // --- wire types ------------------------------------------------------
@@ -716,17 +686,13 @@ type roleInfo struct {
 
 // --- HTTP surface ----------------------------------------------------
 
-// ServeHTTP multiplexes the replica: a blanket 503 when halted, else
-// group-internal endpoints first, then the full coordinator API while
-// leading, read-only + 307 while standing by.
+// ServeHTTP multiplexes the replica: group-internal endpoints first, then
+// the full coordinator API while leading, read-only + 307 while standing
+// by.
 func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	r.mu.Lock()
 	role, handler, leader := r.role, r.handler, r.leader
 	r.mu.Unlock()
-	if role == RoleHalted {
-		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "replica halted"})
-		return
-	}
 	switch {
 	case req.URL.Path == "/v1/cluster/replicate" && req.Method == http.MethodPost:
 		r.handleReplicate(w, req)
@@ -736,7 +702,7 @@ func (r *Replica) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		service.WriteMetrics(w, req, r.reg.Snapshot())
 	case req.URL.Path == "/v1/cluster/events" && req.Method == http.MethodGet:
 		// The event log is shared across roles (standbys record elections
-		// too), so every non-halted replica serves it locally — no
+		// too), so every replica serves it locally — no
 		// redirect, events must stay observable while the leader is down.
 		service.WriteEvents(w, req, r.events)
 	case req.URL.Path == "/healthz":
@@ -758,18 +724,15 @@ func (r *Replica) handleRole(w http.ResponseWriter) {
 		Epoch: r.epoch, Leader: r.leader,
 	}
 	r.mu.Unlock()
-	if info.Role == RoleHalted.String() {
-		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "replica halted"})
-		return
-	}
 	info.Seq = r.journal.Seq()
 	service.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleReplicate is the standby's ingest path and the epoch arbiter: a
-// stale sender gets 409 with the higher claim; a valid sender renews the
-// lease and gets the contiguous ack. A leader that receives a replicate
-// from a peer with a winning claim steps down right here.
+// sender outside the peer list gets 403; a stale sender gets 409 with the
+// higher claim; a valid sender renews the lease and gets the contiguous
+// ack. A leader that receives a replicate from a peer with a winning claim
+// steps down right here.
 func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 	var in replicateRequest
 	req.Body = http.MaxBytesReader(w, req.Body, maxReplicateBody)
@@ -777,12 +740,12 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad replicate body: %v", err)})
 		return
 	}
-	r.mu.Lock()
-	if r.role == RoleHalted {
-		r.mu.Unlock()
-		service.WriteJSON(w, http.StatusServiceUnavailable, service.APIError{Error: "replica halted"})
+	senderIdx := r.peerIndex(in.From)
+	if senderIdx < 0 {
+		service.WriteJSON(w, http.StatusForbidden, service.APIError{Error: fmt.Sprintf("replicate from %q: not in the peer list", in.From)})
 		return
 	}
+	r.mu.Lock()
 	if in.Epoch < r.epoch {
 		resp := replicateResponse{Ack: r.journal.Seq(), Epoch: r.epoch, Leader: r.leader}
 		r.mu.Unlock()
@@ -790,8 +753,7 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if r.role == RoleLeader {
-		senderIdx := r.peerIndex(in.From)
-		if in.Epoch == r.epoch && (senderIdx < 0 || senderIdx > r.selfIdx) {
+		if in.Epoch == r.epoch && senderIdx > r.selfIdx {
 			// Equal-epoch duel: the lower index keeps the lease.
 			resp := replicateResponse{Ack: r.journal.Seq(), Epoch: r.epoch, Leader: r.cfg.Self}
 			r.mu.Unlock()
@@ -807,7 +769,7 @@ func (r *Replica) handleReplicate(w http.ResponseWriter, req *http.Request) {
 		r.gEpoch.Set(float64(r.epoch))
 	}
 	r.leader = in.From
-	r.lastBeat = time.Now()
+	r.lastBeat = r.now()
 	r.mu.Unlock()
 	ack := r.journal.Ingest(in.FromSeq, in.Entries)
 	service.WriteJSON(w, http.StatusOK, replicateResponse{Ack: ack, Epoch: in.Epoch, Leader: in.From})

@@ -12,7 +12,7 @@ import (
 // scoped records ("cluster: node_evicted", "cluster.ha: promotion",
 // "service: drain_begin") kept in a bounded ring for the
 // /v1/cluster/events endpoint and optionally mirrored as JSONL to a
-// sink for post-mortems of chaos runs. It is the narrative complement
+// sink for post-mortems of failover runs. It is the narrative complement
 // to spans (which time work) and metrics (which count it): events say
 // what the control plane *decided* and why.
 //
