@@ -22,10 +22,16 @@ vet:
 loc:
 	@./scripts/loc.sh
 
+# The same nine targets as CI's fuzz matrix, 30 s each.
 fuzz:
 	$(GO) test ./internal/ff -run FuzzFixedVsGeneric -fuzz FuzzFixedVsGeneric -fuzztime 30s
+	$(GO) test ./internal/ff -run FuzzInverse -fuzz FuzzInverse -fuzztime 30s
 	$(GO) test ./internal/tower -run FuzzTowerFastVsGeneric -fuzz FuzzTowerFastVsGeneric -fuzztime 30s
+	$(GO) test ./internal/msm -run FuzzSignedDigitVsStraus -fuzz FuzzSignedDigitVsStraus -fuzztime 30s
 	$(GO) test ./internal/msm -run FuzzBucketKernel -fuzz FuzzBucketKernel -fuzztime 30s
+	$(GO) test ./internal/curve -run FuzzGLVDecompose -fuzz FuzzGLVDecompose -fuzztime 30s
+	$(GO) test ./internal/groth16 -run FuzzBatchVerifyVsSingle -fuzz FuzzBatchVerifyVsSingle -fuzztime 30s
+	$(GO) test ./internal/groth16 -run FuzzCompressedProofWire -fuzz FuzzCompressedProofWire -fuzztime 30s
 	$(GO) test ./internal/cluster -run FuzzReplicateIngest -fuzz FuzzReplicateIngest -fuzztime 30s
 
 # Refresh the committed benchmark baseline. Run on a quiet machine and

@@ -33,7 +33,7 @@ func main() {
 		queueCap   = flag.Int("queue", 64, "admission-control bound on queued+running jobs")
 		maxBatch   = flag.Int("max-batch", 4, "max same-circuit jobs per dispatch")
 		prover     = flag.String("prover", "gzkp", "gzkp | baseline | cpu")
-		preprocess = flag.Bool("preprocess", false, "build GZKP MSM tables at circuit registration: table memory for ~1.5x faster MSMs (off: MSMs build no table)")
+		preprocess = flag.Bool("preprocess", false, "build GZKP MSM tables at circuit registration: table memory for ~1.3x faster MSMs (off: MSMs build no table)")
 		faultSpec  = flag.String("inject-faults", "", `deterministic fault plan, device 0 is this node's prover, e.g. "kill:0@30" (see gzkp-prove)`)
 		faultSeed  = flag.Int64("fault-seed", 1, "seed resolving @? fault steps")
 		checkpoint = flag.String("checkpoint", "", "drain checkpoint path: written on shutdown deadline, restored at startup if present")

@@ -9,7 +9,8 @@ import (
 // queued slope denominator on Flush with one shared inversion (Montgomery's
 // trick): an addition costs 5M + 1S + 6 add/sub plus a share of that
 // inversion, against a Jacobian mixed add's 7M + 4S + 13 add/sub. It is the
-// bucket kernel of msm's GZKP table routine. Points live in the adder's
+// bucket kernel of msm's GZKP table routine and the engine of its bucket
+// combine's running sums. Points live in the adder's
 // flat limb slab (slot i is x‖y at slab[2iw:2(i+1)w]), sized once: Load,
 // Queue and Flush never allocate. Not safe for concurrent use.
 type AffineAdder struct {
@@ -80,6 +81,9 @@ func (a *AffineAdder) Load(i int32, p Affine, neg bool) {
 		copy(a.y(i), p.Y)
 	}
 }
+
+// SetInfinity makes slot i the point at infinity.
+func (a *AffineAdder) SetInfinity(i int32) { a.inf[i] = true }
 
 // Point returns slot i, aliasing the slab.
 func (a *AffineAdder) Point(i int32) Affine {
@@ -168,8 +172,8 @@ func (a *AffineAdder) Flush() {
 }
 
 // invert sets z = x⁻¹ for x ≠ 0 without allocating, with a.t[2:] as
-// scratch: Fermat on a prime field (ff.Field.InverseTo); on a quadratic
-// extension the norm map x⁻¹ = x̄ / (x·x̄) down to one prime inversion.
+// scratch: ff.Field.InverseTo on a prime field; on a quadratic extension
+// the norm map x⁻¹ = x̄ / (x·x̄) down to one prime inversion.
 func (a *AffineAdder) invert(z, x []uint64) {
 	if a.half == 0 {
 		a.f.InverseTo(z, x)

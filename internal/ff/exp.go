@@ -6,8 +6,8 @@ import (
 )
 
 // Exp returns x^e for a non-negative big integer exponent, using MSB-first
-// square-and-multiply. Exponents are public in every GZKP use (Fermat
-// inversion, Tonelli–Shanks, root-of-unity derivation), so a variable-time
+// square-and-multiply. Exponents are public in every GZKP use (Legendre
+// symbols, Tonelli–Shanks, root-of-unity derivation), so a variable-time
 // ladder is appropriate.
 func (f *Field) Exp(x Element, e *big.Int) Element {
 	if e.Sign() < 0 {
@@ -29,51 +29,12 @@ func (f *Field) ExpUint64(x Element, e uint64) Element {
 	return f.Exp(x, new(big.Int).SetUint64(e))
 }
 
-// Inverse returns x^{-1} via Fermat's little theorem (x^{p-2}).
-// Inverse of zero returns zero, matching the usual proof-system convention.
+// Inverse returns x^{-1} (InverseTo). Inverse of zero returns zero,
+// matching the usual proof-system convention.
 func (f *Field) Inverse(x Element) Element {
 	z := f.New()
-	if !f.IsZero(x) {
-		f.InverseTo(z, x)
-	}
+	f.InverseTo(z, x)
 	return z
-}
-
-// InverseTo sets z = x^{-1} for x ≠ 0 without allocating — the MSM bucket
-// kernel inverts once per tree round. z must not alias x.
-func (f *Field) InverseTo(z, x Element) {
-	copy(z, f.r)
-	for i := f.pMinus2.BitLen() - 1; i >= 0; i-- {
-		f.kern.Square(z, z)
-		if f.pMinus2.Bit(i) == 1 {
-			f.kern.Mul(z, z, x)
-		}
-	}
-}
-
-// BatchInvert inverts every element of xs in place using Montgomery's trick:
-// one field inversion plus 3(n-1) multiplications. Zero entries stay zero.
-func (f *Field) BatchInvert(xs []Element) {
-	if len(xs) == 0 {
-		return
-	}
-	prefix := make([]Element, len(xs))
-	acc := f.One()
-	for i, x := range xs {
-		prefix[i] = f.Copy(acc)
-		if !f.IsZero(x) {
-			f.Mul(acc, acc, x)
-		}
-	}
-	inv := f.Inverse(acc)
-	for i := len(xs) - 1; i >= 0; i-- {
-		if f.IsZero(xs[i]) {
-			continue
-		}
-		tmp := f.Copy(xs[i])
-		f.Mul(xs[i], inv, prefix[i])
-		f.Mul(inv, inv, tmp)
-	}
 }
 
 // Legendre returns the Legendre symbol of x: 1 (QR), -1 (non-QR), 0 (zero).

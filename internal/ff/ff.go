@@ -44,11 +44,16 @@ type Field struct {
 	pBig     *big.Int
 	pMinus1  *big.Int // p-1
 	pm1Half  *big.Int // (p-1)/2, Legendre exponent
-	pMinus2  *big.Int // p-2, Fermat inversion exponent
 	twoAdicS uint     // s with p-1 = q * 2^s, q odd
 	tsQ      *big.Int // the odd q above
 	nqr      Element  // a quadratic non-residue (Montgomery form)
 	rootPow  Element  // nqr^q: generator of the 2-Sylow subgroup, order 2^s
+
+	// safegcd inversion constants (inverse.go): p in signed 62-bit limbs,
+	// p⁻¹ mod 2^62, and R³ mod p.
+	p62    []int64
+	pInv62 uint64
+	r3     Element
 }
 
 // NewField builds a Field for the given odd prime modulus (decimal or 0x-hex
@@ -100,10 +105,11 @@ func newFieldBig(name string, p *big.Int) (*Field, error) {
 	r2 := new(big.Int).Lsh(big.NewInt(1), 2*shift)
 	r2.Mod(r2, p)
 	f.r2 = Element(bigToLimbs(r2, n))
+	r3 := new(big.Int).Lsh(big.NewInt(1), 3*shift)
+	f.installInverse(bigToLimbs(r3.Mod(r3, p), n))
 
 	f.pMinus1 = new(big.Int).Sub(p, big.NewInt(1))
 	f.pm1Half = new(big.Int).Rsh(f.pMinus1, 1)
-	f.pMinus2 = new(big.Int).Sub(p, big.NewInt(2))
 
 	// p-1 = q * 2^s.
 	q := new(big.Int).Set(f.pMinus1)

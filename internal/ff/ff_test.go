@@ -148,30 +148,6 @@ func TestInverse(t *testing.T) {
 	}
 }
 
-func TestBatchInvert(t *testing.T) {
-	for _, f := range testFields(t) {
-		rng := mrand.New(mrand.NewSource(5))
-		xs := make([]Element, 40)
-		want := make([]Element, len(xs))
-		for i := range xs {
-			if i%7 == 3 {
-				xs[i] = f.Zero()
-			} else {
-				xs[i] = f.Rand(rng)
-			}
-			want[i] = f.Inverse(xs[i])
-		}
-		f.BatchInvert(xs)
-		for i := range xs {
-			if !f.Equal(xs[i], want[i]) {
-				t.Fatalf("%s: batch invert mismatch at %d", f.Name(), i)
-			}
-		}
-	}
-	// Empty input must not panic.
-	testFields(t)[0].BatchInvert(nil)
-}
-
 func TestExp(t *testing.T) {
 	for _, f := range testFields(t) {
 		rng := mrand.New(mrand.NewSource(6))

@@ -59,8 +59,8 @@ func FuzzFixedVsGeneric(fz *testing.F) {
 		check("double", f.Double(f.New(), x), g.AddGeneric(g.New(), x, x), want.Mod(want.Add(xv, xv), p))
 
 		if !f.IsZero(x) {
-			inv := f.Inverse(x)  // runs on the fixed kernels via Exp
-			ginv := g.Inverse(x) // same ladder on the generic path
+			inv := f.Inverse(x)  // safegcd, then the fixed multiplier
+			ginv := g.Inverse(x) // the same on the generic multiplier
 			wantInv := new(big.Int).ModInverse(xv, p)
 			check("inv", inv, ginv, wantInv)
 		}

@@ -161,16 +161,6 @@ func BenchmarkAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkInverse(b *testing.B) {
-	f := MustField("BN254Fq", testModuli[2].mod)
-	rng := mrand.New(mrand.NewSource(1))
-	x := f.Rand(rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Inverse(x)
-	}
-}
-
 var sinkBig *big.Int
 
 func BenchmarkMulBigIntReference(b *testing.B) {

@@ -272,24 +272,28 @@ func Setup(sys *r1cs.System, c *curve.Curve, rand io.Reader) (*ProvingKey, *Veri
 		return Setup(sys, c, rand)
 	}
 
-	// Lagrange values L_j(τ) = Z(τ)·ω^j / (n·(τ - ω^j)).
+	// Lagrange values L_j(τ) = Z(τ)·ω^j / (n·(τ - ω^j)), under one
+	// inversion (Montgomery's trick): lag[j] first holds its numerator
+	// times Π_{i<j} dens[i], and the backward pass divides it by
+	// Π_{i≤j} dens[i].
 	omega, err := f.RootOfUnity(uint(log2(n)))
 	if err != nil {
 		return nil, nil, err
 	}
-	lag := f.NewVector(n)
-	dens := make([]ff.Element, n)
-	wj := f.One()
+	lag, dens := f.NewVector(n), f.NewVector(n)
+	zn := f.Mul(f.New(), zTau, f.Inverse(f.FromUint64(uint64(n)))) // Z(τ)/n
+	wj, acc := f.One(), f.One()
 	for j := 0; j < n; j++ {
-		dens[j] = f.Sub(f.New(), tau, wj)
-		f.Mul(lag[j], zTau, wj)
+		f.Sub(dens[j], tau, wj)
+		f.Mul(lag[j], zn, wj)
+		f.Mul(lag[j], lag[j], acc)
+		f.Mul(acc, acc, dens[j])
 		f.Mul(wj, wj, omega)
 	}
-	nInv := f.Inverse(f.FromUint64(uint64(n)))
-	f.BatchInvert(dens)
-	for j := 0; j < n; j++ {
-		f.Mul(lag[j], lag[j], dens[j])
-		f.Mul(lag[j], lag[j], nInv)
+	f.InverseTo(acc, acc)
+	for j := n - 1; j >= 0; j-- {
+		f.Mul(lag[j], lag[j], acc)
+		f.Mul(acc, acc, dens[j])
 	}
 
 	// Per-wire QAP evaluations u_i(τ), v_i(τ), w_i(τ).

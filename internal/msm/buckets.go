@@ -2,6 +2,7 @@ package msm
 
 import (
 	"context"
+	"sync"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/par"
@@ -24,27 +25,19 @@ const (
 // (curve.AffineAdder): entries' table points are loaded — as (x, −y) for a
 // negative digit, points at infinity dropped — and each round pairs every
 // segment's survivors in place under one shared inversion. Each segment's
-// sum S_{j,r} lands in buckets[j·M+r]; reduceBuckets weights the classes, so
-// Algorithm 1's checkpoint fix-up costs (M-1)·k doublings per MSM rather
-// than per bucket.
-func affineBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) error {
-	workers := cfg.workers()
-	cuts, slots, segs := p.groups(workers)
-	mk := func() *bucketWorker {
-		return &bucketWorker{
-			ops: t.g.NewOps(), add: t.g.NewAffineAdder(slots),
-			start: make([]int32, segs), live: make([]int32, segs),
-		}
-	}
+// sum S_{j,r} lands, still affine, in sums[j·M+r]; reduceBuckets weights
+// the classes, so Algorithm 1's checkpoint fix-up costs (M-1)·k doublings
+// per MSM rather than per bucket.
+func affineBuckets(ctx context.Context, t *Table, p *bucketPlan, sums []curve.Affine, ws *workerSet, cfg Config) error {
 	run := func(bw *bucketWorker, gi int) error {
-		bw.reduce(t, p, p.order[cuts[gi]:cuts[gi+1]], buckets)
+		bw.reduce(t, p, p.order[p.cuts[gi]:p.cuts[gi+1]], sums)
 		return nil
 	}
 	schedule := par.ItemsErr[*bucketWorker] // dynamic, in the heaviest-first order
 	if cfg.NoLoadBalance {
 		schedule = par.StaticItemsErr[*bucketWorker]
 	}
-	return schedule(ctx, len(cuts)-1, workers, mk, run)
+	return schedule(ctx, len(p.cuts)-1, cfg.workers(), ws.take, run)
 }
 
 // groups cuts the schedule order into bucket groups, returning the cut
@@ -66,16 +59,42 @@ func (p *bucketPlan) groups(workers int) (cuts []int, maxEntries, maxSegs int) {
 	return cuts, maxEntries, maxSegs
 }
 
-// bucketWorker is one worker's scratch, allocated once per worker per MSM:
-// the adder and its slab, and each segment's run of live slots in it.
+// bucketWorker is one worker's scratch, allocated once per worker per MSM
+// and used by the kernel and then the combine: the adder and its slab,
+// each kernel segment's run of live slots in it, and the first chunk of
+// the combine's lanes.
 type bucketWorker struct {
-	ops         *curve.Ops
 	add         *curve.AffineAdder
 	start, live []int32
+	c0          int
 }
 
-// reduce sets buckets[j·M+r] = S_{j,r} for the group's buckets.
-func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, buckets []curve.Jacobian) {
+// workerSet hands each goroutine of an MSM's parallel phases a
+// bucketWorker, reusing the earlier phase's: the combine runs on the
+// kernel's adders.
+type workerSet struct {
+	mu    sync.Mutex
+	all   []*bucketWorker
+	taken int
+	mk    func() *bucketWorker
+}
+
+// take returns a worker no goroutine of the current phase holds.
+func (ws *workerSet) take() *bucketWorker {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	if ws.taken == len(ws.all) {
+		ws.all = append(ws.all, ws.mk())
+	}
+	ws.taken++
+	return ws.all[ws.taken-1]
+}
+
+// release hands every worker back once a phase has returned.
+func (ws *workerSet) release() { ws.taken = 0 }
+
+// reduce sets sums[j·M+r] = S_{j,r} for the group's buckets.
+func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, sums []curve.Affine) {
 	m, a := p.m, bw.add
 	start, live := bw.start[:len(group)*m], bw.live[:len(group)*m]
 	// Load every segment's entries into consecutive slots.
@@ -132,8 +151,59 @@ func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, buckets []c
 	for gi, j := range group {
 		for r := 0; r < m; r++ {
 			if s := gi*m + r; live[s] > 0 {
-				bw.ops.FromAffine(&buckets[j*m+r], a.Point(start[s]))
+				pt, sum := a.Point(start[s]), &sums[j*m+r]
+				copy(sum.X, pt.X)
+				copy(sum.Y, pt.Y)
+				sum.Inf = pt.Inf
 			}
 		}
 	}
 }
+
+// runningSums advances the lanes of chunks [c0, c1) — chunk c is buckets
+// [1+c·size, 1+(c+1)·size) ∩ [1, B] of every class — from their top bucket
+// down, one flush per step. Step t queues, per lane, L += R (the running sum
+// after t buckets) and then R += S_j, so each flush reads R before it
+// writes it. Lane (c, r) ends with L = Σ (j−a+1)·S_{j,r} and
+// R = Σ S_{j,r} over its chunk, in slots 3·((c−c0)·M+r) and one above; the
+// slot after them stages S_j.
+func (bw *bucketWorker) runningSums(sums []curve.Affine, m, numBuckets, size, c0, c1 int) {
+	a := bw.add
+	bw.c0 = c0
+	for s := int32(0); s < int32(3*(c1-c0)*m); s++ {
+		a.SetInfinity(s)
+	}
+	for step := 0; step <= size; step++ {
+		for c := c0; c < c1; c++ {
+			lo, hi := 1+c*size, min(1+(c+1)*size, numBuckets+1)
+			j := hi - 1 - step // this step's bucket, none once j < lo
+			for r := 0; r < m; r++ {
+				lw := bw.lane(c, r, m) // L; R and the staged S_j follow
+				rs, st := lw+1, lw+2
+				rInf := a.Point(rs).Inf
+				if step > 0 && j >= lo-1 && !rInf {
+					if a.Point(lw).Inf {
+						a.Queue(rs, -1, lw)
+					} else {
+						a.Queue(lw, rs, lw)
+					}
+				}
+				if j < lo {
+					continue
+				}
+				if pt := sums[j*m+r]; !pt.Inf {
+					if rInf {
+						a.Load(rs, pt, false)
+					} else {
+						a.Load(st, pt, false)
+						a.Queue(rs, st, rs)
+					}
+				}
+			}
+		}
+		a.Flush()
+	}
+}
+
+// lane returns the L slot of lane (c, r); its R slot is the next one.
+func (bw *bucketWorker) lane(c, r, m int) int32 { return int32(3 * ((c-bw.c0)*m + r)) }

@@ -18,7 +18,7 @@ import (
 // mixed add (or subtraction, for a negative digit) per entry into a
 // per-remainder-class accumulator, one task per bucket — kept as the
 // differential oracle for the kernel's per-class sums.
-func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) error {
+func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, sums []curve.Affine, _ *workerSet, cfg Config) error {
 	merge := func(ops *curve.Ops, j int) error {
 		subs := make([]curve.Jacobian, p.m)
 		for r := range subs {
@@ -36,11 +36,14 @@ func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []cur
 					ops.AddMixedAssign(&subs[r], pt)
 				}
 			}
-			ops.Copy(&buckets[j*p.m+r], &subs[r])
+			pt, sum := ops.ToAffine(&subs[r]), &sums[j*p.m+r]
+			copy(sum.X, pt.X)
+			copy(sum.Y, pt.Y)
+			sum.Inf = pt.Inf
 		}
 		return nil
 	}
-	numBuckets := len(buckets)/p.m - 1
+	numBuckets := len(sums)/p.m - 1
 	if cfg.NoLoadBalance {
 		return par.StaticItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
 			func(ops *curve.Ops, idx int) error { return merge(ops, idx+1) })
@@ -49,10 +52,63 @@ func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, buckets []cur
 		func(ops *curve.Ops, pos int) error { return merge(ops, p.order[pos]) })
 }
 
-// checkKernel runs one table MSM through the bucket kernel and the
-// mixed-add oracle and requires identical results and identical counters
-// (PointAdds, Doubles, BucketLoads, LoadSpread, digit counts, TableBytes);
-// a non-nil want is the Reference result both must equal.
+// jacobianCombine is the bucket reduction reduceBuckets replaced, kept as
+// the differential oracle for its running sums: each class is cut into
+// chunks, and chunk [a,b) contributes Σ (j-a+1)·S_j + (a-1)·Σ S_j, built
+// with Jacobian running sums and one scalar multiple per (class, chunk)
+// item; one Horner chain over the classes costs (M-1)·k doublings.
+func jacobianCombine(ctx context.Context, t *Table, sums []curve.Affine, _ *workerSet, cfg Config) (curve.Affine, int64, error) {
+	g, m := t.g, t.m
+	numBuckets := len(sums)/m - 1 // bucket 0 unused
+	workers := cfg.workers()
+	chunks := min(max((workers*4+m-1)/m, 1), numBuckets) // per class
+	size := (numBuckets + chunks - 1) / chunks
+	partial := make([]curve.Jacobian, m*chunks)
+	err := par.ItemsErr(ctx, len(partial), workers, g.NewOps,
+		func(ops *curve.Ops, item int) error {
+			r, c := item/chunks, item%chunks
+			a := 1 + c*size
+			b := min(a+size, numBuckets+1)
+			var running, local curve.Jacobian
+			ops.SetInfinity(&running)
+			ops.SetInfinity(&local)
+			for j := b - 1; j >= a; j-- {
+				ops.AddMixedAssign(&running, sums[j*m+r])
+				ops.AddAssign(&local, &running)
+			}
+			// local = Σ (j-a+1)·S_j; add (a-1)·running.
+			if a > 1 && a < b {
+				scaled := ops.ScalarMul(ops.ToAffine(&running), big.NewInt(int64(a-1)))
+				ops.AddAssign(&local, scaled)
+			}
+			partial[item] = local
+			return nil
+		})
+	if err != nil {
+		return curve.Affine{}, 0, err
+	}
+	ops := g.NewOps()
+	var total curve.Jacobian
+	ops.SetInfinity(&total)
+	for r := m - 1; r >= 0; r-- {
+		if r < m-1 {
+			for d := 0; d < t.k; d++ {
+				ops.DoubleAssign(&total)
+			}
+		}
+		for c := 0; c < chunks; c++ {
+			ops.AddAssign(&total, &partial[r*chunks+c])
+		}
+	}
+	return ops.ToAffine(&total), int64((m - 1) * t.k), nil
+}
+
+// checkKernel runs one table MSM through the bucket kernel and combine and
+// through their Jacobian oracles (mixed-add buckets, per-class chunked
+// running sums), and requires identical results and identical counters
+// (PointAdds, BucketLoads, LoadSpread, digit counts, TableBytes) but
+// Doubles, which TestBucketKernelCounters pins. A non-nil want is the
+// Reference result both must equal.
 func checkKernel(t testing.TB, table *Table, scalars []ff.Element, cfg Config, want *curve.Affine, what string) Stats {
 	t.Helper()
 	g := table.g
@@ -60,16 +116,17 @@ func checkKernel(t testing.TB, table *Table, scalars []ff.Element, cfg Config, w
 	if err != nil {
 		t.Fatalf("%s: kernel: %v", what, err)
 	}
-	orc, os, err := table.computeWith(context.Background(), scalars, cfg, mixedAddBuckets)
+	orc, os, err := table.computeWith(context.Background(), scalars, cfg, mixedAddBuckets, jacobianCombine)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", what, err)
 	}
 	if !g.EqualAffine(got, orc) {
-		t.Fatalf("%s: kernel disagrees with the mixed-add oracle", what)
+		t.Fatalf("%s: kernel and combine disagree with the Jacobian oracles", what)
 	}
 	if want != nil && !g.EqualAffine(got, *want) {
 		t.Fatalf("%s: kernel disagrees with Reference", what)
 	}
+	os.Doubles = gs.Doubles // each combine counts its own chain
 	if !reflect.DeepEqual(gs, os) {
 		t.Fatalf("%s: counters differ\nkernel %+v\noracle %+v", what, gs, os)
 	}
@@ -118,9 +175,9 @@ func TestBatchAffineBucketPath(t *testing.T) {
 }
 
 // TestBucketKernelCounters pins the counters msm.point_adds and
-// msm.doubles are built from — one add per entry, (M-1)·k doublings per
-// MSM in the final chain — and the digit/load statistics to the oracle's,
-// case by case.
+// msm.doubles are built from — one add per entry, (M-1)·k + s doublings
+// per MSM in the final chain — and the digit/load statistics to the
+// oracle's, case by case.
 func TestBucketKernelCounters(t *testing.T) {
 	g := curve.Get(curve.BN254).G1
 	for _, c := range []struct {
@@ -144,7 +201,8 @@ func TestBucketKernelCounters(t *testing.T) {
 		if st.PointAdds != st.NonzeroDigit {
 			t.Fatalf("%s: %d adds for %d entries", c.name, st.PointAdds, st.NonzeroDigit)
 		}
-		if want := int64((table.m - 1) * table.k); st.Doubles != want {
+		_, _, fold := combineShape(table.m, bucketCount(table.k, c.cfg.SignedBuckets), c.cfg.workers())
+		if want := int64((table.m-1)*table.k + fold); st.Doubles != want {
 			t.Fatalf("%s: %d doublings at M=%d k=%d, want %d", c.name, st.Doubles, table.m, table.k, want)
 		}
 	}
@@ -153,10 +211,13 @@ func TestBucketKernelCounters(t *testing.T) {
 // TestOneShotMatchesTabled: an MSM with no kept table — M = windows, the
 // input as its only checkpoint — ≡ the same MSM against a kept M = 1 table
 // ≡ Reference, on G1 and G2 of both pairing curves, both recodings, dense
-// and sparse scalars.
+// and sparse scalars, and on the combine's degenerate steps: empty
+// buckets, a running sum that cancels or doubles, fewer chunks than
+// workers, and kept-table chunks with tails.
 func TestOneShotMatchesTabled(t *testing.T) {
 	for _, id := range []curve.ID{curve.BN254, curve.BLS12381} {
 		for _, g := range []*curve.Group{curve.Get(id).G1, curve.Get(id).G2} {
+			oneShotDegenerate(t, g)
 			for _, n := range []int{1, 2, 63, 256} {
 				for _, signed := range []bool{false, true} {
 					cfg := Config{Strategy: GZKP, SignedBuckets: signed}
@@ -186,6 +247,45 @@ func TestOneShotMatchesTabled(t *testing.T) {
 						if want := referenceMSM(t, g, points, scalars); !g.EqualAffine(got, *want) || !g.EqualAffine(tabled, *want) {
 							t.Fatalf("%s: one-shot / tabled / Reference disagree", what)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// oneShotDegenerate checks one-shot ≡ kept M = 1 ≡ Reference ≡ the
+// Jacobian oracles where the combine's lanes meet their corner cases.
+// Buckets 2 and 1 of window 0 hold P and −P, so a running sum cancels, or
+// P and P, so it doubles; every other bucket is empty. k = 2 leaves fewer
+// chunks than 8 workers, and a kept M = 1 table at the default k has many
+// chunks per class, each past the first with a tail.
+func oneShotDegenerate(t *testing.T, g *curve.Group) {
+	t.Helper()
+	p := kernelBases(g)[1]
+	two, one := g.Fr.FromUint64(2), g.Fr.One()
+	for _, in := range []struct {
+		name    string
+		points  []curve.Affine
+		scalars []ff.Element
+	}{
+		{"running sum cancels", []curve.Affine{p, g.NegAffine(p)}, []ff.Element{two, one}},
+		{"running sum doubles", []curve.Affine{p, p}, []ff.Element{two, one}},
+		{"single entry", []curve.Affine{p}, []ff.Element{two}},
+	} {
+		want := referenceMSM(t, g, in.points, in.scalars)
+		for _, workers := range []int{1, 2, 8} {
+			for _, k := range []int{0, 2} {
+				for _, signed := range []bool{false, true} {
+					what := fmt.Sprintf("%s %s workers=%d k=%d signed=%v", g.Name, in.name, workers, k, signed)
+					cfg := Config{Strategy: GZKP, WindowBits: k, SignedBuckets: signed, Workers: workers}
+					for _, m := range []int{0, 1} { // one-shot, kept M = 1
+						cfg.CheckpointInterval = m
+						table, err := newTable(context.Background(), g, in.points, cfg, m > 0)
+						if err != nil {
+							t.Fatal(err)
+						}
+						checkKernel(t, table, in.scalars, cfg, want, what)
 					}
 				}
 			}
@@ -255,11 +355,11 @@ func kernelGroups() []*curve.Group {
 	return []*curve.Group{bn.G1, bn.G2, bls.G1, bls.G2, curve.Get(curve.MNT4753Sim).G1}
 }
 
-// bucketCase decodes fuzz bytes into one table MSM: a group, a config
-// (k, M ∈ {1, 3, nw, one-shot}, signed/unsigned, schedule) and n points and scalars
-// drawn from the degenerate menu — repeated bases (doublings in a bucket),
-// negated bases (cancellations), bases at infinity; zero, one, r−1,
-// one-hot, repeated and negated scalars.
+// bucketCase decodes fuzz bytes into one table MSM: a group, a config (k,
+// M ∈ {1, 3, nw, one-shot}, signed/unsigned, schedule, workers) and n
+// points and scalars drawn from the degenerate menu — repeated bases
+// (doublings in a bucket), negated bases (cancellations), bases at
+// infinity; zero, one, r−1, one-hot, repeated and negated scalars.
 func bucketCase(raw []byte) (*curve.Group, []curve.Affine, []ff.Element, Config) {
 	next := func() int {
 		if len(raw) == 0 {
@@ -280,7 +380,9 @@ func bucketCase(raw []byte) (*curve.Group, []curve.Affine, []ff.Element, Config)
 		WindowBits:         3 + flags>>4&7,
 		Workers:            2,
 	}
-	n := 1 + next()%12
+	nb := next()
+	n := 1 + nb%12
+	cfg.Workers = []int{2, 1, 3, 8}[nb/12%4] // 8: more workers than combine chunks
 	if g == curve.Get(curve.MNT4753Sim).G1 { // 753-bit scalars: small n, k ≥ 6
 		n, cfg.WindowBits = 1+(n-1)%4, max(cfg.WindowBits, 6)
 	}
@@ -348,8 +450,9 @@ func checkBucketCase(t testing.TB, raw []byte) {
 }
 
 // TestBucketKernelDegenerate runs the degenerate menu deterministically:
-// each input below under M ∈ {1, 3, nw, one-shot} × signed/unsigned × both schedules,
-// on G1 and G2 of both pairing curves and MNT4753-sim G1.
+// each input below under M ∈ {1, 3, nw, one-shot} × signed/unsigned × both
+// schedules, with 1, 2, 3 or 8 workers, on G1 and G2 of both pairing
+// curves and MNT4753-sim G1.
 func TestBucketKernelDegenerate(t *testing.T) {
 	type pt struct{ kind, base int } // kind: 0 base, 2 repeat previous, 3 negate previous, 4 infinity
 	type sc struct{ kind, arg int }  // kind: 0 zero, 1 one, 2 r−1, 3 one-hot 2^arg, 4 repeat, 5 negate previous, 6 dense
@@ -365,6 +468,10 @@ func TestBucketKernelDegenerate(t *testing.T) {
 		{"all zero", []pt{{0, 1}, {0, 2}}, []sc{{0, 0}, {0, 0}}},
 		{"one entry per bucket", []pt{{0, 7}}, []sc{{1, 0}}},
 		{"two entries per bucket", []pt{{0, 7}, {0, 6}}, []sc{{1, 0}, {1, 0}}},
+		// Buckets 2 and 1 of window 0 hold P and −P (then P and P): the
+		// combine's running sum cancels (then doubles) within one chunk.
+		{"running sum cancels", []pt{{0, 1}, {3, 0}}, []sc{{3, 1}, {1, 0}}},
+		{"running sum doubles", []pt{{0, 1}, {2, 0}}, []sc{{3, 1}, {1, 0}}},
 	}
 	for gi := range kernelGroups() {
 		for _, in := range inputs {
@@ -372,9 +479,11 @@ func TestBucketKernelDegenerate(t *testing.T) {
 				continue // MNT4753-sim at small n only
 			}
 			for flags := 0; flags < 16; flags++ {
-				// Hand-build the bytes bucketCase decodes: group, flags, n,
-				// then (point, scalar) byte pairs; k = 5 (6 on MNT4753-sim).
-				raw := []byte{byte(gi), byte(flags | 2<<4), byte(len(in.pts) - 1)}
+				// Hand-build the bytes bucketCase decodes: group, flags, n
+				// and workers, then (point, scalar) byte pairs; k = 5 (6 on
+				// MNT4753-sim). Each M meets each worker count once.
+				workers := (flags ^ flags>>2) & 3
+				raw := []byte{byte(gi), byte(flags | 2<<4), byte(len(in.pts) - 1 + 12*workers)}
 				for i, p := range in.pts {
 					s := in.scs[i]
 					raw = append(raw, byte(p.kind+5*p.base), byte(s.kind+7*s.arg))
@@ -385,9 +494,9 @@ func TestBucketKernelDegenerate(t *testing.T) {
 	}
 }
 
-// FuzzBucketKernel differentially fuzzes the affine bucket kernel against
-// the mixed-add oracle and Reference over the degenerate menu of
-// bucketCase. Run by the CI fuzz leg and `make fuzz`.
+// FuzzBucketKernel differentially fuzzes the affine bucket kernel and
+// combine against their Jacobian oracles and Reference over the degenerate
+// menu of bucketCase. Run by the CI fuzz leg and `make fuzz`.
 func FuzzBucketKernel(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 0, 6, 2, 4, 3, 5, 4, 6})
 	f.Add([]byte{1, 5, 3, 1, 1, 2, 2, 3, 5, 4, 0})
@@ -399,43 +508,57 @@ func FuzzBucketKernel(f *testing.F) {
 	})
 }
 
-// TestComputeAllocsBounded: a table MSM at fixed Workers allocates a number
-// of times independent of n and of the bucket count — the bucket kernel's
-// scratch is one slab per worker, the buckets one slab per MSM. The
-// mixed-add oracle's per-bucket accumulators are the contrast.
+// TestComputeAllocsBounded: a table MSM at fixed Workers — against a kept
+// M = 3 table or one-shot — allocates a number of times independent of n
+// and of the bucket count: the kernel's and the combine's scratch is one
+// adder per worker, the bucket sums one slab per MSM. The Jacobian oracles'
+// per-bucket accumulators are the contrast.
 func TestComputeAllocsBounded(t *testing.T) {
 	g := curve.Get(curve.BN254).G1
 	ctx := context.Background()
-	measure := func(n, k int, kernel bucketKernel) float64 {
+	measure := func(n, k int, oneShot bool, kernel bucketKernel, combine bucketCombine) float64 {
 		points, scalars := testVectors(g, n, 79, 0.3)
 		cfg := Config{WindowBits: k, CheckpointInterval: 3, SignedBuckets: true, Workers: 2}
-		table, err := Preprocess(g, points, cfg)
-		if err != nil {
-			t.Fatal(err)
+		if oneShot {
+			cfg.CheckpointInterval = 0
 		}
+		var table *Table
+		build := func() {
+			var err error
+			if table, err = newTable(ctx, g, points, cfg, !oneShot); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build()
 		return testing.AllocsPerRun(3, func() {
-			if _, _, err := table.computeWith(ctx, scalars, cfg, kernel); err != nil {
+			if oneShot { // the table is part of the MSM
+				build()
+			}
+			if _, _, err := table.computeWith(ctx, scalars, cfg, kernel, combine); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	const slack = 8
-	base := measure(256, 6, affineBuckets)
-	for _, c := range []struct{ n, k int }{{2048, 6}, {256, 9}} {
-		got := measure(c.n, c.k, affineBuckets)
-		t.Logf("n=%d k=%d: %v allocs (n=256 k=6: %v)", c.n, c.k, got, base)
-		if got > base+slack {
-			t.Errorf("n=%d k=%d: %v allocs vs %v at n=256 k=6: allocations grow with the input", c.n, c.k, got, base)
+	for _, oneShot := range []bool{false, true} {
+		base := measure(256, 6, oneShot, affineBuckets, reduceBuckets)
+		for _, c := range []struct{ n, k int }{{2048, 6}, {256, 9}} {
+			got := measure(c.n, c.k, oneShot, affineBuckets, reduceBuckets)
+			t.Logf("one-shot=%v n=%d k=%d: %v allocs (n=256 k=6: %v)", oneShot, c.n, c.k, got, base)
+			if got > base+slack {
+				t.Errorf("one-shot=%v n=%d k=%d: %v allocs vs %v at n=256 k=6: allocations grow with the input", oneShot, c.n, c.k, got, base)
+			}
 		}
 	}
-	if o6, o9 := measure(256, 6, mixedAddBuckets), measure(256, 9, mixedAddBuckets); o9 < o6+slack {
+	if o6, o9 := measure(256, 6, false, mixedAddBuckets, jacobianCombine), measure(256, 9, false, mixedAddBuckets, jacobianCombine); o9 < o6+slack {
 		t.Errorf("oracle allocs %v → %v at k 6 → 9: the test no longer sees per-bucket allocation", o6, o9)
 	}
 }
 
-// BenchmarkBucketKernel: the affine bucket kernel against the mixed-add
-// oracle it replaced, on the prover's configuration (signed digits, the
-// default window and M) at n = 2^10, G1 and G2 (run with -benchmem).
+// BenchmarkBucketKernel: the affine bucket kernel and combine against the
+// Jacobian oracles they replaced, on the prover's configuration (signed
+// digits, the default window and M) at n = 2^10, G1 and G2 (run with
+// -benchmem).
 func BenchmarkBucketKernel(b *testing.B) {
 	bn := curve.Get(curve.BN254)
 	for _, g := range []*curve.Group{bn.G1, bn.G2} {
@@ -446,17 +569,59 @@ func BenchmarkBucketKernel(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, k := range []struct {
-			name   string
-			kernel bucketKernel
-		}{{"affine", affineBuckets}, {"mixed-add-oracle", mixedAddBuckets}} {
+			name    string
+			kernel  bucketKernel
+			combine bucketCombine
+		}{{"affine", affineBuckets, reduceBuckets}, {"jacobian-oracles", mixedAddBuckets, jacobianCombine}} {
 			b.Run(g.Name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := table.computeWith(context.Background(), scalars, cfg, k.kernel); err != nil {
+					if _, _, err := table.computeWith(context.Background(), scalars, cfg, k.kernel, k.combine); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkOneShot sweeps a one-shot GZKP MSM — no kept table, the path a
+// server without preprocessing runs — against the same MSM on a kept M = 1
+// table, on BN254 G1 and G2, at n ∈ {64, 128, 256, 1024} and window sizes
+// from two below to one above the signed default AutoWindow + 1.
+func BenchmarkOneShot(b *testing.B) {
+	bn := curve.Get(curve.BN254)
+	for _, g := range []*curve.Group{bn.G1, bn.G2} {
+		for _, n := range []int{64, 128, 256, 1024} {
+			points, scalars := testVectors(g, n, 43, 0)
+			def := AutoWindow(n) + 1
+			for k := def - 2; k <= def+1; k++ {
+				cfg := Config{Strategy: GZKP, SignedBuckets: true, WindowBits: k}
+				kept := cfg
+				kept.CheckpointInterval = 1
+				name := fmt.Sprintf("%s/n=%d/k=%d", g.Name, n, k)
+				b.Run(name+"/one-shot", func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := Compute(g, points, scalars, cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run(name+"/kept", func(b *testing.B) {
+					table, err := Preprocess(g, points, kept)
+					if err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, _, err := table.Compute(scalars, kept); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -3,7 +3,7 @@ package msm
 import (
 	"context"
 	"fmt"
-	"math/big"
+	"math/bits"
 	"sort"
 
 	"gzkp/internal/curve"
@@ -157,7 +157,7 @@ func (t *Table) Compute(scalars []ff.Element, cfg Config) (curve.Affine, Stats, 
 // digits as the negated point. The sign rides in the p_index entry
 // (±(w·n+i+1)); unsigned entries are simply never negative.
 func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
-	return t.computeWith(ctx, scalars, cfg, affineBuckets)
+	return t.computeWith(ctx, scalars, cfg, affineBuckets, reduceBuckets)
 }
 
 // bucketPlan is what a bucket kernel reads of one table MSM besides the table.
@@ -170,6 +170,7 @@ type bucketPlan struct {
 	offsets []int32
 	loads   []int64 // entries per bucket (index 0 unused)
 	order   []int   // buckets 1..B, heaviest first (index order under NoLoadBalance)
+	cuts    []int   // the kernel's bucket groups: group g is order[cuts[g]:cuts[g+1]]
 }
 
 // segment returns the entries of bucket j's remainder class r.
@@ -178,13 +179,18 @@ func (p *bucketPlan) segment(j, r int) []int32 {
 	return p.pindex[p.offsets[s]:p.offsets[s+1]]
 }
 
-// bucketKernel sets buckets[j·M+r] = S_{j,r}, the sum of segment (j, r)'s
-// entries, for every bucket j ≥ 1 and class r.
-type bucketKernel func(ctx context.Context, t *Table, p *bucketPlan, buckets []curve.Jacobian, cfg Config) error
+// bucketKernel sets sums[j·M+r] = S_{j,r}, the sum of segment (j, r)'s
+// entries, for every bucket j ≥ 1 and class r, on workers drawn from ws.
+type bucketKernel func(ctx context.Context, t *Table, p *bucketPlan, sums []curve.Affine, ws *workerSet, cfg Config) error
 
-// computeWith is ComputeCtx around a given bucket kernel — the seam where
-// the tests' mixed-add oracle (buckets_test.go) runs on the same plan.
-func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Config, kernel bucketKernel) (curve.Affine, Stats, error) {
+// bucketCombine returns Σ_r 2^(r·k)·Σ_j j·S_{j,r} and the doublings it
+// spent, on workers drawn from ws.
+type bucketCombine func(ctx context.Context, t *Table, sums []curve.Affine, ws *workerSet, cfg Config) (curve.Affine, int64, error)
+
+// computeWith is ComputeCtx around a given bucket kernel and combine — the
+// seam where the tests' Jacobian oracles (buckets_test.go) run on the same
+// plan.
+func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Config, kernel bucketKernel, combine bucketCombine) (curve.Affine, Stats, error) {
 	g := t.g
 	n := len(t.pre[0])
 	if len(scalars) != n {
@@ -263,20 +269,35 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	}
 	plan := &bucketPlan{n: n, m: m, pindex: pindex, offsets: offsets, loads: loads, order: order}
 
-	// --- Cross-window point merging into one (bucket, class) slab.
+	// --- Per-worker adders, sized for the kernel's groups and the combine's
+	// lanes, and the affine slab of (bucket, class) sums between them.
+	workers := cfg.workers()
+	var slots, groupSegs int
+	plan.cuts, slots, groupSegs = plan.groups(workers)
+	chunks, _, _ := combineShape(m, numBuckets, workers)
+	lanes := (chunks + workers - 1) / workers * m
+	slots = max(slots, combineSlots*lanes)
+	ws := &workerSet{mk: func() *bucketWorker {
+		return &bucketWorker{
+			add:   g.NewAffineAdder(slots),
+			start: make([]int32, groupSegs), live: make([]int32, groupSegs),
+		}
+	}}
 	w := g.K.Words()
-	limbs := make([]uint64, 3*w*segs)
-	buckets := make([]curve.Jacobian, segs)
-	for s := range buckets {
-		b := limbs[3*w*s : 3*w*(s+1)]
-		buckets[s] = curve.Jacobian{X: b[:w:w], Y: b[w : 2*w : 2*w], Z: b[2*w:]} // Z = 0: O
-	}
-	if err := kernel(ctx, t, plan, buckets, cfg); err != nil {
-		return curve.Affine{}, Stats{}, err
+	limbs := make([]uint64, 2*w*segs)
+	sums := make([]curve.Affine, segs)
+	for s := range sums {
+		b := limbs[2*w*s : 2*w*(s+1)]
+		sums[s] = curve.Affine{X: b[:w:w], Y: b[w:], Inf: true}
 	}
 
-	// --- Parallel-prefix bucket reduction per class, then one Horner chain.
-	result, err := t.reduceBuckets(ctx, buckets, cfg)
+	// --- Cross-window point merging, then the bucket reduction of every
+	// class as batched affine running sums and one Horner chain.
+	if err := kernel(ctx, t, plan, sums, ws, cfg); err != nil {
+		return curve.Affine{}, Stats{}, err
+	}
+	ws.release()
+	result, doubles, err := combine(ctx, t, sums, ws, cfg)
 	if err != nil {
 		return curve.Affine{}, Stats{}, err
 	}
@@ -296,8 +317,8 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	st := Stats{
 		WindowBits: t.k, Windows: t.windows, Checkpoint: m,
 		Buckets: numBuckets, Signed: signed,
-		// One add per entry; k doublings per step of the final chain.
-		PointAdds: nonzeros, Doubles: int64((m - 1) * t.k),
+		// One add per entry; the final chain's doublings.
+		PointAdds: nonzeros, Doubles: doubles,
 		TableBytes:  t.bytes + int64(len(pindex))*4,
 		BucketLoads: loads, LoadSpread: spread,
 		ZeroDigits: zeros, NonzeroDigit: nonzeros,
@@ -311,58 +332,95 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	return result, st, nil
 }
 
-// reduceBuckets computes Σ_r 2^(r·k)·W_r with W_r = Σ_{j=1}^{B} j·S_{j,r}.
-// Each class is cut into chunks, and chunk [a,b) contributes
-// Σ (j-a+1)·S_j + (a-1)·Σ S_j, built with the running-sum trick and one
-// small scalar multiple — the parallel-prefix formulation of §4.1's final
-// step, run over (class, chunk) items. One Horner chain over the classes
-// then costs (M-1)·k doublings per MSM.
-func (t *Table) reduceBuckets(ctx context.Context, buckets []curve.Jacobian, cfg Config) (curve.Affine, error) {
+// combineLanes is the number of lanes per worker the combine aims for, so
+// that a step's shared inversion is spread over at least 2·combineLanes
+// affine adds; combineSlots is the adder slots a lane takes, three points
+// plus room for its two queued slopes.
+const (
+	combineLanes = 16
+	combineSlots = 4
+)
+
+// combineShape cuts buckets 1..B of every class into chunks of 2^shift
+// buckets: about one chunk per worker, halved until the M·chunks lanes give
+// each worker combineLanes of them or a chunk is one bucket. fold is the
+// doublings the chunks' tails add to the Horner chain: shift, or 0 when a
+// single chunk leaves no tail.
+func combineShape(m, numBuckets, workers int) (chunks, shift, fold int) {
+	shift = bits.Len(uint((numBuckets+workers-1)/workers - 1))
+	for shift > 0 && m*((numBuckets-1)>>shift+1) < combineLanes*workers {
+		shift--
+	}
+	if chunks = (numBuckets-1)>>shift + 1; chunks > 1 {
+		fold = shift
+	}
+	return chunks, shift, fold
+}
+
+// reduceBuckets computes Σ_r 2^(r·k)·W_r with W_r = Σ_{j=1}^{B} j·S_{j,r},
+// the parallel-prefix formulation of §4.1's final step, and returns it with
+// the doublings it spent. combineShape cuts every class into chunks of
+// 2^s buckets, and each worker takes a contiguous run of chunks across all
+// M classes: a (class, chunk) pair is a lane, and all of a worker's lanes
+// walk their chunks together as batched affine running sums, one shared
+// inversion per bucket step (bucketWorker.runningSums). A lane over
+// [a, a+2^s) leaves L = Σ (j−a+1)·S_j and R = Σ S_j, so
+// W_r = Σ_c L_c + 2^s·Σ_c c·R_c. One Horner chain then takes each class in
+// (M−1)·k + s doublings per MSM (s = 0 for a single chunk): its k doublings
+// per step are split at s, and the running sum Σ_c c·R_c enters before the
+// last s of them.
+func reduceBuckets(ctx context.Context, t *Table, sums []curve.Affine, ws *workerSet, cfg Config) (curve.Affine, int64, error) {
 	g, m := t.g, t.m
-	numBuckets := len(buckets)/m - 1 // bucket 0 unused
+	numBuckets := len(sums)/m - 1 // bucket 0 unused
 	workers := cfg.workers()
-	chunks := min(max((workers*4+m-1)/m, 1), numBuckets) // per class
-	size := (numBuckets + chunks - 1) / chunks
-	partial := make([]curve.Jacobian, m*chunks)
-	err := par.ItemsErr(ctx, len(partial), workers, g.NewOps,
-		func(ops *curve.Ops, item int) error {
-			r, c := item/chunks, item%chunks
-			a := 1 + c*size
-			b := min(a+size, numBuckets+1)
-			if a >= b {
-				ops.SetInfinity(&partial[item])
-				return nil
-			}
-			var running, local curve.Jacobian
-			ops.SetInfinity(&running)
-			ops.SetInfinity(&local)
-			for j := b - 1; j >= a; j-- {
-				ops.AddAssign(&running, &buckets[j*m+r])
-				ops.AddAssign(&local, &running)
-			}
-			// local = Σ (j-a+1)·S_j; add (a-1)·running.
-			if a > 1 {
-				scaled := ops.ScalarMul(ops.ToAffine(&running), big.NewInt(int64(a-1)))
-				ops.AddAssign(&local, scaled)
-			}
-			partial[item] = local
-			return nil
-		})
+	chunks, shift, fold := combineShape(m, numBuckets, workers)
+	items := min(workers, chunks)
+	owner := make([]*bucketWorker, chunks)
+	// One item per goroutine: a worker's lanes live in its adder until the
+	// chain below reads them.
+	err := par.StaticItemsErr(ctx, items, items, ws.take, func(bw *bucketWorker, i int) error {
+		c0, c1 := i*chunks/items, (i+1)*chunks/items
+		bw.runningSums(sums, m, numBuckets, 1<<shift, c0, c1)
+		for c := c0; c < c1; c++ {
+			owner[c] = bw
+		}
+		return nil
+	})
 	if err != nil {
-		return curve.Affine{}, err
+		return curve.Affine{}, 0, err
+	}
+	lane := func(c, r int) (l, sum curve.Affine) {
+		bw := owner[c]
+		i := bw.lane(c, r, m)
+		return bw.add.Point(i), bw.add.Point(i + 1)
 	}
 	ops := g.NewOps()
-	var total curve.Jacobian
+	var total, run curve.Jacobian
 	ops.SetInfinity(&total)
+	ops.SetInfinity(&run)
+	var doubles int64
+	double := func(times int) {
+		for range times {
+			ops.DoubleAssign(&total)
+		}
+		doubles += int64(times)
+	}
 	for r := m - 1; r >= 0; r-- {
 		if r < m-1 {
-			for d := 0; d < t.k; d++ {
-				ops.DoubleAssign(&total)
-			}
+			double(t.k - fold)
 		}
+		// total += Σ_c c·R_c as Σ_{c ≥ 1} (running sum of R from the top).
+		ops.SetInfinity(&run)
+		for c := chunks - 1; c >= 1; c-- {
+			_, sum := lane(c, r)
+			ops.AddMixedAssign(&run, sum)
+			ops.AddAssign(&total, &run)
+		}
+		double(fold)
 		for c := 0; c < chunks; c++ {
-			ops.AddAssign(&total, &partial[r*chunks+c])
+			l, _ := lane(c, r)
+			ops.AddMixedAssign(&total, l)
 		}
 	}
-	return ops.ToAffine(&total), nil
+	return ops.ToAffine(&total), doubles, nil
 }

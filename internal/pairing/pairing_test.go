@@ -124,7 +124,7 @@ func (e *tate) millerLoop(p, q curve.Affine) []uint64 {
 		}
 	}
 
-	// Pass 2: batch-normalize the trace and batch-invert slope denominators.
+	// Pass 2: batch-normalize the trace and invert the slope denominators.
 	aff := g1.BatchToAffine(trace)
 	dens := make([]ff.Element, len(events))
 	for i, ev := range events {
@@ -142,7 +142,9 @@ func (e *tate) millerLoop(p, q curve.Affine) []uint64 {
 			dens[i] = fq.Sub(fq.New(), tp.X, p.X) // x_T - x_P
 		}
 	}
-	fq.BatchInvert(dens)
+	for _, d := range dens {
+		fq.InverseTo(d, d)
+	}
 
 	// Pass 3: accumulate f with line evaluations at ψ(Q).
 	xq, yq := e.untwist(q)

@@ -65,7 +65,7 @@ type Config struct {
 	MaxCircuits int
 	// Preprocess builds the GZKP MSM tables at registration and import
 	// (per key, built once, off the proving path): table memory for MSMs
-	// about 1.5× faster. Off, each MSM runs on the key's points directly
+	// about 1.3× faster. Off, each MSM runs on the key's points directly
 	// and builds no table.
 	Preprocess bool
 	// NTT/MSM select the prover strategies (default: the paper's GZKP
