@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race fmt vet loc fuzz bench-baseline bench-gate serve loadtest cluster cluster-race cluster-ha ha-race
+.PHONY: build test race fmt vet loc fuzz profile bench-baseline bench-gate serve loadtest cluster cluster-race cluster-ha ha-race
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ fuzz:
 	$(GO) test ./internal/groth16 -run FuzzBatchVerifyVsSingle -fuzz FuzzBatchVerifyVsSingle -fuzztime 30s
 	$(GO) test ./internal/groth16 -run FuzzCompressedProofWire -fuzz FuzzCompressedProofWire -fuzztime 30s
 	$(GO) test ./internal/cluster -run FuzzReplicateIngest -fuzz FuzzReplicateIngest -fuzztime 30s
+
+# CPU and heap profiles of the library proving loop (BenchmarkProveLarge:
+# a 1024-constraint circuit on BN254 against kept GZKP tables), with the
+# test binary beside them: `go tool pprof artifacts/prove_large.cpu`.
+profile:
+	mkdir -p artifacts
+	$(GO) test ./internal/groth16 -run '^$$' -bench '^BenchmarkProveLarge$$' -benchtime 10s \
+		-cpuprofile artifacts/prove_large.cpu -memprofile artifacts/prove_large.mem \
+		-o artifacts/groth16.test
 
 # Refresh the committed benchmark baseline. Run on a quiet machine and
 # commit the result; the CI bench-gate job compares every run against it.

@@ -1,10 +1,5 @@
 package curve
 
-import (
-	"gzkp/internal/ff"
-	"gzkp/internal/tower"
-)
-
 // AffineAdder adds many independent affine pairs at once, resolving every
 // queued slope denominator on Flush with one shared inversion (Montgomery's
 // trick): an addition costs 5M + 1S + 6 add/sub plus a share of that
@@ -26,8 +21,6 @@ type AffineAdder struct {
 	slopes   int
 	t        [5][]uint64
 	one      []uint64
-	f        *ff.Field // the prime field: K, or K's base on G2
-	half     int       // words per Fq2 coefficient on G2, else 0
 }
 
 // affinePair is one queued slot out = slot p + slot q.
@@ -58,20 +51,14 @@ func (g *Group) NewAffineAdder(slots int) *AffineAdder {
 	for i := range a.t {
 		a.t[i] = make([]uint64, w)
 	}
-	if p, ok := g.K.(*tower.Prime); ok {
-		a.f = p.F
-	} else {
-		bp := basePrime(g.K.(*tower.Ext)) // G2: quadratic over Fq
-		a.f, a.half = bp.F, bp.Words()
-	}
 	return a
 }
 
 func (a *AffineAdder) x(i int32) []uint64 { return a.slab[2*int(i)*a.w : (2*int(i)+1)*a.w] }
 func (a *AffineAdder) y(i int32) []uint64 { return a.slab[(2*int(i)+1)*a.w : 2*(int(i)+1)*a.w] }
 
-// Load copies p, or −p when neg, into slot i: the one copy a table point
-// makes on its way into a bucket. p may not be the point at infinity.
+// Load copies p, or −p when neg, into slot i. p may not be the point at
+// infinity.
 func (a *AffineAdder) Load(i int32, p Affine, neg bool) {
 	a.inf[i] = false
 	copy(a.x(i), p.X)
@@ -79,6 +66,17 @@ func (a *AffineAdder) Load(i int32, p Affine, neg bool) {
 		a.k.neg(a.y(i), p.Y)
 	} else {
 		copy(a.y(i), p.Y)
+	}
+}
+
+// LoadLimbs copies the finite point stored as x‖y in xy (2w words, a
+// slot's own layout), or its negation when neg, into slot i: the one copy a
+// table point makes on its way into a bucket.
+func (a *AffineAdder) LoadLimbs(i int32, xy []uint64, neg bool) {
+	a.inf[i] = false
+	copy(a.slab[2*int(i)*a.w:2*(int(i)+1)*a.w], xy)
+	if y := a.y(i); neg {
+		a.k.neg(y, y)
 	}
 }
 
@@ -127,7 +125,7 @@ func (a *AffineAdder) Flush() {
 			copy(a.pre[s*w:(s+1)*w], acc)
 			k.mul(acc, acc, a.slope(s))
 		}
-		a.invert(inv, acc)
+		invertTo(a.g.K, inv, acc, lam, x3)
 		for s := a.slopes - 1; s >= 0; s-- {
 			den := a.slope(s)
 			k.mul(lam, inv, a.pre[s*w:(s+1)*w]) // den⁻¹
@@ -169,23 +167,4 @@ func (a *AffineAdder) Flush() {
 		copy(a.y(pr.out), y3)
 	}
 	a.pairs, a.slopes = a.pairs[:0], 0
-}
-
-// invert sets z = x⁻¹ for x ≠ 0 without allocating, with a.t[2:] as
-// scratch: ff.Field.InverseTo on a prime field; on a quadratic extension
-// the norm map x⁻¹ = x̄ / (x·x̄) down to one prime inversion.
-func (a *AffineAdder) invert(z, x []uint64) {
-	if a.half == 0 {
-		a.f.InverseTo(z, x)
-		return
-	}
-	// x = x0 + x1·u: x̄ = x0 − x1·u and x·x̄ = x0² − nr·x1² lies in the base.
-	h, k := a.half, a.f.Kernels()
-	conj, norm, ninv := a.t[2], a.t[3], a.t[4][:h]
-	copy(conj[:h], x[:h])
-	k.Neg(conj[h:], x[h:])
-	a.k.mul(norm, x, conj)
-	a.f.InverseTo(ninv, norm[:h])
-	k.Mul(z[:h], conj[:h], ninv)
-	k.Mul(z[h:], conj[h:], ninv)
 }

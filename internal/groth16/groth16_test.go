@@ -11,6 +11,7 @@ import (
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
 	"gzkp/internal/r1cs"
+	"gzkp/internal/workload"
 )
 
 // cubic builds the x³+x+5=out circuit over the given field.
@@ -538,6 +539,38 @@ func TestMultiplePublicInputs(t *testing.T) {
 		f.Add(bad[i], bad[i], f.One())
 		if err := Verify(vk, proof, bad); err == nil {
 			t.Fatalf("perturbed public %d accepted", i)
+		}
+	}
+}
+
+// BenchmarkProveLarge is the library proving loop at the prove_large
+// workload's shape — a 1024-constraint workload.SyntheticR1CS circuit on
+// BN254, kept GZKP tables with signed buckets — for profiling outside the
+// benchmark program: `make profile` runs it with -cpuprofile and
+// -memprofile into artifacts/.
+func BenchmarkProveLarge(b *testing.B) {
+	c := curve.Get(curve.BN254)
+	sys, pub, sec, err := workload.SyntheticR1CS(c.Fr, 1024, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pk, _, err := Setup(sys, c, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := ProveConfig{NTT: ntt.Config{Strategy: ntt.GZKP}, MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true}}
+	if err := pk.Preprocess(cfg.MSM); err != nil {
+		b.Fatal(err)
+	}
+	w, err := sys.Solve(pub, sec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Prove(pk, sys, w, cfg, nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func computeMany(ctx context.Context, strategy string, slices [][]ff.Element, ev
 // contributes nothing, and the table's checkpoint geometry (built for the
 // full base count) is reused unchanged so the batch shares one table.
 func (t *Table) computePrefixCtx(ctx context.Context, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
-	n := len(t.pre[0])
+	n := t.n
 	if len(scalars) == n {
 		return t.ComputeCtx(ctx, scalars, cfg)
 	}

@@ -108,9 +108,8 @@ func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, sums []curv
 				if neg {
 					e = int(-raw) - 1
 				}
-				w := e / p.n
-				if pt := t.pre[w/m][e-w*p.n]; !pt.Inf {
-					a.Load(slot, pt, neg)
+				if xy, inf := t.point(e); !inf {
+					a.LoadLimbs(slot, xy, neg)
 					slot++
 				}
 			}
