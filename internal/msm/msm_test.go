@@ -277,6 +277,23 @@ func TestAutoCheckpointBudget(t *testing.T) {
 	}
 }
 
+// TestTableBytesIsPreprocessBytes: PreprocessBytes predicts a built table's
+// Bytes, its slab, without building it, at every M.
+func TestTableBytesIsPreprocessBytes(t *testing.T) {
+	g := curve.Get(curve.BN254).G2
+	points, _ := testVectors(g, 64, 97, 0.2)
+	for _, m := range []int{1, 3, 29} {
+		table, err := Preprocess(g, points, Config{Strategy: GZKP, WindowBits: 9, CheckpointInterval: m, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := PreprocessBytes(g.K.Words(), len(points), table.WindowBits(), table.Checkpoint(), g.Fr.Bits())
+		if got := table.Bytes(); got != want {
+			t.Fatalf("M=%d: Bytes %d, PreprocessBytes %d", m, got, want)
+		}
+	}
+}
+
 func TestAutoWindow(t *testing.T) {
 	if AutoWindow(0) < 1 || AutoWindow(1<<14) < 4 || AutoWindow(1<<26) > 16 {
 		t.Fatal("AutoWindow out of range")
