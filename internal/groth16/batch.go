@@ -5,9 +5,11 @@ import (
 	crand "crypto/rand"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	mrand "math/rand"
 	"runtime/debug"
+	"sync/atomic"
 	"time"
 
 	"gzkp/internal/curve"
@@ -137,8 +139,12 @@ type BatchStats struct {
 	// MSMStats holds 5·k entries in per-base-set order
 	// (A×k, B2×k, B1×k, H×k, K×k).
 	MSMStats []msm.Stats
-	PolyNS   int64
-	MSMNS    int64
+	// PolyNS and MSMNS are the stages' wall times, which overlap: PolyNS
+	// runs from the POLY task's start to its end (witness rows and the 7
+	// NTTs); MSMNS from the task list's start, which POLY is part of, to
+	// the end of proof assembly.
+	PolyNS int64
+	MSMNS  int64
 }
 
 // ProveBatch is ProveBatchCtx without cancellation.
@@ -146,20 +152,49 @@ func ProveBatch(pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg 
 	return ProveBatchCtx(context.Background(), pk, sys, witnesses, cfg, rand)
 }
 
+// msmSet is one of the prover's five MSM base sets and its trace span.
+type msmSet struct {
+	name  string
+	g     *curve.Group
+	pts   []curve.Affine
+	table *msm.Table // the key's, or this run's degraded copy; nil: none
+	sp    telemetry.Span
+	left  atomic.Int32 // MSMs of the set still running
+}
+
+// start opens the set's span for its k MSMs; done closes it after the last.
+func (s *msmSet) start(ctx context.Context, k int) {
+	s.sp, _ = telemetry.StartSpan(ctx, "msm-"+s.name)
+	s.sp.SetInt("n", int64(len(s.pts)))
+	s.sp.SetInt("k", int64(k))
+	s.left.Store(int32(k))
+}
+
+func (s *msmSet) done() {
+	if s.left.Add(-1) == 0 {
+		s.sp.End()
+	}
+}
+
 // ProveBatchCtx is the prover: the paper's fixed schedule of seven NTTs,
 // five MSMs and one assembly (§5.2), run once for k same-circuit witnesses.
-// The domain/twiddle setup is built once, the 7·k per-proof NTTs run as 7
-// launches (poly.ComputeHBatchCtx), and each of the five MSM base sets
-// serves all k proofs from one shared setup (msm.ComputeManyCtx / the
-// proving key's preprocessed tables). Prove is this function with k = 1.
-// The blinding pairs (rᵢ, sᵢ) are drawn from rand (nil = crypto/rand)
-// proof-major (r₀,s₀,r₁,s₁,…), so the output is bit-identical to k
-// one-witness calls sharing the same reader.
+// The launch gates of the 7 NTTs and the 5 MSMs (A, B2, B1, H, K) run
+// first, in that order. Then one task list on cfg.MSM.Workers workers runs
+// everything else: POLY — the witness rows, then the 7·k NTTs as 7 launches
+// (poly.ComputeHBatchCtx) over the key's domain — beside the MSMs
+// (msm.Tasks). A, B2, B1 and K start at once; A, B1 and B2 of one witness
+// share a scalar plan; H joins when POLY finishes. Each base set serves all
+// k proofs from the proving key's preprocessed table, or else each MSM
+// from a one-shot copy of the set's points. Prove is this function with
+// k = 1. The blinding
+// pairs (rᵢ, sᵢ) are drawn from rand (nil = crypto/rand) proof-major
+// (r₀,s₀,r₁,s₁,…), so the output is bit-identical to k one-witness calls
+// sharing the same reader.
 //
-// ctx is honored cooperatively at chunk boundaries throughout both stages;
-// injected faults (ProveConfig.Faults) gate the 7 NTT + 5 MSM launches —
-// per batch, not per proof — and are recovered per class; panics below the
-// prover return as a *resilience.PanicError.
+// ctx is honored cooperatively at task and chunk boundaries; injected
+// faults (ProveConfig.Faults) gate the 7 NTT + 5 MSM launches — per batch,
+// not per proof — and are recovered per class; panics below the prover
+// return as a *resilience.PanicError.
 func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg ProveConfig, rand io.Reader) (proofs []*Proof, stats *BatchStats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -200,53 +235,54 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 			return nil, nil, err
 		}
 	}
-
-	// ---- POLY stage: 7 NTT launches for all k proofs (internal/poly).
-	t0 := time.Now()
-	n := pk.DomainN
-	dom, err := ntt.NewDomain(f, n)
+	dom, err := pk.domain()
 	if err != nil {
 		return nil, nil, err
 	}
-	spPoly, pctx := telemetry.StartSpanOn(ctx, track, "poly")
-	spPoly.SetInt("n", int64(n))
-	spPoly.SetInt("k", int64(k))
-	defer spPoly.End()
+
+	// ---- Launch gates, before any work: the 7 NTTs, then the 5 MSMs.
 	for i := 0; i < poly.NTTCount; i++ {
-		if lerr := cfg.launch(pctx, fmt.Sprintf("NTT %d", i), nil); lerr != nil {
+		if lerr := cfg.launch(ctx, fmt.Sprintf("NTT %d", i), nil); lerr != nil {
 			return nil, nil, lerr
 		}
 	}
-	avs := make([][]ff.Element, k)
-	bvs := make([][]ff.Element, k)
-	cvs := make([][]ff.Element, k)
-	err = par.ItemsErr(pctx, k, cfg.NTT.Workers, nil,
-		func(_ struct{}, i int) error {
-			av, bv, cv := f.NewVector(n), f.NewVector(n), f.NewVector(n)
-			w := witnesses[i]
-			for j, cons := range sys.Constraints {
-				copy(av[j], r1cs.EvalLC(f, cons.A, w))
-				copy(bv[j], r1cs.EvalLC(f, cons.B, w))
-				copy(cv[j], r1cs.EvalLC(f, cons.C, w))
+	sets := [...]*msmSet{
+		{name: "A", g: c.G1, pts: pk.A}, {name: "B2", g: c.G2, pts: pk.B2},
+		{name: "B1", g: c.G1, pts: pk.B1}, {name: "H", g: c.G1, pts: pk.H},
+		{name: "K", g: c.G1, pts: pk.K},
+	}
+	for _, s := range sets {
+		if cfg.MSM.Strategy == msm.GZKP {
+			s.table = pk.tables[s.name]
+		}
+		// OOM recovery: rebuild this query's table on a quartered budget so
+		// msm.AutoCheckpoint picks a larger (memory-thriftier) interval M.
+		// The degraded table lives in this run only — the key is shared by
+		// every device worker and is never written after Preprocess.
+		oom := func() error {
+			if s.table == nil {
+				return nil // nothing to shrink: retry as-is
 			}
-			avs[i], bvs[i], cvs[i] = av, bv, cv
+			dcfg := cfg.MSM
+			dcfg.CheckpointInterval = 0
+			if dcfg.MemoryBudget <= 0 {
+				dcfg.MemoryBudget = 1 << 30
+			}
+			dcfg.MemoryBudget /= 4
+			t, err := msm.PreprocessCtx(ctx, s.g, s.pts, dcfg)
+			if err != nil {
+				return err
+			}
+			s.table = t
 			return nil
-		})
-	if err != nil {
-		return nil, nil, err
+		}
+		if lerr := cfg.launch(ctx, "MSM "+s.name, oom); lerr != nil {
+			return nil, nil, lerr
+		}
 	}
-	polyRes, err := poly.ComputeHBatchCtx(pctx, dom, avs, bvs, cvs, cfg.NTT)
-	spPoly.End()
-	if err != nil {
-		return nil, nil, err
-	}
-	st.NTTStats = polyRes.Stats
-	st.FusedNTTs = polyRes.FusedNTTs
-	st.PolyNS = time.Since(t0).Nanoseconds()
 
 	// ---- Blinding, proof-major: the byte stream k one-witness calls would
 	// consume from the same reader.
-	t1 := time.Now()
 	rs := make([]ff.Element, k)
 	ss := make([]ff.Element, k)
 	for i := 0; i < k; i++ {
@@ -258,136 +294,160 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 		}
 	}
 
-	// ---- MSM stage: 5 base sets, each serving all k proofs.
+	// ---- One task list: POLY, and every MSM's plan, bucket groups and
+	// combine. results[s·k+i] is base set s's MSM for proof i.
+	t0 := time.Now()
 	spMSM, mctx := telemetry.StartSpanOn(ctx, track, "msm-stage")
 	defer spMSM.End()
-	privSlices := make([][]ff.Element, k)
-	for i, w := range witnesses {
-		privSlices[i] = w[sys.NumPublic+1:]
+	results := make([]msm.Result, len(sets)*k)
+	// Assembly starts inside the list: once proof i's A is done, its
+	// A = α + Σ zᵢAᵢ + r·δ and s·A; once B2 is, B = β + Σ zᵢBᵢ + s·δ; once
+	// B1 is, r·B1 with B1 = β + Σ zᵢB1ᵢ + s·δ. C waits for all five.
+	type parts struct {
+		a, b    curve.Affine
+		sA, rB1 *curve.Jacobian
 	}
-	// runMSM is the one per-base-set step: launch gate, OOM degrade, then
-	// the k-slice MSM against the key's table (or the configured strategy).
-	runMSM := func(name string, g *curve.Group, pts []curve.Affine, slices [][]ff.Element) ([]curve.Affine, error) {
-		sp, sctx := telemetry.StartSpan(mctx, "msm-"+name)
-		sp.SetInt("n", int64(len(pts)))
-		sp.SetInt("k", int64(k))
-		defer sp.End()
-		var table *msm.Table
-		if cfg.MSM.Strategy == msm.GZKP {
-			table = pk.tables[name]
-		}
-		// OOM recovery: rebuild this query's table on a quartered budget so
-		// msm.AutoCheckpoint picks a larger (memory-thriftier) interval M.
-		// The degraded table lives in this run only — the key is shared by
-		// every device worker and is never written after Preprocess.
-		oom := func() error {
-			if table == nil {
-				return nil // nothing to shrink: retry as-is
+	asm := make([]parts, k)
+	rBig, sBig := make([]*big.Int, k), make([]*big.Int, k)
+	for i := range k {
+		rBig[i], sBig[i] = f.ToBig(rs[i]), f.ToBig(ss[i])
+	}
+	early := [...]func(i int){
+		func(i int) { // A
+			ops := c.G1.NewOps()
+			var aj curve.Jacobian
+			ops.FromAffine(&aj, pk.Alpha1)
+			ops.AddMixedAssign(&aj, results[i].Point)
+			ops.AddAssign(&aj, pk.deltaMul1(ops, rBig[i]))
+			asm[i].a = ops.ToAffine(&aj)
+			asm[i].sA = ops.ScalarMulWNAF(asm[i].a, sBig[i], 4)
+		},
+		func(i int) { // B2
+			ops := c.G2.NewOps()
+			var bj curve.Jacobian
+			ops.FromAffine(&bj, pk.Beta2)
+			ops.AddMixedAssign(&bj, results[k+i].Point)
+			ops.AddAssign(&bj, pk.deltaMul2(ops, sBig[i]))
+			asm[i].b = ops.ToAffine(&bj)
+		},
+		func(i int) { // B1
+			ops := c.G1.NewOps()
+			var bj curve.Jacobian
+			ops.FromAffine(&bj, pk.Beta1)
+			ops.AddMixedAssign(&bj, results[2*k+i].Point)
+			ops.AddAssign(&bj, pk.deltaMul1(ops, sBig[i]))
+			asm[i].rB1 = ops.ScalarMulWNAF(ops.ToAffine(&bj), rBig[i], 4)
+		},
+	}
+	job := func(si, i int) msm.Job {
+		s := sets[si]
+		return msm.Job{Table: s.table, G: s.g, Points: s.pts, Out: &results[si*k+i], Done: func() {
+			if si < len(early) {
+				early[si](i)
 			}
-			dcfg := cfg.MSM
-			dcfg.CheckpointInterval = 0
-			if dcfg.MemoryBudget <= 0 {
-				dcfg.MemoryBudget = 1 << 30
-			}
-			dcfg.MemoryBudget /= 4
-			t, err := msm.PreprocessCtx(sctx, g, pts, dcfg)
+			s.done()
+		}}
+	}
+	err = par.Run(ctx, cfg.MSM.Workers, func(lctx context.Context, l *par.List) error {
+		mlctx := telemetry.ContextWithSpan(lctx, spMSM)
+		ts := msm.NewTasks(l, cfg.MSM)
+		l.Push(math.MaxInt64, func(int) error {
+			h, err := provePoly(lctx, track, dom, sys, witnesses, cfg.NTT, st)
 			if err != nil {
 				return err
 			}
-			table = t
+			sets[3].start(mlctx, k) // H joins here
+			for i := range h {
+				if err := ts.Add(mlctx, h[i], job(3, i)); err != nil {
+					return err
+				}
+			}
 			return nil
+		})
+		for _, s := range []*msmSet{sets[0], sets[1], sets[2], sets[4]} {
+			s.start(mlctx, k)
 		}
-		if lerr := cfg.launch(sctx, "MSM "+name, oom); lerr != nil {
-			return nil, lerr
+		for i, w := range witnesses {
+			if err := ts.Add(mlctx, w, job(0, i), job(1, i), job(2, i)); err != nil {
+				return err
+			}
+			if err := ts.Add(mlctx, w[sys.NumPublic+1:], job(4, i)); err != nil {
+				return err
+			}
 		}
-		var (
-			res []curve.Affine
-			ms  []msm.Stats
-			err error
-		)
-		if table != nil {
-			res, ms, err = table.ComputeManyCtx(sctx, slices, cfg.MSM)
-		} else {
-			res, ms, err = msm.ComputeManyCtx(sctx, g, pts, slices, cfg.MSM)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("groth16: MSM %s: %w", name, err)
-		}
-		st.MSMStats = append(st.MSMStats, ms...)
-		return res, nil
-	}
-	aMSM, err := runMSM("A", c.G1, pk.A, witnesses)
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	b2MSM, err := runMSM("B2", c.G2, pk.B2, witnesses)
-	if err != nil {
-		return nil, nil, err
-	}
-	b1MSM, err := runMSM("B1", c.G1, pk.B1, witnesses)
-	if err != nil {
-		return nil, nil, err
-	}
-	hMSM, err := runMSM("H", c.G1, pk.H, polyRes.H)
-	if err != nil {
-		return nil, nil, err
-	}
-	kMSM, err := runMSM("K", c.G1, pk.K, privSlices)
-	if err != nil {
-		return nil, nil, err
+	st.MSMStats = make([]msm.Stats, len(results))
+	for i, r := range results {
+		st.MSMStats[i] = r.Stats
 	}
 
-	// ---- Per-proof assembly.
+	// ---- C = Σ_priv zᵢKᵢ + Σ hᵢHᵢ + s·A + r·B1 − r·s·δ, per proof.
 	reg := telemetry.FromContext(ctx).Registry()
 	if reg != nil && !pk.HasAssemblyTables() {
 		reg.Counter("groth16.fixedbase_fallback").Add(int64(k))
 	}
 	proofs = make([]*Proof, k)
-	err = par.ItemsErr(mctx, k, cfg.MSM.Workers, nil,
-		func(_ struct{}, i int) error {
-			sp, _ := telemetry.StartSpan(mctx, "assemble")
-			sp.SetInt("proof", int64(i))
-			defer sp.End()
-			ops1, ops2 := c.G1.NewOps(), c.G2.NewOps()
-			rBig, sBig := f.ToBig(rs[i]), f.ToBig(ss[i])
-			// A = α + Σ zᵢAᵢ + r·δ
-			var aj curve.Jacobian
-			ops1.FromAffine(&aj, pk.Alpha1)
-			ops1.AddMixedAssign(&aj, aMSM[i])
-			ops1.AddAssign(&aj, pk.deltaMul1(ops1, rBig))
-			proofA := ops1.ToAffine(&aj)
-			// B = β + Σ zᵢBᵢ + s·δ  (in G2, mirrored in G1 for C)
-			var bj2 curve.Jacobian
-			ops2.FromAffine(&bj2, pk.Beta2)
-			ops2.AddMixedAssign(&bj2, b2MSM[i])
-			ops2.AddAssign(&bj2, pk.deltaMul2(ops2, sBig))
-			proofB := ops2.ToAffine(&bj2)
-			var bj1 curve.Jacobian
-			ops1.FromAffine(&bj1, pk.Beta1)
-			ops1.AddMixedAssign(&bj1, b1MSM[i])
-			ops1.AddAssign(&bj1, pk.deltaMul1(ops1, sBig))
-			// C = Σ_priv zᵢKᵢ + Σ hᵢHᵢ + s·A + r·B1 - r·s·δ
-			var cj curve.Jacobian
-			ops1.SetInfinity(&cj)
-			ops1.AddMixedAssign(&cj, kMSM[i])
-			ops1.AddMixedAssign(&cj, hMSM[i])
-			ops1.AddAssign(&cj, ops1.ScalarMul(proofA, sBig))
-			ops1.AddAssign(&cj, ops1.ScalarMul(ops1.ToAffine(&bj1), rBig))
-			rsProd := f.Mul(f.New(), rs[i], ss[i])
-			negRS := new(big.Int).Neg(f.ToBig(rsProd))
-			ops1.AddAssign(&cj, pk.deltaMul1(ops1, negRS))
-			proofC := ops1.ToAffine(&cj)
-			proofs[i] = &Proof{CurveID: pk.CurveID, A: proofA, B: proofB, C: proofC}
-			return nil
-		})
-	if err != nil {
-		return nil, nil, err
+	ops1 := c.G1.NewOps()
+	for i := range proofs {
+		sp, _ := telemetry.StartSpan(mctx, "assemble")
+		sp.SetInt("proof", int64(i))
+		var cj curve.Jacobian
+		ops1.SetInfinity(&cj)
+		ops1.AddMixedAssign(&cj, results[4*k+i].Point)
+		ops1.AddMixedAssign(&cj, results[3*k+i].Point)
+		ops1.AddAssign(&cj, asm[i].sA)
+		ops1.AddAssign(&cj, asm[i].rB1)
+		rsProd := f.Mul(f.New(), rs[i], ss[i])
+		ops1.AddAssign(&cj, pk.deltaMul1(ops1, new(big.Int).Neg(f.ToBig(rsProd))))
+		proofs[i] = &Proof{CurveID: pk.CurveID, A: asm[i].a, B: asm[i].b, C: ops1.ToAffine(&cj)}
+		sp.End()
 	}
-	st.MSMNS = time.Since(t1).Nanoseconds()
+	st.MSMNS = time.Since(t0).Nanoseconds()
 	if reg != nil {
 		reg.Counter("groth16.batch_proofs").Add(int64(k))
 		reg.Counter("groth16.batch_fused_ntts").Add(int64(st.FusedNTTs))
 		reg.Counter("groth16.batches").Add(1)
 	}
 	return proofs, st, nil
+}
+
+// provePoly is the POLY stage of k proofs on the device track: each
+// witness's constraint rows a, b, c, then the 7 NTT launches, recorded in
+// st. It returns every proof's H coefficients.
+func provePoly(ctx context.Context, track int, dom *ntt.Domain, sys *r1cs.System, witnesses [][]ff.Element, cfg ntt.Config, st *BatchStats) ([][]ff.Element, error) {
+	t0 := time.Now()
+	f, n, k := dom.F, dom.N, len(witnesses)
+	sp, ctx := telemetry.StartSpanOn(ctx, track, "poly")
+	sp.SetInt("n", int64(n))
+	sp.SetInt("k", int64(k))
+	defer sp.End()
+	avs := make([][]ff.Element, k)
+	bvs := make([][]ff.Element, k)
+	cvs := make([][]ff.Element, k)
+	err := par.ItemsErr(ctx, k, cfg.Workers, nil,
+		func(_ struct{}, i int) error {
+			av, bv, cv := f.NewVector(n), f.NewVector(n), f.NewVector(n)
+			w, tmp := witnesses[i], f.New()
+			for j, cons := range sys.Constraints {
+				r1cs.EvalLCTo(f, av[j], tmp, cons.A, w)
+				r1cs.EvalLCTo(f, bv[j], tmp, cons.B, w)
+				r1cs.EvalLCTo(f, cv[j], tmp, cons.C, w)
+			}
+			avs[i], bvs[i], cvs[i] = av, bv, cv
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	res, err := poly.ComputeHBatchCtx(ctx, dom, avs, bvs, cvs, cfg)
+	if err != nil {
+		return nil, err
+	}
+	st.NTTStats, st.FusedNTTs = res.Stats, res.FusedNTTs
+	st.PolyNS = time.Since(t0).Nanoseconds()
+	return res.H, nil
 }

@@ -50,6 +50,20 @@ type ProvingKey struct {
 	// assembly.go); built at setup/register time, shipped via the cluster
 	// key bundle, nil after a bare deserialize (wNAF fallback).
 	fbDelta1, fbDelta2 *curve.FixedBase
+
+	// dom is the POLY stage's NTT domain of size DomainN, built with the
+	// key (Setup, UnmarshalBinary) and read-only afterwards, so concurrent
+	// provers share it.
+	dom *ntt.Domain
+}
+
+// domain returns the key's NTT domain; a key built by neither Setup nor
+// UnmarshalBinary gets a fresh one per call.
+func (pk *ProvingKey) domain() (*ntt.Domain, error) {
+	if pk.dom != nil {
+		return pk.dom, nil
+	}
+	return ntt.NewDomain(curve.Get(pk.CurveID).Fr, pk.DomainN)
 }
 
 // VerifyingKey is the short verification CRS.
@@ -179,6 +193,8 @@ func (cfg ProveConfig) launch(ctx context.Context, op string, oom func() error) 
 // ProveStats reports the stage breakdown the paper's Tables 2-4 use for one
 // proof; Prove derives it from the BatchStats of its one-witness batch.
 type ProveStats struct {
+	// PolyNS and MSMNS are overlapping stage wall times, as in BatchStats:
+	// POLY runs on the MSM stage's task list.
 	PolyNS, MSMNS int64
 	NTTOps        int // 7
 	MSMOps        int // 5
@@ -324,6 +340,9 @@ func Setup(sys *r1cs.System, c *curve.Curve, rand io.Reader) (*ProvingKey, *Veri
 	mulG1 := func(s ff.Element) curve.Jacobian { return fb1.MulElement(ops1, s) }
 
 	pk := &ProvingKey{CurveID: c.ID, DomainN: n}
+	if pk.dom, err = ntt.NewDomain(f, n); err != nil {
+		return nil, nil, err
+	}
 	vk := &VerifyingKey{CurveID: c.ID}
 
 	aJac := make([]curve.Jacobian, nv)

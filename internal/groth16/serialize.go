@@ -8,6 +8,7 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
+	"gzkp/internal/ntt"
 	"gzkp/internal/tower"
 )
 
@@ -308,6 +309,14 @@ func (pk *ProvingKey) UnmarshalBinary(data []byte) error {
 	}
 	if r.Len() != 0 {
 		return fmt.Errorf("groth16: %d trailing bytes after proving key", r.Len())
+	}
+	// The H query holds DomainN−1 points, so the domain built here is
+	// backed by the payload's own size.
+	if len(out.H) != domainN-1 {
+		return fmt.Errorf("groth16: H query has %d points for domain %d", len(out.H), domainN)
+	}
+	if out.dom, err = ntt.NewDomain(c.Fr, domainN); err != nil {
+		return err
 	}
 	*pk = *out
 	return nil

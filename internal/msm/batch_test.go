@@ -7,10 +7,29 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
+	"gzkp/internal/par"
 )
 
-// TestComputeManyDifferential checks batched MSMs over shared bases against
-// solo ComputeCtx per slice for the strategies the prover dispatches,
+// runJobs runs one task list of one MSM per slice, each against job's
+// bases, and returns the results in slice order.
+func runJobs(ctx context.Context, cfg Config, slices [][]ff.Element, job Job) ([]Result, error) {
+	res := make([]Result, len(slices))
+	err := par.Run(ctx, cfg.workers(), func(ctx context.Context, l *par.List) error {
+		ts := NewTasks(l, cfg)
+		for i, s := range slices {
+			job.Out = &res[i]
+			if err := ts.Add(ctx, s, job); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return res, err
+}
+
+// TestComputeManyDifferential checks one task list of MSMs over shared
+// bases, one job per slice, against solo ComputeCtx per slice for the
+// strategies the prover dispatches (GZKP through a one-shot table),
 // including a short (prefix) slice.
 func TestComputeManyDifferential(t *testing.T) {
 	g := curve.Get(curve.BN254).G1
@@ -33,27 +52,27 @@ func TestComputeManyDifferential(t *testing.T) {
 		{Strategy: SignedDigitGLV},
 		{Strategy: PippengerWindows},
 	} {
-		got, stats, err := ComputeManyCtx(context.Background(), g, points, slices, cfg)
+		got, err := runJobs(context.Background(), cfg, slices, Job{G: g, Points: points})
 		if err != nil {
 			t.Fatalf("%v: %v", cfg.Strategy, err)
 		}
-		if len(got) != len(slices) || len(stats) != len(slices) {
-			t.Fatalf("%v: got %d results / %d stats", cfg.Strategy, len(got), len(stats))
+		if len(got) != len(slices) {
+			t.Fatalf("%v: got %d results", cfg.Strategy, len(got))
 		}
 		for i, s := range slices {
 			want, _, err := ComputeCtx(context.Background(), g, points[:len(s)], s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !g.EqualAffine(got[i], want) {
+			if !g.EqualAffine(got[i].Point, want) {
 				t.Fatalf("%v: batch slice %d differs from solo MSM", cfg.Strategy, i)
 			}
 		}
 	}
 }
 
-// TestTableComputeMany checks the preprocessed-table batch path (the
-// proving-key shape) against per-slice table computes.
+// TestTableComputeMany checks one task list of MSMs against one kept table
+// (the proving-key shape) against per-slice table computes.
 func TestTableComputeMany(t *testing.T) {
 	g := curve.Get(curve.BLS12381).G1
 	points, _ := testVectors(g, 128, 13, 0)
@@ -71,7 +90,7 @@ func TestTableComputeMany(t *testing.T) {
 		}
 		slices[i] = s
 	}
-	got, _, err := table.ComputeManyCtx(context.Background(), slices, cfg)
+	got, err := runJobs(context.Background(), cfg, slices, Job{Table: table})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +99,12 @@ func TestTableComputeMany(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !g.EqualAffine(got[i], want) {
+		if !g.EqualAffine(got[i].Point, want) {
 			t.Fatalf("table batch slice %d differs", i)
 		}
 	}
-	if _, _, err := ComputeManyCtx(context.Background(), g, points,
-		[][]ff.Element{make([]ff.Element, len(points)+1)}, cfg); err == nil {
+	if _, err := runJobs(context.Background(), cfg,
+		[][]ff.Element{make([]ff.Element, len(points)+1)}, Job{G: g, Points: points}); err == nil {
 		t.Fatal("oversized batch slice accepted")
 	}
 }

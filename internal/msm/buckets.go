@@ -1,11 +1,7 @@
 package msm
 
 import (
-	"context"
-	"sync"
-
 	"gzkp/internal/curve"
-	"gzkp/internal/par"
 )
 
 // A task takes consecutive buckets of the schedule order until it holds
@@ -19,82 +15,37 @@ const (
 	maxGroupEntries = 1 << 12
 )
 
-// affineBuckets is the GZKP bucket kernel. Each task takes a group of
-// buckets from the schedule order and reduces all of the group's segments
-// (bucket, remainder class) as one tree in a per-worker limb slab
-// (curve.AffineAdder): entries' table points are loaded — as (x, −y) for a
-// negative digit, points at infinity dropped — and each round pairs every
-// segment's survivors in place under one shared inversion. Each segment's
-// sum S_{j,r} lands, still affine, in sums[j·M+r]; reduceBuckets weights
-// the classes, so Algorithm 1's checkpoint fix-up costs (M-1)·k doublings
-// per MSM rather than per bucket.
-func affineBuckets(ctx context.Context, t *Table, p *bucketPlan, sums []curve.Affine, ws *workerSet, cfg Config) error {
-	run := func(bw *bucketWorker, gi int) error {
-		bw.reduce(t, p, p.order[p.cuts[gi]:p.cuts[gi+1]], sums)
-		return nil
-	}
-	schedule := par.ItemsErr[*bucketWorker] // dynamic, in the heaviest-first order
-	if cfg.NoLoadBalance {
-		schedule = par.StaticItemsErr[*bucketWorker]
-	}
-	return schedule(ctx, len(p.cuts)-1, cfg.workers(), ws.take, run)
-}
-
-// groups cuts the schedule order into bucket groups, returning the cut
-// points (group g is order[cuts[g]:cuts[g+1]]) and the most entries and
-// segments any group holds.
-func (p *bucketPlan) groups(workers int) (cuts []int, maxEntries, maxSegs int) {
+// groups cuts the schedule order into the kernel's bucket groups.
+func (p *plan) groups(workers int) {
 	target := min(max(len(p.pindex)/(4*workers), minGroupEntries), maxGroupEntries)
-	cuts = append(cuts, 0)
+	p.cuts = append(make([]int, 0, len(p.order)+1), 0)
+	p.entries = make([]int64, 0, len(p.order))
 	entries := 0
 	for pos, j := range p.order {
 		entries += int(p.loads[j])
 		if entries >= target || pos == len(p.order)-1 {
-			cuts = append(cuts, pos+1)
-			maxEntries = max(maxEntries, entries)
-			maxSegs = max(maxSegs, (pos+1-cuts[len(cuts)-2])*p.m)
+			p.cuts = append(p.cuts, pos+1)
+			p.entries = append(p.entries, int64(entries))
+			p.maxEntries = max(p.maxEntries, entries)
+			p.maxSegs = max(p.maxSegs, (pos+1-p.cuts[len(p.cuts)-2])*p.m)
 			entries = 0
 		}
 	}
-	return cuts, maxEntries, maxSegs
 }
 
-// bucketWorker is one worker's scratch, allocated once per worker per MSM
-// and used by the kernel and then the combine: the adder and its slab,
-// each kernel segment's run of live slots in it, and the first chunk of
-// the combine's lanes.
+// bucketWorker is one worker's scratch for one group, kept across the MSMs
+// of a task list: the adder and its slab, each kernel segment's run of live
+// slots in it, and the first chunk of a combine's lanes.
 type bucketWorker struct {
+	g           *curve.Group
 	add         *curve.AffineAdder
+	slots       int
 	start, live []int32
 	c0          int
 }
 
-// workerSet hands each goroutine of an MSM's parallel phases a
-// bucketWorker, reusing the earlier phase's: the combine runs on the
-// kernel's adders.
-type workerSet struct {
-	mu    sync.Mutex
-	all   []*bucketWorker
-	taken int
-	mk    func() *bucketWorker
-}
-
-// take returns a worker no goroutine of the current phase holds.
-func (ws *workerSet) take() *bucketWorker {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	if ws.taken == len(ws.all) {
-		ws.all = append(ws.all, ws.mk())
-	}
-	ws.taken++
-	return ws.all[ws.taken-1]
-}
-
-// release hands every worker back once a phase has returned.
-func (ws *workerSet) release() { ws.taken = 0 }
-
 // reduce sets sums[j·M+r] = S_{j,r} for the group's buckets.
-func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, sums []curve.Affine) {
+func (bw *bucketWorker) reduce(t *Table, p *plan, group []int, sums []curve.Affine) {
 	m, a := p.m, bw.add
 	start, live := bw.start[:len(group)*m], bw.live[:len(group)*m]
 	// Load every segment's entries into consecutive slots.
@@ -150,10 +101,7 @@ func (bw *bucketWorker) reduce(t *Table, p *bucketPlan, group []int, sums []curv
 	for gi, j := range group {
 		for r := 0; r < m; r++ {
 			if s := gi*m + r; live[s] > 0 {
-				pt, sum := a.Point(start[s]), &sums[j*m+r]
-				copy(sum.X, pt.X)
-				copy(sum.Y, pt.Y)
-				sum.Inf = pt.Inf
+				setPoint(&sums[j*m+r], a.Point(start[s]))
 			}
 		}
 	}

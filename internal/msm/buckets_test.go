@@ -15,11 +15,48 @@ import (
 	"gzkp/internal/par"
 )
 
-// mixedAddBuckets is the bucket loop affineBuckets replaced — one Jacobian
-// mixed add (or subtraction, for a negative digit) per entry into a
-// per-remainder-class accumulator, one task per bucket — kept as the
+// bucketKernel sets sums[j·M+r] = S_{j,r}, the sum of segment (j, r)'s
+// entries, for every bucket j ≥ 1 and class r; bucketCombine returns
+// Σ_r 2^(r·k)·Σ_j j·S_{j,r} and the doublings it spent. They are the seam
+// where the Jacobian oracles below run on the production plan.
+type (
+	bucketKernel  func(ctx context.Context, t *Table, p *plan, sums []curve.Affine, cfg Config) error
+	bucketCombine func(ctx context.Context, t *Table, sums []curve.Affine, cfg Config) (curve.Affine, int64, error)
+)
+
+// buildTestPlan builds t's plan of scalars on a task list of its own.
+func buildTestPlan(ctx context.Context, t *Table, scalars []ff.Element, cfg Config) (*plan, error) {
+	var p *plan
+	err := par.Run(ctx, cfg.workers(), func(_ context.Context, l *par.List) error {
+		buildPlan(l, t.g.Fr, scalars, t.geometry(cfg.SignedBuckets), cfg, func(q *plan) { p = q })
+		return nil
+	})
+	return p, err
+}
+
+// computeWith is ComputeCtx's plan around a given bucket kernel and
+// combine, with ComputeCtx's Stats.
+func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Config, kernel bucketKernel, combine bucketCombine) (curve.Affine, Stats, error) {
+	p, err := buildTestPlan(ctx, t, scalars, cfg)
+	if err != nil {
+		return curve.Affine{}, Stats{}, err
+	}
+	sums := newPoints(t.g, len(p.offsets)-1)
+	if err := kernel(ctx, t, p, sums, cfg); err != nil {
+		return curve.Affine{}, Stats{}, err
+	}
+	res, doubles, err := combine(ctx, t, sums, cfg)
+	if err != nil {
+		return curve.Affine{}, Stats{}, err
+	}
+	return res, t.stats(p, doubles), nil
+}
+
+// mixedAddBuckets is the bucket loop the affine kernel replaced — one
+// Jacobian mixed add (or subtraction, for a negative digit) per entry into
+// a per-remainder-class accumulator, one task per bucket — kept as the
 // differential oracle for the kernel's per-class sums.
-func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, sums []curve.Affine, _ *workerSet, cfg Config) error {
+func mixedAddBuckets(ctx context.Context, t *Table, p *plan, sums []curve.Affine, cfg Config) error {
 	merge := func(ops *curve.Ops, j int) error {
 		subs := make([]curve.Jacobian, p.m)
 		for r := range subs {
@@ -43,21 +80,16 @@ func mixedAddBuckets(ctx context.Context, t *Table, p *bucketPlan, sums []curve.
 		}
 		return nil
 	}
-	numBuckets := len(sums)/p.m - 1
-	if cfg.NoLoadBalance {
-		return par.StaticItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
-			func(ops *curve.Ops, idx int) error { return merge(ops, idx+1) })
-	}
-	return par.ItemsErr(ctx, numBuckets, cfg.workers(), t.g.NewOps,
+	return par.ItemsErr(ctx, len(p.order), cfg.workers(), t.g.NewOps,
 		func(ops *curve.Ops, pos int) error { return merge(ops, p.order[pos]) })
 }
 
-// jacobianCombine is the bucket reduction reduceBuckets replaced, kept as
-// the differential oracle for its running sums: each class is cut into
+// jacobianCombine is the bucket reduction the affine combine replaced,
+// kept as the differential oracle for its running sums: each class is cut into
 // chunks, and chunk [a,b) contributes Σ (j-a+1)·S_j + (a-1)·Σ S_j, built
 // with Jacobian running sums and one scalar multiple per (class, chunk)
 // item; one Horner chain over the classes costs (M-1)·k doublings.
-func jacobianCombine(ctx context.Context, t *Table, sums []curve.Affine, _ *workerSet, cfg Config) (curve.Affine, int64, error) {
+func jacobianCombine(ctx context.Context, t *Table, sums []curve.Affine, cfg Config) (curve.Affine, int64, error) {
 	g, m := t.g, t.m
 	numBuckets := len(sums)/m - 1 // bucket 0 unused
 	workers := cfg.workers()
@@ -293,8 +325,9 @@ func oneShotDegenerate(t *testing.T, g *curve.Group) {
 	}
 }
 
-// TestOneShotBuildsNoTable: a one-shot MSM through the public entry points,
-// Compute and ComputeManyCtx, builds no table beyond one copy of its input.
+// TestOneShotBuildsNoTable: a one-shot MSM through the entry points that
+// build its table — Compute, and a Tasks job given points but no table —
+// builds no table beyond one copy of its input.
 // What each allocates past the same call on a one-shot table built
 // beforehand is at most that one level (n·(2w·8+1) B: limbs and infinity
 // mask) and a few headers — a kept table's doubled levels would not fit —
@@ -341,11 +374,11 @@ func TestOneShotBuildsNoTable(t *testing.T) {
 			_, _, err := oneShot.ComputeCtx(ctx, scalars, cfg)
 			return err
 		}},
-		{"ComputeManyCtx", func() error {
-			_, _, err := ComputeManyCtx(ctx, g, points, slices, cfg)
+		{"Tasks", func() error {
+			_, err := runJobs(ctx, cfg, slices, Job{G: g, Points: points})
 			return err
 		}, func() error {
-			_, _, err := oneShot.ComputeManyCtx(ctx, slices, cfg)
+			_, err := runJobs(ctx, cfg, slices, Job{Table: oneShot})
 			return err
 		}},
 	} {
@@ -618,7 +651,15 @@ func FuzzBucketKernel(f *testing.F) {
 func TestComputeAllocsBounded(t *testing.T) {
 	g := curve.Get(curve.BN254).G1
 	ctx := context.Background()
-	measure := func(n, k int, oneShot bool, kernel bucketKernel, combine bucketCombine) float64 {
+	production := func(table *Table, scalars []ff.Element, cfg Config) error {
+		_, _, err := table.ComputeCtx(ctx, scalars, cfg)
+		return err
+	}
+	oracles := func(table *Table, scalars []ff.Element, cfg Config) error {
+		_, _, err := table.computeWith(ctx, scalars, cfg, mixedAddBuckets, jacobianCombine)
+		return err
+	}
+	measure := func(n, k int, oneShot bool, compute func(*Table, []ff.Element, Config) error) float64 {
 		points, scalars := testVectors(g, n, 79, 0.3)
 		cfg := Config{WindowBits: k, CheckpointInterval: 3, SignedBuckets: true, Workers: 2}
 		if oneShot {
@@ -636,23 +677,23 @@ func TestComputeAllocsBounded(t *testing.T) {
 			if oneShot { // the table is part of the MSM
 				build()
 			}
-			if _, _, err := table.computeWith(ctx, scalars, cfg, kernel, combine); err != nil {
+			if err := compute(table, scalars, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	const slack = 8
 	for _, oneShot := range []bool{false, true} {
-		base := measure(256, 6, oneShot, affineBuckets, reduceBuckets)
+		base := measure(256, 6, oneShot, production)
 		for _, c := range []struct{ n, k int }{{2048, 6}, {256, 9}} {
-			got := measure(c.n, c.k, oneShot, affineBuckets, reduceBuckets)
+			got := measure(c.n, c.k, oneShot, production)
 			t.Logf("one-shot=%v n=%d k=%d: %v allocs (n=256 k=6: %v)", oneShot, c.n, c.k, got, base)
 			if got > base+slack {
 				t.Errorf("one-shot=%v n=%d k=%d: %v allocs vs %v at n=256 k=6: allocations grow with the input", oneShot, c.n, c.k, got, base)
 			}
 		}
 	}
-	if o6, o9 := measure(256, 6, false, mixedAddBuckets, jacobianCombine), measure(256, 9, false, mixedAddBuckets, jacobianCombine); o9 < o6+slack {
+	if o6, o9 := measure(256, 6, false, oracles), measure(256, 9, false, oracles); o9 < o6+slack {
 		t.Errorf("oracle allocs %v → %v at k 6 → 9: the test no longer sees per-bucket allocation", o6, o9)
 	}
 }
@@ -672,13 +713,18 @@ func BenchmarkBucketKernel(b *testing.B) {
 		}
 		for _, k := range []struct {
 			name    string
-			kernel  bucketKernel
-			combine bucketCombine
-		}{{"affine", affineBuckets, reduceBuckets}, {"jacobian-oracles", mixedAddBuckets, jacobianCombine}} {
+			compute func() error
+		}{{"affine", func() error {
+			_, _, err := table.ComputeCtx(context.Background(), scalars, cfg)
+			return err
+		}}, {"jacobian-oracles", func() error {
+			_, _, err := table.computeWith(context.Background(), scalars, cfg, mixedAddBuckets, jacobianCombine)
+			return err
+		}}} {
 			b.Run(g.Name+"/"+k.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, _, err := table.computeWith(context.Background(), scalars, cfg, k.kernel, k.combine); err != nil {
+					if err := k.compute(); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -176,12 +175,13 @@ func (t *Table) Compute(scalars []ff.Element, cfg Config) (curve.Affine, Stats, 
 	return t.ComputeCtx(context.Background(), scalars, cfg)
 }
 
-// ComputeCtx runs the GZKP MSM for one scalar vector against the table:
-// bucket-info construction (counting sort of all (window, point) pairs by
-// digit), cross-window point merging with load-grouped scheduling, and the
+// ComputeCtx runs the GZKP MSM for one scalar vector against the table, as
+// one task list on cfg.workers() workers: the plan — bucket-info
+// construction, a counting sort of all (window, point) pairs by digit —
+// then cross-window point merging in load-grouped bucket groups, and the
 // parallel-prefix bucket reduction of each remainder class, combined by one
 // Horner chain. At M = 1 no window-reduction step remains. ctx is checked
-// at bucket-group boundaries.
+// at task boundaries.
 //
 // cfg.SignedBuckets picks the digit recoding, nothing else: unsigned digits
 // (the paper's Algorithm 1 setting) fill buckets j ∈ [1, 2^k); signed digits
@@ -190,154 +190,21 @@ func (t *Table) Compute(scalars []ff.Element, cfg Config) (curve.Affine, Stats, 
 // ±(c·n+i+1), whose magnitude less one is the slab entry of point i's
 // checkpoint c = w/M; unsigned entries are simply never negative.
 func (t *Table) ComputeCtx(ctx context.Context, scalars []ff.Element, cfg Config) (curve.Affine, Stats, error) {
-	return t.computeWith(ctx, scalars, cfg, affineBuckets, reduceBuckets)
+	if len(scalars) != t.n {
+		return curve.Affine{}, Stats{}, fmt.Errorf("msm: %d scalars for %d-point table", len(scalars), t.n)
+	}
+	var res Result
+	err := par.Run(ctx, cfg.workers(), func(ctx context.Context, l *par.List) error {
+		return NewTasks(l, cfg).Add(ctx, scalars, Job{Table: t, Out: &res})
+	})
+	return res.Point, res.Stats, err
 }
 
-// bucketPlan is what a bucket kernel reads of one table MSM besides the table.
-type bucketPlan struct {
-	m int
-	// pindex holds every nonzero digit of window w as ±(e+1), e = (w/M)·n + i
-	// the slab entry it reads, counting-sorted by segment s = j·M + (w mod M)
-	// — bucket j, then remainder class — so segment s is
-	// pindex[offsets[s]:offsets[s+1]].
-	pindex  []int32
-	offsets []int32
-	loads   []int64 // entries per bucket (index 0 unused)
-	order   []int   // buckets 1..B, heaviest first (index order under NoLoadBalance)
-	cuts    []int   // the kernel's bucket groups: group g is order[cuts[g]:cuts[g+1]]
-}
-
-// segment returns the entries of bucket j's remainder class r.
-func (p *bucketPlan) segment(j, r int) []int32 {
-	s := j*p.m + r
-	return p.pindex[p.offsets[s]:p.offsets[s+1]]
-}
-
-// bucketKernel sets sums[j·M+r] = S_{j,r}, the sum of segment (j, r)'s
-// entries, for every bucket j ≥ 1 and class r, on workers drawn from ws.
-type bucketKernel func(ctx context.Context, t *Table, p *bucketPlan, sums []curve.Affine, ws *workerSet, cfg Config) error
-
-// bucketCombine returns Σ_r 2^(r·k)·Σ_j j·S_{j,r} and the doublings it
-// spent, on workers drawn from ws.
-type bucketCombine func(ctx context.Context, t *Table, sums []curve.Affine, ws *workerSet, cfg Config) (curve.Affine, int64, error)
-
-// computeWith is ComputeCtx around a given bucket kernel and combine — the
-// seam where the tests' Jacobian oracles (buckets_test.go) run on the same
-// plan.
-func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Config, kernel bucketKernel, combine bucketCombine) (curve.Affine, Stats, error) {
-	g, n := t.g, t.n
-	if len(scalars) != n {
-		return curve.Affine{}, Stats{}, fmt.Errorf("msm: %d scalars for %d-point table", len(scalars), n)
-	}
-	signed := cfg.SignedBuckets
-	if l := g.Fr.Bits(); signed && l%t.k == 0 {
-		return curve.Affine{}, Stats{}, fmt.Errorf("msm: signed buckets need k ∤ %d (scalar bits); table has k=%d — rebuild with SignedBuckets set", l, t.k)
-	}
-	sp, ctx := telemetry.StartSpan(ctx, "msm")
-	sp.SetStr("strategy", GZKP.String())
-	sp.SetInt("n", int64(n))
-	defer sp.End()
-	dg := newDigits(g.Fr, scalars, t.k)
-	if dg.windows != t.windows {
-		return curve.Affine{}, Stats{}, fmt.Errorf("msm: window mismatch: table %d, scalars %d", t.windows, dg.windows)
-	}
-	dm := recodeDigits(dg, signed)
-	numBuckets := bucketCount(t.k, signed)
-	m := t.m
-
-	// --- Bucket-info (p_index) construction: counting sort by segment.
-	segs := (numBuckets + 1) * m
-	offsets := make([]int32, segs+1)
-	loads := make([]int64, numBuckets+1)
-	var zeros, nonzeros int64
-	for i := 0; i < n; i++ {
-		if signed && dm.digit(i, t.windows) != 0 {
-			return curve.Affine{}, Stats{}, fmt.Errorf("msm: signed recoding carried out of the top window (internal error)")
-		}
-		for w := 0; w < t.windows; w++ {
-			d := dm.digit(i, w)
-			if d == 0 {
-				zeros++
-				continue
-			}
-			if d < 0 {
-				d = -d
-			}
-			offsets[int(d)*m+w%m+1]++
-			loads[d]++
-			nonzeros++
-		}
-	}
-	for s := 1; s <= segs; s++ {
-		offsets[s] += offsets[s-1]
-	}
-	pindex := make([]int32, nonzeros)
-	fill := make([]int32, segs)
-	copy(fill, offsets)
-	for i := 0; i < n; i++ {
-		for w := 0; w < t.windows; w++ {
-			d := dm.digit(i, w)
-			if d == 0 {
-				continue
-			}
-			entry := int32((w/m)*n + i + 1)
-			if d < 0 {
-				d, entry = -d, -entry
-			}
-			s := int(d)*m + w%m
-			pindex[fill[s]] = entry
-			fill[s]++
-		}
-	}
-
-	// --- Scheduling order: group buckets by load, heaviest first (§4.2).
-	order := make([]int, numBuckets)
-	for j := range order {
-		order[j] = j + 1
-	}
-	if !cfg.NoLoadBalance {
-		sort.Slice(order, func(a, b int) bool {
-			return loads[order[a]] > loads[order[b]]
-		})
-	}
-	plan := &bucketPlan{m: m, pindex: pindex, offsets: offsets, loads: loads, order: order}
-
-	// --- Per-worker adders, sized for the kernel's groups and the combine's
-	// lanes, and the affine slab of (bucket, class) sums between them.
-	workers := cfg.workers()
-	var slots, groupSegs int
-	plan.cuts, slots, groupSegs = plan.groups(workers)
-	chunks, _, _ := combineShape(m, numBuckets, workers)
-	lanes := (chunks + workers - 1) / workers * m
-	slots = max(slots, combineSlots*lanes)
-	ws := &workerSet{mk: func() *bucketWorker {
-		return &bucketWorker{
-			add:   g.NewAffineAdder(slots),
-			start: make([]int32, groupSegs), live: make([]int32, groupSegs),
-		}
-	}}
-	w := g.K.Words()
-	limbs := make([]uint64, 2*w*segs)
-	sums := make([]curve.Affine, segs)
-	for s := range sums {
-		b := limbs[2*w*s : 2*w*(s+1)]
-		sums[s] = curve.Affine{X: b[:w:w], Y: b[w:], Inf: true}
-	}
-
-	// --- Cross-window point merging, then the bucket reduction of every
-	// class as batched affine running sums and one Horner chain.
-	if err := kernel(ctx, t, plan, sums, ws, cfg); err != nil {
-		return curve.Affine{}, Stats{}, err
-	}
-	ws.release()
-	result, doubles, err := combine(ctx, t, sums, ws, cfg)
-	if err != nil {
-		return curve.Affine{}, Stats{}, err
-	}
-
-	// --- Stats (Fig. 6's histogram and spread).
+// stats is the Stats of one MSM of p against t (Fig. 6's histogram and
+// spread) whose combine spent doubles doublings.
+func (t *Table) stats(p *plan, doubles int64) Stats {
 	var maxLoad, minLoad int64
-	for _, l := range loads[1:] {
+	for _, l := range p.loads[1:] {
 		maxLoad = max(maxLoad, l)
 		if l > 0 && (minLoad == 0 || l < minLoad) {
 			minLoad = l
@@ -347,22 +214,21 @@ func (t *Table) computeWith(ctx context.Context, scalars []ff.Element, cfg Confi
 	if minLoad > 0 {
 		spread = float64(maxLoad) / float64(minLoad)
 	}
-	st := Stats{
-		WindowBits: t.k, Windows: t.windows, Checkpoint: m,
-		Buckets: numBuckets, Signed: signed,
+	g, nonzeros := t.g, int64(len(p.pindex))
+	return Stats{
+		WindowBits: t.k, Windows: t.windows, Checkpoint: t.m,
+		Buckets: len(p.loads) - 1, Signed: p.signed,
 		// One add per entry; the final chain's doublings.
 		PointAdds: nonzeros, Doubles: doubles,
-		TableBytes:  t.Bytes() + int64(len(pindex))*4,
-		BucketLoads: loads, LoadSpread: spread,
-		ZeroDigits: zeros, NonzeroDigit: nonzeros,
+		TableBytes:  t.Bytes() + nonzeros*4,
+		BucketLoads: p.loads, LoadSpread: spread,
+		ZeroDigits: int64(t.n*t.windows) - nonzeros, NonzeroDigit: nonzeros,
 		// Table-point loads per nonzero digit, one canonical scalar read
 		// per input, and the bucket-index array written then re-read.
 		TrafficBytes: nonzeros*pointBytes(g) +
-			int64(n)*int64(g.Fr.Limbs()*8) +
-			int64(len(pindex))*8,
+			int64(t.n)*int64(g.Fr.Limbs()*8) +
+			nonzeros*8,
 	}
-	recordMSM(ctx, sp, st)
-	return result, st, nil
 }
 
 // combineLanes is the number of lanes per worker the combine aims for, so
@@ -390,47 +256,21 @@ func combineShape(m, numBuckets, workers int) (chunks, shift, fold int) {
 	return chunks, shift, fold
 }
 
-// reduceBuckets computes Σ_r 2^(r·k)·W_r with W_r = Σ_{j=1}^{B} j·S_{j,r},
-// the parallel-prefix formulation of §4.1's final step, and returns it with
-// the doublings it spent. combineShape cuts every class into chunks of
-// 2^s buckets, and each worker takes a contiguous run of chunks across all
-// M classes: a (class, chunk) pair is a lane, and all of a worker's lanes
-// walk their chunks together as batched affine running sums, one shared
-// inversion per bucket step (bucketWorker.runningSums). A lane over
-// [a, a+2^s) leaves L = Σ (j−a+1)·S_j and R = Σ S_j, so
-// W_r = Σ_c L_c + 2^s·Σ_c c·R_c. One Horner chain then takes each class in
-// (M−1)·k + s doublings per MSM (s = 0 for a single chunk): its k doublings
-// per step are split at s, and the running sum Σ_c c·R_c enters before the
-// last s of them.
-func reduceBuckets(ctx context.Context, t *Table, sums []curve.Affine, ws *workerSet, cfg Config) (curve.Affine, int64, error) {
-	g, m := t.g, t.m
-	numBuckets := len(sums)/m - 1 // bucket 0 unused
-	workers := cfg.workers()
-	chunks, shift, fold := combineShape(m, numBuckets, workers)
-	items := min(workers, chunks)
-	owner := make([]*bucketWorker, chunks)
-	// One item per goroutine: a worker's lanes live in its adder until the
-	// chain below reads them.
-	err := par.StaticItemsErr(ctx, items, items, ws.take, func(bw *bucketWorker, i int) error {
-		c0, c1 := i*chunks/items, (i+1)*chunks/items
-		bw.runningSums(sums, m, numBuckets, 1<<shift, c0, c1)
-		for c := c0; c < c1; c++ {
-			owner[c] = bw
-		}
-		return nil
-	})
-	if err != nil {
-		return curve.Affine{}, 0, err
-	}
-	lane := func(c, r int) (l, sum curve.Affine) {
-		bw := owner[c]
-		i := bw.lane(c, r, m)
-		return bw.add.Point(i), bw.add.Point(i + 1)
-	}
-	ops := g.NewOps()
+// chain computes Σ_r 2^(r·k)·W_r with W_r = Σ_{j=1}^{B} j·S_{j,r}, the
+// parallel-prefix formulation of §4.1's final step, from the combine's
+// lanes, and returns it with the doublings it spent. combineShape cuts
+// every class into chunks of 2^s buckets; a (class, chunk) pair is a lane,
+// and the lane of chunk c over [a, a+2^s) of class r left
+// L = Σ (j−a+1)·S_j in lanes[2(c·M+r)] and R = Σ S_j after it (see
+// bucketWorker.runningSums), so W_r = Σ_c L_c + 2^s·Σ_c c·R_c. One Horner
+// chain then takes each class in (M−1)·k + s doublings per MSM (s = 0 for
+// a single chunk): its k doublings per step are split at s, and the
+// running sum Σ_c c·R_c enters before the last s of them.
+func (t *Table) chain(lanes []curve.Affine, chunks, fold int) (curve.Affine, int64) {
+	m := t.m
+	ops := t.g.NewOps()
 	var total, run curve.Jacobian
 	ops.SetInfinity(&total)
-	ops.SetInfinity(&run)
 	var doubles int64
 	double := func(times int) {
 		for range times {
@@ -445,15 +285,13 @@ func reduceBuckets(ctx context.Context, t *Table, sums []curve.Affine, ws *worke
 		// total += Σ_c c·R_c as Σ_{c ≥ 1} (running sum of R from the top).
 		ops.SetInfinity(&run)
 		for c := chunks - 1; c >= 1; c-- {
-			_, sum := lane(c, r)
-			ops.AddMixedAssign(&run, sum)
+			ops.AddMixedAssign(&run, lanes[2*(c*m+r)+1])
 			ops.AddAssign(&total, &run)
 		}
 		double(fold)
 		for c := 0; c < chunks; c++ {
-			l, _ := lane(c, r)
-			ops.AddMixedAssign(&total, l)
+			ops.AddMixedAssign(&total, lanes[2*(c*m+r)])
 		}
 	}
-	return ops.ToAffine(&total), doubles, nil
+	return ops.ToAffine(&total), doubles
 }

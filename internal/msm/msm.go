@@ -292,25 +292,33 @@ type digits struct {
 // newDigits canonicalizes scalars (out of Montgomery form) once and serves
 // digit lookups; l is the scalar bit length.
 func newDigits(f *ff.Field, scalars []ff.Element, k int) *digits {
-	l := f.Bits()
-	windows := (l + k - 1) / k
+	d := allocDigits(f, len(scalars), k)
+	d.canonicalize(f, scalars, 0)
+	return d
+}
+
+// allocDigits returns a zero digit source for n scalars of f's bit length.
+func allocDigits(f *ff.Field, n, k int) *digits {
 	perRow := f.Limbs()
-	d := &digits{
-		limbs:   make([]uint64, len(scalars)*perRow),
+	return &digits{
+		limbs:   make([]uint64, n*perRow),
 		perRow:  perRow,
 		k:       k,
-		windows: windows,
-		n:       len(scalars),
+		windows: (f.Bits() + k - 1) / k,
+		n:       n,
 	}
-	one := make(ff.Element, perRow)
+}
+
+// canonicalize writes scalars, out of Montgomery form, into rows lo, lo+1, ….
+func (d *digits) canonicalize(f *ff.Field, scalars []ff.Element, lo int) {
+	one := make(ff.Element, d.perRow)
 	one[0] = 1
 	tmp := f.New()
 	kr := f.Kernels() // hoisted: one width decision for the whole sweep
 	for i, s := range scalars {
 		kr.Mul(tmp, s, one) // Montgomery → canonical
-		copy(d.limbs[i*perRow:(i+1)*perRow], tmp)
+		copy(d.limbs[(lo+i)*d.perRow:(lo+i+1)*d.perRow], tmp)
 	}
-	return d
 }
 
 // digit returns window t of scalar i: bits [t·k, (t+1)·k).

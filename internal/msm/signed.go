@@ -26,15 +26,32 @@ func (dm *digitMatrix) digit(i, t int) int32 { return dm.dig[i*dm.windows+t] }
 // recodeDigits lays a digit accessor out as a matrix, recoding into the
 // signed range when signed is set.
 func recodeDigits(d *digits, signed bool) *digitMatrix {
+	dm := newDigitMatrix(d, signed)
+	dm.recode(d, 0, d.n)
+	return dm
+}
+
+// newDigitMatrix returns a zero matrix for d's rows: one extra window
+// absorbs a signed recoding's final carry.
+func newDigitMatrix(d *digits, signed bool) *digitMatrix {
 	nw := d.windows
+	if signed {
+		nw++
+	}
+	return &digitMatrix{dig: make([]int32, d.n*nw), windows: nw}
+}
+
+// recode fills rows [lo, hi) of dm from d, signed when dm has the carry
+// window.
+func (dm *digitMatrix) recode(d *digits, lo, hi int) {
+	nw := dm.windows
+	signed := nw > d.windows
 	full := int32(1) << d.k
 	half := full // unsigned: no digit exceeds it, so nothing ever carries
 	if signed {
-		nw++
 		half >>= 1
 	}
-	dm := &digitMatrix{dig: make([]int32, d.n*nw), windows: nw}
-	for i := 0; i < d.n; i++ {
+	for i := lo; i < hi; i++ {
 		carry := int32(0)
 		row := dm.dig[i*nw : (i+1)*nw]
 		for t := 0; t < d.windows; t++ {
@@ -50,7 +67,6 @@ func recodeDigits(d *digits, signed bool) *digitMatrix {
 			row[d.windows] = carry
 		}
 	}
-	return dm
 }
 
 // bucketCount is the number of buckets one accumulation unit needs for

@@ -1,7 +1,7 @@
 // Package par provides the worker-pool primitives the compute stages share:
 // range splitting, dynamic (work-stealing) item scheduling with per-worker
-// state, and explicitly ordered scheduling used by GZKP's load-grouped
-// heaviest-first bucket dispatch (§4.2).
+// state, and the weighted task list (List) on which a prove runs POLY and
+// GZKP's load-grouped, heaviest-first bucket dispatch (§4.2) together.
 //
 // Every pool is cancellable and panic-safe: it takes a context checked at
 // chunk/item boundaries, the first worker error cancels the remaining work,
@@ -187,43 +187,5 @@ func ItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn f
 				return err
 			}
 		}
-	})
-}
-
-// StaticItemsErr assigns items in fixed contiguous chunks with no stealing
-// — the naive scheduling GZKP's load balancing is compared against (the
-// "GZKP-no-LB" ablation): a worker stuck with heavy items straggles. Items
-// remain cancellation points and panics are contained.
-func StaticItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn func(state S, item int) error) error {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 { // one chunk (or no items): nothing to steal either way
-		return ItemsErr(ctx, n, 1, mkState, fn)
-	}
-	account(ctx, n, workers)
-	chunk := (n + workers - 1) / workers
-	var nextChunk int64
-	return runGroup(ctx, workers, func(gctx context.Context) error {
-		// Each worker claims exactly one static chunk (no stealing).
-		lo := int(atomic.AddInt64(&nextChunk, int64(chunk))) - chunk
-		if lo >= n {
-			return nil
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		st := newState(mkState)
-		for i := lo; i < hi; i++ {
-			if gctx.Err() != nil {
-				return nil
-			}
-			if err := fn(st, i); err != nil {
-				return err
-			}
-		}
-		return nil
 	})
 }

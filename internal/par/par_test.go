@@ -3,6 +3,7 @@ package par
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,53 +109,12 @@ func TestItemsDispatchInIndexOrder(t *testing.T) {
 	}
 }
 
-// Static scheduling hands each worker one contiguous chunk: every item is
-// visited once, and the items sharing a worker's state form one interval of
-// at most ceil(n/workers) items.
-func TestStaticItemsChunksContiguously(t *testing.T) {
-	type span struct{ lo, hi, count int }
-	for _, workers := range []int{1, 7} {
-		n := 333
-		seen := make([]int32, n)
-		var mu sync.Mutex
-		var spans []*span
-		err := StaticItemsErr(context.Background(), n, workers, func() *span {
-			s := &span{lo: n, hi: -1}
-			mu.Lock()
-			spans = append(spans, s)
-			mu.Unlock()
-			return s
-		}, func(s *span, item int) error {
-			atomic.AddInt32(&seen[item], 1)
-			s.lo, s.hi, s.count = min(s.lo, item), max(s.hi, item), s.count+1
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, c := range seen {
-			if c != 1 {
-				t.Fatalf("workers=%d: item %d visited %d times", workers, i, c)
-			}
-		}
-		chunk := (n + workers - 1) / workers
-		for _, s := range spans {
-			if s.count > 0 && (s.hi-s.lo+1 != s.count || s.count > chunk) {
-				t.Fatalf("workers=%d: non-contiguous or oversized chunk %+v (chunk %d)", workers, *s, chunk)
-			}
-		}
-	}
-}
-
 func TestZeroItems(t *testing.T) {
 	// None of these may panic, call fn, or report an error.
 	ctx := context.Background()
 	called := false
 	fn := func(_ struct{}, _ int) error { called = true; return nil }
 	if err := ItemsErr(ctx, 0, 4, nil, fn); err != nil {
-		t.Fatal(err)
-	}
-	if err := StaticItemsErr(ctx, 0, 4, nil, fn); err != nil {
 		t.Fatal(err)
 	}
 	if err := RangeErr(ctx, 0, 4, func(lo, hi int) error { called = true; return nil }); err != nil {
@@ -248,13 +208,122 @@ func TestErrVariantsPreCanceled(t *testing.T) {
 	if err := ItemsErr(ctx, 10, 4, nil, fn); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ItemsErr: %v", err)
 	}
-	if err := StaticItemsErr(ctx, 10, 4, nil, fn); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StaticItemsErr: %v", err)
-	}
 	if err := RangeErr(ctx, 10, 4, func(_, _ int) error { called = true; return nil }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RangeErr: %v", err)
 	}
 	if called {
 		t.Fatal("work ran under a pre-canceled context")
+	}
+}
+
+// TestListRunsHeaviestFirstAndJoins: one worker takes ready tasks by
+// weight, ties in push order; a fan's join runs once, after its last task,
+// and the tasks it pushes run in the same list.
+func TestListRunsHeaviestFirstAndJoins(t *testing.T) {
+	var order []int
+	err := Run(context.Background(), 1, func(_ context.Context, l *List) error {
+		weights := []int64{1, 5, 3, 5}
+		l.Fan(len(weights), func(i int) int64 { return weights[i] },
+			func(_, i int) error { order = append(order, i); return nil },
+			func(int) error {
+				order = append(order, -1)
+				l.Push(0, func(int) error { order = append(order, -2); return nil })
+				return nil
+			})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 3, 2, 0, -1, -2}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+}
+
+// TestListWorkersShareTasks: every task runs once, on a worker index in
+// range, and a chain of joins fanning out further tasks runs to the end
+// on several workers.
+func TestListWorkersShareTasks(t *testing.T) {
+	const workers, width, depth = 3, 50, 4
+	var ran [depth][width]atomic.Int32
+	var stage func(l *List, d int)
+	stage = func(l *List, d int) {
+		l.Fan(width, func(i int) int64 { return int64(i) }, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return errors.New("worker index out of range")
+			}
+			ran[d][i].Add(1)
+			return nil
+		}, func(int) error {
+			if d+1 < depth {
+				stage(l, d+1)
+			}
+			return nil
+		})
+	}
+	err := Run(context.Background(), workers, func(_ context.Context, l *List) error {
+		stage(l, 0)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := range ran {
+		for i := range ran[d] {
+			if n := ran[d][i].Load(); n != 1 {
+				t.Fatalf("stage %d task %d ran %d times", d, i, n)
+			}
+		}
+	}
+}
+
+// TestListErrorsPanicsAndCancellation: a task's error or panic stops the
+// list and returns (the panic as *resilience.PanicError); an external
+// cancellation returns ctx.Err() and every worker joins.
+func TestListErrorsPanicsAndCancellation(t *testing.T) {
+	boom := errors.New("boom")
+	for _, c := range []struct {
+		name string
+		fail func() error
+	}{{"error", func() error { return boom }}, {"panic", func() error { panic("injected") }}} {
+		var after atomic.Int32
+		err := Run(context.Background(), 2, func(_ context.Context, l *List) error {
+			l.Push(1, func(int) error { return c.fail() })
+			for range 100 {
+				l.Push(0, func(int) error { after.Add(1); time.Sleep(100 * time.Microsecond); return nil })
+			}
+			return nil
+		})
+		var pe *resilience.PanicError
+		if c.name == "error" && !errors.Is(err, boom) || c.name == "panic" && !errors.As(err, &pe) {
+			t.Fatalf("%s: returned %v", c.name, err)
+		}
+		if after.Load() == 100 {
+			t.Fatalf("%s did not stop the list", c.name)
+		}
+	}
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(2*time.Millisecond, cancel)
+	err := Run(ctx, 4, func(ctx context.Context, l *List) error {
+		var spawn func(int) error
+		spawn = func(int) error { // an endless chain, each task pushing the next
+			time.Sleep(100 * time.Microsecond)
+			l.Push(0, spawn)
+			return nil
+		}
+		l.Push(0, spawn)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled list returned %v", err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before+1 {
+		t.Fatalf("goroutines leaked: before=%d after=%d", before, g)
 	}
 }

@@ -175,13 +175,18 @@ func (b *Builder) Scale(x LC, c ff.Element) LC {
 
 // EvalLC computes ⟨lc, w⟩.
 func EvalLC(f *ff.Field, lc LC, w []ff.Element) ff.Element {
-	acc := f.New()
-	t := f.New()
+	return EvalLCTo(f, f.New(), f.New(), lc, w)
+}
+
+// EvalLCTo sets dst = ⟨lc, w⟩ with tmp as scratch and returns dst: EvalLC
+// without allocating, for a prover that fills whole rows.
+func EvalLCTo(f *ff.Field, dst, tmp ff.Element, lc LC, w []ff.Element) ff.Element {
+	clear(dst)
 	for _, term := range lc {
-		f.Mul(t, term.Coeff, w[term.V])
-		f.Add(acc, acc, t)
+		f.Mul(tmp, term.Coeff, w[term.V])
+		f.Add(dst, dst, tmp)
 	}
-	return acc
+	return dst
 }
 
 // --- Constraint-producing gadgets ---
