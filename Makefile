@@ -11,6 +11,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -timeout 20m -run 'TestPlan|TestProve' ./internal/msm ./internal/groth16
+	$(GO) test -race -count=5 ./internal/service ./internal/par
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi

@@ -1,5 +1,5 @@
 // Command gzkp-serve runs the proving service: an HTTP front end over the
-// bounded job queue, its two dispatchers and the fault-tolerant prover of
+// bounded job queue, its two dispatch slots and the fault-tolerant prover of
 // internal/service. On SIGINT/SIGTERM it drains gracefully — stops
 // accepting, finishes in-flight jobs, and checkpoints anything still
 // queued to -checkpoint so a successor process (started with the same
@@ -48,7 +48,6 @@ func main() {
 	cfg := service.Config{
 		QueueCapacity: *queueCap,
 		MaxBatch:      *maxBatch,
-		FusedBatch:    true,
 		MaxCircuits:   32,
 		Preprocess:    *preprocess,
 		Registry:      telemetry.NewRegistry(),

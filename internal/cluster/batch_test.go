@@ -36,8 +36,9 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 	return resp, body
 }
 
-// startFusedCluster boots nodes with the fused batch pipeline enabled so
-// forwarded batches exercise node-side fusion, not just the route.
+// startFusedCluster boots nodes that group up to 8 same-circuit jobs per
+// dispatch, so forwarded batches exercise node-side fusion, not just the
+// route.
 func startFusedCluster(t *testing.T, count int) (*Coordinator, []*testNode) {
 	t.Helper()
 	var nodes []*testNode
@@ -45,7 +46,6 @@ func startFusedCluster(t *testing.T, count int) (*Coordinator, []*testNode) {
 	for i := 0; i < count; i++ {
 		cfg := fastNodeConfig()
 		cfg.MaxBatch = 8
-		cfg.FusedBatch = true
 		svc := service.New(cfg)
 		srv := httptest.NewServer(service.NewHandler(svc))
 		n := &testNode{name: fmt.Sprintf("node-%d", i), svc: svc, srv: srv}

@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/big"
 	mrand "math/rand"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -20,7 +19,6 @@ import (
 	"gzkp/internal/par"
 	"gzkp/internal/poly"
 	"gzkp/internal/r1cs"
-	"gzkp/internal/resilience"
 	"gzkp/internal/telemetry"
 )
 
@@ -176,45 +174,54 @@ func (s *msmSet) done() {
 	}
 }
 
-// ProveBatchCtx is the prover: the paper's fixed schedule of seven NTTs,
-// five MSMs and one assembly (§5.2), run once for k same-circuit witnesses.
+// ProveBatchCtx is the prover: ProveTasks in a scope of its own on the
+// task list of cfg.MSM.Workers workers (par.Run). Panics below the prover
+// return as a *resilience.PanicError.
+func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg ProveConfig, rand io.Reader) (proofs []*Proof, stats *BatchStats, err error) {
+	if len(witnesses) == 0 {
+		return nil, &BatchStats{}, ctx.Err()
+	}
+	err = par.Run(ctx, cfg.MSM.Workers, func(ctx context.Context, l *par.List) error {
+		return ProveTasks(ctx, l, pk, sys, witnesses, cfg, rand, func(p []*Proof, st *BatchStats) {
+			proofs, stats = p, st
+		})
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return proofs, stats, nil
+}
+
+// ProveTasks is the paper's fixed schedule of seven NTTs, five MSMs and
+// one assembly (§5.2), for k ≥ 1 same-circuit witnesses, seeded into the
+// caller's task list l; ctx is l's scope context (or one derived from it).
 // The launch gates of the 7 NTTs and the 5 MSMs (A, B2, B1, H, K) run
-// first, in that order. Then one task list on cfg.MSM.Workers workers runs
-// everything else: POLY — the witness rows, then the 7·k NTTs as 7 launches
-// (poly.ComputeHBatchCtx) over the key's domain — beside the MSMs
-// (msm.Tasks). A, B2, B1 and K start at once; A, B1 and B2 of one witness
-// share a scalar plan; H joins when POLY finishes. Each base set serves all
-// k proofs from the proving key's preprocessed table, or else each MSM
-// from a one-shot copy of the set's points. Prove is this function with
-// k = 1. The blinding
-// pairs (rᵢ, sᵢ) are drawn from rand (nil = crypto/rand) proof-major
-// (r₀,s₀,r₁,s₁,…), so the output is bit-identical to k one-witness calls
-// sharing the same reader.
+// first, in that order, on the calling goroutine, and then the blinding.
+// Everything else is l's tasks: POLY — the witness rows, then the 7·k NTTs
+// as 7 launches (poly.ComputeHBatchCtx) over the key's domain — beside the
+// MSMs (msm.Tasks). A, B2, B1 and K start at once; A, B1 and B2 of one
+// witness share a scalar plan; H joins when POLY finishes. Each base set
+// serves all k proofs from the proving key's preprocessed table, or else
+// each MSM from a one-shot copy of the set's points. C is assembled in the
+// join after the last MSM, which then calls done with the proofs. The
+// blinding pairs (rᵢ, sᵢ) are drawn from rand (nil = crypto/rand)
+// proof-major (r₀,s₀,r₁,s₁,…), so the output is bit-identical to k
+// one-witness calls sharing the same reader.
 //
 // ctx is honored cooperatively at task and chunk boundaries; injected
 // faults (ProveConfig.Faults) gate the 7 NTT + 5 MSM launches — per batch,
-// not per proof — and are recovered per class; panics below the prover
-// return as a *resilience.PanicError.
-func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg ProveConfig, rand io.Reader) (proofs []*Proof, stats *BatchStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			proofs, stats = nil, nil
-			if pe, ok := r.(*resilience.PanicError); ok {
-				err = pe
-			} else {
-				err = &resilience.PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}
-	}()
+// not per proof — and are recovered per class. An error returned here or
+// by a task fails l's scope, and done is not called.
+func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg ProveConfig, rand io.Reader, done func([]*Proof, *BatchStats)) error {
 	k := len(witnesses)
 	if k == 0 {
-		return nil, &BatchStats{}, ctx.Err()
+		return fmt.Errorf("groth16: no witnesses")
 	}
 	c := curve.Get(pk.CurveID)
 	f := c.Fr
 	for i, w := range witnesses {
 		if len(w) != sys.NumVars {
-			return nil, nil, fmt.Errorf("groth16: witness %d length %d != %d wires", i, len(w), sys.NumVars)
+			return fmt.Errorf("groth16: witness %d length %d != %d wires", i, len(w), sys.NumVars)
 		}
 	}
 	st := &BatchStats{Proofs: k}
@@ -225,25 +232,29 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	root.SetInt("k", int64(k))
 	root.SetInt("domain_n", int64(pk.DomainN))
 	root.SetInt("num_vars", int64(sys.NumVars))
-	defer root.End()
 	track := stageTrack(ctx)
+	// A failed scope never reaches the final join: its end closes the spans.
+	traced := telemetry.FromContext(ctx) != nil
+	if traced {
+		context.AfterFunc(ctx, root.End)
+	}
 
 	if cfg.CheckSatisfied {
 		err := par.ItemsErr(ctx, k, cfg.NTT.Workers, nil,
 			func(_ struct{}, i int) error { return sys.IsSatisfied(witnesses[i]) })
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 	dom, err := pk.domain()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 
 	// ---- Launch gates, before any work: the 7 NTTs, then the 5 MSMs.
 	for i := 0; i < poly.NTTCount; i++ {
 		if lerr := cfg.launch(ctx, fmt.Sprintf("NTT %d", i), nil); lerr != nil {
-			return nil, nil, lerr
+			return lerr
 		}
 	}
 	sets := [...]*msmSet{
@@ -277,7 +288,7 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 			return nil
 		}
 		if lerr := cfg.launch(ctx, "MSM "+s.name, oom); lerr != nil {
-			return nil, nil, lerr
+			return lerr
 		}
 	}
 
@@ -287,18 +298,20 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 	ss := make([]ff.Element, k)
 	for i := 0; i < k; i++ {
 		if rs[i], err = f.RandReader(rand); err != nil {
-			return nil, nil, err
+			return err
 		}
 		if ss[i], err = f.RandReader(rand); err != nil {
-			return nil, nil, err
+			return err
 		}
 	}
 
-	// ---- One task list: POLY, and every MSM's plan, bucket groups and
+	// ---- The tasks: POLY, and every MSM's plan, bucket groups and
 	// combine. results[s·k+i] is base set s's MSM for proof i.
 	t0 := time.Now()
 	spMSM, mctx := telemetry.StartSpanOn(ctx, track, "msm-stage")
-	defer spMSM.End()
+	if traced {
+		context.AfterFunc(ctx, spMSM.End)
+	}
 	results := make([]msm.Result, len(sets)*k)
 	// Assembly starts inside the list: once proof i's A is done, its
 	// A = α + Σ zᵢAᵢ + r·δ and s·A; once B2 is, B = β + Σ zᵢBᵢ + s·δ; once
@@ -339,6 +352,45 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 			asm[i].rB1 = ops.ScalarMulWNAF(ops.ToAffine(&bj), rBig[i], 4)
 		},
 	}
+	// ---- The join after the last MSM: C = Σ_priv zᵢKᵢ + Σ hᵢHᵢ + s·A +
+	// r·B1 − r·s·δ, per proof.
+	assemble := func() {
+		st.MSMStats = make([]msm.Stats, len(results))
+		for i, r := range results {
+			st.MSMStats[i] = r.Stats
+		}
+		reg := telemetry.FromContext(ctx).Registry()
+		if reg != nil && !pk.HasAssemblyTables() {
+			reg.Counter("groth16.fixedbase_fallback").Add(int64(k))
+		}
+		proofs := make([]*Proof, k)
+		ops1 := c.G1.NewOps()
+		for i := range proofs {
+			sp, _ := telemetry.StartSpan(mctx, "assemble")
+			sp.SetInt("proof", int64(i))
+			var cj curve.Jacobian
+			ops1.SetInfinity(&cj)
+			ops1.AddMixedAssign(&cj, results[4*k+i].Point)
+			ops1.AddMixedAssign(&cj, results[3*k+i].Point)
+			ops1.AddAssign(&cj, asm[i].sA)
+			ops1.AddAssign(&cj, asm[i].rB1)
+			rsProd := f.Mul(f.New(), rs[i], ss[i])
+			ops1.AddAssign(&cj, pk.deltaMul1(ops1, new(big.Int).Neg(f.ToBig(rsProd))))
+			proofs[i] = &Proof{CurveID: pk.CurveID, A: asm[i].a, B: asm[i].b, C: ops1.ToAffine(&cj)}
+			sp.End()
+		}
+		st.MSMNS = time.Since(t0).Nanoseconds()
+		if reg != nil {
+			reg.Counter("groth16.batch_proofs").Add(int64(k))
+			reg.Counter("groth16.batch_fused_ntts").Add(int64(st.FusedNTTs))
+			reg.Counter("groth16.batches").Add(1)
+		}
+		spMSM.End()
+		root.End()
+		done(proofs, st)
+	}
+	var left atomic.Int32
+	left.Store(int32(len(results)))
 	job := func(si, i int) msm.Job {
 		s := sets[si]
 		return msm.Job{Table: s.table, G: s.g, Points: s.pts, Out: &results[si*k+i], Done: func() {
@@ -346,73 +398,38 @@ func ProveBatchCtx(ctx context.Context, pk *ProvingKey, sys *r1cs.System, witnes
 				early[si](i)
 			}
 			s.done()
+			if left.Add(-1) == 0 {
+				assemble()
+			}
 		}}
 	}
-	err = par.Run(ctx, cfg.MSM.Workers, func(lctx context.Context, l *par.List) error {
-		mlctx := telemetry.ContextWithSpan(lctx, spMSM)
-		ts := msm.NewTasks(l, cfg.MSM)
-		l.Push(math.MaxInt64, func(int) error {
-			h, err := provePoly(lctx, track, dom, sys, witnesses, cfg.NTT, st)
-			if err != nil {
-				return err
-			}
-			sets[3].start(mlctx, k) // H joins here
-			for i := range h {
-				if err := ts.Add(mlctx, h[i], job(3, i)); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		for _, s := range []*msmSet{sets[0], sets[1], sets[2], sets[4]} {
-			s.start(mlctx, k)
+	mlctx := telemetry.ContextWithSpan(ctx, spMSM)
+	ts := msm.NewTasks(l, cfg.MSM)
+	l.Push(math.MaxInt64, func(int) error {
+		h, err := provePoly(ctx, track, dom, sys, witnesses, cfg.NTT, st)
+		if err != nil {
+			return err
 		}
-		for i, w := range witnesses {
-			if err := ts.Add(mlctx, w, job(0, i), job(1, i), job(2, i)); err != nil {
-				return err
-			}
-			if err := ts.Add(mlctx, w[sys.NumPublic+1:], job(4, i)); err != nil {
+		sets[3].start(mlctx, k) // H joins here
+		for i := range h {
+			if err := ts.Add(mlctx, h[i], job(3, i)); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
+	for _, s := range []*msmSet{sets[0], sets[1], sets[2], sets[4]} {
+		s.start(mlctx, k)
 	}
-	st.MSMStats = make([]msm.Stats, len(results))
-	for i, r := range results {
-		st.MSMStats[i] = r.Stats
+	for i, w := range witnesses {
+		if err := ts.Add(mlctx, w, job(0, i), job(1, i), job(2, i)); err != nil {
+			return err
+		}
+		if err := ts.Add(mlctx, w[sys.NumPublic+1:], job(4, i)); err != nil {
+			return err
+		}
 	}
-
-	// ---- C = Σ_priv zᵢKᵢ + Σ hᵢHᵢ + s·A + r·B1 − r·s·δ, per proof.
-	reg := telemetry.FromContext(ctx).Registry()
-	if reg != nil && !pk.HasAssemblyTables() {
-		reg.Counter("groth16.fixedbase_fallback").Add(int64(k))
-	}
-	proofs = make([]*Proof, k)
-	ops1 := c.G1.NewOps()
-	for i := range proofs {
-		sp, _ := telemetry.StartSpan(mctx, "assemble")
-		sp.SetInt("proof", int64(i))
-		var cj curve.Jacobian
-		ops1.SetInfinity(&cj)
-		ops1.AddMixedAssign(&cj, results[4*k+i].Point)
-		ops1.AddMixedAssign(&cj, results[3*k+i].Point)
-		ops1.AddAssign(&cj, asm[i].sA)
-		ops1.AddAssign(&cj, asm[i].rB1)
-		rsProd := f.Mul(f.New(), rs[i], ss[i])
-		ops1.AddAssign(&cj, pk.deltaMul1(ops1, new(big.Int).Neg(f.ToBig(rsProd))))
-		proofs[i] = &Proof{CurveID: pk.CurveID, A: asm[i].a, B: asm[i].b, C: ops1.ToAffine(&cj)}
-		sp.End()
-	}
-	st.MSMNS = time.Since(t0).Nanoseconds()
-	if reg != nil {
-		reg.Counter("groth16.batch_proofs").Add(int64(k))
-		reg.Counter("groth16.batch_fused_ntts").Add(int64(st.FusedNTTs))
-		reg.Counter("groth16.batches").Add(1)
-	}
-	return proofs, st, nil
+	return nil
 }
 
 // provePoly is the POLY stage of k proofs on the device track: each

@@ -237,7 +237,7 @@ func TestProveFaultEventsRecorded(t *testing.T) {
 }
 
 // A prove under a span on device 1's track — a service dispatch on
-// dispatcher 1 — puts its stage spans and launch-recovery events on that
+// slot 1 — puts its stage spans and launch-recovery events on that
 // track, not on device 0's.
 func TestProveSpansFollowDeviceTrack(t *testing.T) {
 	pk, _, sys, w, _, cfg := faultFixture(t, 1<<20)
@@ -283,6 +283,11 @@ func TestProveSpansFollowDeviceTrack(t *testing.T) {
 func TestProveCancellationMidProve(t *testing.T) {
 	pk, _, sys, w, _, cfg := faultFixture(t, 1<<20)
 	cfg.MSM = msm.Config{Strategy: msm.Reference}
+	// The task list's workers live for the process: start them before
+	// counting.
+	if _, _, err := ProveCtx(context.Background(), pk, sys, w, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -136,7 +136,7 @@ type ProveConfig struct {
 
 // stageTrack is the trace track the prover's stage spans and launch-recovery
 // events go on: the enclosing span's when that is a device track (a service
-// dispatch on dispatcher d's track), device 0's for a standalone prove.
+// dispatch on slot d's track), device 0's for a standalone prove.
 func stageTrack(ctx context.Context) int {
 	if tr := telemetry.SpanFromContext(ctx).Track(); tr != telemetry.TrackHost {
 		return tr

@@ -33,11 +33,11 @@ func (p *plan) groups(workers int) {
 	}
 }
 
-// bucketWorker is one worker's scratch for one group, kept across the MSMs
-// of a task list: the adder and its slab, each kernel segment's run of live
-// slots in it, and the first chunk of a combine's lanes.
+// bucketWorker is one worker's scratch for one group, kept by the task
+// list's runtime across MSMs and scopes: the adder and its slab, each
+// kernel segment's run of live slots in it, and the first chunk of a
+// combine's lanes.
 type bucketWorker struct {
-	g           *curve.Group
 	add         *curve.AffineAdder
 	slots       int
 	start, live []int32

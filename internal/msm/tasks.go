@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -16,12 +15,10 @@ import (
 // every scalar vector, one plan per table geometry, then every MSM's
 // bucket groups and its combine as tasks of their own, so the MSMs of a
 // list, and whatever else it runs, share the workers. The workers keep
-// their bucket scratch across the list's MSMs.
+// their bucket scratch (List.Scratch) across MSMs and scopes.
 type Tasks struct {
-	l       *par.List
-	cfg     Config
-	mu      sync.Mutex
-	scratch [][]*bucketWorker // per group, one per worker
+	l   *par.List
+	cfg Config
 }
 
 // NewTasks returns the MSM queue of list l under cfg.
@@ -192,24 +189,20 @@ func (ts *Tasks) combine(j *job, p *plan, sums []curve.Affine) {
 	})
 }
 
+// scratchKey keys a worker's bucket scratch for one group in its runtime
+// scratch.
+type scratchKey struct{ g *curve.Group }
+
 // worker returns worker w's scratch for g, grown to at least slots adder
-// slots and segs kernel segments. The first request for g gives every
-// worker its scratch, so what a list allocates does not hang on which
-// workers its tasks happen to land on.
+// slots and segs kernel segments.
 func (ts *Tasks) worker(w int, g *curve.Group, slots, segs int) *bucketWorker {
-	ts.mu.Lock()
-	i := slices.IndexFunc(ts.scratch, func(per []*bucketWorker) bool { return per[0].g == g })
-	if i < 0 {
-		per := make([]*bucketWorker, ts.l.Workers())
-		for v := range per {
-			per[v] = &bucketWorker{g: g, slots: slots, add: g.NewAffineAdder(slots),
-				start: make([]int32, segs), live: make([]int32, segs)}
-		}
-		i, ts.scratch = len(ts.scratch), append(ts.scratch, per)
+	m := ts.l.Scratch(w)
+	bw, _ := m[scratchKey{g}].(*bucketWorker)
+	if bw == nil {
+		bw = &bucketWorker{}
+		m[scratchKey{g}] = bw
 	}
-	bw := ts.scratch[i][w]
-	ts.mu.Unlock()
-	if slots > bw.slots {
+	if bw.add == nil || slots > bw.slots {
 		bw.add, bw.slots = g.NewAffineAdder(slots), slots
 	}
 	if segs > len(bw.start) {

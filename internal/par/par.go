@@ -58,41 +58,6 @@ func recovering(fn func() error) (err error) {
 	return fn()
 }
 
-// runGroup spawns `workers` goroutines running body and joins them. The
-// first error (or recovered panic) cancels the group's context; external
-// cancellation is reported as ctx.Err() when no worker failed first.
-func runGroup(ctx context.Context, workers int, body func(ctx context.Context) error) error {
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	record := func(err error) {
-		mu.Lock()
-		if first == nil {
-			first = err
-			cancel()
-		}
-		mu.Unlock()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := recovering(func() error { return body(gctx) }); err != nil {
-				record(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
-}
-
 // newState builds one worker's scratch; a nil mkState yields the zero S.
 func newState[S any](mkState func() S) (st S) {
 	if mkState != nil {
@@ -101,64 +66,35 @@ func newState[S any](mkState func() S) (st S) {
 	return st
 }
 
-// RangeErr splits [0, n) into contiguous chunks across workers. Each chunk
-// is a cancellation point; fn's first error cancels the remaining chunks.
+// RangeErr splits [0, n) into contiguous chunks across workers, handed
+// out as ItemsErr items. Each chunk is a cancellation point; fn's first
+// error cancels the remaining chunks.
 func RangeErr(ctx context.Context, n, workers int, fn func(lo, hi int) error) error {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
 	if n <= 0 {
 		return ctx.Err()
 	}
-	account(ctx, n, workers)
-	if workers <= 1 {
-		return recovering(func() error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			return fn(0, n)
-		})
-	}
-	chunk := (n + workers - 1) / workers
-	var next int64
-	return runGroup(ctx, workers, func(gctx context.Context) error {
-		for {
-			if gctx.Err() != nil {
-				return nil // group unwinding; runGroup reports the cause
-			}
-			lo := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-			if lo >= n {
-				return nil
-			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if err := fn(lo, hi); err != nil {
-				return err
-			}
-		}
+	chunk := (n + Workers(workers) - 1) / Workers(workers)
+	return ItemsErr(ctx, (n+chunk-1)/chunk, workers, nil, func(_ struct{}, c int) error {
+		return fn(c*chunk, min((c+1)*chunk, n))
 	})
 }
 
-// ItemsErr schedules n independent items dynamically over a pool, handing
-// them out in index order; mkState builds per-worker scratch once per
-// worker. Item boundaries are cancellation points and the first error
-// cancels the remaining items. Dynamic dispatch over items sorted
+// ItemsErr schedules n independent items dynamically over a pool of
+// workers, the caller among them, handing them out in index order; mkState
+// builds per-worker scratch once per worker. Item boundaries are
+// cancellation points and the first error (or recovered panic) cancels
+// the remaining items; external cancellation is reported as ctx.Err()
+// when no item failed first. Dynamic dispatch over items sorted
 // heaviest-first is the CPU analogue of GZKP's fine-grained task mapping:
 // stragglers are started first, so no worker is left holding a heavy task
 // at the tail.
 func ItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn func(state S, item int) error) error {
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	if n <= 0 {
 		return ctx.Err()
 	}
 	account(ctx, n, workers)
-	if workers <= 1 {
+	if workers == 1 { // no pool: nothing to cancel or join
 		return recovering(func() error {
 			st := newState(mkState)
 			for i := 0; i < n; i++ {
@@ -172,20 +108,42 @@ func ItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn f
 			return nil
 		})
 	}
-	var next int64
-	return runGroup(ctx, workers, func(gctx context.Context) error {
-		st := newState(mkState)
-		for {
-			if gctx.Err() != nil {
-				return nil
+	gctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	work := func() {
+		err := recovering(func() error {
+			st := newState(mkState)
+			for i := int(next.Add(1)) - 1; i < n && gctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				if err := fn(st, i); err != nil {
+					return err
+				}
 			}
-			pos := int(atomic.AddInt64(&next, 1)) - 1
-			if pos >= n {
-				return nil
-			}
-			if err := fn(st, pos); err != nil {
-				return err
-			}
+			return nil
+		})
+		mu.Lock()
+		if err != nil && first == nil {
+			first = err
+			cancel()
 		}
-	})
+		mu.Unlock()
+	}
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if first != nil {
+		return first
+	}
+	return ctx.Err()
 }

@@ -279,7 +279,7 @@ func TestListWorkersShareTasks(t *testing.T) {
 
 // TestListErrorsPanicsAndCancellation: a task's error or panic stops the
 // list and returns (the panic as *resilience.PanicError); an external
-// cancellation returns ctx.Err() and every worker joins.
+// cancellation returns ctx.Err() and leaves no goroutine behind.
 func TestListErrorsPanicsAndCancellation(t *testing.T) {
 	boom := errors.New("boom")
 	for _, c := range []struct {
@@ -303,6 +303,11 @@ func TestListErrorsPanicsAndCancellation(t *testing.T) {
 		}
 	}
 
+	// The 4-worker runtime's workers live for the process: start them
+	// before counting.
+	if err := Run(context.Background(), 4, func(context.Context, *List) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(2*time.Millisecond, cancel)
@@ -325,5 +330,128 @@ func TestListErrorsPanicsAndCancellation(t *testing.T) {
 	}
 	if g := runtime.NumGoroutine(); g > before+1 {
 		t.Fatalf("goroutines leaked: before=%d after=%d", before, g)
+	}
+}
+
+// TestScopesIsolated: four concurrent scopes on one runtime, one of whose
+// tasks panics. That Run returns the panic as *resilience.PanicError, the
+// other three run every task, and repeating the round grows no goroutines.
+func TestScopesIsolated(t *testing.T) {
+	const scopes, tasks = 4, 40
+	round := func() {
+		var ran [scopes]atomic.Int32
+		errs := make([]error, scopes)
+		var wg sync.WaitGroup
+		for s := range scopes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[s] = Run(context.Background(), 2, func(_ context.Context, l *List) error {
+					l.Fan(tasks, func(i int) int64 { return int64(i) }, func(_, i int) error {
+						if s == 1 && i == tasks/2 {
+							panic("injected")
+						}
+						time.Sleep(20 * time.Microsecond)
+						ran[s].Add(1)
+						return nil
+					}, nil)
+					return nil
+				})
+			}()
+		}
+		wg.Wait()
+		for s := range scopes {
+			var pe *resilience.PanicError
+			switch {
+			case s == 1 && !errors.As(errs[s], &pe):
+				t.Fatalf("panicking scope returned %v", errs[s])
+			case s != 1 && (errs[s] != nil || ran[s].Load() != tasks):
+				t.Fatalf("scope %d: %v after %d of %d tasks", s, errs[s], ran[s].Load(), tasks)
+			}
+		}
+	}
+	round()
+	before := runtime.NumGoroutine()
+	for range 5 {
+		round()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if g := runtime.NumGoroutine(); g > before {
+		t.Fatalf("goroutines grew across rounds: %d before, %d after", before, g)
+	}
+}
+
+// TestScopesRunOldestFirst: on one worker, a task of an older scope runs
+// before a heavier task of a newer one, and within a scope the heavier
+// task runs first.
+func TestScopesRunOldestFirst(t *testing.T) {
+	var mu sync.Mutex
+	var order []string
+	note := func(s string) func(int) error {
+		return func(int) error {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+			return nil
+		}
+	}
+	newer := make(chan struct{})
+	pushed := make(chan struct{})
+	go func() {
+		<-newer
+		Run(context.Background(), 1, func(_ context.Context, l *List) error {
+			l.Push(100, note("new"))
+			close(pushed)
+			return nil
+		})
+	}()
+	err := Run(context.Background(), 1, func(_ context.Context, l *List) error {
+		l.Push(0, func(int) error { // holds the worker until the newer scope has pushed
+			close(newer)
+			<-pushed
+			l.Push(1, note("old-light"))
+			l.Push(2, note("old-heavy"))
+			return nil
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wait := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(order)
+		mu.Unlock()
+		if n == 3 || time.Now().After(wait) {
+			break
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"old-heavy", "old-light", "new"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("ran %v, want %v", order, want)
+	}
+}
+
+// TestNestedRunErrors: a Run under a scope's context, from inside a task on
+// a one-worker runtime, returns ErrNested instead of waiting for the
+// worker its caller holds.
+func TestNestedRunErrors(t *testing.T) {
+	var nested error
+	err := Run(context.Background(), 1, func(ctx context.Context, l *List) error {
+		l.Push(0, func(int) error {
+			nested = Run(ctx, 1, func(_ context.Context, l *List) error {
+				l.Push(0, func(int) error { return nil })
+				return nil
+			})
+			return nil
+		})
+		return nil
+	})
+	if err != nil || !errors.Is(nested, ErrNested) {
+		t.Fatalf("outer %v, nested %v; want nil and ErrNested", err, nested)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"gzkp/internal/groth16"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
+	"gzkp/internal/resilience"
 	"gzkp/internal/telemetry"
 )
 
@@ -37,7 +38,6 @@ func cubicBatchInputs(xs ...int64) ([]ProofInput, [][]string) {
 func TestProveBatchHTTP(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBatch = 8
-	cfg.FusedBatch = true
 	svc, srv := newTestServer(t, cfg)
 	info := registerCubic(t, srv.URL)
 
@@ -125,7 +125,6 @@ func parseOne(f *ff.Field, v string) (ff.Element, error) {
 func TestSubmitBatchAdmission(t *testing.T) {
 	cfg := fastConfig()
 	cfg.QueueCapacity = 3
-	cfg.FusedBatch = true
 	svc := New(cfg)
 	defer svc.Close()
 	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
@@ -183,14 +182,13 @@ func TestSubmitBatchAdmission(t *testing.T) {
 	}
 }
 
-// TestRunBatchFallback forces a batch-level witness-solve failure (division
-// by zero fails at solve time) and checks the dispatch is re-run as
-// singletons: the bad job fails with the solve error, the good jobs
-// still prove.
+// TestRunBatchFallback: one witness of a k = 3 dispatch fails to solve
+// (division by zero fails at solve time). A solve error fails its own job
+// only: the bad job fails with the solve error, and the good jobs still
+// prove together, with no fallback to singletons.
 func TestRunBatchFallback(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBatch = 4
-	cfg.FusedBatch = true
 	svc := New(cfg)
 	defer svc.Close()
 	divSrc := "public out\nsecret x\nlet y = 10 / x\nassert y == out\n"
@@ -220,9 +218,9 @@ func TestRunBatchFallback(t *testing.T) {
 	if jobs[2].State() != JobFailed {
 		t.Fatalf("bad-witness job state %v, want failed", jobs[2].State())
 	}
-	snap := svc.Registry().Snapshot()
-	if snap.Counters["service.batches.fallback"] < 1 {
-		t.Fatalf("fallback not counted: %+v", snap.Counters)
+	c := svc.Registry().Snapshot().Counters
+	if c["service.batches.fallback"] != 0 || c["service.batches.fused"] != 1 {
+		t.Fatalf("fallback=%d fused=%d, want 0 and 1", c["service.batches.fallback"], c["service.batches.fused"])
 	}
 }
 
@@ -234,7 +232,6 @@ func TestRunBatchFallback(t *testing.T) {
 func TestRunBatchBadWitnessIsolation(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBatch = 4
-	cfg.FusedBatch = true
 	svc := New(cfg)
 	defer svc.Close()
 	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
@@ -283,7 +280,7 @@ func TestRunBatchBadWitnessIsolation(t *testing.T) {
 // fused, and nothing falls back to singletons.
 func TestFusedBatchRecoversInPlace(t *testing.T) {
 	cfg := Config{
-		MaxBatch: 4, FusedBatch: true, Preprocess: true,
+		MaxBatch: 4, Preprocess: true,
 		NTT: ntt.Config{Strategy: ntt.GZKP},
 		MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true, MemoryBudget: 1 << 17},
 		// Launches 0-6 are the NTTs; A is 7 (OOM, retried as 8), B2 is 9.
@@ -316,5 +313,43 @@ func TestFusedBatchRecoversInPlace(t *testing.T) {
 	c := svc.Registry().Snapshot().Counters
 	if c["service.batches.fallback"] != 0 || c["service.batches.fused"] != 1 {
 		t.Fatalf("fallback=%d fused=%d, want 0 and 1", c["service.batches.fallback"], c["service.batches.fused"])
+	}
+}
+
+// TestBatchFallbackAfterRetriesExhausted: transient faults on the first
+// launch gate of a k = 4 dispatch outlast Config.Retry, so its prove fails
+// without a job to pin the failure on. The dispatch re-runs its jobs as
+// singletons, which prove past the spent faults: all four end done, and the
+// batch counts as one fallback.
+func TestBatchFallbackAfterRetriesExhausted(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MaxBatch = 4
+	cfg.Retry = resilience.Policy{MaxAttempts: 2, Sleep: func(context.Context, time.Duration) error { return nil }}
+	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 0, Times: 2})
+	svc := New(cfg)
+	defer svc.Close()
+	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, _ := cubicBatchInputs(2, 3, 4, 5)
+	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatal("job did not finish")
+		}
+		if j.State() != JobDone {
+			t.Fatalf("job %d state %v: %s", i, j.State(), j.Snapshot().Error)
+		}
+	}
+	c := svc.Registry().Snapshot().Counters
+	if c["service.batches.fallback"] != 1 || c["service.batches.fused"] != 0 || c["service.jobs.done"] != 4 {
+		t.Fatalf("fallback=%d fused=%d done=%d, want 1 0 4", c["service.batches.fallback"],
+			c["service.batches.fused"], c["service.jobs.done"])
 	}
 }

@@ -29,7 +29,7 @@ func MergeCheckpoints(parts map[string]*Checkpoint) *Checkpoint {
 			continue
 		}
 		for _, spec := range cp.Circuits {
-			id := circuitID(spec)
+			id := CircuitIDFor(spec)
 			if seenCircuit[id] {
 				continue
 			}

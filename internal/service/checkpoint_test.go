@@ -18,7 +18,7 @@ func TestRestoreIdempotent(t *testing.T) {
 
 	spec := CircuitSpec{Curve: "bn254", Source: cubicSrc}
 	cp := &Checkpoint{Circuits: []CircuitSpec{spec}}
-	id := circuitID(spec)
+	id := CircuitIDFor(spec)
 	for i := 0; i < 3; i++ {
 		cp.Jobs = append(cp.Jobs, CheckpointEntry{
 			JobID: fmt.Sprintf("node-a/job-%08d", i+1), CircuitID: id,
@@ -61,7 +61,7 @@ func TestRestoreIdempotent(t *testing.T) {
 // once.
 func TestMergeCheckpoints(t *testing.T) {
 	spec := CircuitSpec{Curve: "bn254", Source: cubicSrc}
-	id := circuitID(spec)
+	id := CircuitIDFor(spec)
 	entry := func(jid string) CheckpointEntry {
 		return CheckpointEntry{JobID: jid, CircuitID: id, Public: []string{"35"}, Secret: []string{"3"}}
 	}
@@ -120,7 +120,7 @@ func TestMergeCheckpoints(t *testing.T) {
 // and schema-version gating on both merge input and output.
 func TestMergeCheckpointsEdgeCases(t *testing.T) {
 	spec := CircuitSpec{Curve: "bn254", Source: cubicSrc}
-	id := circuitID(spec)
+	id := CircuitIDFor(spec)
 	entry := func(jid string) CheckpointEntry {
 		return CheckpointEntry{JobID: jid, CircuitID: id, Public: []string{"35"}, Secret: []string{"3"}}
 	}

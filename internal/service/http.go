@@ -173,6 +173,25 @@ func DecodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64)
 	return nil
 }
 
+// reply writes a call's result: v with code, or err as WriteError maps it.
+func reply(w http.ResponseWriter, code int, v any, err error) {
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	WriteJSON(w, code, v)
+}
+
+// registered replies to a registration: 201 for a new circuit, 200 for a
+// cached one.
+func registered(w http.ResponseWriter, info *CircuitInfo, err error) {
+	code := http.StatusCreated
+	if err == nil && info.Cached {
+		code = http.StatusOK
+	}
+	reply(w, code, info, err)
+}
+
 // NewHandler mounts the service API on a fresh mux.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
@@ -184,15 +203,7 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		info, err := s.Register(spec)
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		code := http.StatusCreated
-		if info.Cached {
-			code = http.StatusOK
-		}
-		WriteJSON(w, code, info)
+		registered(w, info, err)
 	})
 
 	mux.HandleFunc("GET /v1/circuits", func(w http.ResponseWriter, r *http.Request) {
@@ -201,20 +212,12 @@ func NewHandler(s *Service) http.Handler {
 
 	mux.HandleFunc("GET /v1/circuits/{id}", func(w http.ResponseWriter, r *http.Request) {
 		info, err := s.Circuit(r.PathValue("id"))
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, info)
+		reply(w, http.StatusOK, info, err)
 	})
 
 	mux.HandleFunc("GET /v1/circuits/{id}/keys", func(w http.ResponseWriter, r *http.Request) {
 		kb, err := s.ExportKeys(r.PathValue("id"))
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, kb)
+		reply(w, http.StatusOK, kb, err)
 	})
 
 	mux.HandleFunc("POST /v1/circuits/import", func(w http.ResponseWriter, r *http.Request) {
@@ -224,15 +227,7 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		info, err := s.RegisterImported(kb)
-		if err != nil {
-			WriteError(w, err)
-			return
-		}
-		code := http.StatusCreated
-		if info.Cached {
-			code = http.StatusOK
-		}
-		WriteJSON(w, code, info)
+		registered(w, info, err)
 	})
 
 	mux.HandleFunc("POST /v1/prove", func(w http.ResponseWriter, r *http.Request) {
@@ -305,11 +300,8 @@ func NewHandler(s *Service) http.Handler {
 			WriteError(w, err)
 			return
 		}
-		if err := s.VerifyBatch(req.CircuitID, req.Proofs, req.Publics); err != nil {
-			WriteError(w, err)
-			return
-		}
-		WriteJSON(w, http.StatusOK, VerifyBatchResponse{OK: true, Proofs: len(req.Proofs)})
+		err := s.VerifyBatch(req.CircuitID, req.Proofs, req.Publics)
+		reply(w, http.StatusOK, VerifyBatchResponse{OK: true, Proofs: len(req.Proofs)}, err)
 	})
 
 	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gzkp/internal/ff"
 	"gzkp/internal/telemetry"
 )
 
@@ -12,9 +13,9 @@ import (
 type JobState int
 
 const (
-	// JobQueued: admitted, waiting for a dispatcher.
+	// JobQueued: admitted, waiting for a dispatch.
 	JobQueued JobState = iota
-	// JobRunning: a dispatcher is proving it.
+	// JobRunning: a dispatch is proving it.
 	JobRunning
 	// JobDone: proved and verified; the compressed proof is available.
 	JobDone
@@ -28,18 +29,11 @@ const (
 	JobCheckpointed
 )
 
+var stateNames = [...]string{"queued", "running", "done", "failed", "checkpointed"}
+
 func (s JobState) String() string {
-	switch s {
-	case JobQueued:
-		return "queued"
-	case JobRunning:
-		return "running"
-	case JobDone:
-		return "done"
-	case JobFailed:
-		return "failed"
-	case JobCheckpointed:
-		return "checkpointed"
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("state(%d)", int(s))
 }
@@ -54,8 +48,11 @@ type Job struct {
 	// declaration order (witness solving happens at dispatch).
 	Public, Secret []string
 	// trace is the propagated distributed-trace context (zero when the
-	// request arrived untraced). Immutable after admission.
-	trace telemetry.SpanContext
+	// request arrived untraced); circuit, pub and sec are the job's circuit
+	// and inputs as admission found them. Immutable after admission.
+	trace    telemetry.SpanContext
+	circuit  *circuitEntry
+	pub, sec []ff.Element
 
 	mu    sync.Mutex
 	state JobState

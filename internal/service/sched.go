@@ -5,24 +5,26 @@ import (
 	"sync"
 )
 
-// dispatchers is how many dispatch goroutines pull from the queue. Each
-// prove already fans its kernels out over every core, so a second
-// dispatcher buys overlap rather than parallel width: one dispatch's
-// solve and verify (and a k-wide prove's narrow stretches) run while the
-// other proves. With one dispatcher, serve_batch (k = 4) on a 2-core
+// dispatchers is how many dispatches may be in flight at once. Every
+// dispatch is one scope on the process's task list, so a second one buys
+// overlap rather than parallel width: its tasks fill the cores the older
+// dispatch leaves idle (its solve, verify and a k-wide prove's narrow
+// stretches). With one dispatch in flight, serve_batch (k = 4) on a 2-core
 // Xeon VM fell from 113–119 to 86–93 proofs/s and its proof p50 rose from
 // 68–75 to 84–94 ms (three alternating pairs, 8 s windows); serve_warm
 // and serve_default stayed flat.
 const dispatchers = 2
 
-// scheduler is the service's one job queue: a FIFO under one mutex that
-// the dispatchers pull same-circuit dispatches from. Dispatch decisions are
-// tiny compared to proving work, so a finer lock would buy nothing.
+// scheduler is the service's one job queue: a FIFO under one mutex from
+// which same-circuit dispatches are taken, up to dispatchers in flight.
+// Dispatch decisions are tiny compared to proving work, so a finer lock
+// would buy nothing.
 type scheduler struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	queue    []*Job
 	maxBatch int
+	busy     [dispatchers]bool // dispatch slots in flight
+	inFlight sync.WaitGroup    // one count per busy slot
 	closed   bool
 	// lost is set once this node's prover is gone: the queue hands its jobs
 	// back and refuses new ones.
@@ -30,16 +32,14 @@ type scheduler struct {
 }
 
 func newScheduler(maxBatch int) *scheduler {
-	s := &scheduler{maxBatch: max(maxBatch, 1)}
-	s.cond = sync.NewCond(&s.mu)
-	return s
+	return &scheduler{maxBatch: max(maxBatch, 1)}
 }
 
-// errClosed fails jobs admitted while Close stopped the dispatchers.
+// errClosed fails jobs admitted after Close.
 var errClosed = errors.New("service: closed")
 
 // enqueue appends one submission's jobs to the queue, contiguously, so a
-// same-circuit group reaches one dispatcher together. It refuses them with
+// same-circuit group reaches one dispatch together. It refuses them with
 // ErrProverLost once the prover is lost, errClosed once closed.
 func (s *scheduler) enqueue(jobs ...*Job) error {
 	s.mu.Lock()
@@ -51,23 +51,26 @@ func (s *scheduler) enqueue(jobs ...*Job) error {
 		return errClosed
 	}
 	s.queue = append(s.queue, jobs...)
-	s.cond.Broadcast()
 	return nil
 }
 
-// next blocks until there is work and returns a dispatch: the head job plus
+// take returns the next dispatch and the slot it runs in: the head job plus
 // up to maxBatch-1 more jobs of the same circuit, extracted in order,
-// leaving the other jobs queued in theirs. Returns nil once the scheduler
-// is closed or the prover lost — the dispatcher exits.
-func (s *scheduler) next() []*Job {
+// leaving the other jobs queued in theirs. It returns nil when the queue is
+// empty, every slot is busy, or the scheduler is closed or lost. The slot
+// stays busy until release.
+func (s *scheduler) take() ([]*Job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for len(s.queue) == 0 && !s.closed && !s.lost {
-		s.cond.Wait()
+	slot := 0
+	for slot < dispatchers && s.busy[slot] {
+		slot++
 	}
-	if s.closed || s.lost {
-		return nil
+	if len(s.queue) == 0 || slot == dispatchers || s.closed || s.lost {
+		return nil, 0
 	}
+	s.busy[slot] = true
+	s.inFlight.Add(1)
 	head := s.queue[0]
 	batch := []*Job{head}
 	keep := s.queue[:0:0]
@@ -79,15 +82,22 @@ func (s *scheduler) next() []*Job {
 		}
 	}
 	s.queue = keep
-	return batch
+	return batch, slot
 }
 
-// lose marks the prover lost, wakes the dispatchers into exit and returns
-// every still-queued job for the caller to fail.
+// release frees a slot taken by take.
+func (s *scheduler) release(slot int) {
+	s.mu.Lock()
+	s.busy[slot] = false
+	s.mu.Unlock()
+	s.inFlight.Done()
+}
+
+// lose marks the prover lost and returns every still-queued job for the
+// caller to fail.
 func (s *scheduler) lose() []*Job {
 	s.mu.Lock()
 	s.lost = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	return s.drainPending()
 }
@@ -116,10 +126,10 @@ func (s *scheduler) drainPending() []*Job {
 	return out
 }
 
-// close wakes every dispatcher into exit.
+// close stops taking dispatches and waits for the slots in flight.
 func (s *scheduler) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
+	s.inFlight.Wait()
 }

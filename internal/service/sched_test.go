@@ -9,25 +9,74 @@ import (
 
 func mkJob(id, circuit string) *Job { return newJob(id, circuit, nil, nil, nil) }
 
-// TestSchedulerBatchExtraction checks next() over interleaved circuits: the
+// TestSchedulerBatchExtraction checks take() over interleaved circuits: the
 // head plus same-circuit jobs up to maxBatch, the other jobs left queued in
-// their order.
+// their order, and no more than dispatchers dispatches in flight.
 func TestSchedulerBatchExtraction(t *testing.T) {
 	s := newScheduler(3)
 	s.enqueue(mkJob("a1", "A"), mkJob("b1", "B"), mkJob("a2", "A"), mkJob("c1", "C"))
 	s.enqueue(mkJob("a3", "A"), mkJob("a4", "A"), mkJob("b2", "B"))
+	var slots []int
 	for _, want := range [][]string{{"a1", "a2", "a3"}, {"b1", "b2"}, {"c1"}, {"a4"}} {
-		if got := ids(s.next()); !slices.Equal(got, want) {
-			t.Fatalf("dispatch %v, want %v", got, want)
+		if len(slots) == dispatchers {
+			if b, _ := s.take(); b != nil {
+				t.Fatalf("dispatch %v taken with every slot busy", ids(b))
+			}
+			s.release(slots[0])
+			slots = slots[1:]
 		}
+		got, slot := s.take()
+		if !slices.Equal(ids(got), want) {
+			t.Fatalf("dispatch %v, want %v", ids(got), want)
+		}
+		slots = append(slots, slot)
 	}
 	if d := s.depth(); d != 0 {
 		t.Fatalf("depth %d after extracting every job", d)
 	}
+	for _, slot := range slots {
+		s.release(slot)
+	}
+}
+
+// TestSchedulerCloseWaitsForSlots: close returns only once every dispatch
+// in flight has released its slot, and a closed scheduler refuses new jobs
+// and starts no dispatch.
+func TestSchedulerCloseWaitsForSlots(t *testing.T) {
+	s := newScheduler(1)
+	s.enqueue(mkJob("1", "A"), mkJob("2", "A"))
+	_, slot := s.take()
+	closed := make(chan struct{})
+	go func() {
+		s.close()
+		close(closed)
+	}()
+	for s.mu.Lock(); !s.closed; s.mu.Lock() { // wait for close to begin
+		s.mu.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Unlock()
+	select {
+	case <-closed:
+		t.Fatal("close returned with a dispatch in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if b, _ := s.take(); b != nil {
+		t.Fatalf("closing scheduler started dispatch %v", ids(b))
+	}
+	s.release(slot)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("close did not return after the last slot was released")
+	}
+	if err := s.enqueue(mkJob("3", "A")); !errors.Is(err, errClosed) {
+		t.Fatalf("enqueue after close: %v, want errClosed", err)
+	}
 }
 
 // TestSchedulerLostReturnsQueued checks that losing the prover hands back
-// every queued job in order, refuses new jobs and releases the dispatchers.
+// every queued job in order, refuses new jobs and starts no dispatch.
 func TestSchedulerLostReturnsQueued(t *testing.T) {
 	s := newScheduler(4)
 	s.enqueue(mkJob("1", "A"), mkJob("2", "B"))
@@ -41,7 +90,7 @@ func TestSchedulerLostReturnsQueued(t *testing.T) {
 	if err := s.enqueue(mkJob("4", "A")); !errors.Is(err, ErrProverLost) {
 		t.Fatalf("enqueue after the prover was lost: %v, want ErrProverLost", err)
 	}
-	if b := s.next(); b != nil {
+	if b, _ := s.take(); b != nil {
 		t.Fatalf("next handed out %v after the prover was lost", ids(b))
 	}
 }
@@ -57,31 +106,6 @@ func TestSchedulerDrainPending(t *testing.T) {
 	}
 	if s.depth() != 0 {
 		t.Fatalf("depth %d after drainPending", s.depth())
-	}
-}
-
-// TestSchedulerCloseWakesDispatchers checks close releases every
-// dispatcher blocked on an empty queue.
-func TestSchedulerCloseWakesDispatchers(t *testing.T) {
-	s := newScheduler(1)
-	done := make(chan []*Job, dispatchers)
-	for range dispatchers {
-		go func() { done <- s.next() }()
-	}
-	time.Sleep(10 * time.Millisecond) // let them block
-	s.close()
-	for range dispatchers {
-		select {
-		case b := <-done:
-			if b != nil {
-				t.Fatalf("closed scheduler handed out %v", ids(b))
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("close did not wake a blocked dispatcher")
-		}
-	}
-	if err := s.enqueue(mkJob("x", "A")); !errors.Is(err, errClosed) {
-		t.Fatalf("enqueue after close: %v, want errClosed", err)
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package service is the proving service layer: it turns the library +
 // CLI prover into a long-running system that accepts concurrent proof
 // requests over HTTP, admits them into a bounded queue (overload sheds
-// load with 429 + Retry-After instead of growing memory), feeds them from
-// one FIFO to two dispatchers that group same-circuit jobs into one
-// dispatch, recovers per-launch faults inside the prover, fails the node
-// out of readiness when its prover is lost, and drains gracefully on
-// SIGTERM — stop accepting, finish in-flight work, checkpoint whatever the
-// deadline strands.
+// load with 429 + Retry-After instead of growing memory), takes them from
+// one FIFO in same-circuit dispatches, up to two in flight, each one scope
+// on the process's task list (internal/par) that runs its solves, one
+// k-wide prove and its verify as tasks, recovers per-launch faults inside
+// the prover, fails the node out of readiness when its prover is lost, and
+// drains gracefully on SIGTERM — stop accepting, finish in-flight work,
+// checkpoint whatever the deadline strands.
 //
 // The layer composes everything below it: circuits compile through
 // internal/frontend or internal/workload, keys come from internal/groth16
@@ -56,9 +57,8 @@ type Config struct {
 	// MaxBatch caps how many same-circuit jobs one dispatch groups
 	// (default 4).
 	MaxBatch int
-	// FusedBatch chooses the width a same-circuit dispatch is handed to run
-	// at: the whole dispatch as one k-wide prove (true), or its jobs one at
-	// a time (false). Both go through the same run.
+	// FusedBatch is ignored: every dispatch proves its jobs as one k-wide
+	// prove.
 	FusedBatch bool
 	// MaxCircuits bounds the registered-circuit cache — each registration
 	// runs a trusted setup and pins a proving key in memory (default 16).
@@ -213,8 +213,7 @@ type Service struct {
 	reg    *telemetry.Registry
 	events *telemetry.EventLog
 	sched  *scheduler
-	ctx    context.Context // base context for dispatchers (carries the tracer)
-	wg     sync.WaitGroup
+	ctx    context.Context // base context for dispatches (carries the tracer)
 
 	mu       sync.Mutex
 	idle     *sync.Cond // admitted == 0, for Drain
@@ -241,14 +240,14 @@ type Service struct {
 	hBatchSize                           *telemetry.Histogram
 }
 
-// New builds the service and starts its dispatchers.
+// New builds the service.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	ctx := context.Background()
 	if cfg.Tracer != nil {
 		ctx = telemetry.NewContext(ctx, cfg.Tracer)
 		for d := 0; d < dispatchers; d++ {
-			cfg.Tracer.NameTrack(telemetry.DeviceTrack(d), fmt.Sprintf("dispatcher %d", d))
+			cfg.Tracer.NameTrack(telemetry.DeviceTrack(d), fmt.Sprintf("dispatch slot %d", d))
 		}
 	}
 	s := &Service{
@@ -283,10 +282,6 @@ func New(cfg Config) *Service {
 	// asserts p50 > 1 under -batch load). Small explicit bounds — batch
 	// sizes are tiny integers, not latencies.
 	s.hBatchSize = r.HistogramWithBounds("service.batch_size", []int64{1, 2, 4, 8, 16, 32, 64})
-	for d := 0; d < dispatchers; d++ {
-		s.wg.Add(1)
-		go s.dispatch(d)
-	}
 	return s
 }
 
@@ -305,14 +300,11 @@ func (s *Service) Ready() bool {
 	return acc && !s.sched.isLost()
 }
 
-// CircuitIDFor returns the content-hash id Register assigns spec. The
-// cluster coordinator computes consistent-hash placement from it before
-// any node has seen the spec.
-func CircuitIDFor(spec CircuitSpec) string { return circuitID(spec) }
-
-// circuitID content-addresses a spec: same curve + same definition = same
-// id, so re-registration is a cache hit, not a second trusted setup.
-func circuitID(spec CircuitSpec) string {
+// CircuitIDFor returns the content-hash id Register assigns spec: same
+// curve + same definition = same id, so re-registration is a cache hit,
+// not a second trusted setup. The cluster coordinator computes
+// consistent-hash placement from it before any node has seen the spec.
+func CircuitIDFor(spec CircuitSpec) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\x00%s\x00%d\x00%d", spec.Curve, spec.Source, spec.SyntheticSize, spec.SyntheticSeed)
 	return hex.EncodeToString(h.Sum(nil)[:16])
@@ -330,14 +322,15 @@ func curveByName(name string) (curve.ID, error) {
 
 // compileSpec builds the circuit entry (system + wire names) for a spec;
 // shared by Register (which then runs its own setup) and RegisterImported
-// (which installs keys produced elsewhere).
-func compileSpec(spec CircuitSpec) (*circuitEntry, error) {
+// (which installs keys produced elsewhere). budget is the MSM memory
+// budget (0 = 1 GiB) that bounds a synthetic circuit's size.
+func compileSpec(spec CircuitSpec, budget int64) (*circuitEntry, error) {
 	cid, err := curveByName(spec.Curve)
 	if err != nil {
 		return nil, err
 	}
 	c := curve.Get(cid)
-	e := &circuitEntry{id: circuitID(spec), spec: spec, curveID: cid}
+	e := &circuitEntry{id: CircuitIDFor(spec), spec: spec, curveID: cid}
 	switch {
 	case spec.Source != "":
 		prog, err := frontend.Compile(c.Fr, spec.Source)
@@ -348,6 +341,16 @@ func compileSpec(spec CircuitSpec) (*circuitEntry, error) {
 		e.publicNames = prog.PublicNames
 		e.secretNames = prog.SecretNames
 	case spec.SyntheticSize > 0:
+		// The proving key holds four G1 vectors and one G2 vector of about
+		// n points each: refuse an n whose points alone overrun the budget
+		// before building anything.
+		if budget <= 0 {
+			budget = 1 << 30
+		}
+		if per := int64(16 * (4*c.G1.K.Words() + c.G2.K.Words())); int64(spec.SyntheticSize) > budget/per {
+			return nil, &InputError{Msg: fmt.Sprintf("synthetic_size %d: the proving key's points overrun the %d-byte MSM memory budget",
+				spec.SyntheticSize, budget)}
+		}
 		sys, _, _, err := workload.SyntheticR1CS(c.Fr, spec.SyntheticSize, spec.SyntheticSeed)
 		if err != nil {
 			return nil, &InputError{Msg: fmt.Sprintf("synthetic circuit: %v", err)}
@@ -394,10 +397,10 @@ func (s *Service) install(e *circuitEntry, counter string) *CircuitInfo {
 // the GZKP tables, and caches everything under the spec's content hash.
 // Registering an already-known spec returns the cached entry.
 func (s *Service) Register(spec CircuitSpec) (*CircuitInfo, error) {
-	if info, err := s.checkCircuitCapacity(circuitID(spec)); info != nil || err != nil {
+	if info, err := s.checkCircuitCapacity(CircuitIDFor(spec)); info != nil || err != nil {
 		return info, err
 	}
-	e, err := compileSpec(spec)
+	e, err := compileSpec(spec, s.cfg.MSM.MemoryBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -474,11 +477,11 @@ func (s *Service) ExportKeys(id string) (*KeyBundle, error) {
 // trusted to pair spec and keys correctly — this is the cluster's
 // internal replication hook, not a public registration path.
 func (s *Service) RegisterImported(kb KeyBundle) (*CircuitInfo, error) {
-	id := circuitID(kb.Spec)
+	id := CircuitIDFor(kb.Spec)
 	if info, err := s.checkCircuitCapacity(id); info != nil || err != nil {
 		return info, err
 	}
-	e, err := compileSpec(kb.Spec)
+	e, err := compileSpec(kb.Spec, s.cfg.MSM.MemoryBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -547,25 +550,19 @@ func parseInputs(f *ff.Field, vals []string, want int, kind string) ([]ff.Elemen
 // into the bounded queue or rejects with an OverloadError carrying the
 // Retry-After estimate. Accepted jobs always reach a terminal state.
 func (s *Service) Submit(circuitID string, public, secret []string) (*Job, error) {
-	return s.SubmitKeyed("", circuitID, public, secret)
+	return s.SubmitTraced("", circuitID, public, secret, telemetry.SpanContext{})
 }
 
-// SubmitKeyed is Submit with an optional caller-chosen idempotency key:
-// when clientKey is non-empty and a job with the same key was already
-// admitted, the existing job is returned instead of admitting a second
-// one. A failover-ed cluster coordinator re-forwards accepted jobs under
-// their cluster ids; the dedupe turns those re-forwards into attaches,
-// so a leader change never proves the same job twice.
-func (s *Service) SubmitKeyed(clientKey, circuitID string, public, secret []string) (*Job, error) {
-	return s.SubmitTraced(clientKey, circuitID, public, secret, telemetry.SpanContext{})
-}
-
-// SubmitTraced is SubmitKeyed carrying a propagated trace context: the
-// admitted job's spans get the trace id as an attribute, so a
+// SubmitTraced is Submit with an optional caller-chosen idempotency key and
+// a propagated trace context. When clientKey is non-empty and a job with
+// the same key was already admitted, the existing job is returned instead
+// of admitting a second one: a failed-over cluster coordinator re-forwards
+// accepted jobs under their cluster ids, and the dedupe turns those
+// re-forwards into attaches, so a leader change never proves the same job
+// twice. The admitted job's spans get the trace id as an attribute, so a
 // coordinator-forwarded job's node-side work joins the coordinator-side
-// trace when the per-process JSONL logs are stitched. A dedupe hit
-// returns the original job with its original trace — re-forwards after
-// a leader change keep the trace the job was born with.
+// trace when the per-process JSONL logs are stitched; a dedupe hit keeps
+// the trace the job was born with.
 func (s *Service) SubmitTraced(clientKey, circuitID string, public, secret []string, sc telemetry.SpanContext) (*Job, error) {
 	var keys []string
 	if clientKey != "" {
@@ -586,7 +583,7 @@ func (s *Service) SubmitTraced(clientKey, circuitID string, public, secret []str
 // rejected with an OverloadError — partial admission would hand the caller
 // an unpredictable mix of accepted and shed work. The jobs are enqueued as
 // one contiguous group so the scheduler's same-circuit extraction hands
-// them to one dispatcher together.
+// them to one dispatch together, and a dispatch starts if a slot is free.
 func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc telemetry.SpanContext) ([]*Job, error) {
 	k := len(inputs)
 	s.mu.Lock()
@@ -609,10 +606,12 @@ func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc
 		return nil, &NotFoundError{What: "circuit", ID: circuitID}
 	}
 	f := curve.Get(e.curveID).Fr
+	pubs, secs := make([][]ff.Element, k), make([][]ff.Element, k)
 	for i, in := range inputs {
-		_, err := parseInputs(f, in.Public, e.sys.NumPublic, "public")
+		var err error
+		pubs[i], err = parseInputs(f, in.Public, e.sys.NumPublic, "public")
 		if err == nil {
-			_, err = parseInputs(f, in.Secret, e.sys.NumSecret, "secret")
+			secs[i], err = parseInputs(f, in.Secret, e.sys.NumSecret, "secret")
 		}
 		if err != nil {
 			s.cRejected.Add(int64(k))
@@ -650,7 +649,7 @@ func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc
 		s.jobSeq++
 		id := fmt.Sprintf("job-%08d", s.jobSeq)
 		j := newJob(id, circuitID, in.Public, in.Secret, s.jobDone)
-		j.trace = sc
+		j.trace, j.circuit, j.pub, j.sec = sc, e, pubs[i], secs[i]
 		s.jobs[id] = j
 		if keys != nil {
 			s.clientJobs[keys[i]] = j
@@ -669,6 +668,7 @@ func (s *Service) admit(keys []string, circuitID string, inputs []ProofInput, sc
 		return jobs, nil
 	}
 	s.gQueueDepth.Set(float64(s.sched.depth()))
+	s.pump()
 	return jobs, nil
 }
 
@@ -688,8 +688,8 @@ func (s *Service) jobsForKeysLocked(keys []string) []*Job {
 }
 
 // retryAfterEstimate sizes the 429 Retry-After header: the time for the
-// dispatchers to chew through the current backlog at the observed mean
-// prove latency, clamped to [1s, 60s].
+// dispatches in flight to chew through the current backlog at the observed
+// mean prove latency, clamped to [1s, 60s].
 func (s *Service) retryAfterEstimate(depth int) time.Duration {
 	mean := int64(100 * time.Millisecond) // prior before any observation
 	if snap := s.hProve.Snapshot(); snap.Count > 0 {
@@ -727,16 +727,18 @@ func (s *Service) jobDone(j *Job) {
 	s.gQueueDepth.Set(float64(s.sched.depth()))
 }
 
-// dispatch is dispatcher d's loop: take a same-circuit dispatch off the
-// queue, stamp its jobs as running, and hand it to run — whole when
-// Config.FusedBatch is set, one job at a time otherwise.
-func (s *Service) dispatch(d int) {
-	defer s.wg.Done()
-	for {
-		batch := s.sched.next()
-		if batch == nil {
-			return
-		}
+// pump starts dispatches while jobs are queued and fewer than dispatchers
+// are in flight: at admission, and (in dispatch) when one completes.
+func (s *Service) pump() {
+	for batch, slot := s.sched.take(); batch != nil; batch, slot = s.sched.take() {
+		go s.dispatch(slot, batch)
+	}
+}
+
+// dispatch runs batch in slot, then the next dispatch the queue has for the
+// slot, until it has none.
+func (s *Service) dispatch(slot int, batch []*Job) {
+	for batch != nil {
 		k := int64(len(batch))
 		s.cBatches.Add(1)
 		s.hBatchSize.Record(k)
@@ -745,52 +747,38 @@ func (s *Service) dispatch(d int) {
 			s.hQueueWait.Record(j.queueNS)
 		}
 		s.gInflight.Set(float64(s.inflight.Add(k)))
-		if s.cfg.FusedBatch {
-			s.run(s.ctx, d, batch)
-		} else {
-			for _, j := range batch {
-				s.run(s.ctx, d, []*Job{j})
-			}
-		}
-		s.gInflight.Set(float64(s.inflight.Add(-k)))
 		s.gQueueDepth.Set(float64(s.sched.depth()))
+		s.run(s.ctx, slot, batch)
+		s.gInflight.Set(float64(s.inflight.Add(-k)))
+		s.sched.release(slot)
+		batch, slot = s.sched.take()
 	}
 }
 
-// run drives k same-circuit jobs on dispatcher d: solve the witnesses,
-// prove them k-wide, verify the proofs server-side (as one batch), finish
-// the jobs. It is the only caller of the prover.
+// run drives k same-circuit jobs in dispatch slot slot as one scope on the
+// task list (par.Run on Config.MSM.Workers): each job's witness solve is a
+// task, and a solve error fails that job alone; the jobs that solved are
+// proved together in one k-wide groth16.ProveTasks, and the proofs are
+// verified server-side (as one batch) in a task that finishes the jobs.
 //
-// Whatever escapes groth16's in-place recovery is classified. DeviceLost is
-// sticky, so the node's prover is gone and no retry can help: the queue is
-// marked lost and hands back its jobs, and those and the dispatch's own
+// An error that fails the scope is classified. DeviceLost is sticky, so
+// the node's prover is gone and no retry can help: the queue is marked
+// lost and hands back its jobs, and those and the dispatch's unfinished
 // jobs fail with ErrProverLost, which tells the cluster to prove them on
-// another node. Jobs already taken off the queue (the rest of a singleton
-// loop, the other dispatcher's next dispatch) fail the same way without a
-// prove. Any other error at k > 1 cannot be attributed to a job (one bad
-// witness fails the whole solve fan-out), so the jobs are re-dispatched as
-// singletons: the healthy ones still prove and the failure lands on the
-// right job. At k = 1 it fails the job.
-func (s *Service) run(ctx context.Context, d int, jobs []*Job) {
-	k := len(jobs)
-	s.mu.Lock()
-	e := s.circuits[jobs[0].CircuitID]
-	s.mu.Unlock()
-	var err error
-	switch {
-	case e == nil: // unreachable: admit validated the id
-		err = &NotFoundError{What: "circuit", ID: jobs[0].CircuitID}
-	case s.sched.isLost():
-		err = ErrProverLost
-	}
-	if err != nil {
+// another node. A dispatch taken before the loss fails the same way
+// without a prove. Any other error at k > 1 cannot be attributed to a job,
+// so the unfinished jobs are re-run as singletons: the healthy ones still
+// prove and the failure lands on the right job. At k = 1 it fails the job.
+func (s *Service) run(ctx context.Context, slot int, jobs []*Job) {
+	k, e := len(jobs), jobs[0].circuit
+	if s.sched.isLost() {
 		for _, j := range jobs {
-			s.fail(j, err)
+			s.fail(j, ErrProverLost)
 		}
 		return
 	}
 
-	dsp, ctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(d), "dispatch")
+	dsp, ctx := telemetry.StartSpanOn(ctx, telemetry.DeviceTrack(slot), "dispatch")
 	dsp.SetStr("circuit", e.id)
 	dsp.SetInt("jobs", int64(k))
 	defer dsp.End()
@@ -803,74 +791,91 @@ func (s *Service) run(ctx context.Context, d int, jobs []*Job) {
 	}
 
 	cfg := groth16.ProveConfig{NTT: s.cfg.NTT, MSM: s.cfg.MSM, Retry: s.cfg.Retry, Faults: s.cfg.Faults}
-	f := curve.Get(e.curveID).Fr
 	wits := make([][]ff.Element, k)
-	pubs := make([][]ff.Element, k)
 	t0 := time.Now()
-	ssp, sctx := telemetry.StartSpan(ctx, "solve")
-	err = par.ItemsErr(sctx, k, 0, nil, func(_ struct{}, i int) error {
-		pub, err := parseInputs(f, jobs[i].Public, e.sys.NumPublic, "public")
-		if err != nil {
-			return err
+	var ssp telemetry.Span // ended by the join, or below if the scope fails first
+	err := par.Run(ctx, s.cfg.MSM.Workers, func(ctx context.Context, l *par.List) error {
+		ssp, _ = telemetry.StartSpan(ctx, "solve")
+		solve := func(_, i int) error {
+			var err error
+			if wits[i], err = e.sys.Solve(jobs[i].pub, jobs[i].sec); err != nil {
+				s.fail(jobs[i], err) // wits[i] stays nil
+			}
+			return nil
 		}
-		sec, err := parseInputs(f, jobs[i].Secret, e.sys.NumSecret, "secret")
-		if err != nil {
-			return err
-		}
-		wits[i], err = e.sys.Solve(pub, sec)
-		pubs[i] = pub
-		return err
+		l.Fan(k, func(int) int64 { return 0 }, solve, func(int) error {
+			ssp.End()
+			var ok []*Job
+			var okWits, okPubs [][]ff.Element
+			for i, w := range wits {
+				if w != nil {
+					ok, okWits, okPubs = append(ok, jobs[i]), append(okWits, w), append(okPubs, jobs[i].pub)
+				}
+			}
+			if len(ok) == 0 {
+				return nil
+			}
+			// ProveTasks opens the dispatch's "prove" span.
+			return groth16.ProveTasks(ctx, l, e.pk, e.sys, okWits, cfg, nil, func(proofs []*groth16.Proof, _ *groth16.BatchStats) {
+				// The one definition of prove_ns, for every k: the dispatch's
+				// solve + prove wall time, shared equally by the jobs proved.
+				proveNS := time.Since(t0).Nanoseconds() / int64(len(ok))
+				if len(ok) > 1 {
+					s.cFusedBatches.Add(1)
+				}
+				l.Push(0, func(int) error {
+					s.verify(ctx, e, ok, proofs, okPubs, proveNS)
+					return nil
+				})
+			})
+		})
+		return nil
 	})
 	ssp.End()
-	var proofs []*groth16.Proof
 	if err == nil {
-		psp, pctx := telemetry.StartSpan(ctx, "prove")
-		proofs, _, err = groth16.ProveBatchCtx(pctx, e.pk, e.sys, wits, cfg, nil)
-		psp.End()
+		return
 	}
-	// The one definition of prove_ns, for every k: the dispatch's solve +
-	// prove wall time, shared equally by its jobs.
-	proveNS := time.Since(t0).Nanoseconds() / int64(k)
-
+	var rest []*Job // the jobs the failed scope left unfinished
+	for _, j := range jobs {
+		if j.State() == JobRunning {
+			rest = append(rest, j)
+		}
+	}
 	switch {
-	case err == nil:
 	case resilience.Classify(err) == resilience.DeviceLost:
 		queued := s.sched.lose()
 		resilience.Record(ctx, dsp.Track(), resilience.DeviceLost,
 			telemetry.Str("job", jobs[0].ID), telemetry.Int("queued", int64(len(queued))))
 		s.events.Log(telemetry.LevelError, "service", "prover_lost", map[string]any{
-			"dispatcher": d, "job": jobs[0].ID, "trace_id": jobs[0].trace.TraceID,
+			"slot": slot, "job": jobs[0].ID, "trace_id": jobs[0].trace.TraceID,
 			"jobs": k, "queued": len(queued), "error": err.Error(),
 		})
 		err = fmt.Errorf("%w: %w", ErrProverLost, err)
-		for _, j := range slices.Concat(jobs, queued) {
+		for _, j := range slices.Concat(rest, queued) {
 			s.fail(j, err)
 		}
-		return
-	case k > 1:
+	case len(rest) > 1:
 		s.cBatchFall.Add(1)
 		s.events.Log(telemetry.LevelWarn, "service", "batch_fallback", map[string]any{
-			"dispatcher": d, "jobs": k, "error": err.Error(),
+			"slot": slot, "jobs": len(rest), "error": err.Error(),
 		})
-		for _, j := range jobs {
-			s.run(ctx, d, []*Job{j})
+		for _, j := range rest {
+			s.run(ctx, slot, []*Job{j})
 		}
-		return
-	default:
-		s.fail(jobs[0], err)
-		return
+	case len(rest) == 1:
+		s.fail(rest[0], err)
 	}
-	if k > 1 {
-		s.cFusedBatches.Add(1)
-	}
+}
 
-	// Server-side verification: the service never returns a proof it has
-	// not checked (catching miscompiled circuits and recovery bugs at the
-	// boundary instead of at the client). A k-wide dispatch is checked by
-	// one random-linear-combination BatchVerify; only if that rejects are
-	// the proofs checked one by one, so the failure lands on the job that
-	// owns it and on no other. verify_ns, like prove_ns, is the dispatch's
-	// wall time shared equally by its jobs.
+// verify is a dispatch's server-side verification: the service never
+// returns a proof it has not checked (catching miscompiled circuits and
+// recovery bugs at the boundary instead of at the client). A k-wide
+// dispatch is checked by one random-linear-combination BatchVerify; only
+// if that rejects are the proofs checked one by one, so the failure lands
+// on the job that owns it and on no other. verify_ns, like prove_ns, is
+// the wall time shared equally by the jobs. It finishes the jobs.
+func (s *Service) verify(ctx context.Context, e *circuitEntry, jobs []*Job, proofs []*groth16.Proof, pubs [][]ff.Element, proveNS int64) {
+	k := len(jobs)
 	vsp, _ := telemetry.StartSpan(ctx, "verify")
 	tv := time.Now()
 	verrs := make([]error, k)
@@ -953,29 +958,25 @@ func (s *Service) Drain(ctx context.Context) (*DrainReport, error) {
 	s.accepting = false
 	admitted := s.admitted
 	s.mu.Unlock()
+	finished0 := s.cDone.Value() + s.cFailed.Value()
 	s.events.Log(telemetry.LevelInfo, "service", "drain_begin", map[string]any{
 		"admitted": admitted,
 	})
 
-	done := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
-		// Wake the idle waiter so it notices the deadline.
+		// Wake the idle wait below so it notices the deadline.
 		s.mu.Lock()
 		s.idle.Broadcast()
 		s.mu.Unlock()
 	})
 	defer stop()
-	go func() {
-		s.mu.Lock()
-		for s.admitted > 0 && ctx.Err() == nil {
-			s.idle.Wait()
-		}
-		s.mu.Unlock()
-		close(done)
-	}()
-	<-done
+	s.mu.Lock()
+	for s.admitted > 0 && ctx.Err() == nil {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
 
-	rep := &DrainReport{Finished: s.cDone.Value() + s.cFailed.Value()}
+	rep := &DrainReport{Finished: s.cDone.Value() + s.cFailed.Value() - finished0}
 	if ctx.Err() == nil {
 		s.events.Log(telemetry.LevelInfo, "service", "drain_complete", map[string]any{
 			"finished": rep.Finished,
@@ -1079,9 +1080,8 @@ func (s *Service) ExportCircuits() []CircuitExport {
 	return out
 }
 
-// Close stops the dispatchers. Pending jobs are abandoned — call Drain
-// first for a graceful stop.
+// Close stops starting dispatches and waits for those in flight. Pending
+// jobs are abandoned — call Drain first for a graceful stop.
 func (s *Service) Close() {
 	s.sched.close()
-	s.wg.Wait()
 }

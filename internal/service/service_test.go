@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -376,11 +377,10 @@ func TestLostProverFailsQueuedJobs(t *testing.T) {
 	}
 }
 
-// TestLostProverEndsDispatch: with FusedBatch off, a dispatch proves its
-// jobs one at a time. Once the first prove loses the prover, the rest of
-// the dispatch fails without a prove — one prover_lost event, not one per
-// job — and a later submission is refused with ErrProverLost, not admitted
-// to fail.
+// TestLostProverEndsDispatch: a k = 4 dispatch proves its jobs together.
+// When that prove loses the prover, every job of the dispatch fails as
+// prover-lost — one prover_lost event, not one per job — and a later
+// submission is refused with ErrProverLost, not admitted to fail.
 func TestLostProverEndsDispatch(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBatch = 4
@@ -652,4 +652,95 @@ func getJSON(t *testing.T, url string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, data
+}
+
+// TestRegisterRejectsOversizedSynthetic: a synthetic circuit whose proving
+// key points overrun the MSM memory budget (1 GiB by default) is refused
+// with a 400 before the service builds anything.
+func TestRegisterRejectsOversizedSynthetic(t *testing.T) {
+	_, srv := newTestServer(t, fastConfig())
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	resp, body := postJSON(t, srv.URL+"/v1/circuits", CircuitSpec{Curve: "bn254", SyntheticSize: 1 << 30})
+	runtime.ReadMemStats(&m1)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register 2^30 constraints: %d %s, want 400", resp.StatusCode, body)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("the refused registration allocated %d bytes", got)
+	}
+}
+
+// TestDrainCountsOnlyItsWindow: DrainReport.Finished counts the jobs that
+// finished during the drain, not those finished before it began.
+func TestDrainCountsOnlyItsWindow(t *testing.T) {
+	svc := New(fastConfig())
+	defer svc.Close()
+	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		j, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rep, err := svc.Drain(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Finished != 0 {
+		t.Fatalf("drain reports %d finished jobs; both finished before it began", rep.Finished)
+	}
+}
+
+// TestPanicFailsOnlyItsJob: four solo jobs, two dispatches in flight on a
+// two-worker task list, and one injected panic in a prove's launch gate.
+// The panic fails its own dispatch's scope, so its job fails and the other
+// three finish.
+func TestPanicFailsOnlyItsJob(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MaxBatch = 1
+	cfg.MSM.Workers = 2
+	// Each prove costs 12 launches; step 19 is the MSM A gate of the
+	// second prove to reach its gates.
+	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultPanic, Device: 0, Step: 19})
+	svc := New(cfg)
+	defer svc.Close()
+	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []*Job
+	for range 4 {
+		j, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	var done, failed int
+	for _, j := range jobs {
+		select {
+		case <-j.Done():
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %s stuck in state %v", j.ID, j.State())
+		}
+		switch st := j.Snapshot(); st.State {
+		case "done":
+			done++
+		case "failed":
+			if !strings.Contains(st.Error, "injected panic") {
+				t.Fatalf("job %s failed with %q, want the injected panic", j.ID, st.Error)
+			}
+			failed++
+		}
+	}
+	if done != 3 || failed != 1 {
+		t.Fatalf("%d done, %d failed; want 3 and 1", done, failed)
+	}
 }
