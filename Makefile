@@ -11,7 +11,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=5 -timeout 20m -run 'TestPlan|TestProve' ./internal/msm ./internal/groth16
-	$(GO) test -race -count=5 ./internal/service ./internal/par
+	$(GO) test -race -count=5 ./internal/service ./internal/par ./internal/ntt ./internal/poly
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "$$out"; exit 1; fi
@@ -24,7 +24,7 @@ vet:
 loc:
 	@./scripts/loc.sh
 
-# The same nine targets as CI's fuzz matrix, 30 s each.
+# The same ten targets as CI's fuzz matrix, 30 s each.
 fuzz:
 	$(GO) test ./internal/ff -run FuzzFixedVsGeneric -fuzz FuzzFixedVsGeneric -fuzztime 30s
 	$(GO) test ./internal/ff -run FuzzInverse -fuzz FuzzInverse -fuzztime 30s
@@ -34,6 +34,7 @@ fuzz:
 	$(GO) test ./internal/curve -run FuzzGLVDecompose -fuzz FuzzGLVDecompose -fuzztime 30s
 	$(GO) test ./internal/groth16 -run FuzzBatchVerifyVsSingle -fuzz FuzzBatchVerifyVsSingle -fuzztime 30s
 	$(GO) test ./internal/groth16 -run FuzzCompressedProofWire -fuzz FuzzCompressedProofWire -fuzztime 30s
+	$(GO) test ./internal/groth16 -run FuzzVerifyingKeyWire -fuzz FuzzVerifyingKeyWire -fuzztime 30s
 	$(GO) test ./internal/cluster -run FuzzReplicateIngest -fuzz FuzzReplicateIngest -fuzztime 30s
 
 # CPU and heap profiles of the library proving loop (BenchmarkProveLarge:

@@ -29,8 +29,6 @@ import (
 	"gzkp/internal/frontend"
 	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
-	"gzkp/internal/msm"
-	"gzkp/internal/ntt"
 	"gzkp/internal/r1cs"
 	"gzkp/internal/telemetry"
 	"gzkp/internal/workload"
@@ -74,15 +72,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "gzkp-prove: unsupported curve %q (the 753-bit MNT4753-sim has no pairing; use gzkp-bench for it)\n", *curveName)
 		os.Exit(2)
 	}
-	var cfg groth16.ProveConfig
-	switch *prover {
-	case "gzkp":
-		cfg = groth16.ProveConfig{NTT: ntt.Config{Strategy: ntt.GZKP}, MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true}}
-	case "baseline":
-		cfg = groth16.ProveConfig{NTT: ntt.Config{Strategy: ntt.ShuffleBaseline}, MSM: msm.Config{Strategy: msm.PippengerWindows}}
-	case "cpu":
-		cfg = groth16.ProveConfig{NTT: ntt.Config{Strategy: ntt.Serial, Workers: 1}, MSM: msm.Config{Strategy: msm.PippengerWindows, Workers: 1}}
-	default:
+	cfg, ok := groth16.Provers[*prover]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "gzkp-prove: unknown prover %q\n", *prover)
 		os.Exit(2)
 	}

@@ -21,8 +21,7 @@ import (
 	"time"
 
 	"gzkp/internal/gpusim"
-	"gzkp/internal/msm"
-	"gzkp/internal/ntt"
+	"gzkp/internal/groth16"
 	"gzkp/internal/service"
 	"gzkp/internal/telemetry"
 )
@@ -52,17 +51,12 @@ func main() {
 		Preprocess:    *preprocess,
 		Registry:      telemetry.NewRegistry(),
 	}
-	switch *prover {
-	case "gzkp":
-		cfg.NTT, cfg.MSM = ntt.Config{Strategy: ntt.GZKP}, msm.Config{Strategy: msm.GZKP, SignedBuckets: true}
-	case "baseline":
-		cfg.NTT, cfg.MSM = ntt.Config{Strategy: ntt.ShuffleBaseline}, msm.Config{Strategy: msm.PippengerWindows}
-	case "cpu":
-		cfg.NTT, cfg.MSM = ntt.Config{Strategy: ntt.Serial, Workers: 1}, msm.Config{Strategy: msm.PippengerWindows, Workers: 1}
-	default:
+	pc, ok := groth16.Provers[*prover]
+	if !ok {
 		fmt.Fprintf(os.Stderr, "gzkp-serve: unknown prover %q\n", *prover)
 		os.Exit(2)
 	}
+	cfg.NTT, cfg.MSM = pc.NTT, pc.MSM
 	if *faultSpec != "" {
 		plan, err := gpusim.ParseFaultPlan(*faultSpec, *faultSeed)
 		die(err)

@@ -243,27 +243,17 @@ type ProverOptions struct {
 }
 
 // FastestProver returns the paper's full GZKP configuration.
-func FastestProver() ProverOptions {
-	return ProverOptions{
-		NTT: ntt.Config{Strategy: ntt.GZKP},
-		MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true},
-	}
-}
+func FastestProver() ProverOptions { return preset("gzkp") }
 
 // BaselineProver returns the bellperson-like baseline configuration.
-func BaselineProver() ProverOptions {
-	return ProverOptions{
-		NTT: ntt.Config{Strategy: ntt.ShuffleBaseline},
-		MSM: msm.Config{Strategy: msm.PippengerWindows},
-	}
-}
+func BaselineProver() ProverOptions { return preset("baseline") }
 
 // ReferenceProver returns the slow single-threaded reference plan.
-func ReferenceProver() ProverOptions {
-	return ProverOptions{
-		NTT: ntt.Config{Strategy: ntt.Serial, Workers: 1},
-		MSM: msm.Config{Strategy: msm.PippengerWindows, Workers: 1},
-	}
+func ReferenceProver() ProverOptions { return preset("cpu") }
+
+func preset(name string) ProverOptions {
+	cfg := groth16.Provers[name]
+	return ProverOptions{NTT: cfg.NTT, MSM: cfg.MSM}
 }
 
 // ProvingKey wraps the Groth16 CRS together with the circuit.

@@ -21,7 +21,7 @@ type engineSet struct {
 func enginesFor(id curve.ID) engineSet {
 	cpu := &core.Engine{
 		Curve: curve.Get(id),
-		NTT:   ntt.Config{Strategy: ntt.Serial, Workers: 1},
+		NTT:   ntt.Config{Strategy: ntt.Serial},
 		MSM:   msm.Config{Strategy: msm.PippengerWindows, Workers: 1},
 	}
 	var gpu *core.Engine
@@ -29,7 +29,7 @@ func enginesFor(id curve.ID) engineSet {
 		// Best-GPU for 753-bit is MINA: Straus MSM, POLY left on the CPU.
 		gpu = &core.Engine{
 			Curve: curve.Get(id),
-			NTT:   ntt.Config{Strategy: ntt.Serial, Workers: 1},
+			NTT:   ntt.Config{Strategy: ntt.Serial},
 			MSM:   msm.Config{Strategy: msm.Straus},
 		}
 	} else {

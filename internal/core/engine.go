@@ -20,6 +20,7 @@ import (
 	"gzkp/internal/ff"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
+	"gzkp/internal/par"
 	"gzkp/internal/poly"
 	"gzkp/internal/telemetry"
 	"gzkp/internal/workload"
@@ -98,7 +99,11 @@ func (e *Engine) ProvePipelineCtx(ctx context.Context, p *workload.Pipeline) (*R
 	}
 	spPoly, pctx := telemetry.StartSpan(ctx, "poly")
 	spPoly.SetInt("n", int64(p.N))
-	polyRes, err := poly.ComputeHCtx(pctx, dom, f.CopyVector(p.A), f.CopyVector(p.B), f.CopyVector(p.C), e.NTT)
+	var polyRes *poly.Result
+	err = par.Run(pctx, e.MSM.Workers, func(ctx context.Context, _ *par.List) (err error) {
+		polyRes, err = poly.ComputeHCtx(ctx, dom, f.CopyVector(p.A), f.CopyVector(p.B), f.CopyVector(p.C), e.NTT)
+		return err
+	})
 	spPoly.End()
 	if err != nil {
 		return nil, err

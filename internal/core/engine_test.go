@@ -10,6 +10,7 @@ import (
 	"gzkp/internal/curve"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
+	"gzkp/internal/par"
 	"gzkp/internal/workload"
 )
 
@@ -117,6 +118,11 @@ func TestCancellationMidPipeline(t *testing.T) {
 	}
 	e := NewGZKP(curve.BN254)
 	e.MSM.MemoryBudget = 1 // single checkpoint: no heavy table build
+	// The runtime's workers live for the process: start them before
+	// counting.
+	if err := par.Run(context.Background(), e.MSM.Workers, func(context.Context, *par.List) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

@@ -240,7 +240,7 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 	}
 
 	if cfg.CheckSatisfied {
-		err := par.ItemsErr(ctx, k, cfg.NTT.Workers, nil,
+		err := par.ItemsErr(ctx, k, 0, nil,
 			func(_ struct{}, i int) error { return sys.IsSatisfied(witnesses[i]) })
 		if err != nil {
 			return err
@@ -445,7 +445,7 @@ func provePoly(ctx context.Context, track int, dom *ntt.Domain, sys *r1cs.System
 	avs := make([][]ff.Element, k)
 	bvs := make([][]ff.Element, k)
 	cvs := make([][]ff.Element, k)
-	err := par.ItemsErr(ctx, k, cfg.Workers, nil,
+	err := par.ItemsErr(ctx, k, 0, nil,
 		func(_ struct{}, i int) error {
 			av, bv, cv := f.NewVector(n), f.NewVector(n), f.NewVector(n)
 			w, tmp := witnesses[i], f.New()

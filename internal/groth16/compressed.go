@@ -155,7 +155,8 @@ func (vk *VerifyingKey) UnmarshalCompressed(data []byte) error {
 	if r.Len() != 0 {
 		return fmt.Errorf("groth16: %d trailing bytes after key", r.Len())
 	}
-	vk.CurveID, vk.Alpha1, vk.Beta2, vk.Gamma2, vk.Delta2, vk.IC = out.CurveID, out.Alpha1, out.Beta2, out.Gamma2, out.Delta2, out.IC
+	// A fresh value: the prepared form of a key decoded over is dropped.
+	*vk = VerifyingKey{CurveID: out.CurveID, Alpha1: out.Alpha1, Beta2: out.Beta2, Gamma2: out.Gamma2, Delta2: out.Delta2, IC: out.IC}
 	return nil
 }
 

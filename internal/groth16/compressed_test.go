@@ -2,6 +2,7 @@ package groth16
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"gzkp/internal/curve"
@@ -27,7 +28,7 @@ func wireFixture(t *testing.T, id curve.ID) (*Proof, *VerifyingKey, []ff.Element
 		t.Fatal(err)
 	}
 	proof, _, err := Prove(pk, sys, w, ProveConfig{
-		NTT: ntt.Config{Strategy: ntt.Serial, Workers: 1},
+		NTT: ntt.Config{Strategy: ntt.Serial},
 		MSM: msm.Config{Strategy: msm.PippengerWindows, Workers: 1},
 	}, nil)
 	if err != nil {
@@ -255,6 +256,80 @@ func FuzzCompressedProofWire(f *testing.F) {
 		re, err := p.MarshalCompressed()
 		if err != nil {
 			t.Fatalf("decoded proof failed to re-encode: %v", err)
+		}
+		if !bytes.Equal(data, re) {
+			t.Fatalf("accepted non-canonical encoding:\n in: %x\nout: %x", data, re)
+		}
+	})
+}
+
+// TestDecodeResetsPreparedKey: decoding a second key's bytes, in either
+// format, into a key that has already verified under the first drops the
+// first key's prepared form, so the second key's proof verifies.
+func TestDecodeResetsPreparedKey(t *testing.T) {
+	proof1, vk1, pub := wireFixture(t, curve.BN254)
+	proof2, vk2, _ := wireFixture(t, curve.BN254)
+	for _, format := range []struct {
+		name   string
+		encode func(*VerifyingKey) ([]byte, error)
+		decode func(*VerifyingKey, []byte) error
+	}{
+		{"binary", (*VerifyingKey).MarshalBinary, (*VerifyingKey).UnmarshalBinary},
+		{"compressed", (*VerifyingKey).MarshalCompressed, (*VerifyingKey).UnmarshalCompressed},
+	} {
+		b1, _ := format.encode(vk1)
+		b2, _ := format.encode(vk2)
+		var vk VerifyingKey
+		if err := format.decode(&vk, b1); err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(&vk, proof1, pub); err != nil {
+			t.Fatalf("%s: key 1 rejects its proof: %v", format.name, err)
+		}
+		if err := format.decode(&vk, b2); err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(&vk, proof2, pub); err != nil {
+			t.Fatalf("%s: key 2 decoded over a used key rejects its proof: %v", format.name, err)
+		}
+		if err := Verify(&vk, proof1, pub); err == nil {
+			t.Fatalf("%s: key 2 accepts key 1's proof", format.name)
+		}
+	}
+}
+
+// FuzzVerifyingKeyWire: UnmarshalVerifyingKeyAuto never panics, and bytes
+// it accepts re-encode identically in the format that accepted them.
+func FuzzVerifyingKeyWire(f *testing.F) {
+	for _, id := range []curve.ID{curve.BN254, curve.BLS12381} {
+		c := curve.Get(id)
+		vk := &VerifyingKey{CurveID: id, Alpha1: c.G1.Generator(), Beta2: c.G2.Generator(),
+			Gamma2: c.G2.Infinity(), Delta2: c.G2.Generator(), IC: []curve.Affine{c.G1.Generator(), c.G1.Infinity()}}
+		for _, enc := range []func() ([]byte, error){vk.MarshalBinary, vk.MarshalCompressed} {
+			b, _ := enc()
+			f.Add(b)
+			for _, icLen := range []uint32{0, 1, 3, 1<<24 + 1, 1<<32 - 1} { // IC length edge cases
+				e := bytes.Clone(b)
+				binary.BigEndian.PutUint32(e[1:5], icLen)
+				f.Add(e)
+			}
+			f.Add(b[:5])
+		}
+	}
+	f.Add([]byte{byte(curve.BN254), 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vk, err := UnmarshalVerifyingKeyAuto(data)
+		if err != nil {
+			return
+		}
+		var c VerifyingKey
+		enc := vk.MarshalBinary
+		if c.UnmarshalCompressed(data) == nil {
+			enc = vk.MarshalCompressed
+		}
+		re, err := enc()
+		if err != nil {
+			t.Fatalf("decoded key failed to re-encode: %v", err)
 		}
 		if !bytes.Equal(data, re) {
 			t.Fatalf("accepted non-canonical encoding:\n in: %x\nout: %x", data, re)

@@ -75,8 +75,9 @@ type VerifyingKey struct {
 	IC []curve.Affine
 
 	// prep is the pairing-ready form of the key, built by the first
-	// verification and read-only afterwards; it is never serialized, and a
-	// key must not be copied once it has verified.
+	// verification and read-only until a decode into the key resets it;
+	// it is never serialized, and a key must not be copied once it has
+	// verified.
 	prep struct {
 		once sync.Once
 		key  *preparedKey
@@ -132,6 +133,15 @@ type ProveConfig struct {
 	Faults *gpusim.FaultPlan
 	// Retry bounds transient-fault retries (zero value = defaults).
 	Retry resilience.Policy
+}
+
+// Provers names the prover presets: gzkp is the paper's full
+// configuration, baseline the bellperson-like one, cpu the single-threaded
+// reference plan.
+var Provers = map[string]ProveConfig{
+	"gzkp":     {NTT: ntt.Config{Strategy: ntt.GZKP}, MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true}},
+	"baseline": {NTT: ntt.Config{Strategy: ntt.ShuffleBaseline}, MSM: msm.Config{Strategy: msm.PippengerWindows}},
+	"cpu":      {NTT: ntt.Config{Strategy: ntt.Serial}, MSM: msm.Config{Strategy: msm.PippengerWindows, Workers: 1}},
 }
 
 // stageTrack is the trace track the prover's stage spans and launch-recovery

@@ -137,7 +137,7 @@ func TestProveWorkersBitIdentical(t *testing.T) {
 				want := referenceProofs(t, pk, sys, wits[:k], cfg.MSM, detRand(77))
 				for _, workers := range []int{1, 2, 3, 8} {
 					what := fmt.Sprintf("%v kept=%v k=%d workers=%d", id, kept, k, workers)
-					cfg.MSM.Workers, cfg.NTT.Workers = workers, workers
+					cfg.MSM.Workers = workers
 					var got []*Proof
 					if k == 1 {
 						p, _, err := Prove(pk, sys, wits[0], cfg, detRand(77))

@@ -174,7 +174,7 @@ func (vk *VerifyingKey) UnmarshalBinary(data []byte) error {
 	}
 	c := curve.Get(id)
 	var n [4]byte
-	if _, err := r.Read(n[:]); err != nil {
+	if _, err := io.ReadFull(r, n[:]); err != nil {
 		return fmt.Errorf("groth16: truncated key")
 	}
 	icLen := binary.BigEndian.Uint32(n[:])
@@ -182,28 +182,30 @@ func (vk *VerifyingKey) UnmarshalBinary(data []byte) error {
 	if icLen == 0 || icLen > 1<<24 || int(icLen) > r.Len() {
 		return fmt.Errorf("groth16: implausible IC length %d", icLen)
 	}
-	if vk.Alpha1, err = readPoint(r, c.G1); err != nil {
+	out := &VerifyingKey{CurveID: id}
+	if out.Alpha1, err = readPoint(r, c.G1); err != nil {
 		return err
 	}
-	if vk.Beta2, err = readPoint(r, c.G2); err != nil {
+	if out.Beta2, err = readPoint(r, c.G2); err != nil {
 		return err
 	}
-	if vk.Gamma2, err = readPoint(r, c.G2); err != nil {
+	if out.Gamma2, err = readPoint(r, c.G2); err != nil {
 		return err
 	}
-	if vk.Delta2, err = readPoint(r, c.G2); err != nil {
+	if out.Delta2, err = readPoint(r, c.G2); err != nil {
 		return err
 	}
-	vk.IC = make([]curve.Affine, icLen)
-	for i := range vk.IC {
-		if vk.IC[i], err = readPoint(r, c.G1); err != nil {
+	out.IC = make([]curve.Affine, icLen)
+	for i := range out.IC {
+		if out.IC[i], err = readPoint(r, c.G1); err != nil {
 			return err
 		}
 	}
 	if r.Len() != 0 {
 		return fmt.Errorf("groth16: %d trailing bytes after key", r.Len())
 	}
-	vk.CurveID = id
+	// A fresh value: the prepared form of a key decoded over is dropped.
+	*vk = VerifyingKey{CurveID: out.CurveID, Alpha1: out.Alpha1, Beta2: out.Beta2, Gamma2: out.Gamma2, Delta2: out.Delta2, IC: out.IC}
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 // encryption workloads ("NTT batching"): ZKP wants one low-latency
 // transform using the whole device, HE wants many smaller transforms
 // saturating it. Each vector gets the same direction and (serial-precomp)
-// plan; vectors are distributed over the worker pool. Cancellation is
+// plan; vectors are distributed over the runtime's workers. Cancellation is
 // checked between vectors and between iterations of each serial transform.
 func (d *Domain) TransformBatchCtx(ctx context.Context, vecs [][]ff.Element, dir Direction, cfg Config) ([]Stats, error) {
 	cfg = cfg.withDefaults()
@@ -25,7 +25,7 @@ func (d *Domain) TransformBatchCtx(ctx context.Context, vecs [][]ff.Element, dir
 		}
 	}
 	stats := make([]Stats, len(vecs))
-	err := par.ItemsErr(ctx, len(vecs), cfg.Workers,
+	err := par.ItemsErr(ctx, len(vecs), 0,
 		nil,
 		func(_ struct{}, i int) error {
 			// Per-vector serial plan: batching trades per-transform
@@ -58,7 +58,7 @@ func (d *Domain) TransformBatch(vecs [][]ff.Element, dir Direction, cfg Config) 
 // strided buffer — vector i occupies buf[i*N : (i+1)*N] — with a single
 // fused plan: the stage loop is walked once, each stage's twiddle stride is
 // derived once and shared by all k vectors, and within a stage the k
-// vectors are distributed over the worker pool. This is the batched-prover
+// vectors are distributed over the runtime's workers. This is the batched-prover
 // layout (one ProveBatch packs the k per-proof polynomial vectors
 // contiguously so seven strided launches replace 7·k individual ones);
 // TransformBatchCtx keeps the slice-of-slices form for callers that own
@@ -92,7 +92,7 @@ func (d *Domain) TransformStridedCtx(ctx context.Context, buf []ff.Element, k in
 		roots = d.rootsInv
 	}
 	// Permutation pass: each vector bit-reverses independently.
-	err := par.RangeErr(ctx, k, cfg.Workers, func(lo, hi int) error {
+	err := par.RangeErr(ctx, k, 0, func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
 			bitReverse(buf[v*n:(v+1)*n], d.LogN)
 		}
@@ -110,7 +110,7 @@ func (d *Domain) TransformStridedCtx(ctx context.Context, buf []ff.Element, k in
 		m := 1 << s
 		half := m >> 1
 		step := n >> s
-		err := par.RangeErr(ctx, k, cfg.Workers, func(lo, hi int) error {
+		err := par.RangeErr(ctx, k, 0, func(lo, hi int) error {
 			t := f.New()
 			u := f.New()
 			kr := f.Kernels()
@@ -178,7 +178,7 @@ func (d *Domain) scaleByPowersStrided(ctx context.Context, buf []ff.Element, k i
 		return fmt.Errorf("ntt: strided buffer length %d != k·N = %d·%d", len(buf), k, d.N)
 	}
 	cfg = cfg.withDefaults()
-	return par.RangeErr(ctx, k, cfg.Workers, func(lo, hi int) error {
+	return par.RangeErr(ctx, k, 0, func(lo, hi int) error {
 		f := d.F
 		for v := lo; v < hi; v++ {
 			a := buf[v*d.N : (v+1)*d.N]

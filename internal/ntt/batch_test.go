@@ -9,6 +9,7 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
+	"gzkp/internal/par"
 )
 
 func TestTransformBatchMatchesSingle(t *testing.T) {
@@ -133,6 +134,11 @@ func TestTransformBatchCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 32
+	// The GOMAXPROCS runtime's workers live for the process: start them
+	// before counting.
+	if err := par.Run(context.Background(), 0, func(context.Context, *par.List) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 4; round++ {
 		vecs := make([][]ff.Element, k)
@@ -146,8 +152,8 @@ func TestTransformBatchCancellation(t *testing.T) {
 			time.Sleep(time.Duration(round) * 200 * time.Microsecond)
 			cancel()
 		}()
-		_, errBatch := d.TransformBatchCtx(ctx, vecs, Forward, Config{Workers: 4})
-		_, errStrided := d.TransformStridedCtx(ctx, strided, k, Forward, Config{Workers: 4})
+		_, errBatch := d.TransformBatchCtx(ctx, vecs, Forward, Config{})
+		_, errStrided := d.TransformStridedCtx(ctx, strided, k, Forward, Config{})
 		// Depending on timing either call may finish before the cancel
 		// lands; when one reports an error it must be the cancellation.
 		for _, err := range []error{errBatch, errStrided} {

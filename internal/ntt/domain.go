@@ -118,7 +118,8 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("strategy(%d)", int(s))
 }
 
-// Config tunes a transform execution.
+// Config tunes a transform execution. A transform's loops run at the width
+// of the caller's par scope, or at GOMAXPROCS outside one.
 type Config struct {
 	Strategy Strategy
 	// BatchBits is B, the iterations fused per batch (parallel strategies).
@@ -128,8 +129,6 @@ type Config struct {
 	// GroupsPerBlock is G for the GZKP strategy (default 4, the smallest
 	// value filling a 32 B L2 line with 8-byte words).
 	GroupsPerBlock int
-	// Workers bounds parallelism (default GOMAXPROCS).
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -279,7 +278,7 @@ func (d *Domain) ZOnCoset() ff.Element {
 
 // scale multiplies every element by c.
 func (d *Domain) scale(ctx context.Context, a []ff.Element, c ff.Element, cfg Config) error {
-	return par.RangeErr(ctx, len(a), cfg.Workers, func(lo, hi int) error {
+	return par.RangeErr(ctx, len(a), 0, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			d.F.Mul(a[i], a[i], c)
 		}
@@ -289,7 +288,7 @@ func (d *Domain) scale(ctx context.Context, a []ff.Element, c ff.Element, cfg Co
 
 // scaleByPowers multiplies a[i] by base^i.
 func (d *Domain) scaleByPowers(ctx context.Context, a []ff.Element, base ff.Element, cfg Config) error {
-	return par.RangeErr(ctx, len(a), cfg.Workers, func(lo, hi int) error {
+	return par.RangeErr(ctx, len(a), 0, func(lo, hi int) error {
 		f := d.F
 		p := f.Exp(base, bigFromInt(lo))
 		for i := lo; i < hi; i++ {

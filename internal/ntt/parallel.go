@@ -96,7 +96,7 @@ func (d *Domain) gzkp(ctx context.Context, a []ff.Element, dir Direction, cfg Co
 		}
 		blocks := (groups + g - 1) / g
 		sdoneB, bbB := sdone, bb
-		err := par.ItemsErr(ctx, blocks, cfg.Workers,
+		err := par.ItemsErr(ctx, blocks, 0,
 			func() *groupScratch {
 				return &groupScratch{
 					local: d.F.NewVector(g * size),
@@ -173,7 +173,7 @@ func (d *Domain) shuffleBaseline(ctx context.Context, a []ff.Element, dir Direct
 			t0 := time.Now()
 			sdB, bbB, psd, pbb := sdone, bb, prevSdone, prevBb
 			src, dst := cur, oth
-			err := par.RangeErr(ctx, d.N, cfg.Workers, func(lo, hi int) error {
+			err := par.RangeErr(ctx, d.N, 0, func(lo, hi int) error {
 				for pos := lo; pos < hi; pos++ {
 					g := pos >> bbB
 					t := pos & (1<<bbB - 1)
@@ -197,7 +197,7 @@ func (d *Domain) shuffleBaseline(ctx context.Context, a []ff.Element, dir Direct
 		loMask := 1<<sdone - 1
 		sdB, bbB := sdone, bb
 		data := cur
-		err := par.ItemsErr(ctx, groups, cfg.Workers,
+		err := par.ItemsErr(ctx, groups, 0,
 			func() *groupScratch {
 				return &groupScratch{t: d.F.New(), u: d.F.New()}
 			},
@@ -215,7 +215,7 @@ func (d *Domain) shuffleBaseline(ctx context.Context, a []ff.Element, dir Direct
 		st.Batches++
 	}
 	copyRange := func(dst, src []ff.Element, mapIdx func(int) int) error {
-		return par.RangeErr(ctx, d.N, cfg.Workers, func(lo, hi int) error {
+		return par.RangeErr(ctx, d.N, 0, func(lo, hi int) error {
 			for idx := lo; idx < hi; idx++ {
 				copy(dst[idx], src[mapIdx(idx)])
 			}

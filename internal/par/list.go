@@ -1,6 +1,7 @@
 package par
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -8,21 +9,15 @@ import (
 	"sync/atomic"
 )
 
-// List is one scope of a task list run on a fixed set of workers: the
-// runtime of its worker count, one long-lived list per count whose workers
-// live for the process. Every worker takes the ready task of the oldest
-// scope first, then the heaviest, then in push order, and a running task
-// may push more. Fan gives a scope its joins — a join runs on the worker
-// that finishes a fan's last task — so stages chain without a barrier
-// between them: the first stage's stragglers overlap the next stage's
-// tasks, and a newer scope's tasks fill what an older one leaves idle. This
-// is the CPU analogue of GZKP's task-granular scheduling (§4.2): one list
-// of work units from several kernels, balanced by weight rather than by
-// kernel boundaries.
-//
-// Like the pools, a scope is cancellable and panic-safe: a task's error or
-// recovered panic cancels its own scope's context and drops the scope's
-// queued tasks; other scopes run on.
+// List is one scope on the runtime of its worker count: one long-lived task
+// list per count, whose workers live for the process and take the ready
+// task of the oldest scope first, then the heaviest, then in push order. A
+// running task may push more, and a fan's join runs on the worker that
+// finishes its last task, so stages chain without a barrier: stragglers
+// overlap the next stage, and a newer scope fills what an older one leaves
+// idle — GZKP's task-granular scheduling (§4.2), balanced by weight rather
+// than by kernel boundaries. A task's error or recovered panic cancels its
+// own scope and drops that scope's queued tasks; other scopes run on.
 type List struct {
 	rt     *taskRuntime
 	order  int64 // scope age: lower runs first
@@ -41,7 +36,7 @@ type taskRuntime struct {
 	wake    sync.Cond
 	ready   []task // heap: scope age, then weight, then push order
 	seq     int64
-	scopes  int64
+	scopes  atomic.Int64
 	scratch []map[any]any // per worker, touched only by that worker's task
 }
 
@@ -52,16 +47,18 @@ type task struct {
 	i                  int
 }
 
-// fan is one Fan call: left counts its tasks still to return.
+// fan is one Fan call: left counts its tasks still to return. An
+// ItemsErr fan's helpers are owned: a stopped scope still takes them, and
+// only their caller drops them.
 type fan struct {
-	left atomic.Int64
-	run  func(w, i int) error
-	join func(w int) error
+	left  atomic.Int64
+	run   func(w, i int) error
+	join  func(w int) error
+	owned bool
 }
 
-// ErrNested is what Run returns under a context of a running scope: a task
-// that waited for a scope on its own runtime could hold the worker that
-// scope needs.
+// ErrNested is what Run returns under a running scope's context: a task
+// waiting for a scope on its own runtime could hold the worker it needs.
 var ErrNested = errors.New("par: Run inside a task list scope")
 
 type scopeKey struct{}
@@ -104,13 +101,11 @@ func Run(ctx context.Context, workers int, seed func(ctx context.Context, l *Lis
 		return err // a cancelled caller seeds nothing
 	}
 	rt := runtimeFor(Workers(workers))
-	gctx, cancel := context.WithCancel(context.WithValue(ctx, scopeKey{}, rt))
+	l := &List{rt: rt, pending: 1, done: make(chan struct{})}
+	gctx, cancel := context.WithCancel(context.WithValue(ctx, scopeKey{}, l))
 	defer cancel()
-	l := &List{rt: rt, pending: 1, cancel: cancel, done: make(chan struct{})}
-	rt.mu.Lock()
-	l.order = rt.scopes
-	rt.scopes++
-	rt.mu.Unlock()
+	l.cancel = cancel
+	l.order = rt.scopes.Add(1)
 	stop := context.AfterFunc(gctx, func() {
 		rt.mu.Lock()
 		l.stop()
@@ -124,15 +119,11 @@ func Run(ctx context.Context, workers int, seed func(ctx context.Context, l *Lis
 	rt.mu.Unlock()
 	account(ctx, units, rt.workers)
 	<-l.done
-	if l.err != nil {
-		return l.err
-	}
-	return ctx.Err()
+	return cmp.Or(l.err, ctx.Err())
 }
 
-// Scratch returns worker w's scratch: a map the runtime keeps for the
-// worker across scopes, for the task running on w alone to use. Key it by
-// a value of a package's own type.
+// Scratch returns worker w's map, kept across scopes for the task running on
+// w alone to use; key it by a value of a package's own type.
 func (l *List) Scratch(w int) map[any]any { return l.rt.scratch[w] }
 
 // Push adds one task of the given weight.
@@ -142,20 +133,25 @@ func (l *List) Push(weight int64, run func(w int) error) {
 
 // Fan adds n tasks, task i of weight weight(i) running run(w, i); once all
 // n have returned without error, join (if not nil) runs on the worker that
-// finished the last of them. With n = 0, join is pushed as a task of its
-// own. A stopped scope takes no more tasks.
+// finished the last of them, or, with n = 0, as a task of its own, ranked
+// behind only ItemsErr's helpers. A stopped scope takes no more tasks.
 func (l *List) Fan(n int, weight func(i int) int64, run func(w, i int) error, join func(w int) error) {
 	if n == 0 {
 		if join != nil {
-			l.Push(math.MaxInt64, join)
+			l.Push(math.MaxInt64-1, join)
 		}
 		return
 	}
 	f := &fan{run: run, join: join}
 	f.left.Store(int64(n))
+	l.fan(f, n, weight)
+}
+
+// fan pushes n tasks of f, unless l is stopped and f not owned.
+func (l *List) fan(f *fan, n int, weight func(i int) int64) {
 	rt := l.rt
 	rt.mu.Lock()
-	if l.stopped {
+	if l.stopped && !f.owned {
 		rt.mu.Unlock()
 		return
 	}
@@ -180,24 +176,10 @@ func (l *List) end(err error) {
 
 // stop drops l's queued tasks and refuses its later pushes; rt.mu is held.
 func (l *List) stop() {
-	if l.stopped {
-		return
+	if !l.stopped {
+		l.stopped = true
+		l.release(l.rt.drop(func(t task) bool { return t.l == l && !t.f.owned }))
 	}
-	l.stopped = true
-	h, dropped := l.rt.ready[:0], 0
-	for _, t := range l.rt.ready {
-		if t.l == l {
-			dropped++
-		} else {
-			h = append(h, t)
-		}
-	}
-	clear(l.rt.ready[len(h):]) // the vacated slots keep no fan alive
-	l.rt.ready = h
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		l.rt.down(i)
-	}
-	l.release(dropped)
 }
 
 func (l *List) release(n int) {
@@ -217,17 +199,32 @@ func (rt *taskRuntime) work(w int) {
 		t := rt.pop()
 		rt.mu.Unlock()
 		err := recovering(func() error {
-			if err := t.f.run(w, t.i); err != nil {
-				return err
+			err := t.f.run(w, t.i)
+			if err == nil && t.f.left.Add(-1) == 0 && t.f.join != nil {
+				err = t.f.join(w)
 			}
-			if t.f.left.Add(-1) == 0 && t.f.join != nil {
-				return t.f.join(w)
-			}
-			return nil
+			return err
 		})
 		rt.mu.Lock()
 		t.l.end(err)
 	}
+}
+
+// drop removes the matching ready tasks and returns how many; rt.mu is held.
+func (rt *taskRuntime) drop(match func(task) bool) int {
+	h := rt.ready[:0]
+	for _, t := range rt.ready {
+		if !match(t) {
+			h = append(h, t)
+		}
+	}
+	dropped := len(rt.ready) - len(h)
+	clear(rt.ready[len(h):]) // the vacated slots keep no fan alive
+	rt.ready = h
+	for i := len(h)/2 - 1; dropped > 0 && i >= 0; i-- { // kept in order, h is still a heap
+		rt.down(i)
+	}
+	return dropped
 }
 
 func (a task) before(b task) bool {
@@ -252,9 +249,8 @@ func (rt *taskRuntime) push(t task) {
 }
 
 func (rt *taskRuntime) pop() task {
-	h := rt.ready
+	h, last := rt.ready, len(rt.ready)-1
 	top := h[0]
-	last := len(h) - 1
 	h[0], h[last] = h[last], task{} // the vacated slot keeps no fan alive
 	rt.ready = h[:last]
 	rt.down(0)

@@ -1,18 +1,16 @@
-// Package par provides the worker-pool primitives the compute stages share:
-// range splitting, dynamic (work-stealing) item scheduling with per-worker
-// state, and the weighted task list (List) on which a prove runs POLY and
-// GZKP's load-grouped, heaviest-first bucket dispatch (§4.2) together.
-//
-// Every pool is cancellable and panic-safe: it takes a context checked at
-// chunk/item boundaries, the first worker error cancels the remaining work,
-// and a worker panic is recovered into a *resilience.PanicError instead of
-// crashing the process. The item pools are generic over the per-worker
-// scratch type S; a nil mkState gives every worker the zero S (stateless
-// callers use struct{}).
+// Package par is the prover runtime: one long-lived weighted task list per
+// worker count (List), whose scopes run a prove's POLY beside GZKP's bucket
+// dispatch (§4.2), and the fans (ItemsErr, RangeErr) that run every parallel
+// loop as tasks of its caller's scope; its only goroutines are the
+// runtimes' workers. Contexts are checked at task, item and chunk
+// boundaries, the first error stops its scope's or fan's remaining work,
+// and a panic is recovered into a *resilience.PanicError.
 package par
 
 import (
+	"cmp"
 	"context"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -22,18 +20,14 @@ import (
 	"gzkp/internal/telemetry"
 )
 
-// account notes one pool dispatch in the ctx tracer's registry (no-op
-// without one): how many work units the stages fan out, how many pools
-// were spun up, and the widest pool seen. One context lookup plus a few
-// atomic ops per pool spin-up — never per item.
+// account notes one scope or fan in the ctx tracer's registry (no-op
+// without one): its work units and width. Never per item.
 func account(ctx context.Context, units, workers int) {
-	reg := telemetry.FromContext(ctx).Registry()
-	if reg == nil {
-		return
+	if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
+		reg.Counter("par.units").Add(int64(units))
+		reg.Counter("par.dispatches").Add(1)
+		reg.Gauge("par.max_workers").Max(float64(workers))
 	}
-	reg.Counter("par.units").Add(int64(units))
-	reg.Counter("par.dispatches").Add(1)
-	reg.Gauge("par.max_workers").Max(float64(workers))
 }
 
 // Workers normalizes a worker-count hint.
@@ -58,17 +52,9 @@ func recovering(fn func() error) (err error) {
 	return fn()
 }
 
-// newState builds one worker's scratch; a nil mkState yields the zero S.
-func newState[S any](mkState func() S) (st S) {
-	if mkState != nil {
-		st = mkState()
-	}
-	return st
-}
-
-// RangeErr splits [0, n) into contiguous chunks across workers, handed
-// out as ItemsErr items. Each chunk is a cancellation point; fn's first
-// error cancels the remaining chunks.
+// RangeErr splits [0, n) into Workers(workers) contiguous chunks, run as
+// ItemsErr items. Each chunk is a cancellation point; fn's first error
+// stops the remaining chunks.
 func RangeErr(ctx context.Context, n, workers int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -79,71 +65,89 @@ func RangeErr(ctx context.Context, n, workers int, fn func(lo, hi int) error) er
 	})
 }
 
-// ItemsErr schedules n independent items dynamically over a pool of
-// workers, the caller among them, handing them out in index order; mkState
-// builds per-worker scratch once per worker. Item boundaries are
-// cancellation points and the first error (or recovered panic) cancels
-// the remaining items; external cancellation is reported as ctx.Err()
-// when no item failed first. Dynamic dispatch over items sorted
-// heaviest-first is the CPU analogue of GZKP's fine-grained task mapping:
-// stragglers are started first, so no worker is left holding a heavy task
-// at the tail.
+// ItemsErr runs fn over n items as a fan on the runtime: under a scope's
+// context it pushes min(workers, scope width, n)−1 helper tasks onto that
+// scope (workers ≤ 0: the scope's width), ranked ahead of its other ready
+// tasks; outside a scope it does so inside a Run of workers. The caller and
+// each helper that starts claim indices in order from one counter, each
+// with its own mkState scratch (nil: the zero S), made up front so a fan's
+// allocations do not depend on how many helpers start. The caller runs
+// only its own items, and once the last index is claimed the fan's queued
+// helpers are dropped, so it waits for at most one in-flight item. The
+// first error or recovered panic stops the claims and is returned (a
+// helper never fails the scope itself); else a cancellation returns
+// ctx.Err(). Over items sorted heaviest first, stragglers start first.
 func ItemsErr[S any](ctx context.Context, n, workers int, mkState func() S, fn func(state S, item int) error) error {
-	workers = min(Workers(workers), n)
 	if n <= 0 {
 		return ctx.Err()
 	}
-	account(ctx, n, workers)
-	if workers == 1 { // no pool: nothing to cancel or join
-		return recovering(func() error {
-			st := newState(mkState)
-			for i := 0; i < n; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := fn(st, i); err != nil {
-					return err
-				}
-			}
-			return nil
+	l, ok := ctx.Value(scopeKey{}).(*List)
+	if !ok {
+		return Run(ctx, workers, func(ctx context.Context, _ *List) error {
+			return ItemsErr(ctx, n, workers, mkState, fn)
 		})
 	}
-	gctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		next  atomic.Int64
-		wg    sync.WaitGroup
-		mu    sync.Mutex
-		first error
-	)
-	work := func() {
-		err := recovering(func() error {
-			st := newState(mkState)
-			for i := int(next.Add(1)) - 1; i < n && gctx.Err() == nil; i = int(next.Add(1)) - 1 {
-				if err := fn(st, i); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		mu.Lock()
-		if err != nil && first == nil {
-			first = err
-			cancel()
+	h := min(l.rt.workers, n)
+	if workers > 0 {
+		h = min(h, workers)
+	}
+	account(ctx, n, h)
+	if h == 1 { // no helper: the fan lives on the caller's stack
+		var c claims
+		var st S
+		if mkState != nil {
+			st = mkState()
 		}
+		claim(ctx, &c, &l.rt.mu, n, st, fn)
+		return cmp.Or(c.err, ctx.Err())
+	}
+	states := make([]S, h)
+	for j := 0; mkState != nil && j < h; j++ {
+		states[j] = mkState()
+	}
+	c := &claims{done: make(chan struct{})}
+	c.left.Store(int64(h)) // the helpers not returned or dropped, and the caller
+	c.run, c.owned = func(_, i int) error { claim(ctx, c, &l.rt.mu, n, states[i+1], fn); return nil }, true
+	c.join = func(int) error { close(c.done); return nil }
+	l.fan(&c.fan, h-1, func(int) int64 { return math.MaxInt64 })
+	claim(ctx, c, &l.rt.mu, n, states[0], fn)
+	l.rt.mu.Lock()
+	dropped := l.rt.drop(func(t task) bool { return t.f == &c.fan })
+	l.release(dropped)
+	l.rt.mu.Unlock()
+	if c.left.Add(-int64(dropped)-1) == 0 {
+		close(c.done)
+	}
+	<-c.done
+	return cmp.Or(c.err, ctx.Err())
+}
+
+// claim is one claim loop of the fan c: items in index order until none is
+// left or one fails, whose error stops the fan's claims.
+func claim[S any](ctx context.Context, c *claims, mu *sync.Mutex, n int, st S, fn func(S, int) error) {
+	err := recovering(func() error {
+		for i := int(c.next.Add(1)) - 1; i < n; i = int(c.next.Add(1)) - 1 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := fn(st, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		c.next.Store(int64(n))
+		mu.Lock()
+		c.err = cmp.Or(c.err, err)
 		mu.Unlock()
 	}
-	wg.Add(workers - 1)
-	for range workers - 1 {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if first != nil {
-		return first
-	}
-	return ctx.Err()
+}
+
+// claims is one ItemsErr fan: its helpers and what they share with the caller.
+type claims struct {
+	fan
+	next atomic.Int64
+	done chan struct{} // closed when the caller and every helper are through
+	err  error         // the first error; guarded by rt.mu
 }

@@ -172,6 +172,11 @@ func TestFirstErrorCancelsRemaining(t *testing.T) {
 }
 
 func TestCancellationStopsWorkAndJoins(t *testing.T) {
+	// The 4-worker runtime's workers live for the process: start them
+	// before counting.
+	if err := Run(context.Background(), 4, func(context.Context, *List) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	var executed int64
@@ -453,5 +458,160 @@ func TestNestedRunErrors(t *testing.T) {
 	})
 	if err != nil || !errors.Is(nested, ErrNested) {
 		t.Fatalf("outer %v, nested %v; want nil and ErrNested", err, nested)
+	}
+}
+
+// TestItemsInScopeStartNoGoroutine: an ItemsErr inside a task of a 2-worker
+// scope runs on the runtime's workers and starts no goroutine of its own.
+func TestItemsInScopeStartNoGoroutine(t *testing.T) {
+	if err := Run(context.Background(), 2, func(context.Context, *List) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	var most atomic.Int64
+	err := Run(context.Background(), 2, func(ctx context.Context, l *List) error {
+		l.Push(0, func(int) error {
+			return ItemsErr(ctx, 64, 4, nil, func(struct{}, int) error {
+				if g := int64(runtime.NumGoroutine()); g > most.Load() {
+					most.Store(g)
+				}
+				time.Sleep(20 * time.Microsecond)
+				return nil
+			})
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := most.Load(); g > int64(before) {
+		t.Fatalf("%d goroutines while the items ran, %d before", g, before)
+	}
+}
+
+// TestItemsNestedThreeDeep: ItemsErr nested three deep completes on a
+// 1-worker runtime (and on a 2-worker one) and runs every item once.
+func TestItemsNestedThreeDeep(t *testing.T) {
+	const n = 5
+	for _, workers := range []int{1, 2} {
+		var ran [n][n][n]atomic.Int32
+		err := Run(context.Background(), workers, func(ctx context.Context, l *List) error {
+			l.Push(0, func(int) error {
+				return ItemsErr(ctx, n, 4, nil, func(_ struct{}, i int) error {
+					return ItemsErr(ctx, n, 4, nil, func(_ struct{}, j int) error {
+						return ItemsErr(ctx, n, 4, nil, func(_ struct{}, k int) error {
+							ran[i][j][k].Add(1)
+							return nil
+						})
+					})
+				})
+			})
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for i := range ran {
+			for j := range ran[i] {
+				for k := range ran[i][j] {
+					if c := ran[i][j][k].Load(); c != 1 {
+						t.Fatalf("workers %d: item %d/%d/%d ran %d times", workers, i, j, k, c)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestItemsOutsideScopeDoNotWaitForBusyWorkers: an ItemsErr outside any
+// scope, started while an older scope holds every worker, returns once its
+// caller has run all items.
+func TestItemsOutsideScopeDoNotWaitForBusyWorkers(t *testing.T) {
+	hold, held := make(chan struct{}), make(chan struct{}, 2)
+	older := make(chan error, 1)
+	go func() {
+		older <- Run(context.Background(), 2, func(_ context.Context, l *List) error {
+			for range 2 {
+				l.Push(0, func(int) error { held <- struct{}{}; <-hold; return nil })
+			}
+			return nil
+		})
+	}()
+	<-held
+	<-held
+	var ran atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		done <- ItemsErr(context.Background(), 16, 2, nil, func(struct{}, int) error { ran.Add(1); return nil })
+	}()
+	select {
+	case err := <-done:
+		if err != nil || ran.Load() != 16 {
+			t.Fatalf("returned %v after %d of 16 items", err, ran.Load())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ItemsErr waited for the busy workers")
+	}
+	close(hold)
+	if err := <-older; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestItemsInScopeAllocs: a fan under a scope makes fewer allocations than
+// the 8 a goroutine pool of two made.
+func TestItemsInScopeAllocs(t *testing.T) {
+	var allocs float64
+	err := Run(context.Background(), 2, func(ctx context.Context, _ *List) error {
+		allocs = testing.AllocsPerRun(200, func() {
+			if err := ItemsErr(ctx, 16, 2, nil, func(struct{}, int) error { return nil }); err != nil {
+				t.Error(err)
+			}
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs >= 8 {
+		t.Fatalf("%.1f allocations per ItemsErr, want < 8", allocs)
+	}
+	t.Logf("%.1f allocations per ItemsErr", allocs)
+}
+
+// TestItemsInFailedScopeReturn: a scope that fails while a fan's helper is
+// still queued keeps that helper for its caller, whose ItemsErr returns
+// the scope's cancellation instead of waiting for a dropped helper.
+func TestItemsInFailedScopeReturn(t *testing.T) {
+	boom := errors.New("boom")
+	for range 20 {
+		started := make(chan struct{})
+		var items error
+		done := make(chan error, 1)
+		go func() {
+			done <- Run(context.Background(), 2, func(ctx context.Context, l *List) error {
+				// The failing task holds one worker, the fan's caller the
+				// other, so the helper is still queued when the scope fails.
+				l.Push(1, func(int) error { <-started; return boom })
+				l.Push(0, func(int) error {
+					var once sync.Once
+					items = ItemsErr(ctx, 100, 2, nil, func(struct{}, int) error {
+						once.Do(func() { close(started) })
+						time.Sleep(100 * time.Microsecond)
+						return nil
+					})
+					return nil
+				})
+				return nil
+			})
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, boom) || !errors.Is(items, context.Canceled) {
+				t.Fatalf("scope returned %v, its ItemsErr %v", err, items)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("ItemsErr in a failed scope did not return")
+		}
 	}
 }

@@ -106,7 +106,7 @@ func ComputeHBatchCtx(ctx context.Context, dom *ntt.Domain, avs, bvs, cvs [][]ff
 		return nil, err
 	}
 	zInv := f.Inverse(dom.ZOnCoset())
-	err := par.RangeErr(ctx, k*n, cfg.Workers, func(lo, hi int) error {
+	err := par.RangeErr(ctx, k*n, 0, func(lo, hi int) error {
 		tmp := f.New()
 		kr := f.Kernels()
 		for i := lo; i < hi; i++ {

@@ -33,7 +33,7 @@ const cubicSrc = "public out\nsecret x\nlet y = x^3 + x + 5\nassert y == out\n"
 // fastConfig keeps e2e proofs cheap: tiny circuit, serial strategies.
 func fastConfig() Config {
 	return Config{
-		NTT: ntt.Config{Strategy: ntt.Serial, Workers: 1},
+		NTT: ntt.Config{Strategy: ntt.Serial},
 		MSM: msm.Config{Strategy: msm.PippengerWindows, Workers: 1},
 	}
 }
