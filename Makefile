@@ -24,7 +24,7 @@ vet:
 loc:
 	@./scripts/loc.sh
 
-# The same ten targets as CI's fuzz matrix, 30 s each.
+# The same eleven targets as CI's fuzz matrix, 30 s each.
 fuzz:
 	$(GO) test ./internal/ff -run FuzzFixedVsGeneric -fuzz FuzzFixedVsGeneric -fuzztime 30s
 	$(GO) test ./internal/ff -run FuzzInverse -fuzz FuzzInverse -fuzztime 30s
@@ -36,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/groth16 -run FuzzCompressedProofWire -fuzz FuzzCompressedProofWire -fuzztime 30s
 	$(GO) test ./internal/groth16 -run FuzzVerifyingKeyWire -fuzz FuzzVerifyingKeyWire -fuzztime 30s
 	$(GO) test ./internal/cluster -run FuzzReplicateIngest -fuzz FuzzReplicateIngest -fuzztime 30s
+	$(GO) test ./internal/r1cs -run FuzzSolveVsReference -fuzz FuzzSolveVsReference -fuzztime 30s
 
 # CPU and heap profiles of the library proving loop (BenchmarkProveLarge:
 # a 1024-constraint circuit on BN254 against kept GZKP tables), with the

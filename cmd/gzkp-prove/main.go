@@ -111,7 +111,7 @@ func main() {
 	if *circuitPath != "" {
 		src, err := os.ReadFile(*circuitPath)
 		die(err)
-		prog, err := frontend.Compile(c.Fr, string(src))
+		prog, err := frontend.Compile(c.Fr, string(src), 0)
 		die(err)
 		sys = prog.System
 		pub = parseValues(c.Fr, *publicVals, prog.PublicNames, "public")

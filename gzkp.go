@@ -438,7 +438,7 @@ func (vk *VerifyingKey) UnmarshalBinary(data []byte) error {
 // The returned name lists give the Solve argument order.
 func CompileSource(c Curve, src string) (*Compiled, []string, []string, error) {
 	f := curve.Get(c.internal()).Fr
-	prog, err := frontend.Compile(f, src)
+	prog, err := frontend.Compile(f, src, 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}

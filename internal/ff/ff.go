@@ -190,6 +190,9 @@ func (f *Field) One() Element {
 	return z
 }
 
+// SetOne sets z = 1 and returns z.
+func (f *Field) SetOne(z Element) Element { return f.Set(z, f.r) }
+
 // Set copies x into z and returns z.
 func (f *Field) Set(z, x Element) Element {
 	copy(z, x)

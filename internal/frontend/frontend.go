@@ -33,9 +33,11 @@ type Program struct {
 	SecretNames []string
 }
 
-// Compile parses and builds src over field f.
-func Compile(f *ff.Field, src string) (*Program, error) {
+// Compile parses and builds src over field f. A positive maxConstraints
+// stops it at the statement whose constraints pass that many.
+func Compile(f *ff.Field, src string, maxConstraints int) (*Program, error) {
 	b := r1cs.NewBuilder(f)
+	b.Limit(maxConstraints)
 	env := map[string]r1cs.LC{}
 	prog := &Program{}
 	lines := strings.FieldsFunc(src, func(r rune) bool { return r == '\n' || r == ';' })
@@ -110,7 +112,7 @@ func Compile(f *ff.Field, src string) (*Program, error) {
 					return nil, fail("bad bit width %q", parts[1])
 				}
 				b.ToBits(lc, n)
-				continue
+				break // out of the switch, to the bound check
 			}
 			eq := strings.Index(rest, "==")
 			if eq < 0 {
@@ -127,6 +129,9 @@ func Compile(f *ff.Field, src string) (*Program, error) {
 			b.AssertEqual(lhs, rhs)
 		default:
 			return nil, fail("unknown statement %q", fields[0])
+		}
+		if err := b.Err(); err != nil {
+			return nil, fail("%v", err)
 		}
 	}
 	prog.System = b.Build()

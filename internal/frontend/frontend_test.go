@@ -1,7 +1,9 @@
 package frontend
 
 import (
+	"strings"
 	"testing"
+	"time"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -34,7 +36,7 @@ func TestCubicProgram(t *testing.T) {
 		secret x
 		let y = x^3 + x + 5
 		assert y == out
-	`)
+	`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +65,7 @@ func TestOperatorsAndPrecedence(t *testing.T) {
 		assert (2+3)*4 == 20
 		assert -x + x == 0
 		assert x*x == x^2
-	`)
+	`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +79,7 @@ func TestBitsRangeCheck(t *testing.T) {
 	p, err := Compile(field(t), `
 		secret x
 		assert bits(x, 8)
-	`)
+	`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestDivisionSemantics(t *testing.T) {
 		secret b
 		let q = a / b
 		assert q * b == a
-	`)
+	`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +132,7 @@ func TestCompileErrors(t *testing.T) {
 		"secret x\nlet y = x $ 1",              // bad character
 	}
 	for _, src := range bad {
-		if _, err := Compile(f, src); err == nil {
+		if _, err := Compile(f, src, 0); err == nil {
 			t.Errorf("compiled invalid program %q", src)
 		}
 	}
@@ -146,7 +148,7 @@ func TestFrontendToGroth16(t *testing.T) {
 		assert bits(salt, 16)
 		let commitment = (x + salt)^2 + x
 		assert commitment == out
-	`)
+	`, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +175,34 @@ func TestFrontendToGroth16(t *testing.T) {
 }
 
 func TestCommentsAndSeparators(t *testing.T) {
-	p, err := Compile(field(t), "secret x; let y = x*x // square\n assert y == x^2")
+	p, err := Compile(field(t), "secret x; let y = x*x // square\n assert y == x^2", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w := solve(t, p, nil, []uint64{9})
 	if err := p.System.IsSatisfied(w); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompileScalesLinearly: the builder's LC algebra is a sorted merge,
+// so a source of L range checks of a 252-bit value (≈ 253·L constraints)
+// compiles in time linear in L. With Add rescanning every wire it was
+// quadratic, and this L ran past a 90 s timeout on a 2-core VM.
+func TestCompileScalesLinearly(t *testing.T) {
+	const lines = 400
+	src := "secret x\n" + strings.Repeat("assert bits(x, 252)\n", lines)
+	start := time.Now()
+	p, err := Compile(field(t), src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	t.Logf("%d lines, %d constraints: %v", lines, len(p.System.Constraints), took)
+	if got := len(p.System.Constraints); got != lines*253 {
+		t.Fatalf("%d constraints, want %d", got, lines*253)
+	}
+	if took > 20*time.Second {
+		t.Fatalf("compiling %d lines took %v", lines, took)
 	}
 }

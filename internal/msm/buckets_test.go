@@ -443,10 +443,13 @@ func TestTableOwnsItsPoints(t *testing.T) {
 // TestPreprocessAllocsBounded: building a kept M = 1 table allocates a
 // number of times independent of n — one slab, one mask, one Jacobian
 // scratch and each level's worker setup, no per-point allocation — on G1
-// and G2 at a fixed window and worker count.
+// and G2 at a fixed window and worker count. All levels share one scope,
+// so the count stays under what the build made with a goroutine pool per
+// level (1,434 and 1,154; a scope per level made 1,630 and 1,350).
 func TestPreprocessAllocsBounded(t *testing.T) {
 	bn := curve.Get(curve.BN254)
 	cfg := Config{Strategy: GZKP, SignedBuckets: true, WindowBits: 9, CheckpointInterval: 1, Workers: 2}
+	bound := map[*curve.Group]float64{bn.G1: 1434, bn.G2: 1154}
 	for _, g := range []*curve.Group{bn.G1, bn.G2} {
 		measure := func(n int) float64 {
 			points, _ := testVectors(g, n, 89, 0)
@@ -460,6 +463,9 @@ func TestPreprocessAllocsBounded(t *testing.T) {
 		t.Logf("%s: %v allocations at n = 256, %v at n = 2048", g.Name, small, large)
 		if large > small+8 {
 			t.Errorf("%s: %v allocations at n = 2048 vs %v at n = 256: the build allocates per point", g.Name, large, small)
+		}
+		if large > bound[g] {
+			t.Errorf("%s: %v allocations at n = 2048, want at most %v", g.Name, large, bound[g])
 		}
 	}
 }

@@ -2,6 +2,7 @@ package msm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -142,25 +143,36 @@ func newTable(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Co
 	// Level c from level c−1: M·k doublings per point into one Jacobian
 	// scratch of n X‖Y‖Z rows, then one batch normalisation into the slab.
 	jac := make([]uint64, 3*w*n)
-	for c := 1; c < checkpoints; c++ {
-		prev := (c - 1) * n
-		err := par.ItemsErr(ctx, (n+buildRows-1)/buildRows, cfg.workers(), g.NewOps,
-			func(ops *curve.Ops, item int) error {
-				for i := item * buildRows; i < min((item+1)*buildRows, n); i++ {
-					b := jac[3*w*i : 3*w*(i+1)]
-					acc := curve.Jacobian{X: b[:w:w], Y: b[w : 2*w : 2*w], Z: b[2*w:]}
-					xy, inf := t.point(prev + i)
-					ops.FromAffine(&acc, curve.Affine{X: xy[:w], Y: xy[w:], Inf: inf})
-					for d := 0; d < m*k; d++ {
-						ops.DoubleAssign(&acc)
+	levels := func(ctx context.Context) error {
+		for c := 1; c < checkpoints; c++ {
+			prev := (c - 1) * n
+			err := par.ItemsErr(ctx, (n+buildRows-1)/buildRows, cfg.workers(), g.NewOps,
+				func(ops *curve.Ops, item int) error {
+					for i := item * buildRows; i < min((item+1)*buildRows, n); i++ {
+						b := jac[3*w*i : 3*w*(i+1)]
+						acc := curve.Jacobian{X: b[:w:w], Y: b[w : 2*w : 2*w], Z: b[2*w:]}
+						xy, inf := t.point(prev + i)
+						ops.FromAffine(&acc, curve.Affine{X: xy[:w], Y: xy[w:], Inf: inf})
+						for d := 0; d < m*k; d++ {
+							ops.DoubleAssign(&acc)
+						}
 					}
-				}
-				return nil
-			})
-		if err != nil {
-			return nil, err
+					return nil
+				})
+			if err != nil {
+				return err
+			}
+			g.BatchNormalize(t.slab[2*w*c*n:2*w*(c+1)*n], t.inf[c*n:(c+1)*n], jac)
 		}
-		g.BatchNormalize(t.slab[2*w*c*n:2*w*(c+1)*n], t.inf[c*n:(c+1)*n], jac)
+		return nil
+	}
+	// Every level is a fan of one scope: the caller's, or one opened here.
+	err := par.Run(ctx, cfg.workers(), func(ctx context.Context, _ *par.List) error { return levels(ctx) })
+	if errors.Is(err, par.ErrNested) {
+		err = levels(ctx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

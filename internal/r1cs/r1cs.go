@@ -1,7 +1,8 @@
 // Package r1cs provides the rank-1 constraint systems that feed the
 // Groth16 pipeline: a circuit builder with the usual gadget library
 // (arithmetic, booleans, bit decomposition, comparisons, MiMC hashing), a
-// witness solver driven by builder-recorded hints, and satisfaction checks.
+// witness solver that runs the builder's straight-line hint program, and
+// satisfaction checks.
 //
 // The witness vector follows the Groth16 convention z = (1, public...,
 // private...): index 0 is the constant ONE wire.
@@ -39,30 +40,50 @@ type System struct {
 	NumVars     int // total wires incl. ONE and internals
 	Constraints []Constraint
 
-	hints []hint
+	ops []op
 }
 
-type hint struct {
-	out Variable
-	fn  func(f *ff.Field, w []ff.Element) (ff.Element, error)
+// opcode says what an op computes from its operands' values x and y.
+type opcode uint8
+
+const (
+	opMul    opcode = iota // out = x·y
+	opInv                  // out = x⁻¹; x = 0 is an error
+	opIsZero               // out = x⁻¹ (0 for x = 0), out+1 = [x = 0]
+	opBits                 // out+i = bit i of x, for i < n
+)
+
+// op is one step of the solver's hint program: it sets the n wires from
+// out on. Its operands are the LCs its gadget's constraint stores.
+type op struct {
+	code opcode
+	out  Variable
+	n    int
+	x, y LC
 }
 
-// Builder accumulates constraints and solver hints.
+// Builder accumulates constraints and the solver's hint program.
 type Builder struct {
 	f         *ff.Field
 	numPublic int
 	numSecret int
 	numVars   int
-	frozen    bool // true once a non-input wire exists: no more publics
+	frozen    bool  // true once a non-input wire exists: no more publics
+	max       int   // constraints allowed; 0 is no bound
+	err       error // set once the circuit passes max
 	cons      []Constraint
-	hints     []hint
-	names     map[Variable]string
+	ops       []op
 }
 
 // NewBuilder starts a circuit over f.
-func NewBuilder(f *ff.Field) *Builder {
-	return &Builder{f: f, numVars: 1, names: map[Variable]string{0: "one"}}
-}
+func NewBuilder(f *ff.Field) *Builder { return &Builder{f: f, numVars: 1} }
+
+// Limit bounds the circuit at max constraints. Past it the builder records
+// nothing more, and Err says so.
+func (b *Builder) Limit(max int) { b.max = max }
+
+// Err reports a circuit that passed its Limit.
+func (b *Builder) Err() error { return b.err }
 
 // Field returns the builder's field.
 func (b *Builder) Field() *ff.Field { return b.f }
@@ -83,35 +104,46 @@ func (b *Builder) Public(name string) (LC, error) {
 	if b.frozen || b.numSecret > 0 {
 		return nil, fmt.Errorf("r1cs: public input %q declared after non-public allocation", name)
 	}
-	v := Variable(b.numVars)
-	b.numVars++
 	b.numPublic++
-	b.names[v] = name
-	return LC{{V: v, Coeff: b.f.One()}}, nil
+	b.numVars++
+	return b.wire(Variable(b.numVars - 1)), nil
 }
 
 // Secret declares the next secret (prover-supplied) input.
 func (b *Builder) Secret(name string) LC {
-	v := Variable(b.numVars)
-	b.numVars++
 	b.numSecret++
-	b.names[v] = name
-	return LC{{V: v, Coeff: b.f.One()}}
-}
-
-// alloc creates an internal wire computed by fn during solving.
-func (b *Builder) alloc(name string, fn func(f *ff.Field, w []ff.Element) (ff.Element, error)) Variable {
-	b.frozen = true
-	v := Variable(b.numVars)
 	b.numVars++
-	b.names[v] = name
-	b.hints = append(b.hints, hint{out: v, fn: fn})
-	return v
+	return b.wire(Variable(b.numVars - 1))
 }
 
-// addConstraint appends A·B = C.
-func (b *Builder) addConstraint(a, bb, c LC) {
-	b.cons = append(b.cons, Constraint{A: copyLC(b.f, a), B: copyLC(b.f, bb), C: copyLC(b.f, c)})
+// wire returns the LC 1·v.
+func (b *Builder) wire(v Variable) LC { return LC{{V: v, Coeff: b.f.One()}} }
+
+// alloc creates n internal wires, set by one op during solving, and
+// returns the first.
+func (b *Builder) alloc(n int) Variable {
+	b.frozen = true
+	b.numVars += n
+	return Variable(b.numVars - n)
+}
+
+// addConstraint appends A·B = C and returns the stored copy, or nothing
+// once the circuit passes its bound.
+func (b *Builder) addConstraint(a, bb, c LC) Constraint {
+	if b.max > 0 && len(b.cons) >= b.max {
+		b.err = fmt.Errorf("r1cs: the circuit passes its bound of %d constraints", b.max)
+		return Constraint{}
+	}
+	con := Constraint{A: copyLC(b.f, a), B: copyLC(b.f, bb), C: copyLC(b.f, c)}
+	b.cons = append(b.cons, con)
+	return con
+}
+
+// hint appends o to the solver's program.
+func (b *Builder) hint(o op) {
+	if b.err == nil {
+		b.ops = append(b.ops, o)
+	}
 }
 
 // Build finalizes the system.
@@ -122,7 +154,7 @@ func (b *Builder) Build() *System {
 		NumSecret:   b.numSecret,
 		NumVars:     b.numVars,
 		Constraints: b.cons,
-		hints:       b.hints,
+		ops:         b.ops,
 	}
 }
 
@@ -136,23 +168,23 @@ func copyLC(f *ff.Field, a LC) LC {
 	return out
 }
 
-// Add returns a+b as an LC (merging like terms).
+// Add returns x+y. Every LC the builder makes is sorted by variable, one
+// term each, so this is one merge; terms whose coefficient is 0 drop out.
 func (b *Builder) Add(x, y LC) LC {
-	merged := map[Variable]ff.Element{}
-	for _, t := range x {
-		merged[t.V] = b.f.Copy(t.Coeff)
-	}
-	for _, t := range y {
-		if c, ok := merged[t.V]; ok {
-			b.f.Add(c, c, t.Coeff)
-		} else {
-			merged[t.V] = b.f.Copy(t.Coeff)
+	out := make(LC, 0, len(x)+len(y))
+	for len(x) > 0 || len(y) > 0 {
+		var t Term
+		switch {
+		case len(y) == 0 || len(x) > 0 && x[0].V < y[0].V:
+			t, x = Term{V: x[0].V, Coeff: b.f.Copy(x[0].Coeff)}, x[1:]
+		case len(x) == 0 || y[0].V < x[0].V:
+			t, y = Term{V: y[0].V, Coeff: b.f.Copy(y[0].Coeff)}, y[1:]
+		default:
+			t = Term{V: x[0].V, Coeff: b.f.Add(b.f.New(), x[0].Coeff, y[0].Coeff)}
+			x, y = x[1:], y[1:]
 		}
-	}
-	out := make(LC, 0, len(merged))
-	for v := 0; v < b.numVars; v++ {
-		if c, ok := merged[Variable(v)]; ok && !b.f.IsZero(c) {
-			out = append(out, Term{V: Variable(v), Coeff: c})
+		if !b.f.IsZero(t.Coeff) {
+			out = append(out, t)
 		}
 	}
 	return out
@@ -193,12 +225,10 @@ func EvalLCTo(f *ff.Field, dst, tmp ff.Element, lc LC, w []ff.Element) ff.Elemen
 
 // Mul allocates x·y.
 func (b *Builder) Mul(x, y LC) LC {
-	xc, yc := copyLC(b.f, x), copyLC(b.f, y)
-	v := b.alloc("mul", func(f *ff.Field, w []ff.Element) (ff.Element, error) {
-		return f.Mul(f.New(), EvalLC(f, xc, w), EvalLC(f, yc, w)), nil
-	})
-	out := LC{{V: v, Coeff: b.f.One()}}
-	b.addConstraint(x, y, out)
+	v := b.alloc(1)
+	out := b.wire(v)
+	c := b.addConstraint(x, y, out)
+	b.hint(op{code: opMul, out: v, n: 1, x: c.A, y: c.B})
 	return out
 }
 
@@ -207,16 +237,10 @@ func (b *Builder) Square(x LC) LC { return b.Mul(x, x) }
 
 // Inverse allocates x⁻¹ and asserts x·x⁻¹ = 1 (unsatisfiable when x = 0).
 func (b *Builder) Inverse(x LC) LC {
-	xc := copyLC(b.f, x)
-	v := b.alloc("inv", func(f *ff.Field, w []ff.Element) (ff.Element, error) {
-		val := EvalLC(f, xc, w)
-		if f.IsZero(val) {
-			return nil, fmt.Errorf("r1cs: inverse of zero wire")
-		}
-		return f.Inverse(val), nil
-	})
-	out := LC{{V: v, Coeff: b.f.One()}}
-	b.addConstraint(x, out, b.One())
+	v := b.alloc(1)
+	out := b.wire(v)
+	c := b.addConstraint(x, out, b.One())
+	b.hint(op{code: opInv, out: v, n: 1, x: c.A})
 	return out
 }
 
@@ -234,22 +258,13 @@ func (b *Builder) AssertBool(x LC) {
 // IsZero returns a boolean wire that is 1 iff x == 0 (standard m-gadget:
 // r = 1 - x·m, x·r = 0, with m hinted to x⁻¹ or 0).
 func (b *Builder) IsZero(x LC) LC {
-	xc := copyLC(b.f, x)
-	m := b.alloc("iszero.m", func(f *ff.Field, w []ff.Element) (ff.Element, error) {
-		return f.Inverse(EvalLC(f, xc, w)), nil // Inverse(0) = 0 by ff convention
-	})
-	r := b.alloc("iszero.r", func(f *ff.Field, w []ff.Element) (ff.Element, error) {
-		if f.IsZero(EvalLC(f, xc, w)) {
-			return f.One(), nil
-		}
-		return f.Zero(), nil
-	})
-	mLC := LC{{V: m, Coeff: b.f.One()}}
-	rLC := LC{{V: r, Coeff: b.f.One()}}
+	m := b.alloc(2)
+	rLC := b.wire(m + 1)
 	// x·m = 1 - r
-	b.addConstraint(x, mLC, b.Sub(b.One(), rLC))
+	c := b.addConstraint(x, b.wire(m), b.Sub(b.One(), rLC))
 	// x·r = 0
 	b.addConstraint(x, rLC, LC{})
+	b.hint(op{code: opIsZero, out: m, n: 2, x: c.A})
 	return rLC
 }
 
@@ -262,23 +277,19 @@ func (b *Builder) Select(cond, t, e LC) LC {
 // ToBits decomposes x into n boolean wires (little-endian) and asserts the
 // recomposition, constraining x < 2^n.
 func (b *Builder) ToBits(x LC, n int) []LC {
-	xc := copyLC(b.f, x)
+	v := b.alloc(n)
 	bits := make([]LC, n)
-	sum := LC{}
+	sum := make(LC, n) // Σ 2^i·bit_i, already sorted
 	two := b.f.FromUint64(2)
 	coeff := b.f.One()
-	for i := 0; i < n; i++ {
-		i := i
-		v := b.alloc(fmt.Sprintf("bit%d", i), func(f *ff.Field, w []ff.Element) (ff.Element, error) {
-			val := f.ToBig(EvalLC(f, xc, w))
-			return f.FromUint64(uint64(val.Bit(i))), nil
-		})
-		bits[i] = LC{{V: v, Coeff: b.f.One()}}
+	for i := range bits {
+		bits[i] = b.wire(v + Variable(i))
 		b.AssertBool(bits[i])
-		sum = b.Add(sum, b.Scale(bits[i], coeff))
+		sum[i] = Term{V: v + Variable(i), Coeff: coeff}
 		coeff = b.f.Mul(b.f.New(), coeff, two)
 	}
-	b.AssertEqual(sum, x)
+	c := b.addConstraint(sum, b.One(), x) // AssertEqual(sum, x)
+	b.hint(op{code: opBits, out: v, n: n, x: c.C})
 	return bits
 }
 
@@ -304,7 +315,8 @@ func (b *Builder) AssertLessEq(x, y LC, n int) {
 // --- Solving & checking ---
 
 // Solve computes the full witness from declared inputs: publics and
-// secrets in declaration order.
+// secrets in declaration order. It runs the hint program in place over one
+// witness slab, with one scratch pair for every op.
 func (s *System) Solve(public, secret []ff.Element) ([]ff.Element, error) {
 	if len(public) != s.NumPublic {
 		return nil, fmt.Errorf("r1cs: want %d public inputs, got %d", s.NumPublic, len(public))
@@ -312,25 +324,53 @@ func (s *System) Solve(public, secret []ff.Element) ([]ff.Element, error) {
 	if len(secret) != s.NumSecret {
 		return nil, fmt.Errorf("r1cs: want %d secret inputs, got %d", s.NumSecret, len(secret))
 	}
-	w := make([]ff.Element, s.NumVars)
-	w[0] = s.F.One()
+	f := s.F
+	w := f.NewVector(s.NumVars)
+	one := f.SetOne(w[0])
 	for i, v := range public {
-		w[1+i] = s.F.Copy(v)
+		copy(w[1+i], v)
 	}
 	for i, v := range secret {
-		w[1+s.NumPublic+i] = s.F.Copy(v)
+		copy(w[1+s.NumPublic+i], v)
 	}
-	for _, h := range s.hints {
-		val, err := h.fn(s.F, w)
-		if err != nil {
-			return nil, err
+	bit := func(z ff.Element, set bool) {
+		if clear(z); set {
+			f.Set(z, one)
 		}
-		w[h.out] = val
 	}
-	for i := range w {
-		if w[i] == nil {
-			return nil, fmt.Errorf("r1cs: wire %d left unassigned", i)
+	t := f.NewVector(2)
+	x, tmp := t[0], t[1]
+	// Wires below next are set: the inputs, then each op's outputs in
+	// order. A secret declared after an internal wire leaves a gap.
+	next := Variable(1 + s.NumPublic + s.NumSecret)
+	for _, o := range s.ops {
+		z := w[o.out]
+		EvalLCTo(f, x, tmp, o.x, w)
+		switch o.code {
+		case opMul:
+			f.Mul(z, x, EvalLCTo(f, z, tmp, o.y, w))
+		case opInv:
+			if f.IsZero(x) {
+				return nil, fmt.Errorf("r1cs: inverse of zero wire")
+			}
+			f.InverseTo(z, x)
+		case opIsZero:
+			f.InverseTo(z, x) // 0 for x = 0
+			bit(w[o.out+1], f.IsZero(x))
+		case opBits:
+			clear(tmp)
+			tmp[0] = 1
+			f.Mul(x, x, tmp) // out of Montgomery form: x's canonical limbs
+			for i := range o.n {
+				bit(w[int(o.out)+i], i < 64*len(x) && x[i/64]>>(i%64)&1 == 1)
+			}
 		}
+		if o.out <= next {
+			next = max(next, o.out+Variable(o.n))
+		}
+	}
+	if int(next) < s.NumVars {
+		return nil, fmt.Errorf("r1cs: wire %d left unassigned", next)
 	}
 	return w, nil
 }
@@ -341,13 +381,13 @@ func (s *System) IsSatisfied(w []ff.Element) error {
 		return fmt.Errorf("r1cs: witness length %d != %d wires", len(w), s.NumVars)
 	}
 	f := s.F
-	lhs := f.New()
+	t := f.NewVector(4)
+	a, bb, cc, lhs := t[0], t[1], t[2], t[3]
 	for i, c := range s.Constraints {
-		a := EvalLC(f, c.A, w)
-		bb := EvalLC(f, c.B, w)
-		cc := EvalLC(f, c.C, w)
-		f.Mul(lhs, a, bb)
-		if !f.Equal(lhs, cc) {
+		EvalLCTo(f, a, lhs, c.A, w)
+		EvalLCTo(f, bb, lhs, c.B, w)
+		EvalLCTo(f, cc, lhs, c.C, w)
+		if !f.Equal(f.Mul(lhs, a, bb), cc) {
 			return fmt.Errorf("r1cs: constraint %d unsatisfied: %s·%s != %s",
 				i, f.String(a), f.String(bb), f.String(cc))
 		}

@@ -323,7 +323,10 @@ func curveByName(name string) (curve.ID, error) {
 // compileSpec builds the circuit entry (system + wire names) for a spec;
 // shared by Register (which then runs its own setup) and RegisterImported
 // (which installs keys produced elsewhere). budget is the MSM memory
-// budget (0 = 1 GiB) that bounds a synthetic circuit's size.
+// budget (0 = 1 GiB) that bounds a circuit's size: the proving key holds
+// four G1 vectors and one G2 vector of about n points each, so a circuit
+// whose points alone overrun the budget is refused before it is built
+// further.
 func compileSpec(spec CircuitSpec, budget int64) (*circuitEntry, error) {
 	cid, err := curveByName(spec.Curve)
 	if err != nil {
@@ -331,9 +334,13 @@ func compileSpec(spec CircuitSpec, budget int64) (*circuitEntry, error) {
 	}
 	c := curve.Get(cid)
 	e := &circuitEntry{id: CircuitIDFor(spec), spec: spec, curveID: cid}
+	if budget <= 0 {
+		budget = 1 << 30
+	}
+	maxN := budget / int64(16*(4*c.G1.K.Words()+c.G2.K.Words()))
 	switch {
 	case spec.Source != "":
-		prog, err := frontend.Compile(c.Fr, spec.Source)
+		prog, err := frontend.Compile(c.Fr, spec.Source, int(max(maxN, 1)))
 		if err != nil {
 			return nil, &InputError{Msg: fmt.Sprintf("compile: %v", err)}
 		}
@@ -341,13 +348,7 @@ func compileSpec(spec CircuitSpec, budget int64) (*circuitEntry, error) {
 		e.publicNames = prog.PublicNames
 		e.secretNames = prog.SecretNames
 	case spec.SyntheticSize > 0:
-		// The proving key holds four G1 vectors and one G2 vector of about
-		// n points each: refuse an n whose points alone overrun the budget
-		// before building anything.
-		if budget <= 0 {
-			budget = 1 << 30
-		}
-		if per := int64(16 * (4*c.G1.K.Words() + c.G2.K.Words())); int64(spec.SyntheticSize) > budget/per {
+		if int64(spec.SyntheticSize) > maxN {
 			return nil, &InputError{Msg: fmt.Sprintf("synthetic_size %d: the proving key's points overrun the %d-byte MSM memory budget",
 				spec.SyntheticSize, budget)}
 		}

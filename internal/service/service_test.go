@@ -671,6 +671,30 @@ func TestRegisterRejectsOversizedSynthetic(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsOversizedSource: a source circuit is priced by the
+// same MSM memory budget as a synthetic one while it compiles. 64 KiB
+// allows 170 BN254 constraints, so one 200-bit range check (201
+// constraints) gets a 400, and a 2,000-line source of them is refused
+// after its first line, with the same bounded allocation.
+func TestRegisterRejectsOversizedSource(t *testing.T) {
+	cfg := fastConfig()
+	cfg.MSM.MemoryBudget = 64 << 10
+	_, srv := newTestServer(t, cfg)
+	for _, lines := range []int{1, 2000} {
+		src := "secret x\n" + strings.Repeat("assert bits(x, 200)\n", lines)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		resp, body := postJSON(t, srv.URL+"/v1/circuits", CircuitSpec{Curve: "bn254", Source: src})
+		runtime.ReadMemStats(&m1)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("register %d range checks under a 64 KiB budget: %d %s, want 400", lines, resp.StatusCode, body)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 4<<20 {
+			t.Fatalf("the refused %d-line registration allocated %d bytes", lines, got)
+		}
+	}
+}
+
 // TestDrainCountsOnlyItsWindow: DrainReport.Finished counts the jobs that
 // finished during the drain, not those finished before it began.
 func TestDrainCountsOnlyItsWindow(t *testing.T) {
