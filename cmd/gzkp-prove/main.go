@@ -27,7 +27,6 @@ import (
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
 	"gzkp/internal/frontend"
-	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
 	"gzkp/internal/r1cs"
 	"gzkp/internal/telemetry"
@@ -44,8 +43,6 @@ func main() {
 		publicVals  = flag.String("public", "", "comma-separated public inputs for -circuit")
 		secretVals  = flag.String("secret", "", "comma-separated secret inputs for -circuit")
 		timeout     = flag.Duration("timeout", 0, "abort preprocessing+proving after this duration (0 = no limit)")
-		faultSpec   = flag.String("inject-faults", "", `deterministic fault plan, e.g. "transient:0@8x2,oom:0@7" (kinds kill|transient|oom|panic, format KIND:DEV@STEP[xN], @? = seeded random step)`)
-		faultSeed   = flag.Int64("fault-seed", 1, "seed resolving @? fault steps")
 		tracePath   = flag.String("trace", "", "write a Chrome trace_event JSON timeline here (load in Perfetto or chrome://tracing)")
 		jsonlPath   = flag.String("jsonl", "", "write the span/event/metric log as JSON lines here")
 		showStats   = flag.Bool("stats", false, "print the telemetry summary and aggregated MSM totals after proving")
@@ -76,11 +73,6 @@ func main() {
 	if !ok {
 		fmt.Fprintf(os.Stderr, "gzkp-prove: unknown prover %q\n", *prover)
 		os.Exit(2)
-	}
-	if *faultSpec != "" {
-		plan, err := gpusim.ParseFaultPlan(*faultSpec, *faultSeed)
-		die(err)
-		cfg.Faults = plan
 	}
 	ctx := context.Background()
 	if *timeout > 0 {

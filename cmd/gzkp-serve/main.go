@@ -1,5 +1,5 @@
 // Command gzkp-serve runs the proving service: an HTTP front end over the
-// bounded job queue, its two dispatch slots and the fault-tolerant prover of
+// bounded job queue, its two dispatch slots and the prover of
 // internal/service. On SIGINT/SIGTERM it drains gracefully — stops
 // accepting, finishes in-flight jobs, and checkpoints anything still
 // queued to -checkpoint so a successor process (started with the same
@@ -20,7 +20,6 @@ import (
 	"syscall"
 	"time"
 
-	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
 	"gzkp/internal/service"
 	"gzkp/internal/telemetry"
@@ -33,8 +32,6 @@ func main() {
 		maxBatch   = flag.Int("max-batch", 4, "max same-circuit jobs per dispatch")
 		prover     = flag.String("prover", "gzkp", "gzkp | baseline | cpu")
 		preprocess = flag.Bool("preprocess", false, "build GZKP MSM tables at circuit registration: table memory for ~1.3x faster MSMs (off: MSMs build no table)")
-		faultSpec  = flag.String("inject-faults", "", `deterministic fault plan, device 0 is this node's prover, e.g. "kill:0@30" (see gzkp-prove)`)
-		faultSeed  = flag.Int64("fault-seed", 1, "seed resolving @? fault steps")
 		checkpoint = flag.String("checkpoint", "", "drain checkpoint path: written on shutdown deadline, restored at startup if present")
 		drainWait  = flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight jobs on shutdown")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
@@ -57,11 +54,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.NTT, cfg.MSM = pc.NTT, pc.MSM
-	if *faultSpec != "" {
-		plan, err := gpusim.ParseFaultPlan(*faultSpec, *faultSeed)
-		die(err)
-		cfg.Faults = plan
-	}
 
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {

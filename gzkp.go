@@ -199,6 +199,9 @@ func (c *Circuit) Compile() (*Compiled, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
+	if err := c.b.Err(); err != nil {
+		return nil, err
+	}
 	sys := c.b.Build()
 	if len(sys.Constraints) == 0 {
 		return nil, fmt.Errorf("gzkp: circuit has no constraints")

@@ -72,6 +72,19 @@ func TestEmptyCircuitRejected(t *testing.T) {
 	}
 }
 
+// A secret declared after an internal wire could never be solved (secrets
+// sit before every internal wire), so Compile refuses the circuit.
+func TestSecretAfterWireRejected(t *testing.T) {
+	c := NewCircuit(BN254)
+	x := c.Secret("x")
+	y := c.Mul(x, x)
+	z := c.Secret("z")
+	c.AssertEqual(c.Mul(z, x), y)
+	if _, err := c.Compile(); err == nil {
+		t.Fatal("circuit with a secret after an internal wire compiled")
+	}
+}
+
 func TestProofSerializationRoundTrip(t *testing.T) {
 	cc, w := buildCubic(t, BN254)
 	pk, vk, err := Setup(cc, nil)

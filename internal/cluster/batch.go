@@ -52,13 +52,6 @@ func (c *Coordinator) ProveBatch(traceID, circuitID string, inputs []service.Pro
 			if len(out.Jobs) != k {
 				return fmt.Errorf("cluster: batch %s: node answered %d jobs, want %d", key, len(out.Jobs), k)
 			}
-			// A member lost with the node's prover moves the whole batch:
-			// re-proving its done members elsewhere is harmless.
-			for _, js := range out.Jobs {
-				if js.State == "failed" && service.ProverLost(js.Error) {
-					return errProverLost("batch "+key, js.Error)
-				}
-			}
 			return nil
 		},
 	})

@@ -11,7 +11,6 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
-	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
@@ -66,20 +65,10 @@ func (n *testNode) kill() {
 // test-speed probing and retries.
 func startCluster(t *testing.T, count int, tune func(*Config)) (*Coordinator, []*testNode) {
 	t.Helper()
-	cfgs := make([]service.Config, count)
-	for i := range cfgs {
-		cfgs[i] = fastNodeConfig()
-	}
-	return startClusterWith(t, cfgs, tune)
-}
-
-// startClusterWith is startCluster with one service config per node.
-func startClusterWith(t *testing.T, cfgs []service.Config, tune func(*Config)) (*Coordinator, []*testNode) {
-	t.Helper()
 	var nodes []*testNode
 	var specs []NodeSpec
-	for i, cfg := range cfgs {
-		svc := service.New(cfg)
+	for i := range count {
+		svc := service.New(fastNodeConfig())
 		srv := httptest.NewServer(service.NewHandler(svc))
 		n := &testNode{name: fmt.Sprintf("node-%d", i), svc: svc, srv: srv}
 		nodes = append(nodes, n)
@@ -213,161 +202,6 @@ func TestClusterKillNodeMidLoad(t *testing.T) {
 	}
 	if got := reg.Counter("cluster.evictions").Value(); got < 1 {
 		t.Fatalf("evictions counter %d, want >= 1", got)
-	}
-}
-
-// TestClusterEvictsLostProverNode: a node whose prover is lost still
-// answers HTTP, but its /readyz turns 503. The prober must evict it within
-// FailThreshold probe rounds of its first dispatch, and jobs submitted
-// after that must prove on the other replica.
-func TestClusterEvictsLostProverNode(t *testing.T) {
-	lost := fastNodeConfig()
-	plan, err := gpusim.ParseFaultPlan("kill:0@0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lost.Faults = plan
-	c, nodes := startClusterWith(t, []service.Config{lost, fastNodeConfig()}, nil)
-	info, err := c.Register(cubicSpec)
-	if err != nil {
-		t.Fatalf("register: %v", err)
-	}
-
-	// The lost node's first dispatch kills its prover.
-	if _, err := nodes[0].svc.Register(cubicSpec); err != nil {
-		t.Fatal(err)
-	}
-	j, err := nodes[0].svc.Submit(info.CircuitID, []string{"35"}, []string{"3"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-j.Done():
-	case <-time.After(10 * time.Second):
-		t.Fatal("job on the lost node never finished")
-	}
-	if j.State() != service.JobFailed || nodes[0].svc.Ready() {
-		t.Fatalf("after the loss: job %v, node ready %v; want failed and not ready",
-			j.State(), nodes[0].svc.Ready())
-	}
-	probes := func() int64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.nodes[nodes[0].name].cProbes.Value()
-	}
-	alive := func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.nodes[nodes[0].name].alive
-	}
-	atLoss := probes()
-	for deadline := time.Now().Add(10 * time.Second); alive(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("node with a lost prover never evicted")
-		}
-	}
-	if rounds := probes() - atLoss; rounds > int64(c.cfg.FailThreshold) {
-		t.Fatalf("evicted after %d probe rounds, want at most FailThreshold = %d", rounds, c.cfg.FailThreshold)
-	}
-
-	for i := 0; i < 4; i++ {
-		j, err := c.Submit(info.CircuitID, []string{"35"}, []string{"3"})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		select {
-		case <-j.Done():
-		case <-time.After(30 * time.Second):
-			t.Fatalf("job %d never finished", i)
-		}
-		st := j.Status()
-		if j.State() != service.JobDone || st.Node != nodes[1].name {
-			t.Fatalf("job %d state %v on %q, want done on %s (status: %+v)", i, j.State(), st.Node, nodes[1].name, st)
-		}
-		verifyProof(t, info.VerifyingKey, st.Proof)
-	}
-}
-
-// TestClusterMigratesOffLostProver forwards a burst of jobs through the
-// coordinator to two replicas, one of which loses its prover mid-load.
-// The jobs that node was proving or had queued come back failed as
-// prover-lost, and later forwards are refused with a prover-lost 503; the
-// coordinator must move all of them to the other replica, so every job
-// ends done. The prober is parked, so the answers alone must drive the
-// migration and the eviction.
-func TestClusterMigratesOffLostProver(t *testing.T) {
-	lost := fastNodeConfig()
-	// 12 launches per proof: the prover dies on the node's second prove.
-	plan, err := gpusim.ParseFaultPlan("kill:0@12", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lost.Faults = plan
-	c, nodes := startClusterWith(t, []service.Config{lost, fastNodeConfig()}, func(cfg *Config) {
-		cfg.ProbeInterval = time.Hour
-	})
-	info, err := c.Register(cubicSpec)
-	if err != nil {
-		t.Fatalf("register: %v", err)
-	}
-	// Both replicas must hold the keys before the burst, or it all lands
-	// on the first holder.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		held := 0
-		for _, ns := range c.Nodes() {
-			if ns.Circuits > 0 {
-				held++
-			}
-		}
-		if held == len(nodes) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the circuit never replicated to both nodes")
-		}
-	}
-
-	const jobs = 12
-	var accepted []*Job
-	for i := 0; i < jobs; i++ {
-		j, err := c.Submit(info.CircuitID, []string{"35"}, []string{"3"})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		accepted = append(accepted, j)
-	}
-	for i, j := range accepted {
-		select {
-		case <-j.Done():
-		case <-time.After(60 * time.Second):
-			t.Fatalf("job %d (%s) never reached a terminal state", i, j.ID)
-		}
-		st := j.Status()
-		if j.State() != service.JobDone {
-			t.Fatalf("job %d state %v, want done (status: %+v)", i, j.State(), st)
-		}
-		verifyProof(t, info.VerifyingKey, st.Proof)
-		if st.Migrations > 0 && st.Node != nodes[1].name {
-			t.Fatalf("job %d migrated to %q, want %s", i, st.Node, nodes[1].name)
-		}
-	}
-	if nodes[0].svc.Ready() {
-		t.Fatal("the fault plan never reached the lost node's prover")
-	}
-	if got := nodes[0].svc.Registry().Counter("service.jobs.failed").Value(); got == 0 {
-		t.Fatal("no forwarded job failed on the lost node: the loss was not mid-load")
-	}
-	reg := c.Registry()
-	if got := reg.Counter("cluster.jobs.failed").Value(); got != 0 {
-		t.Fatalf("cluster.jobs.failed %d, want 0", got)
-	}
-	if got := reg.Counter("cluster.jobs.migrated").Value(); got == 0 {
-		t.Fatal("no job migrated off the lost node")
-	}
-	for _, ns := range c.Nodes() {
-		if ns.Name == nodes[0].name && ns.Alive {
-			t.Fatal("the lost node was never evicted")
-		}
 	}
 }
 

@@ -5,12 +5,12 @@
 // the dead, migrates in-flight and queued jobs off lost nodes, and
 // drains the whole cluster into one merged, restorable checkpoint.
 //
-// A node is the unit of failure: a node whose prover is lost fails its
-// stranded jobs and refuses new ones as prover-lost, and fails out of
-// readiness. The coordinator reads those answers as DeviceLost, and its
-// DeviceLost migration is the only path that survives the loss. The
-// coordinator reuses the service's resilience classes and checkpoint
-// format, so every layer of the system speaks one recovery vocabulary.
+// A node is the unit of failure: a node that cannot be reached (refused,
+// reset or hung-up connections) classifies as DeviceLost, takes a strike
+// and has its work migrated to another replica; a node that answers but is
+// not ready fails its readiness probe. The coordinator reuses the service's
+// checkpoint format and the resilience classes, so every layer of the
+// system speaks one recovery vocabulary.
 package cluster
 
 import (
@@ -934,8 +934,6 @@ func (c *Coordinator) runJob(j *Job, preferred string) {
 		},
 		settle: func(st *service.JobStatus) error {
 			switch {
-			case st.State == "failed" && service.ProverLost(st.Error):
-				return errProverLost("node "+j.nodeName(), st.Error)
 			case st.State == "done", st.State == "failed":
 				return nil
 			case st.State == "checkpointed" && c.isDraining():

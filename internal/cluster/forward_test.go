@@ -116,7 +116,7 @@ var twoInputs = []service.ProofInput{
 // verify-batch take the same action on each node answer, because they run
 // the same forward loop: 429 and 503 retry on the node (honoring
 // Retry-After), a 202 detach moves the work to the other node without a
-// strike, a dead connection or a lost prover moves it with one, and
+// strike, a dead connection moves it with one, and
 // 400/404 fail with the node's status.
 func TestForwardClassification(t *testing.T) {
 	kinds := []struct {
@@ -153,7 +153,6 @@ func TestForwardClassification(t *testing.T) {
 		{"400", answerJSON(400, "", service.APIError{Error: "bad input"}), fail, 0, 400},
 		{"404", answerJSON(404, "", service.APIError{Error: "unknown"}), fail, 0, 404},
 		{"hangup", hangUp, migrate, 1, 200},
-		{"prover-lost", answerJSON(503, "", service.APIError{Error: service.ErrProverLost.Error()}), migrate, 1, 200},
 	}
 	for _, ans := range answers {
 		for _, kind := range kinds {

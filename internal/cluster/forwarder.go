@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"gzkp/internal/resilience"
-	"gzkp/internal/service"
 	"gzkp/internal/telemetry"
 )
 
@@ -68,10 +67,6 @@ func (f *forwarder) do(ctx context.Context, method, url string, body, out any) (
 		return resp.StatusCode, err
 	}
 	if he := resilience.NewHTTPError(method+" "+url, resp.StatusCode, resp.Header); he != nil {
-		var ae service.APIError
-		if json.Unmarshal(data, &ae) == nil && service.ProverLost(ae.Error) {
-			return resp.StatusCode, errProverLost(url, ae.Error)
-		}
 		return resp.StatusCode, he
 	}
 	if out != nil {
@@ -123,13 +118,6 @@ func (f *forwarder) post(ctx context.Context, url string, req, out any) (int, er
 	status, err := f.do(ctx, http.MethodPost, url, req, out)
 	f.hForward.Record(time.Since(t0).Nanoseconds())
 	return status, err
-}
-
-// errProverLost is a node's report that its prover is lost — a refused
-// admission or a job failed by the loss — as a DeviceLost error: the node
-// takes a strike and the work moves to another replica.
-func errProverLost(where, msg string) error {
-	return fmt.Errorf("cluster: %s: %s: %w", where, msg, &resilience.DeviceLostError{})
 }
 
 // retryAfterOf extracts a server Retry-After hint from a classified error.

@@ -11,7 +11,7 @@ import (
 // probeLoop is the coordinator's failure detector: every ProbeInterval it
 // hits each node's /healthz and /readyz and scrapes /metrics. A failed
 // probe — a dead HTTP stack, or a node that answers but is not ready
-// (drained, or its prover lost) — is a strike; strikes accumulate with mid-request transport
+// (drained) — is a strike; strikes accumulate with mid-request transport
 // failures toward eviction. Probing readiness, not just liveness,
 // matters: a node that drained independently keeps serving /healthz 200
 // while rejecting every prove with 503, and placement must stop

@@ -220,31 +220,38 @@ func (p *parser) peek() string {
 }
 
 // sum := product (('+'|'-') product)*
+//
+// The terms are merged pairwise in a balanced tree of Adds, O(k log k) for
+// k names: a left fold would copy the running LC at every '+', O(k²).
 func (p *parser) sum() (r1cs.LC, error) {
 	lc, err := p.product()
 	if err != nil {
 		return nil, err
 	}
-	for {
-		switch p.peek() {
-		case "+":
-			p.pos++
-			r, err := p.product()
-			if err != nil {
-				return nil, err
-			}
-			lc = p.b.Add(lc, r)
-		case "-":
-			p.pos++
-			r, err := p.product()
-			if err != nil {
-				return nil, err
-			}
-			lc = p.b.Sub(lc, r)
-		default:
-			return lc, nil
+	terms := []r1cs.LC{lc}
+	for op := p.peek(); op == "+" || op == "-"; op = p.peek() {
+		p.pos++
+		r, err := p.product()
+		if err != nil {
+			return nil, err
 		}
+		if op == "-" {
+			r = p.b.Sub(nil, r)
+		}
+		terms = append(terms, r)
 	}
+	for len(terms) > 1 {
+		merged := terms[:0] // entry i/2 is written after entries i and i+1 are read
+		for i := 0; i < len(terms); i += 2 {
+			if i+1 == len(terms) {
+				merged = append(merged, terms[i])
+			} else {
+				merged = append(merged, p.b.Add(terms[i], terms[i+1]))
+			}
+		}
+		terms = merged
+	}
+	return terms[0], nil
 }
 
 // product := power (('*'|'/') power)*

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -204,5 +205,33 @@ func TestCompileScalesLinearly(t *testing.T) {
 	}
 	if took > 20*time.Second {
 		t.Fatalf("compiling %d lines took %v", lines, took)
+	}
+}
+
+// TestCompileSumScales: one sum of k distinct names compiles in O(k log k).
+// Folded left through Add, the running LC was copied at every '+': 986 ms
+// at k = 4,000 and ≈ 16× that at k = 16,000 on a 2-core VM.
+func TestCompileSumScales(t *testing.T) {
+	for _, k := range []int{4000, 16000} {
+		var src strings.Builder
+		names := make([]string, k)
+		for i := range names {
+			names[i] = fmt.Sprintf("x%d", i)
+			fmt.Fprintf(&src, "secret %s\n", names[i])
+		}
+		fmt.Fprintf(&src, "assert %s == 0\n", strings.Join(names, " + "))
+		start := time.Now()
+		p, err := Compile(field(t), src.String(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		t.Logf("k = %d (%d B of source): %v", k, src.Len(), took)
+		if got := len(p.System.Constraints[0].A); got != k {
+			t.Fatalf("k = %d: the sum has %d terms", k, got)
+		}
+		if took > 2*time.Second {
+			t.Fatalf("k = %d: compiling one sum took %v", k, took)
+		}
 	}
 }

@@ -48,10 +48,7 @@ type Device struct {
 	// Global memory capacity (for OOM checks, Fig. 9 / Table 7).
 	MemBytes int64
 
-	// Faults, when non-nil, injects scheduled faults into Run: every
-	// kernel launch consults the plan as logical device Index.
-	Faults *FaultPlan
-	// Index is this device's logical index in a FaultPlan / cluster.
+	// Index is this device's logical index: its telemetry track.
 	Index int
 	// Telemetry, when non-nil, records every priced kernel launch as an
 	// instant event on this device's track plus traffic/occupancy
@@ -144,11 +141,6 @@ type Result struct {
 
 // Run prices one kernel on the device.
 func (d *Device) Run(k Kernel) (Result, error) {
-	if d.Faults != nil {
-		if err := d.Faults.BeforeLaunch(d.Index); err != nil {
-			return Result{}, fmt.Errorf("gpusim: kernel %q: %w", k.Name, err)
-		}
-	}
 	if k.Blocks <= 0 || k.ThreadsPerBlock <= 0 {
 		return Result{}, fmt.Errorf("gpusim: kernel %q has empty grid", k.Name)
 	}

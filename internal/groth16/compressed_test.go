@@ -234,31 +234,45 @@ func TestCompressedRejectsCorruption(t *testing.T) {
 	}
 }
 
-// FuzzCompressedProofWire holds the canonicality invariant under arbitrary
-// input: any byte string the decoder accepts must re-encode bit-
-// identically, and the decoder must never panic.
+// FuzzCompressedProofWire holds the canonicality invariant of both proof
+// decoders under arbitrary input: any byte string UnmarshalCompressed or
+// UnmarshalBinary accepts must re-encode bit-identically in the format that
+// accepted it, and neither decoder may panic.
 func FuzzCompressedProofWire(f *testing.F) {
+	formats := []struct {
+		name   string
+		encode func(*Proof) ([]byte, error)
+		decode func(*Proof, []byte) error
+	}{
+		{"compressed", (*Proof).MarshalCompressed, (*Proof).UnmarshalCompressed},
+		{"binary", (*Proof).MarshalBinary, (*Proof).UnmarshalBinary},
+	}
 	for _, id := range []curve.ID{curve.BN254, curve.BLS12381} {
 		c := curve.Get(id)
-		p := &Proof{CurveID: id, A: c.G1.Generator(), B: c.G2.Generator(), C: c.G1.Generator()}
-		b, _ := p.MarshalCompressed()
-		f.Add(b)
+		gen := &Proof{CurveID: id, A: c.G1.Generator(), B: c.G2.Generator(), C: c.G1.Generator()}
 		inf := &Proof{CurveID: id, A: c.G1.Infinity(), B: c.G2.Infinity(), C: c.G1.Infinity()}
-		bi, _ := inf.MarshalCompressed()
-		f.Add(bi)
+		mixed := &Proof{CurveID: id, A: c.G1.Generator(), B: c.G2.Infinity(), C: c.G1.Generator()}
+		for _, format := range formats {
+			for _, p := range []*Proof{gen, inf, mixed} {
+				b, _ := format.encode(p)
+				f.Add(b)
+			}
+		}
 	}
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var p Proof
-		if err := p.UnmarshalCompressed(data); err != nil {
-			return
-		}
-		re, err := p.MarshalCompressed()
-		if err != nil {
-			t.Fatalf("decoded proof failed to re-encode: %v", err)
-		}
-		if !bytes.Equal(data, re) {
-			t.Fatalf("accepted non-canonical encoding:\n in: %x\nout: %x", data, re)
+		for _, format := range formats {
+			var p Proof
+			if err := format.decode(&p, data); err != nil {
+				continue
+			}
+			re, err := format.encode(&p)
+			if err != nil {
+				t.Fatalf("%s: decoded proof failed to re-encode: %v", format.name, err)
+			}
+			if !bytes.Equal(data, re) {
+				t.Fatalf("%s: accepted non-canonical encoding:\n in: %x\nout: %x", format.name, data, re)
+			}
 		}
 	})
 }

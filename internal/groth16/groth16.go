@@ -16,12 +16,10 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
-	"gzkp/internal/gpusim"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
 	"gzkp/internal/pairing"
 	"gzkp/internal/r1cs"
-	"gzkp/internal/resilience"
 	"gzkp/internal/telemetry"
 )
 
@@ -124,15 +122,6 @@ type ProveConfig struct {
 	MSM msm.Config
 	// CheckSatisfied verifies the witness against the system first.
 	CheckSatisfied bool
-	// Faults, when non-nil, is consulted before every modeled kernel launch
-	// (the 7 NTTs, then the 5 MSMs — 12 launches per ProveBatch whatever k
-	// is — all as logical device 0). Transient faults retry per Retry; an
-	// OOM on an MSM launch degrades that run's copy of the GZKP table to a
-	// thriftier checkpoint interval; a device loss is fatal, and sticky in
-	// the plan, so the caller's prover is gone.
-	Faults *gpusim.FaultPlan
-	// Retry bounds transient-fault retries (zero value = defaults).
-	Retry resilience.Policy
 }
 
 // Provers names the prover presets: gzkp is the paper's full
@@ -144,60 +133,14 @@ var Provers = map[string]ProveConfig{
 	"cpu":      {NTT: ntt.Config{Strategy: ntt.Serial}, MSM: msm.Config{Strategy: msm.PippengerWindows, Workers: 1}},
 }
 
-// stageTrack is the trace track the prover's stage spans and launch-recovery
-// events go on: the enclosing span's when that is a device track (a service
-// dispatch on slot d's track), device 0's for a standalone prove.
+// stageTrack is the trace track the prover's stage spans go on: the
+// enclosing span's when that is a device track (a service dispatch on slot
+// d's track), device 0's for a standalone prove.
 func stageTrack(ctx context.Context) int {
 	if tr := telemetry.SpanFromContext(ctx).Track(); tr != telemetry.TrackHost {
 		return tr
 	}
 	return telemetry.DeviceTrack(0)
-}
-
-// launch accounts one modeled kernel launch against the fault plan and
-// drives its recovery: bounded transient retries, an oom hook (nil = OOM
-// is fatal), everything else propagated.
-func (cfg ProveConfig) launch(ctx context.Context, op string, oom func() error) error {
-	if cfg.Faults == nil {
-		return nil
-	}
-	pol := cfg.Retry.WithDefaults()
-	attempts, ooms := 0, 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		err := cfg.Faults.BeforeLaunch(0)
-		if err == nil {
-			return nil
-		}
-		switch resilience.Classify(err) {
-		case resilience.Transient:
-			attempts++
-			if attempts >= pol.MaxAttempts {
-				return fmt.Errorf("groth16: %s: retries exhausted: %w", op, err)
-			}
-			resilience.Record(ctx, stageTrack(ctx), resilience.Transient,
-				telemetry.Str("op", op), telemetry.Int("attempt", int64(attempts)))
-			if serr := pol.Sleep(ctx, pol.Backoff(attempts-1)); serr != nil {
-				return serr
-			}
-		case resilience.OOM:
-			ooms++
-			if oom == nil || ooms > 2 {
-				return fmt.Errorf("groth16: %s: %w", op, err)
-			}
-			resilience.Record(ctx, stageTrack(ctx), resilience.OOM,
-				telemetry.Str("op", op))
-			if derr := oom(); derr != nil {
-				return derr
-			}
-		case resilience.Canceled:
-			return err
-		default: // Fatal, DeviceLost: nowhere to fail over to
-			return fmt.Errorf("groth16: %s: %w", op, err)
-		}
-	}
 }
 
 // ProveStats reports the stage breakdown the paper's Tables 2-4 use for one

@@ -2,7 +2,6 @@ package msm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 
@@ -166,11 +165,8 @@ func newTable(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Co
 		}
 		return nil
 	}
-	// Every level is a fan of one scope: the caller's, or one opened here.
+	// Every level is a fan of one scope, opened here.
 	err := par.Run(ctx, cfg.workers(), func(ctx context.Context, _ *par.List) error { return levels(ctx) })
-	if errors.Is(err, par.ErrNested) {
-		err = levels(ctx)
-	}
 	if err != nil {
 		return nil, err
 	}

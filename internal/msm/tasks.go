@@ -79,8 +79,12 @@ func (ts *Tasks) Add(ctx context.Context, scalars []ff.Element, jobs ...Job) err
 				})
 				continue
 			}
+			// A single checkpoint: levels would cost more doublings than
+			// one MSM's Horner chain saves, and their build opens a scope.
+			oneShot := ts.cfg
+			oneShot.CheckpointInterval = 0
 			var err error
-			if t, err = newTable(ctx, j.G, j.Points, ts.cfg, false); err != nil {
+			if t, err = newTable(ctx, j.G, j.Points, oneShot, false); err != nil {
 				return err
 			}
 			j.Table = t

@@ -283,7 +283,8 @@ func TestListWorkersShareTasks(t *testing.T) {
 }
 
 // TestListErrorsPanicsAndCancellation: a task's error or panic stops the
-// list and returns (the panic as *resilience.PanicError); an external
+// list and returns (the panic as *resilience.PanicError), as does a panic
+// in the seed; an external
 // cancellation returns ctx.Err() and leaves no goroutine behind.
 func TestListErrorsPanicsAndCancellation(t *testing.T) {
 	boom := errors.New("boom")
@@ -307,6 +308,12 @@ func TestListErrorsPanicsAndCancellation(t *testing.T) {
 			t.Fatalf("%s did not stop the list", c.name)
 		}
 	}
+	// A panic in the seed, on Run's own goroutine, returns the same way.
+	var pe *resilience.PanicError
+	err := Run(context.Background(), 2, func(context.Context, *List) error { panic("seed") })
+	if !errors.As(err, &pe) || pe.Value != "seed" {
+		t.Fatalf("seed panic: returned %v", err)
+	}
 
 	// The 4-worker runtime's workers live for the process: start them
 	// before counting.
@@ -316,7 +323,7 @@ func TestListErrorsPanicsAndCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(2*time.Millisecond, cancel)
-	err := Run(ctx, 4, func(ctx context.Context, l *List) error {
+	err = Run(ctx, 4, func(ctx context.Context, l *List) error {
 		var spawn func(int) error
 		spawn = func(int) error { // an endless chain, each task pushing the next
 			time.Sleep(100 * time.Microsecond)

@@ -68,9 +68,9 @@ type Builder struct {
 	numPublic int
 	numSecret int
 	numVars   int
-	frozen    bool  // true once a non-input wire exists: no more publics
+	frozen    bool  // true once a non-input wire exists: no more inputs
 	max       int   // constraints allowed; 0 is no bound
-	err       error // set once the circuit passes max
+	err       error // set once the circuit passes max or misplaces a secret
 	cons      []Constraint
 	ops       []op
 }
@@ -82,7 +82,8 @@ func NewBuilder(f *ff.Field) *Builder { return &Builder{f: f, numVars: 1} }
 // nothing more, and Err says so.
 func (b *Builder) Limit(max int) { b.max = max }
 
-// Err reports a circuit that passed its Limit.
+// Err reports a circuit that passed its Limit, or that declared a secret
+// after an internal wire.
 func (b *Builder) Err() error { return b.err }
 
 // Field returns the builder's field.
@@ -109,8 +110,13 @@ func (b *Builder) Public(name string) (LC, error) {
 	return b.wire(Variable(b.numVars - 1)), nil
 }
 
-// Secret declares the next secret (prover-supplied) input.
+// Secret declares the next secret (prover-supplied) input. Secrets, like
+// publics, come before any internal wire (the solver places them at
+// 1 + NumPublic + i); one declared after sets Err.
 func (b *Builder) Secret(name string) LC {
+	if b.frozen && b.err == nil {
+		b.err = fmt.Errorf("r1cs: secret input %q declared after an internal wire", name)
+	}
 	b.numSecret++
 	b.numVars++
 	return b.wire(Variable(b.numVars - 1))

@@ -58,6 +58,19 @@ func TestPublicAfterSecretRejected(t *testing.T) {
 	}
 }
 
+func TestSecretAfterWireRejected(t *testing.T) {
+	b := NewBuilder(field(t))
+	x := b.Secret("x")
+	b.Mul(x, x)
+	if b.Err() != nil {
+		t.Fatalf("error before the late secret: %v", b.Err())
+	}
+	_ = b.Secret("late")
+	if b.Err() == nil {
+		t.Fatal("secret input accepted after an internal wire")
+	}
+}
+
 func TestSolveValidation(t *testing.T) {
 	f := field(t)
 	b := NewBuilder(f)

@@ -1,16 +1,13 @@
-// Package resilience is the fault-handling substrate of the proving
-// pipeline: it classifies failures by the recovery action they admit and
-// applies bounded retry with capped exponential backoff.
+// Package resilience classifies failures by the recovery action they admit
+// and shapes bounded retries with capped, jittered exponential backoff.
 //
-// The taxonomy mirrors what a long-running multi-accelerator prover
-// actually sees (the operational gap ZK-Flex calls out): kernel launches
-// fail transiently and succeed on retry; a device runs out of memory and
-// the plan must degrade to a memory-thriftier configuration (the OOM rows
-// of the paper's Table 7 / Fig. 9); a device dies outright and its shard
-// must move to a survivor; the caller cancels and everything must unwind
-// promptly. Everything else — bad input, logic errors, worker panics — is
-// fatal and aborts the pipeline with a real error instead of a process
-// crash.
+// The failures it names are the ones this system meets: a request to a
+// node fails transiently (overload, a slow or not-yet-ready endpoint) and
+// succeeds on retry; a node becomes unreachable and its work must move to
+// another (DeviceLost, read from the transport, see ClassifyHTTP); the
+// caller cancels and everything must unwind promptly. Everything else —
+// bad input, logic errors, worker panics — is fatal and aborts the request
+// with a real error instead of a process crash.
 package resilience
 
 import (
@@ -18,8 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"gzkp/internal/telemetry"
 )
 
 // Class buckets an error by the recovery action it admits.
@@ -28,14 +23,11 @@ type Class int
 const (
 	// Fatal aborts the pipeline: bad input, logic errors, worker panics.
 	Fatal Class = iota
-	// Transient failures (launch hiccups, contended resources) are retried
-	// in place with backoff.
+	// Transient failures (overload, a node not ready yet) are retried in
+	// place with backoff.
 	Transient
-	// OOM triggers degradation to a memory-thriftier plan (for MSM, the
-	// checkpointed table of Algorithm 1 with a tighter budget).
-	OOM
-	// DeviceLost triggers failover: the device is removed for the rest of
-	// the run and its shard re-partitioned across survivors.
+	// DeviceLost triggers failover: the endpoint is unreachable, so its
+	// work moves to another node.
 	DeviceLost
 	// Canceled means the caller gave up (context cancellation or deadline).
 	Canceled
@@ -47,8 +39,6 @@ func (c Class) String() string {
 		return "fatal"
 	case Transient:
 		return "transient"
-	case OOM:
-		return "oom"
 	case DeviceLost:
 		return "device-lost"
 	case Canceled:
@@ -71,29 +61,6 @@ func (e *TransientError) Error() string {
 }
 
 func (e *TransientError) Unwrap() error { return e.Err }
-
-// OOMError reports that a plan exceeded its memory budget. Need/Limit are
-// informational (0 = unknown).
-type OOMError struct {
-	Op          string
-	Need, Limit int64
-}
-
-func (e *OOMError) Error() string {
-	if e.Need > 0 || e.Limit > 0 {
-		return fmt.Sprintf("out of memory: %s (need %d B, limit %d B)", e.Op, e.Need, e.Limit)
-	}
-	return fmt.Sprintf("out of memory: %s", e.Op)
-}
-
-// DeviceLostError reports a device that died and stays dead for the run.
-type DeviceLostError struct {
-	Device int
-}
-
-func (e *DeviceLostError) Error() string {
-	return fmt.Sprintf("device %d lost", e.Device)
-}
 
 // PanicError wraps a panic recovered from a worker goroutine, preserving
 // the panic value and the stack where it fired. It classifies as Fatal.
@@ -119,14 +86,6 @@ func Classify(err error) Class {
 	var te *TransientError
 	if errors.As(err, &te) {
 		return Transient
-	}
-	var oe *OOMError
-	if errors.As(err, &oe) {
-		return OOM
-	}
-	var de *DeviceLostError
-	if errors.As(err, &de) {
-		return DeviceLost
 	}
 	var he *HTTPError
 	if errors.As(err, &he) {
@@ -220,58 +179,4 @@ func (p Policy) Backoff(retry int) time.Duration {
 		return p.MaxDelay
 	}
 	return time.Duration(d)
-}
-
-// Do runs op, retrying Transient failures per the policy. Any other class
-// returns immediately; context cancellation wins over remaining retries.
-// The last transient error is returned when attempts are exhausted. Every
-// retry is recorded against the telemetry tracer in ctx, if any, so
-// recovery is visible in traces instead of silent.
-func (p Policy) Do(ctx context.Context, op func() error) error {
-	p = p.withDefaults()
-	var err error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		err = op()
-		if err == nil || Classify(err) != Transient {
-			return err
-		}
-		if attempt == p.MaxAttempts-1 {
-			break
-		}
-		Record(ctx, telemetry.TrackHost, Transient, telemetry.Int("attempt", int64(attempt+1)))
-		if serr := p.Sleep(ctx, p.Backoff(attempt)); serr != nil {
-			return serr
-		}
-	}
-	return err
-}
-
-// Event names for the telemetry incident log, by recovery action. Keyed by
-// Class so every recovery site reports the same vocabulary.
-func eventName(c Class) string {
-	switch c {
-	case Transient:
-		return "retry"
-	case OOM:
-		return "oom-degrade"
-	case DeviceLost:
-		return "failover"
-	}
-	return "fault"
-}
-
-// Record notes one recovery action of class c on the given telemetry track
-// (use telemetry.DeviceTrack(dev) for device-scoped incidents): an instant
-// event in the trace plus a per-class counter "resilience.<class>". It is
-// a no-op without a tracer in ctx, costing one context lookup.
-func Record(ctx context.Context, track int, c Class, attrs ...telemetry.Attr) {
-	tr := telemetry.FromContext(ctx)
-	if tr == nil {
-		return
-	}
-	tr.Emit(track, "resilience", eventName(c), append(attrs, telemetry.Str("class", c.String()))...)
-	tr.Counter("resilience." + c.String()).Add(1)
 }

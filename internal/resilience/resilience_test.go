@@ -15,9 +15,6 @@ func TestClassify(t *testing.T) {
 	}{
 		{&TransientError{Op: "launch"}, Transient},
 		{fmt.Errorf("wrapped: %w", &TransientError{Op: "launch"}), Transient},
-		{&OOMError{Op: "table build", Need: 2 << 30, Limit: 1 << 30}, OOM},
-		{&DeviceLostError{Device: 3}, DeviceLost},
-		{fmt.Errorf("shard 2: %w", &DeviceLostError{Device: 2}), DeviceLost},
 		{&PanicError{Value: "boom"}, Fatal},
 		{errors.New("plain"), Fatal},
 		{context.Canceled, Canceled},
@@ -42,79 +39,5 @@ func TestBackoffCapped(t *testing.T) {
 		if got := p.Backoff(i); got != w {
 			t.Errorf("Backoff(%d) = %v, want %v", i, got, w)
 		}
-	}
-}
-
-// fakeSleep records requested delays without waiting.
-func fakeSleep(delays *[]time.Duration) func(context.Context, time.Duration) error {
-	return func(_ context.Context, d time.Duration) error {
-		*delays = append(*delays, d)
-		return nil
-	}
-}
-
-func TestDoRetriesTransientOnly(t *testing.T) {
-	var delays []time.Duration
-	p := Policy{MaxAttempts: 4, Sleep: fakeSleep(&delays)}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		if calls < 3 {
-			return &TransientError{Op: "launch"}
-		}
-		return nil
-	})
-	if err != nil || calls != 3 || len(delays) != 2 {
-		t.Fatalf("transient recovery: err=%v calls=%d sleeps=%d", err, calls, len(delays))
-	}
-
-	calls = 0
-	fatal := errors.New("bad input")
-	if err := p.Do(context.Background(), func() error { calls++; return fatal }); err != fatal || calls != 1 {
-		t.Fatalf("fatal retried: err=%v calls=%d", err, calls)
-	}
-
-	calls = 0
-	lost := &DeviceLostError{Device: 1}
-	if err := p.Do(context.Background(), func() error { calls++; return lost }); !errors.Is(err, lost) || calls != 1 {
-		t.Fatalf("device-lost retried: err=%v calls=%d", err, calls)
-	}
-}
-
-func TestDoExhaustsAttempts(t *testing.T) {
-	var delays []time.Duration
-	p := Policy{MaxAttempts: 3, Sleep: fakeSleep(&delays)}
-	calls := 0
-	err := p.Do(context.Background(), func() error {
-		calls++
-		return &TransientError{Op: "launch"}
-	})
-	if calls != 3 || Classify(err) != Transient {
-		t.Fatalf("exhaustion: calls=%d err=%v", calls, err)
-	}
-	if len(delays) != 2 {
-		t.Fatalf("slept %d times, want 2", len(delays))
-	}
-}
-
-func TestDoRespectsCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := Policy{}.Do(ctx, func() error { calls++; return nil })
-	if !errors.Is(err, context.Canceled) || calls != 0 {
-		t.Fatalf("pre-canceled context ran op: err=%v calls=%d", err, calls)
-	}
-
-	// Cancellation during backoff aborts the retry loop.
-	ctx2, cancel2 := context.WithCancel(context.Background())
-	p := Policy{MaxAttempts: 5, Sleep: func(c context.Context, _ time.Duration) error {
-		cancel2()
-		return c.Err()
-	}}
-	calls = 0
-	err = p.Do(ctx2, func() error { calls++; return &TransientError{Op: "x"} })
-	if !errors.Is(err, context.Canceled) || calls != 1 {
-		t.Fatalf("cancel mid-backoff: err=%v calls=%d", err, calls)
 	}
 }

@@ -1,20 +1,16 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
-	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
-	"gzkp/internal/msm"
-	"gzkp/internal/ntt"
-	"gzkp/internal/resilience"
 	"gzkp/internal/telemetry"
 )
 
@@ -273,65 +269,24 @@ func TestRunBatchBadWitnessIsolation(t *testing.T) {
 	}
 }
 
-// TestFusedBatchRecoversInPlace: an OOM on the first MSM launch and two
-// transients on the next base set hit a k=4 fused dispatch. The prover's
-// one MSM step carries the launch gate and the OOM hook at every k, so the
-// dispatch recovers in place: all four jobs finish, the batch counts as
-// fused, and nothing falls back to singletons.
-func TestFusedBatchRecoversInPlace(t *testing.T) {
-	cfg := Config{
-		MaxBatch: 4, Preprocess: true,
-		NTT: ntt.Config{Strategy: ntt.GZKP},
-		MSM: msm.Config{Strategy: msm.GZKP, SignedBuckets: true, MemoryBudget: 1 << 17},
-		// Launches 0-6 are the NTTs; A is 7 (OOM, retried as 8), B2 is 9.
-		Faults: gpusim.NewFaultPlan(1,
-			gpusim.Fault{Kind: gpusim.FaultOOM, Device: 0, Step: 7},
-			gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 9, Times: 2}),
-	}
-	cfg.Retry.Sleep = func(context.Context, time.Duration) error { return nil }
-	svc := New(cfg)
-	defer svc.Close()
-	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs, _ := cubicBatchInputs(2, 3, 4, 5)
-	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, j := range jobs {
-		select {
-		case <-j.Done():
-		case <-time.After(60 * time.Second):
-			t.Fatal("job did not finish")
-		}
-		if j.State() != JobDone {
-			t.Fatalf("job %d state %v after in-place recovery: %s", i, j.State(), j.Snapshot().Error)
-		}
-	}
-	c := svc.Registry().Snapshot().Counters
-	if c["service.batches.fallback"] != 0 || c["service.batches.fused"] != 1 {
-		t.Fatalf("fallback=%d fused=%d, want 0 and 1", c["service.batches.fallback"], c["service.batches.fused"])
-	}
-}
-
-// TestBatchFallbackAfterRetriesExhausted: transient faults on the first
-// launch gate of a k = 4 dispatch outlast Config.Retry, so its prove fails
-// without a job to pin the failure on. The dispatch re-runs its jobs as
-// singletons, which prove past the spent faults: all four end done, and the
-// batch counts as one fallback.
-func TestBatchFallbackAfterRetriesExhausted(t *testing.T) {
+// TestBatchFallbackAfterProverError: the prover fails a k = 4 dispatch
+// with an error of its own — the registered key's A query is cut short of
+// the circuit's wires — so the prove fails without a job to pin the
+// failure on. The dispatch re-runs its jobs as singletons, each of which
+// fails with the prover's error, and the batch counts as one fallback.
+func TestBatchFallbackAfterProverError(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBatch = 4
-	cfg.Retry = resilience.Policy{MaxAttempts: 2, Sleep: func(context.Context, time.Duration) error { return nil }}
-	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultTransient, Device: 0, Step: 0, Times: 2})
 	svc := New(cfg)
 	defer svc.Close()
 	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.mu.Lock()
+	pk := svc.circuits[info.CircuitID].pk
+	svc.mu.Unlock()
+	pk.A = pk.A[:1]
 	inputs, _ := cubicBatchInputs(2, 3, 4, 5)
 	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
 	if err != nil {
@@ -343,13 +298,13 @@ func TestBatchFallbackAfterRetriesExhausted(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatal("job did not finish")
 		}
-		if j.State() != JobDone {
-			t.Fatalf("job %d state %v: %s", i, j.State(), j.Snapshot().Error)
+		if st := j.Snapshot(); st.State != "failed" || !strings.Contains(st.Error, "scalars vs 1 points") {
+			t.Fatalf("job %d ended %s %q, want failed with the prover's error", i, st.State, st.Error)
 		}
 	}
 	c := svc.Registry().Snapshot().Counters
-	if c["service.batches.fallback"] != 1 || c["service.batches.fused"] != 0 || c["service.jobs.done"] != 4 {
-		t.Fatalf("fallback=%d fused=%d done=%d, want 1 0 4", c["service.batches.fallback"],
-			c["service.batches.fused"], c["service.jobs.done"])
+	if c["service.batches.fallback"] != 1 || c["service.batches.fused"] != 0 || c["service.jobs.failed"] != 4 {
+		t.Fatalf("fallback=%d fused=%d failed=%d, want 1 0 4", c["service.batches.fallback"],
+			c["service.batches.fused"], c["service.jobs.failed"])
 	}
 }

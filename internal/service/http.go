@@ -28,7 +28,7 @@ import (
 //	                       deadline strands (cluster-coordinator admin hook)
 //	GET  /v1/events        structured control-plane events (?since=, ?max=)
 //	GET  /healthz          liveness
-//	GET  /readyz           readiness (503 while draining or once the prover is lost)
+//	GET  /readyz           readiness (503 while draining)
 //	GET  /metrics          JSON metrics snapshot (counters/gauges/histograms);
 //	                       ?format=prom renders Prometheus text exposition
 //
@@ -38,8 +38,7 @@ import (
 // back in the same header.
 //
 // Error mapping: malformed input → 400, unknown id → 404, admission-control
-// rejection → 429 with Retry-After, draining → 503 with Retry-After, prover
-// lost → 503 without one.
+// rejection → 429 with Retry-After, draining → 503 with Retry-After.
 
 // maxBodyBytes bounds request bodies — another face of the same
 // reject-don't-grow policy the job queue applies. Key imports carry a
@@ -144,9 +143,6 @@ func WriteError(w http.ResponseWriter, err error) {
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", "10")
 		WriteJSON(w, http.StatusServiceUnavailable, APIError{Error: err.Error(), RetryAfter: 10})
-	case errors.Is(err, ErrProverLost):
-		// No Retry-After: this node will not prove again.
-		WriteJSON(w, http.StatusServiceUnavailable, APIError{Error: err.Error()})
 	case errors.As(err, &input):
 		WriteJSON(w, http.StatusBadRequest, APIError{Error: err.Error()})
 	case errors.As(err, &notFound):

@@ -19,8 +19,8 @@ const (
 	JobRunning
 	// JobDone: proved and verified; the compressed proof is available.
 	JobDone
-	// JobFailed: proving failed terminally (bad witness, retries exhausted,
-	// prover lost). Admission was still honored — a failed job is
+	// JobFailed: proving failed terminally (bad witness, a prover error or
+	// panic, a proof that failed verification). Admission was still honored — a failed job is
 	// reported, never silently dropped.
 	JobFailed
 	// JobCheckpointed: drain ran out of time before the job was scheduled;

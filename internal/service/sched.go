@@ -26,9 +26,6 @@ type scheduler struct {
 	busy     [dispatchers]bool // dispatch slots in flight
 	inFlight sync.WaitGroup    // one count per busy slot
 	closed   bool
-	// lost is set once this node's prover is gone: the queue hands its jobs
-	// back and refuses new ones.
-	lost bool
 }
 
 func newScheduler(maxBatch int) *scheduler {
@@ -40,14 +37,11 @@ var errClosed = errors.New("service: closed")
 
 // enqueue appends one submission's jobs to the queue, contiguously, so a
 // same-circuit group reaches one dispatch together. It refuses them with
-// ErrProverLost once the prover is lost, errClosed once closed.
+// errClosed once closed.
 func (s *scheduler) enqueue(jobs ...*Job) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case s.lost:
-		return ErrProverLost
-	case s.closed:
+	if s.closed {
 		return errClosed
 	}
 	s.queue = append(s.queue, jobs...)
@@ -57,8 +51,8 @@ func (s *scheduler) enqueue(jobs ...*Job) error {
 // take returns the next dispatch and the slot it runs in: the head job plus
 // up to maxBatch-1 more jobs of the same circuit, extracted in order,
 // leaving the other jobs queued in theirs. It returns nil when the queue is
-// empty, every slot is busy, or the scheduler is closed or lost. The slot
-// stays busy until release.
+// empty, every slot is busy, or the scheduler is closed. The slot stays
+// busy until release.
 func (s *scheduler) take() ([]*Job, int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,7 +60,7 @@ func (s *scheduler) take() ([]*Job, int) {
 	for slot < dispatchers && s.busy[slot] {
 		slot++
 	}
-	if len(s.queue) == 0 || slot == dispatchers || s.closed || s.lost {
+	if len(s.queue) == 0 || slot == dispatchers || s.closed {
 		return nil, 0
 	}
 	s.busy[slot] = true
@@ -91,22 +85,6 @@ func (s *scheduler) release(slot int) {
 	s.busy[slot] = false
 	s.mu.Unlock()
 	s.inFlight.Done()
-}
-
-// lose marks the prover lost and returns every still-queued job for the
-// caller to fail.
-func (s *scheduler) lose() []*Job {
-	s.mu.Lock()
-	s.lost = true
-	s.mu.Unlock()
-	return s.drainPending()
-}
-
-// isLost reports whether the prover has been lost.
-func (s *scheduler) isLost() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lost
 }
 
 // depth reports the number of queued (not yet dispatched) jobs.

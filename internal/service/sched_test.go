@@ -75,26 +75,6 @@ func TestSchedulerCloseWaitsForSlots(t *testing.T) {
 	}
 }
 
-// TestSchedulerLostReturnsQueued checks that losing the prover hands back
-// every queued job in order, refuses new jobs and starts no dispatch.
-func TestSchedulerLostReturnsQueued(t *testing.T) {
-	s := newScheduler(4)
-	s.enqueue(mkJob("1", "A"), mkJob("2", "B"))
-	s.enqueue(mkJob("3", "A"))
-	if got := ids(s.lose()); !slices.Equal(got, []string{"1", "2", "3"}) {
-		t.Fatalf("lose returned %v, want [1 2 3]", got)
-	}
-	if !s.isLost() || s.depth() != 0 {
-		t.Fatalf("lost=%v depth=%d after lose", s.isLost(), s.depth())
-	}
-	if err := s.enqueue(mkJob("4", "A")); !errors.Is(err, ErrProverLost) {
-		t.Fatalf("enqueue after the prover was lost: %v, want ErrProverLost", err)
-	}
-	if b, _ := s.take(); b != nil {
-		t.Fatalf("next handed out %v after the prover was lost", ids(b))
-	}
-}
-
 // TestSchedulerDrainPending empties the queue and returns the jobs.
 func TestSchedulerDrainPending(t *testing.T) {
 	s := newScheduler(1)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
@@ -19,11 +18,10 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
-	"gzkp/internal/gpusim"
 	"gzkp/internal/groth16"
 	"gzkp/internal/msm"
 	"gzkp/internal/ntt"
-	"gzkp/internal/telemetry"
+	"gzkp/internal/r1cs"
 )
 
 // cubicSrc is the tiny reference circuit every e2e test proves: x^3+x+5=out,
@@ -236,195 +234,6 @@ func TestServiceEndToEnd(t *testing.T) {
 	resp, _ = getJSON(t, srv.URL+"/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz %d while draining, want 503", resp.StatusCode)
-	}
-}
-
-// TestServiceFaultFailover is the fault-injection e2e variant: the node's
-// prover is lost mid-load. A DeviceLost is sticky, so nothing on this node
-// can finish the remaining work: every accepted job must still reach a
-// terminal state — done with a verified proof, or failed as prover-lost —
-// submissions after the loss are refused with a 503 that says so, and the
-// node must leave readiness so the cluster prober evicts it.
-func TestServiceFaultFailover(t *testing.T) {
-	cfg := fastConfig()
-	cfg.QueueCapacity = 32
-	// Each proof costs 12 modeled launches (7 NTT + 5 MSM); killing the
-	// prover at launch 18 lands mid-way through its second proof.
-	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{
-		Kind: gpusim.FaultDeviceLost, Device: 0, Step: 18,
-	})
-	svc, srv := newTestServer(t, cfg)
-	info := registerCubic(t, srv.URL)
-
-	const jobs = 12
-	var wg sync.WaitGroup
-	var done, failed, rejected, refused atomic.Int64
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, body := postJSON(t, srv.URL+"/v1/prove",
-				ProveRequest{CircuitID: info.CircuitID, Public: []string{"35"}, Secret: []string{"3"}})
-			switch resp.StatusCode {
-			case http.StatusOK:
-				var st JobStatus
-				if err := json.Unmarshal(body, &st); err != nil {
-					t.Errorf("bad job status: %s", body)
-					return
-				}
-				switch st.State {
-				case "done":
-					verifyStatus(t, info, &st)
-					done.Add(1)
-				case "failed":
-					if !ProverLost(st.Error) {
-						t.Errorf("job failed with %q, want a prover-lost error", st.Error)
-					}
-					failed.Add(1)
-				default:
-					t.Errorf("sync prove returned non-terminal state %q", st.State)
-				}
-			case http.StatusTooManyRequests:
-				rejected.Add(1)
-			case http.StatusServiceUnavailable:
-				var ae APIError
-				if err := json.Unmarshal(body, &ae); err != nil || !ProverLost(ae.Error) {
-					t.Errorf("503 body %s, want a prover-lost error", body)
-				}
-				refused.Add(1)
-			default:
-				t.Errorf("unexpected status %d: %s", resp.StatusCode, body)
-			}
-		}()
-	}
-	wg.Wait()
-
-	if done.Load()+failed.Load()+rejected.Load()+refused.Load() != jobs {
-		t.Fatalf("accounted %d+%d+%d+%d of %d", done.Load(), failed.Load(), rejected.Load(), refused.Load(), jobs)
-	}
-	if failed.Load() == 0 {
-		t.Fatal("no job failed after the prover was lost")
-	}
-	c := svc.Registry().Snapshot().Counters
-	if c["service.jobs.done"] != done.Load() || c["service.jobs.failed"] != failed.Load() ||
-		c["service.jobs.accepted"] != done.Load()+failed.Load() {
-		t.Fatalf("counters accepted=%d done=%d failed=%d, clients saw %d done %d failed",
-			c["service.jobs.accepted"], c["service.jobs.done"], c["service.jobs.failed"],
-			done.Load(), failed.Load())
-	}
-	if resp, _ := getJSON(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz %d after the prover was lost, want 503", resp.StatusCode)
-	}
-}
-
-// TestLostProverFailsQueuedJobs: the prover dies on its first launch while
-// jobs are still queued. Every accepted job must fail (none stranded in the
-// queue), a drain must then find nothing left to finish or checkpoint, and
-// the node must report not ready.
-func TestLostProverFailsQueuedJobs(t *testing.T) {
-	cfg := fastConfig()
-	cfg.MaxBatch = 1 // one job per dispatch, so the rest wait in the queue
-	plan, err := gpusim.ParseFaultPlan("kill:0@0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = plan
-	svc, srv := newTestServer(t, cfg)
-	info := registerCubic(t, srv.URL)
-
-	inputs, _ := cubicBatchInputs(1, 2, 3, 4, 5, 6)
-	resp, body := postJSON(t, srv.URL+"/v1/prove-batch",
-		ProveBatchRequest{CircuitID: info.CircuitID, Proofs: inputs})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async prove-batch: %d %s", resp.StatusCode, body)
-	}
-	var pb ProveBatchResponse
-	if err := json.Unmarshal(body, &pb); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(10 * time.Second)
-	for _, st := range pb.Jobs {
-		j, err := svc.Job(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-j.Done():
-		case <-deadline:
-			t.Fatalf("job %s stuck in state %v after the prover was lost", j.ID, j.State())
-		}
-		if j.State() != JobFailed {
-			t.Fatalf("job %s state %v, want failed", j.ID, j.State())
-		}
-	}
-	c := svc.Registry().Snapshot().Counters
-	if c["service.jobs.done"]+c["service.jobs.failed"] != c["service.jobs.accepted"] {
-		t.Fatalf("done %d + failed %d != accepted %d", c["service.jobs.done"],
-			c["service.jobs.failed"], c["service.jobs.accepted"])
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	rep, err := svc.Drain(ctx)
-	if err != nil || ctx.Err() != nil {
-		t.Fatalf("drain hit its deadline (err %v): accepted jobs were stranded", err)
-	}
-	if rep.Checkpointed != nil {
-		t.Fatalf("drain checkpointed %d jobs; a lost prover must fail them", len(rep.Checkpointed.Jobs))
-	}
-	if resp, _ := getJSON(t, srv.URL+"/readyz"); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("readyz %d after the prover was lost, want 503", resp.StatusCode)
-	}
-}
-
-// TestLostProverEndsDispatch: a k = 4 dispatch proves its jobs together.
-// When that prove loses the prover, every job of the dispatch fails as
-// prover-lost — one prover_lost event, not one per job — and a later
-// submission is refused with ErrProverLost, not admitted to fail.
-func TestLostProverEndsDispatch(t *testing.T) {
-	cfg := fastConfig()
-	cfg.MaxBatch = 4
-	cfg.Events = telemetry.NewEventLog(64, telemetry.LevelDebug)
-	plan, err := gpusim.ParseFaultPlan("kill:0@0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Faults = plan
-	svc := New(cfg)
-	defer svc.Close()
-	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs, _ := cubicBatchInputs(1, 2, 3, 4)
-	jobs, err := svc.SubmitBatch(info.CircuitID, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, j := range jobs {
-		select {
-		case <-j.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatalf("job %s stuck in state %v", j.ID, j.State())
-		}
-		if st := j.Snapshot(); st.State != "failed" || !ProverLost(st.Error) {
-			t.Fatalf("job %s: %s %q, want failed as prover-lost", j.ID, st.State, st.Error)
-		}
-	}
-	lost := 0
-	for _, ev := range cfg.Events.Recent(64) {
-		if ev.Event == "prover_lost" {
-			lost++
-		}
-	}
-	if lost != 1 {
-		t.Fatalf("%d prover_lost events for one lost dispatch, want 1", lost)
-	}
-	if _, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"}); !errors.Is(err, ErrProverLost) {
-		t.Fatalf("submit after the loss: %v, want ErrProverLost", err)
-	}
-	if got := svc.Registry().Counter("service.jobs.accepted").Value(); got != 4 {
-		t.Fatalf("accepted %d, want the 4 jobs admitted before the loss", got)
 	}
 }
 
@@ -695,6 +504,18 @@ func TestRegisterRejectsOversizedSource(t *testing.T) {
 	}
 }
 
+// TestRegisterRejectsSecretAfterWire: a secret declared after a let that
+// made a wire gets a 400 at registration, not a key whose every prove
+// fails with an unassigned wire.
+func TestRegisterRejectsSecretAfterWire(t *testing.T) {
+	_, srv := newTestServer(t, fastConfig())
+	src := "secret x\nlet y = x*x\nsecret z\nlet q = z*x\nassert q == y\n"
+	resp, body := postJSON(t, srv.URL+"/v1/circuits", CircuitSpec{Curve: "bn254", Source: src})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("register a secret after a wire: %d %s, want 400", resp.StatusCode, body)
+	}
+}
+
 // TestDrainCountsOnlyItsWindow: DrainReport.Finished counts the jobs that
 // finished during the drain, not those finished before it began.
 func TestDrainCountsOnlyItsWindow(t *testing.T) {
@@ -722,30 +543,45 @@ func TestDrainCountsOnlyItsWindow(t *testing.T) {
 	}
 }
 
-// TestPanicFailsOnlyItsJob: four solo jobs, two dispatches in flight on a
-// two-worker task list, and one injected panic in a prove's launch gate.
-// The panic fails its own dispatch's scope, so its job fails and the other
-// three finish.
+// breakProver makes every prove of a registered circuit panic in the prover
+// itself: the circuit's system gains constraints its key's NTT domain cannot
+// hold, so the POLY stage writes past the domain. Solving still works.
+func breakProver(svc *Service, id string) {
+	svc.mu.Lock()
+	e := svc.circuits[id]
+	svc.mu.Unlock()
+	e.sys.Constraints = append(e.sys.Constraints, make([]r1cs.Constraint, e.pk.DomainN)...)
+}
+
+// TestPanicFailsOnlyItsJob: two circuits, one whose every prove panics in
+// the prover, with solo jobs of both interleaved so that two dispatches,
+// one of each, are in flight on a two-worker task list. A panic fails only
+// its own dispatch's scope: the broken circuit's jobs fail with the panic,
+// and the other circuit's jobs finish.
 func TestPanicFailsOnlyItsJob(t *testing.T) {
 	cfg := fastConfig()
 	cfg.MaxBatch = 1
 	cfg.MSM.Workers = 2
-	// Each prove costs 12 launches; step 19 is the MSM A gate of the
-	// second prove to reach its gates.
-	cfg.Faults = gpusim.NewFaultPlan(1, gpusim.Fault{Kind: gpusim.FaultPanic, Device: 0, Step: 19})
 	svc := New(cfg)
 	defer svc.Close()
-	info, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	good, err := svc.Register(CircuitSpec{Curve: "bn254", Source: slowCubicSrc(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	bad, err := svc.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	breakProver(svc, bad.CircuitID)
 	var jobs []*Job
-	for range 4 {
-		j, err := svc.Submit(info.CircuitID, []string{"35"}, []string{"3"})
-		if err != nil {
-			t.Fatal(err)
+	for range 2 {
+		for _, id := range []string{bad.CircuitID, good.CircuitID} {
+			j, err := svc.Submit(id, []string{"35"}, []string{"3"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
 		}
-		jobs = append(jobs, j)
 	}
 	var done, failed int
 	for _, j := range jobs {
@@ -754,17 +590,19 @@ func TestPanicFailsOnlyItsJob(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("job %s stuck in state %v", j.ID, j.State())
 		}
-		switch st := j.Snapshot(); st.State {
-		case "done":
+		switch st := j.Snapshot(); {
+		case j.CircuitID == good.CircuitID && st.State == "done":
 			done++
-		case "failed":
-			if !strings.Contains(st.Error, "injected panic") {
-				t.Fatalf("job %s failed with %q, want the injected panic", j.ID, st.Error)
+		case j.CircuitID == bad.CircuitID && st.State == "failed":
+			if !strings.Contains(st.Error, "worker panic") {
+				t.Fatalf("job %s failed with %q, want the prover's panic", j.ID, st.Error)
 			}
 			failed++
+		default:
+			t.Fatalf("job %s of circuit %s ended %s %q", j.ID, j.CircuitID, st.State, st.Error)
 		}
 	}
-	if done != 3 || failed != 1 {
-		t.Fatalf("%d done, %d failed; want 3 and 1", done, failed)
+	if done != 2 || failed != 2 {
+		t.Fatalf("%d done, %d failed; want 2 and 2", done, failed)
 	}
 }

@@ -154,8 +154,7 @@ type jsonlRecord struct {
 // WriteJSONL renders a leading meta record (the tracer's wall-clock base,
 // which lets gzkp-tracecat align per-process logs on one timeline), track
 // name records, then spans and events (merged in timestamp order)
-// followed by the final metric values, one JSON object per line — the
-// machine-readable incident log fault-injection runs produce.
+// followed by the final metric values, one JSON object per line.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("telemetry: cannot export a disabled tracer")

@@ -1,8 +1,8 @@
 // Package telemetry is the proving pipeline's unified observability
 // layer: nested spans over the stages the paper measures (the POLY stage's
 // seven NTTs, the MSM stage's five multi-scalar multiplications, per-device
-// partition work), instant events for the resilience machinery (retries,
-// failovers, OOM degrades), and an atomic metrics registry that aggregates
+// partition work), instant events (modeled kernel launches, the cluster's
+// job migrations), and an atomic metrics registry that aggregates
 // the per-op Stats structs scattered across internal/msm, internal/ntt and
 // internal/gpusim into one snapshot.
 //
@@ -210,7 +210,7 @@ func (s Span) SetStr(key, v string) {
 }
 
 // Emit records an instant event (rendered as a Perfetto instant marker),
-// e.g. a resilience incident or a modeled kernel launch.
+// e.g. a cluster job migration or a modeled kernel launch.
 func (t *Tracer) Emit(track int, cat, name string, attrs ...Attr) {
 	if t == nil {
 		return
