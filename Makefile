@@ -39,11 +39,12 @@ fuzz:
 	$(GO) test ./internal/r1cs -run FuzzSolveVsReference -fuzz FuzzSolveVsReference -fuzztime 30s
 
 # CPU and heap profiles of the library proving loop (BenchmarkProveLarge:
-# a 1024-constraint circuit on BN254 against kept GZKP tables), with the
-# test binary beside them: `go tool pprof artifacts/prove_large.cpu`.
+# a 1024-constraint circuit on BN254 against kept GZKP tables, with B/op
+# and allocs/op), with the test binary beside them:
+# `go tool pprof artifacts/prove_large.cpu`.
 profile:
 	mkdir -p artifacts
-	$(GO) test ./internal/groth16 -run '^$$' -bench '^BenchmarkProveLarge$$' -benchtime 10s \
+	$(GO) test ./internal/groth16 -run '^$$' -bench '^BenchmarkProveLarge$$' -benchtime 10s -benchmem \
 		-cpuprofile artifacts/prove_large.cpu -memprofile artifacts/prove_large.mem \
 		-o artifacts/groth16.test
 

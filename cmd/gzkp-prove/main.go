@@ -120,6 +120,12 @@ func main() {
 	fmt.Printf("circuit: %d constraints, %d wires (%d public)\n",
 		len(sys.Constraints), sys.NumVars, sys.NumPublic)
 
+	// Inputs that violate a constraint stop here, naming it, not after a
+	// setup and prove as a failed pairing check.
+	w, err := sys.Solve(pub, sec)
+	die(err)
+	die(sys.IsSatisfied(w))
+
 	t0 := time.Now()
 	pk, vk, err := groth16.Setup(sys, c, nil)
 	die(err)
@@ -130,9 +136,6 @@ func main() {
 		die(pk.PreprocessCtx(ctx, cfg.MSM))
 		fmt.Printf("GZKP MSM preprocessing (Algorithm 1, one-time): %.2fs\n", time.Since(t0).Seconds())
 	}
-
-	w, err := sys.Solve(pub, sec)
-	die(err)
 
 	proof, stats, err := groth16.ProveCtx(ctx, pk, sys, w, cfg, nil)
 	die(err)

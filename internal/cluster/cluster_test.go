@@ -43,7 +43,7 @@ func fastNodeConfig() service.Config {
 	return service.Config{
 		QueueCapacity: 64,
 		NTT:           ntt.Config{Strategy: ntt.Serial},
-		MSM:           msm.Config{Strategy: msm.PippengerWindows, Workers: 1},
+		MSM:           msm.Config{Strategy: msm.PippengerWindows, Workers: 0},
 	}
 }
 

@@ -3,7 +3,6 @@ package curve
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
 )
 
 // FixedBase accelerates repeated scalar multiplication of one base point
@@ -61,31 +60,21 @@ func (fb *FixedBase) Bytes() int64 {
 	return int64(len(fb.windows)) * fbWindowSize * int64(2*fb.g.K.Words()*8)
 }
 
-// Mul computes s·base using the table (≈ one mixed add or sub per scalar
-// byte, no doublings). Safe for concurrent use with distinct Ops.
-func (fb *FixedBase) Mul(ops *Ops, s *big.Int) Jacobian {
-	var acc Jacobian
-	ops.SetInfinity(&acc)
-	if s.Sign() == 0 {
-		return acc
-	}
-	neg := false
-	if s.Sign() < 0 {
-		neg = true
-		s = new(big.Int).Neg(s)
-	}
-	bytes := s.Bytes() // big-endian
-	if len(bytes) >= len(fb.windows) {
-		// Scalar wider than the table (reduced scalars never are).
-		p := ops.ScalarMul(fb.base, s)
-		if neg {
-			ops.NegAssign(p)
+// MulElement computes s·base for a scalar-field element using the table:
+// ≈ one mixed add or sub per byte of s's canonical limbs (in Ops scratch
+// t[10], which mixed adds leave alone), recoded into signed digits with
+// carry on the fly. Safe for concurrent use with distinct Ops.
+func (fb *FixedBase) MulElement(ops *Ops, s []uint64) Jacobian {
+	mag := fb.g.Fr.Canonical(ops.t[10][:fb.g.Fr.Limbs()], s)
+	kw := fb.g.K.Words()
+	b := make([]uint64, 3*kw)
+	acc := Jacobian{X: b[:kw:kw], Y: b[kw : 2*kw : 2*kw], Z: b[2*kw:]} // Z = 0: the identity
+	carry, last := 0, min(8*len(mag), len(fb.windows)-1)
+	for w := 0; w <= last; w++ { // little-endian window order; the last takes the carry
+		d := carry
+		if w < last {
+			d += int(mag[w/8] >> (8 * (w % 8)) & 0xff)
 		}
-		return *p
-	}
-	carry := 0
-	for w := 0; w < len(bytes); w++ { // little-endian window order
-		d := int(bytes[len(bytes)-1-w]) + carry
 		carry = 0
 		if d > fbWindowSize {
 			d -= 256
@@ -97,18 +86,7 @@ func (fb *FixedBase) Mul(ops *Ops, s *big.Int) Jacobian {
 			ops.SubMixedAssign(&acc, fb.windows[w][-d-1])
 		}
 	}
-	if carry == 1 {
-		ops.AddMixedAssign(&acc, fb.windows[len(bytes)][0])
-	}
-	if neg {
-		ops.NegAssign(&acc)
-	}
 	return acc
-}
-
-// MulElement multiplies by a scalar-field element.
-func (fb *FixedBase) MulElement(ops *Ops, s []uint64) Jacobian {
-	return fb.Mul(ops, fb.g.Fr.ToBig(s))
 }
 
 // MarshalBinary serializes the table deterministically (raw little-endian

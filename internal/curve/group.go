@@ -112,16 +112,20 @@ func (g *Group) NewOps() *Ops {
 // Group returns the group these ops act on.
 func (o *Ops) Group() *Group { return o.g }
 
+// alloc gives p zero coordinates over one slab if it has none.
+func (o *Ops) alloc(p *Jacobian) {
+	if p.X == nil {
+		w := o.g.K.Words()
+		b := make([]uint64, 3*w)
+		p.X, p.Y, p.Z = b[:w:w], b[w:2*w:2*w], b[2*w:]
+	}
+}
+
 // SetInfinity makes p the identity (allocating coordinates if needed).
 func (o *Ops) SetInfinity(p *Jacobian) {
-	K := o.g.K
-	if p.X == nil {
-		p.X, p.Y, p.Z = K.Zero(), K.One(), K.Zero()
-		return
-	}
-	for i := range p.Z {
-		p.Z[i] = 0
-	}
+	o.alloc(p)
+	copy(p.Y, o.one)
+	clear(p.Z)
 }
 
 // IsInfinity reports whether p is the identity.
@@ -130,9 +134,7 @@ func (o *Ops) IsInfinity(p *Jacobian) bool { return o.g.K.IsZero(p.Z) }
 // FromAffine loads an affine point into Jacobian form.
 func (o *Ops) FromAffine(p *Jacobian, a Affine) {
 	K := o.g.K
-	if p.X == nil {
-		p.X, p.Y, p.Z = K.Zero(), K.Zero(), K.Zero()
-	}
+	o.alloc(p)
 	if a.Inf {
 		o.SetInfinity(p)
 		return
@@ -145,9 +147,7 @@ func (o *Ops) FromAffine(p *Jacobian, a Affine) {
 // Copy sets dst = src.
 func (o *Ops) Copy(dst, src *Jacobian) {
 	K := o.g.K
-	if dst.X == nil {
-		dst.X, dst.Y, dst.Z = K.Zero(), K.Zero(), K.Zero()
-	}
+	o.alloc(dst)
 	K.Set(dst.X, src.X)
 	K.Set(dst.Y, src.Y)
 	K.Set(dst.Z, src.Z)
@@ -282,9 +282,7 @@ func (o *Ops) SubMixedAssign(p *Jacobian, q Affine) {
 func (o *Ops) addMixed(p *Jacobian, qx, qy []uint64) {
 	if o.IsInfinity(p) {
 		K := o.g.K
-		if p.X == nil {
-			p.X, p.Y, p.Z = K.Zero(), K.Zero(), K.Zero()
-		}
+		o.alloc(p)
 		K.Set(p.X, qx)
 		K.Set(p.Y, qy)
 		K.Set(p.Z, o.one)
@@ -355,19 +353,21 @@ func (o *Ops) Equal(p, q *Jacobian) bool {
 	return K.Equal(a, b)
 }
 
-// ToAffine converts p to affine form (one field inversion).
+// ToAffine converts p to affine form (one field inversion in scratch),
+// its coordinates over one new slab.
 func (o *Ops) ToAffine(p *Jacobian) Affine {
 	if o.IsInfinity(p) {
 		return Affine{Inf: true}
 	}
-	K := o.g.K
-	zinv := K.Inverse(p.Z)
-	zinv2 := K.Square(K.Zero(), zinv)
-	zinv3 := K.Mul(K.Zero(), zinv2, zinv)
-	return Affine{
-		X: K.Mul(K.Zero(), p.X, zinv2),
-		Y: K.Mul(K.Zero(), p.Y, zinv3),
-	}
+	w, k := o.g.K.Words(), &o.k
+	zinv, zz := o.t[0], o.t[1]
+	invertTo(o.g.K, zinv, p.Z, o.t[2], o.t[3])
+	b := make([]uint64, 2*w)
+	k.square(zz, zinv)
+	k.mul(b[:w], p.X, zz)
+	k.mul(zz, zz, zinv)
+	k.mul(b[w:], p.Y, zz)
+	return Affine{X: b[:w:w], Y: b[w:]}
 }
 
 // ScalarMul computes k*base by double-and-add. Negative k negates the point.
@@ -394,72 +394,75 @@ func (o *Ops) ScalarMulElement(base Affine, s ff.Element) *Jacobian {
 	return o.ScalarMul(base, o.g.Fr.ToBig(s))
 }
 
-// ScalarMulWNAF computes k*base with a width-w non-adjacent form: ~n/(w+1)
-// additions instead of n/2, using a small odd-multiples table. Used where
-// single scalar multiplications are hot (proof assembly, verification).
-func (o *Ops) ScalarMulWNAF(base Affine, k *big.Int, w uint) *Jacobian {
+// ScalarMulWNAF computes s·base for a scalar-field element s with a
+// width-w non-adjacent form over a small odd-multiples table: ~n/(w+1)
+// additions instead of n/2, for hot single multiplications (assembly,
+// batch verification). The digits are read first, from s's canonical limbs
+// in scratch t[10], which the arithmetic then clobbers.
+func (o *Ops) ScalarMulWNAF(base Affine, s ff.Element, w uint) *Jacobian {
 	if w < 2 || w > 8 {
 		w = 4
 	}
-	var acc Jacobian
-	o.SetInfinity(&acc)
-	if base.Inf || k.Sign() == 0 {
-		return &acc
+	var mag [ff.MaxLimbs + 1]uint64 // a zero word above s for the top window
+	copy(mag[:], o.g.Fr.Canonical(o.t[10][:o.g.Fr.Limbs()], s))
+	bit := func(i int) uint64 { return mag[i/64] >> (i % 64) & 1 }
+	var digits [64*ff.MaxLimbs + 1]int8
+	top, c := 0, uint64(0) // c: the carry a negative digit leaves above its window
+	for i := 0; i <= 64*o.g.Fr.Limbs(); {
+		if b := bit(i) + c; b&1 == 0 {
+			c = b >> 1
+			i++
+			continue
+		}
+		win := c
+		for j := range int(w) {
+			win += bit(i+j) << j
+		}
+		d, half := int(win), 1<<(w-1)
+		if c = 0; d >= half {
+			d, c = d-2*half, 1
+		}
+		digits[i], top = int8(d), i+1
+		i += int(w)
 	}
-	if k.Sign() < 0 {
-		return o.ScalarMulWNAF(o.g.NegAffine(base), new(big.Int).Neg(k), w)
+	// One slab: the table's Jacobian and affine rows ((2i+1)·base), 2·base, the result.
+	size, kw := 1<<(w-1), o.g.K.Words()
+	slab := make([]uint64, 5*kw*size+6*kw)
+	jac, aff := slab[:3*kw*size], slab[3*kw*size:5*kw*size]
+	row := func(b []uint64) Jacobian {
+		return Jacobian{X: b[:kw:kw], Y: b[kw : 2*kw : 2*kw], Z: b[2*kw : 3*kw : 3*kw]}
 	}
-	// Odd multiples table: base, 3·base, ..., (2^(w-1)-1)·base.
-	tblSize := 1 << (w - 1)
-	jacs := make([]Jacobian, tblSize/1)
-	var twoP Jacobian
+	twoP, acc := row(slab[5*kw*size:]), row(slab[5*kw*size+3*kw:])
+	if base.Inf || top == 0 {
+		return &acc // Z = 0: the identity
+	}
 	o.FromAffine(&twoP, base)
 	o.DoubleAssign(&twoP)
-	o.FromAffine(&jacs[0], base)
-	for i := 1; i < len(jacs); i++ {
-		o.Copy(&jacs[i], &jacs[i-1])
-		o.AddAssign(&jacs[i], &twoP)
+	prev := row(jac)
+	o.FromAffine(&prev, base)
+	for i := 1; i < size; i++ {
+		cur := row(jac[3*kw*i:])
+		o.Copy(&cur, &prev)
+		o.AddAssign(&cur, &twoP)
+		prev = cur
 	}
-	tbl := o.g.BatchToAffine(jacs) // tbl[i] = (2i+1)·base
-
-	// Compute the wNAF digit string.
-	digits := wnafDigits(k, w)
-	for i := len(digits) - 1; i >= 0; i-- {
+	var inf [128]bool
+	o.g.BatchNormalize(aff, inf[:size], jac)
+	for i := top - 1; i >= 0; i-- {
 		o.DoubleAssign(&acc)
-		d := digits[i]
+		d := int(digits[i])
 		if d == 0 {
 			continue
 		}
+		e := (max(d, -d) - 1) / 2
+		q := Affine{X: aff[2*kw*e : 2*kw*e+kw], Y: aff[2*kw*e+kw : 2*kw*(e+1)], Inf: inf[e]}
 		if d > 0 {
-			o.AddMixedAssign(&acc, tbl[(d-1)/2])
+			o.AddMixedAssign(&acc, q)
 		} else {
-			o.AddMixedAssign(&acc, o.g.NegAffine(tbl[(-d-1)/2]))
+			o.SubMixedAssign(&acc, q)
 		}
 	}
 	return &acc
-}
-
-// wnafDigits returns the width-w NAF of k (little-endian): each nonzero
-// digit is odd, |d| < 2^(w-1), and no two nonzeros are within w positions.
-func wnafDigits(k *big.Int, w uint) []int {
-	n := new(big.Int).Set(k)
-	mod := int64(1) << w
-	half := mod >> 1
-	var out []int
-	for n.Sign() > 0 {
-		if n.Bit(0) == 1 {
-			r := new(big.Int).And(n, big.NewInt(mod-1)).Int64()
-			if r >= half {
-				r -= mod
-			}
-			out = append(out, int(r))
-			n.Sub(n, big.NewInt(r))
-		} else {
-			out = append(out, 0)
-		}
-		n.Rsh(n, 1)
-	}
-	return out
 }
 
 // BatchToAffine converts many Jacobian points with a single inversion

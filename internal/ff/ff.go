@@ -236,11 +236,17 @@ func (f *Field) MustFromString(s string) Element {
 
 // ToBig converts a Montgomery-form element back to its canonical integer.
 func (f *Field) ToBig(x Element) *big.Int {
-	z := f.New()
-	one := make(Element, f.n)
-	one[0] = 1
-	f.Mul(z, x, one) // x * 1 * R^{-1} = canonical x
-	return limbsToBig(z)
+	return limbsToBig(f.Canonical(f.New(), x))
+}
+
+// rawOne is the integer 1 of any supported width, not in Montgomery form.
+var rawOne = [MaxLimbs]uint64{1}
+
+// Canonical sets z to x's canonical integer limbs (out of Montgomery form:
+// x·1·R⁻¹) and returns z.
+func (f *Field) Canonical(z, x Element) Element {
+	f.kern.Mul(z, x, rawOne[:f.n])
+	return z
 }
 
 // String renders x in decimal.

@@ -2,6 +2,8 @@ package ff
 
 import (
 	"bytes"
+	crand "crypto/rand"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -345,5 +347,32 @@ func TestCopyVector(t *testing.T) {
 	f.Set(dst[0], f.Zero())
 	if f.IsZero(src[0]) {
 		t.Fatal("CopyVector aliased the source")
+	}
+}
+
+// TestRandReaderMatchesRandInt: RandReader draws in limbs what
+// crypto/rand.Int draws as a big.Int, from the same bytes — including a
+// first candidate of all ones, which is at least p and is redrawn — so a
+// seeded prover's blinding is unchanged.
+func TestRandReaderMatchesRandInt(t *testing.T) {
+	for _, tm := range testModuli {
+		f := MustField(tm.name, tm.mod)
+		stream := func() io.Reader {
+			return io.MultiReader(bytes.NewReader(bytes.Repeat([]byte{0xff}, f.ByteLen())), mrand.New(mrand.NewSource(9)))
+		}
+		a, b := stream(), stream()
+		for i := 0; i < 20; i++ {
+			got, err := f.RandReader(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, err := crand.Int(b, f.Modulus())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.Equal(got, f.FromBig(v)) {
+				t.Fatalf("%s draw %d: RandReader %s, crypto/rand.Int %s", tm.name, i, f.String(got), v)
+			}
+		}
 	}
 }

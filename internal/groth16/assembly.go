@@ -3,9 +3,9 @@ package groth16
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
 
 	"gzkp/internal/curve"
+	"gzkp/internal/ff"
 )
 
 // Assembly tables: per-circuit fixed-base windows over the CRS deltas.
@@ -114,18 +114,18 @@ func (pk *ProvingKey) UnmarshalAssemblyTables(data []byte) error {
 }
 
 // deltaMul1 computes k·δ in G1 via the assembly table when present.
-func (pk *ProvingKey) deltaMul1(ops *curve.Ops, k *big.Int) *curve.Jacobian {
+func (pk *ProvingKey) deltaMul1(ops *curve.Ops, k ff.Element) *curve.Jacobian {
 	if pk.fbDelta1 != nil {
-		j := pk.fbDelta1.Mul(ops, k)
+		j := pk.fbDelta1.MulElement(ops, k)
 		return &j
 	}
 	return ops.ScalarMulWNAF(pk.Delta1, k, 5)
 }
 
 // deltaMul2 computes k·δ in G2 via the assembly table when present.
-func (pk *ProvingKey) deltaMul2(ops *curve.Ops, k *big.Int) *curve.Jacobian {
+func (pk *ProvingKey) deltaMul2(ops *curve.Ops, k ff.Element) *curve.Jacobian {
 	if pk.fbDelta2 != nil {
-		j := pk.fbDelta2.Mul(ops, k)
+		j := pk.fbDelta2.MulElement(ops, k)
 		return &j
 	}
 	return ops.ScalarMulWNAF(pk.Delta2, k, 5)

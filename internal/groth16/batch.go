@@ -97,10 +97,11 @@ func batchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]ff.Element, weig
 		if !c.G1.IsOnCurve(proof.A) || !c.G1.IsOnCurve(proof.C) || !c.G2.IsOnCurve(proof.B) {
 			return fmt.Errorf("groth16: proof %d contains off-curve points", i)
 		}
-		r, err := weight()
+		rb, err := weight()
 		if err != nil {
 			return err
 		}
+		r := c.Fr.FromBig(rb) // < 2^120 < the group order, so r·P for any P
 
 		// e(rᵢ·Aᵢ, Bᵢ) term.
 		rA := ops1.ToAffine(ops1.ScalarMulWNAF(proof.A, r, 4))
@@ -150,11 +151,13 @@ func ProveBatch(pk *ProvingKey, sys *r1cs.System, witnesses [][]ff.Element, cfg 
 	return ProveBatchCtx(context.Background(), pk, sys, witnesses, cfg, rand)
 }
 
-// msmSet is one of the prover's five MSM base sets and its trace span.
+// msmSet is one of the prover's five MSM base sets, its table and its
+// trace span.
 type msmSet struct {
 	name string
 	g    *curve.Group
 	pts  []curve.Affine
+	t    *msm.Table   // nil: each MSM runs on pts (msm.Job)
 	sp   telemetry.Span
 	left atomic.Int32 // MSMs of the set still running
 }
@@ -170,6 +173,51 @@ func (s *msmSet) start(ctx context.Context, k int) {
 func (s *msmSet) done() {
 	if s.left.Add(-1) == 0 {
 		s.sp.End()
+	}
+}
+
+// proveBuf is a prove's memory for up to k witnesses of its key (DESIGN.md
+// §4.6): the rows a, b, c, k·n elements each (proof i's at [i·n, (i+1)·n)),
+// one msm.Buf per MSM (set s of proof i at s·k+i), each set's one-shot
+// table, the blinding and the final assembly's Ops.
+type proveBuf struct {
+	k      int
+	rows   [3][]ff.Element
+	msm    []msm.Buf
+	tables [5]msm.Table
+	rs, ss []ff.Element
+	draw   []byte
+	ops1   *curve.Ops
+}
+
+// maxBufs bounds a key's free list: the service's in-flight dispatches.
+const maxBufs = 2
+
+// takeBuf returns a free buffer for k witnesses (dropping smaller ones) or a new one.
+func (pk *ProvingKey) takeBuf(k int) *proveBuf {
+	for {
+		select {
+		case b := <-pk.bufs:
+			if b.k >= k {
+				return b
+			}
+		default:
+			c := curve.Get(pk.CurveID)
+			b := &proveBuf{k: k, msm: make([]msm.Buf, 5*k), rs: c.Fr.NewVector(k), ss: c.Fr.NewVector(k),
+				draw: make([]byte, c.Fr.ByteLen()), ops1: c.G1.NewOps()}
+			for i := range b.rows {
+				b.rows[i] = c.Fr.NewVector(k * pk.DomainN)
+			}
+			return b
+		}
+	}
+}
+
+// putBuf returns b to the key's free list, or drops it when that is full.
+func (pk *ProvingKey) putBuf(b *proveBuf) {
+	select {
+	case pk.bufs <- b:
+	default:
 	}
 }
 
@@ -247,25 +295,31 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 		return err
 	}
 
-	sets := [...]*msmSet{
+	sets := [...]msmSet{
 		{name: "A", g: c.G1, pts: pk.A}, {name: "B2", g: c.G2, pts: pk.B2},
 		{name: "B1", g: c.G1, pts: pk.B1}, {name: "H", g: c.G1, pts: pk.H},
 		{name: "K", g: c.G1, pts: pk.K},
 	}
-	tables := pk.tables // the key's preprocessed tables; nil: none
-	if cfg.MSM.Strategy != msm.GZKP {
-		tables = nil
+	buf := pk.takeBuf(k)
+	// Under GZKP each set's k MSMs share its table: the key's preprocessed
+	// one, or else a one-shot copy of its points in buf.
+	for si := 0; cfg.MSM.Strategy == msm.GZKP && si < len(sets); si++ {
+		s := &sets[si]
+		if s.t = pk.tables[s.name]; s.t == nil && len(s.pts) > 0 {
+			if s.t, err = msm.OneShot(s.g, s.pts, cfg.MSM, &buf.tables[si]); err != nil {
+				return err
+			}
+		}
 	}
 
 	// ---- Blinding, proof-major: the byte stream k one-witness calls would
 	// consume from the same reader.
-	rs := make([]ff.Element, k)
-	ss := make([]ff.Element, k)
+	rs, ss := buf.rs[:k], buf.ss[:k]
 	for i := 0; i < k; i++ {
-		if rs[i], err = f.RandReader(rand); err != nil {
+		if err := f.RandTo(rs[i], rand, buf.draw); err != nil {
 			return err
 		}
-		if ss[i], err = f.RandReader(rand); err != nil {
+		if err := f.RandTo(ss[i], rand, buf.draw); err != nil {
 			return err
 		}
 	}
@@ -278,47 +332,40 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 		context.AfterFunc(ctx, spMSM.End)
 	}
 	results := make([]msm.Result, len(sets)*k)
-	// Assembly starts inside the list: once proof i's A is done, its
-	// A = α + Σ zᵢAᵢ + r·δ and s·A; once B2 is, B = β + Σ zᵢBᵢ + s·δ; once
-	// B1 is, r·B1 with B1 = β + Σ zᵢB1ᵢ + s·δ. C waits for all five.
-	type parts struct {
+	// Assembly starts inside the list, on the Ops of the worker that ends
+	// the MSM: once proof i's A is done, its A = α + Σ zᵢAᵢ + r·δ and s·A;
+	// once B2 is, B = β + Σ zᵢBᵢ + s·δ; once B1 is, r·B1 with
+	// B1 = β + Σ zᵢB1ᵢ + s·δ. C waits for all five.
+	asm := make([]struct {
 		a, b    curve.Affine
 		sA, rB1 *curve.Jacobian
-	}
-	asm := make([]parts, k)
-	rBig, sBig := make([]*big.Int, k), make([]*big.Int, k)
-	for i := range k {
-		rBig[i], sBig[i] = f.ToBig(rs[i]), f.ToBig(ss[i])
-	}
-	early := [...]func(i int){
-		func(i int) { // A
-			ops := c.G1.NewOps()
+	}, k)
+	early := [...]func(ops *curve.Ops, i int){
+		func(ops *curve.Ops, i int) { // A
 			var aj curve.Jacobian
 			ops.FromAffine(&aj, pk.Alpha1)
 			ops.AddMixedAssign(&aj, results[i].Point)
-			ops.AddAssign(&aj, pk.deltaMul1(ops, rBig[i]))
+			ops.AddAssign(&aj, pk.deltaMul1(ops, rs[i]))
 			asm[i].a = ops.ToAffine(&aj)
-			asm[i].sA = ops.ScalarMulWNAF(asm[i].a, sBig[i], 4)
+			asm[i].sA = ops.ScalarMulWNAF(asm[i].a, ss[i], 4)
 		},
-		func(i int) { // B2
-			ops := c.G2.NewOps()
+		func(ops *curve.Ops, i int) { // B2
 			var bj curve.Jacobian
 			ops.FromAffine(&bj, pk.Beta2)
 			ops.AddMixedAssign(&bj, results[k+i].Point)
-			ops.AddAssign(&bj, pk.deltaMul2(ops, sBig[i]))
+			ops.AddAssign(&bj, pk.deltaMul2(ops, ss[i]))
 			asm[i].b = ops.ToAffine(&bj)
 		},
-		func(i int) { // B1
-			ops := c.G1.NewOps()
+		func(ops *curve.Ops, i int) { // B1
 			var bj curve.Jacobian
 			ops.FromAffine(&bj, pk.Beta1)
 			ops.AddMixedAssign(&bj, results[2*k+i].Point)
-			ops.AddAssign(&bj, pk.deltaMul1(ops, sBig[i]))
-			asm[i].rB1 = ops.ScalarMulWNAF(ops.ToAffine(&bj), rBig[i], 4)
+			ops.AddAssign(&bj, pk.deltaMul1(ops, ss[i]))
+			asm[i].rB1 = ops.ScalarMulWNAF(ops.ToAffine(&bj), rs[i], 4)
 		},
 	}
 	// ---- The join after the last MSM: C = Σ_priv zᵢKᵢ + Σ hᵢHᵢ + s·A +
-	// r·B1 − r·s·δ, per proof.
+	// r·B1 − r·s·δ, per proof; then the buffer goes back to the key.
 	assemble := func() {
 		st.MSMStats = make([]msm.Stats, len(results))
 		for i, r := range results {
@@ -329,7 +376,7 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 			reg.Counter("groth16.fixedbase_fallback").Add(int64(k))
 		}
 		proofs := make([]*Proof, k)
-		ops1 := c.G1.NewOps()
+		ops1 := buf.ops1
 		for i := range proofs {
 			sp, _ := telemetry.StartSpan(mctx, "assemble")
 			sp.SetInt("proof", int64(i))
@@ -339,11 +386,12 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 			ops1.AddMixedAssign(&cj, results[3*k+i].Point)
 			ops1.AddAssign(&cj, asm[i].sA)
 			ops1.AddAssign(&cj, asm[i].rB1)
-			rsProd := f.Mul(f.New(), rs[i], ss[i])
-			ops1.AddAssign(&cj, pk.deltaMul1(ops1, new(big.Int).Neg(f.ToBig(rsProd))))
+			negRS := f.Mul(rs[i], rs[i], ss[i]) // r·s, in place of r
+			ops1.AddAssign(&cj, pk.deltaMul1(ops1, f.Neg(negRS, negRS)))
 			proofs[i] = &Proof{CurveID: pk.CurveID, A: asm[i].a, B: asm[i].b, C: ops1.ToAffine(&cj)}
 			sp.End()
 		}
+		pk.putBuf(buf)
 		st.MSMNS = time.Since(t0).Nanoseconds()
 		if reg != nil {
 			reg.Counter("groth16.batch_proofs").Add(int64(k))
@@ -357,10 +405,10 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 	var left atomic.Int32
 	left.Store(int32(len(results)))
 	job := func(si, i int) msm.Job {
-		s := sets[si]
-		return msm.Job{Table: tables[s.name], G: s.g, Points: s.pts, Out: &results[si*k+i], Done: func() {
+		s := &sets[si]
+		return msm.Job{Table: s.t, G: s.g, Points: s.pts, Out: &results[si*k+i], Buf: &buf.msm[si*buf.k+i], Done: func(ops *curve.Ops) {
 			if si < len(early) {
-				early[si](i)
+				early[si](ops, i)
 			}
 			s.done()
 			if left.Add(-1) == 0 {
@@ -371,7 +419,7 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 	mlctx := telemetry.ContextWithSpan(ctx, spMSM)
 	ts := msm.NewTasks(l, cfg.MSM)
 	l.Push(math.MaxInt64, func(int) error {
-		h, err := provePoly(ctx, track, dom, sys, witnesses, cfg.NTT, st)
+		h, err := provePoly(ctx, track, dom, sys, witnesses, buf, cfg.NTT, st)
 		if err != nil {
 			return err
 		}
@@ -383,8 +431,8 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 		}
 		return nil
 	})
-	for _, s := range []*msmSet{sets[0], sets[1], sets[2], sets[4]} {
-		s.start(mlctx, k)
+	for _, si := range [...]int{0, 1, 2, 4} {
+		sets[si].start(mlctx, k)
 	}
 	for i, w := range witnesses {
 		if err := ts.Add(mlctx, w, job(0, i), job(1, i), job(2, i)); err != nil {
@@ -398,34 +446,36 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 }
 
 // provePoly is the POLY stage of k proofs on the device track: each
-// witness's constraint rows a, b, c, then the 7 NTT launches, recorded in
-// st. It returns every proof's H coefficients.
-func provePoly(ctx context.Context, track int, dom *ntt.Domain, sys *r1cs.System, witnesses [][]ff.Element, cfg ntt.Config, st *BatchStats) ([][]ff.Element, error) {
+// witness's constraint rows a, b, c, written into buf's strided rows, then
+// the 7 NTT launches, recorded in st. It returns every proof's H
+// coefficients, which alias buf.
+func provePoly(ctx context.Context, track int, dom *ntt.Domain, sys *r1cs.System, witnesses [][]ff.Element, buf *proveBuf, cfg ntt.Config, st *BatchStats) ([][]ff.Element, error) {
 	t0 := time.Now()
 	f, n, k := dom.F, dom.N, len(witnesses)
 	sp, ctx := telemetry.StartSpanOn(ctx, track, "poly")
 	sp.SetInt("n", int64(n))
 	sp.SetInt("k", int64(k))
 	defer sp.End()
-	avs := make([][]ff.Element, k)
-	bvs := make([][]ff.Element, k)
-	cvs := make([][]ff.Element, k)
+	a, b, c := buf.rows[0][:k*n], buf.rows[1][:k*n], buf.rows[2][:k*n]
 	err := par.ItemsErr(ctx, k, 0, nil,
 		func(_ struct{}, i int) error {
-			av, bv, cv := f.NewVector(n), f.NewVector(n), f.NewVector(n)
-			w, tmp := witnesses[i], f.New()
+			w, tmp, rows := witnesses[i], f.New(), i*n
 			for j, cons := range sys.Constraints {
-				r1cs.EvalLCTo(f, av[j], tmp, cons.A, w)
-				r1cs.EvalLCTo(f, bv[j], tmp, cons.B, w)
-				r1cs.EvalLCTo(f, cv[j], tmp, cons.C, w)
+				r1cs.EvalLCTo(f, a[rows+j], tmp, cons.A, w)
+				r1cs.EvalLCTo(f, b[rows+j], tmp, cons.B, w)
+				r1cs.EvalLCTo(f, c[rows+j], tmp, cons.C, w)
 			}
-			avs[i], bvs[i], cvs[i] = av, bv, cv
+			for j := rows + len(sys.Constraints); j < rows+n; j++ { // the rows past the system are zero
+				clear(a[j])
+				clear(b[j])
+				clear(c[j])
+			}
 			return nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	res, err := poly.ComputeHBatchCtx(ctx, dom, avs, bvs, cvs, cfg)
+	res, err := poly.ComputeHStridedCtx(ctx, dom, a, b, c, k, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -53,6 +53,8 @@ type ProvingKey struct {
 	// key (Setup, UnmarshalBinary) and read-only afterwards, so concurrent
 	// provers share it.
 	dom *ntt.Domain
+	// bufs is the free list of prove buffers (batch.go), made with dom.
+	bufs chan *proveBuf
 }
 
 // domain returns the key's NTT domain; a key built by neither Setup nor
@@ -292,7 +294,7 @@ func Setup(sys *r1cs.System, c *curve.Curve, rand io.Reader) (*ProvingKey, *Veri
 	ops1, ops2 := c.G1.NewOps(), c.G2.NewOps()
 	mulG1 := func(s ff.Element) curve.Jacobian { return fb1.MulElement(ops1, s) }
 
-	pk := &ProvingKey{CurveID: c.ID, DomainN: n}
+	pk := &ProvingKey{CurveID: c.ID, DomainN: n, bufs: make(chan *proveBuf, maxBufs)}
 	if pk.dom, err = ntt.NewDomain(f, n); err != nil {
 		return nil, nil, err
 	}

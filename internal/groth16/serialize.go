@@ -278,7 +278,7 @@ func (pk *ProvingKey) UnmarshalBinary(data []byte) error {
 		}
 		return pts, nil
 	}
-	out := &ProvingKey{CurveID: id, DomainN: domainN}
+	out := &ProvingKey{CurveID: id, DomainN: domainN, bufs: make(chan *proveBuf, maxBufs)}
 	if out.A, err = readSlice(c.G1); err != nil {
 		return err
 	}

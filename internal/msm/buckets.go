@@ -18,8 +18,8 @@ const (
 // groups cuts the schedule order into the kernel's bucket groups.
 func (p *plan) groups(workers int) {
 	target := min(max(len(p.pindex)/(4*workers), minGroupEntries), maxGroupEntries)
-	p.cuts = append(make([]int, 0, len(p.order)+1), 0)
-	p.entries = make([]int64, 0, len(p.order))
+	p.cuts, p.entries = append(p.cuts[:0], 0), p.entries[:0]
+	p.maxEntries, p.maxSegs = 0, 0
 	entries := 0
 	for pos, j := range p.order {
 		entries += int(p.loads[j])
@@ -35,9 +35,11 @@ func (p *plan) groups(workers int) {
 
 // bucketWorker is one worker's scratch for one group, kept by the task
 // list's runtime across MSMs and scopes: the adder and its slab, each
-// kernel segment's run of live slots in it, and the first chunk of a
-// combine's lanes.
+// kernel segment's run of live slots in it, the first chunk of a combine's
+// lanes, and the Ops and accumulators of its chain (and its job's Done).
 type bucketWorker struct {
+	ops         *curve.Ops
+	total, run  curve.Jacobian
 	add         *curve.AffineAdder
 	slots       int
 	start, live []int32

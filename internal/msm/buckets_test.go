@@ -28,7 +28,7 @@ type (
 func buildTestPlan(ctx context.Context, t *Table, scalars []ff.Element, cfg Config) (*plan, error) {
 	var p *plan
 	err := par.Run(ctx, cfg.workers(), func(_ context.Context, l *par.List) error {
-		buildPlan(l, t.g.Fr, scalars, t.geometry(cfg.SignedBuckets), cfg, func(q *plan) { p = q })
+		buildPlan(l, t.g.Fr, scalars, t.geometry(cfg.SignedBuckets), cfg, &plan{}, func(q *plan) { p = q })
 		return nil
 	})
 	return p, err
@@ -313,7 +313,7 @@ func oneShotDegenerate(t *testing.T, g *curve.Group) {
 					cfg := Config{Strategy: GZKP, WindowBits: k, SignedBuckets: signed, Workers: workers}
 					for _, m := range []int{0, 1} { // one-shot, kept M = 1
 						cfg.CheckpointInterval = m
-						table, err := newTable(context.Background(), g, in.points, cfg, m > 0)
+						table, err := newTable(context.Background(), g, in.points, cfg, m > 0, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -351,7 +351,7 @@ func TestOneShotBuildsNoTable(t *testing.T) {
 		}
 		return least
 	}
-	oneShot, err := newTable(ctx, g, points, cfg, false)
+	oneShot, err := newTable(ctx, g, points, cfg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +414,7 @@ func TestTableOwnsItsPoints(t *testing.T) {
 			cfg  Config
 			kept bool
 		}{{kept, true}, {cfg, false}} {
-			table, err := newTable(context.Background(), g, points, c.cfg, c.kept)
+			table, err := newTable(context.Background(), g, points, c.cfg, c.kept, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -583,7 +583,7 @@ func bucketCase(raw []byte) (*curve.Group, []curve.Affine, []ff.Element, Config)
 func checkBucketCase(t testing.TB, raw []byte) {
 	t.Helper()
 	g, points, scalars, cfg := bucketCase(raw)
-	table, err := newTable(context.Background(), g, points, cfg, false)
+	table, err := newTable(context.Background(), g, points, cfg, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +674,7 @@ func TestComputeAllocsBounded(t *testing.T) {
 		var table *Table
 		build := func() {
 			var err error
-			if table, err = newTable(ctx, g, points, cfg, !oneShot); err != nil {
+			if table, err = newTable(ctx, g, points, cfg, !oneShot, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -33,6 +33,7 @@ type Table struct {
 	// slot's layout — and inf[e] marks it the point at infinity.
 	slab []uint64
 	inf  []bool
+	kept bool // built to outlive one MSM (newTable)
 }
 
 // point returns slab entry e as x‖y and whether it is the point at
@@ -72,7 +73,7 @@ func PreprocessCtx(ctx context.Context, g *curve.Group, points []curve.Affine, c
 	sp, ctx := telemetry.StartSpan(ctx, "msm preprocess")
 	sp.SetInt("n", int64(len(points)))
 	defer sp.End()
-	return newTable(ctx, g, points, cfg, true)
+	return newTable(ctx, g, points, cfg, true, nil)
 }
 
 // buildRows is the rows of the build's Jacobian scratch a worker doubles
@@ -85,8 +86,9 @@ const buildRows = 16
 // outlives one MSM call: only then is a zero cfg.CheckpointInterval derived
 // from the budget. A one-shot table takes M = windows, a single checkpoint
 // that is a copy of the input, so nothing is doubled or converted. An
-// explicit CheckpointInterval is honoured either way.
-func newTable(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Config, kept bool) (*Table, error) {
+// explicit CheckpointInterval is honoured either way. into, if set, holds
+// a one-checkpoint table.
+func newTable(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Config, kept bool, into *Table) (*Table, error) {
 	n := len(points)
 	if n == 0 {
 		return nil, fmt.Errorf("msm: empty point vector")
@@ -125,10 +127,14 @@ func newTable(ctx context.Context, g *curve.Group, points []curve.Affine, cfg Co
 	}
 	checkpoints := (nw + m - 1) / m
 	w := g.K.Words()
-	t := &Table{
-		g: g, k: k, m: m, windows: nw, n: n, w: w,
-		slab: make([]uint64, checkpoints*n*2*w),
-		inf:  make([]bool, checkpoints*n),
+	t := into
+	if t == nil || checkpoints > 1 {
+		t = &Table{}
+	}
+	*t = Table{
+		g: g, k: k, m: m, windows: nw, n: n, w: w, kept: kept,
+		slab: grow(t.slab, checkpoints*n*2*w),
+		inf:  grow(t.inf, checkpoints*n),
 	}
 	for i, p := range points {
 		if t.inf[i] = p.Inf; !p.Inf {
@@ -274,15 +280,13 @@ func combineShape(m, numBuckets, workers int) (chunks, shift, fold int) {
 // chain then takes each class in (M−1)·k + s doublings per MSM (s = 0 for
 // a single chunk): its k doublings per step are split at s, and the
 // running sum Σ_c c·R_c enters before the last s of them.
-func (t *Table) chain(lanes []curve.Affine, chunks, fold int) (curve.Affine, int64) {
-	m := t.m
-	ops := t.g.NewOps()
-	var total, run curve.Jacobian
-	ops.SetInfinity(&total)
+func (t *Table) chain(bw *bucketWorker, lanes []curve.Affine, chunks, fold int) (curve.Affine, int64) {
+	m, ops, total, run := t.m, bw.ops, &bw.total, &bw.run
+	ops.SetInfinity(total)
 	var doubles int64
 	double := func(times int) {
 		for range times {
-			ops.DoubleAssign(&total)
+			ops.DoubleAssign(total)
 		}
 		doubles += int64(times)
 	}
@@ -291,15 +295,15 @@ func (t *Table) chain(lanes []curve.Affine, chunks, fold int) (curve.Affine, int
 			double(t.k - fold)
 		}
 		// total += Σ_c c·R_c as Σ_{c ≥ 1} (running sum of R from the top).
-		ops.SetInfinity(&run)
+		ops.SetInfinity(run)
 		for c := chunks - 1; c >= 1; c-- {
-			ops.AddMixedAssign(&run, lanes[2*(c*m+r)+1])
-			ops.AddAssign(&total, &run)
+			ops.AddMixedAssign(run, lanes[2*(c*m+r)+1])
+			ops.AddAssign(total, run)
 		}
 		double(fold)
 		for c := 0; c < chunks; c++ {
-			ops.AddMixedAssign(&total, lanes[2*(c*m+r)])
+			ops.AddMixedAssign(total, lanes[2*(c*m+r)])
 		}
 	}
-	return ops.ToAffine(&total), doubles
+	return ops.ToAffine(total), doubles
 }

@@ -224,7 +224,7 @@ func ComputeCtx(ctx context.Context, g *curve.Group, points []curve.Affine, scal
 		}
 		return res, st, err
 	case GZKP:
-		table, err := newTable(ctx, g, points, cfg, false)
+		table, err := newTable(ctx, g, points, cfg, false, nil)
 		if err != nil {
 			return curve.Affine{}, Stats{}, err
 		}
@@ -292,32 +292,28 @@ type digits struct {
 // newDigits canonicalizes scalars (out of Montgomery form) once and serves
 // digit lookups; l is the scalar bit length.
 func newDigits(f *ff.Field, scalars []ff.Element, k int) *digits {
-	d := allocDigits(f, len(scalars), k)
-	d.canonicalize(f, scalars, 0)
+	d := &digits{}
+	d.reset(f, len(scalars), k)
+	d.canonicalize(f, scalars, 0, len(scalars))
 	return d
 }
 
-// allocDigits returns a zero digit source for n scalars of f's bit length.
-func allocDigits(f *ff.Field, n, k int) *digits {
+// reset sizes d for n scalars of f's bit length, keeping old rows.
+func (d *digits) reset(f *ff.Field, n, k int) {
 	perRow := f.Limbs()
-	return &digits{
-		limbs:   make([]uint64, n*perRow),
-		perRow:  perRow,
-		k:       k,
-		windows: (f.Bits() + k - 1) / k,
-		n:       n,
-	}
+	*d = digits{limbs: grow(d.limbs, n*perRow), perRow: perRow, k: k, windows: (f.Bits() + k - 1) / k, n: n}
 }
 
-// canonicalize writes scalars, out of Montgomery form, into rows lo, lo+1, ….
-func (d *digits) canonicalize(f *ff.Field, scalars []ff.Element, lo int) {
-	one := make(ff.Element, d.perRow)
-	one[0] = 1
-	tmp := f.New()
-	kr := f.Kernels() // hoisted: one width decision for the whole sweep
-	for i, s := range scalars {
-		kr.Mul(tmp, s, one) // Montgomery → canonical
-		copy(d.limbs[(lo+i)*d.perRow:(lo+i+1)*d.perRow], tmp)
+// canonicalize writes rows [lo, hi): scalar i out of Montgomery form, and
+// zero past the end of scalars.
+func (d *digits) canonicalize(f *ff.Field, scalars []ff.Element, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		row := d.limbs[i*d.perRow : (i+1)*d.perRow]
+		if i < len(scalars) {
+			f.Canonical(row, scalars[i])
+		} else {
+			clear(row)
+		}
 	}
 }
 

@@ -1,9 +1,10 @@
 package msm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"gzkp/internal/ff"
 	"gzkp/internal/par"
@@ -41,6 +42,7 @@ type plan struct {
 	cuts                []int
 	entries             []int64
 	maxEntries, maxSegs int
+	slots               []int32 // the build's per-range segment counts
 }
 
 // segment returns the entries of bucket j's remainder class r.
@@ -54,76 +56,77 @@ func (p *plan) segment(j, r int) []int32 {
 const planWeight = math.MaxInt64 - 1
 
 // buildPlan pushes onto l the tasks that build the plan of scalars (zero
-// past their end, up to gm.n), then calls then with it. The points are cut into cfg.workers() contiguous
-// ranges; each range task canonicalizes, recodes and counts its digits
-// per segment, one prefix sum over (segment, range) gives every range its
-// first slot in each segment, and each range then fills its slots in
-// point order. Segment s thus lists its entries in (point, window) order
-// whatever the range count: the sequential counting sort's pindex.
-func buildPlan(l *par.List, f *ff.Field, scalars []ff.Element, gm geometry, cfg Config, then func(p *plan)) {
+// past their end, up to gm.n) into p, whose earlier build, if any, is no
+// longer read, then calls then with it. The points are cut into
+// cfg.workers() contiguous ranges; each range task canonicalizes, recodes
+// and counts its digits per segment, one prefix sum over (segment, range)
+// gives every range its first slot in each segment, and each range then
+// recodes again and fills its slots in point order. Segment s thus lists
+// its entries in (point, window) order whatever the range count: the
+// sequential counting sort's pindex. A range's digits live in its
+// worker's scratch, so a plan keeps none.
+func buildPlan(l *par.List, f *ff.Field, scalars []ff.Element, gm geometry, cfg Config, p *plan, then func(p *plan)) {
 	ranges := min(cfg.workers(), gm.n)
 	numBuckets := bucketCount(gm.k, gm.signed)
 	m, segs := gm.m, (numBuckets+1)*gm.m
-	d := allocDigits(f, gm.n, gm.k)
-	dm := newDigitMatrix(d, gm.signed)
+	p.geometry, p.offsets = gm, grow(p.offsets, segs+1)
 	// slots[r·segs+s]: range r's digit count in segment s, then its next slot.
-	slots := make([]int32, ranges*segs)
-	p := &plan{geometry: gm, offsets: make([]int32, segs+1)}
-	bound := func(r int) int { return r * gm.n / ranges }
+	p.slots = grow(p.slots, ranges*segs)
+	clear(p.slots)
+	slots := p.slots
 	weight := func(int) int64 { return planWeight }
-	// scan walks range r's nonzero digits in (point, window) order: it
-	// counts them per segment or, once slots hold the range's first slot
-	// per segment, writes them there.
-	scan := func(r int, fill bool) {
+	// scan recodes range r's scalars on worker w and walks their nonzero
+	// digits in (point, window) order: it counts them per segment or, once
+	// slots hold the range's first slot per segment, writes them there.
+	scan := func(w, r int, fill bool) error {
+		lo, hi := r*gm.n/ranges, (r+1)*gm.n/ranges
+		ws, _ := l.Scratch(w)[digitsKey{}].(*digitScratch)
+		if ws == nil {
+			ws = new(digitScratch)
+			l.Scratch(w)[digitsKey{}] = ws
+		}
+		d, dm := &ws.d, &ws.dm
+		d.reset(f, hi-lo, gm.k)
+		d.canonicalize(f, scalars[min(lo, len(scalars)):min(hi, len(scalars))], 0, hi-lo)
+		dm.reset(d, gm.signed)
+		dm.recode(d, 0, hi-lo)
 		own := slots[r*segs : (r+1)*segs]
-		for i := bound(r); i < bound(r+1); i++ {
-			for w := 0; w < gm.windows; w++ {
-				v := dm.digit(i, w)
+		for i := 0; i < hi-lo; i++ {
+			if gm.signed && dm.digit(i, gm.windows) != 0 {
+				return fmt.Errorf("msm: signed recoding carried out of the top window (internal error)")
+			}
+			for t := 0; t < gm.windows; t++ {
+				v := dm.digit(i, t)
 				if v == 0 {
 					continue
 				}
-				entry := int32((w/m)*gm.n + i + 1)
+				entry := int32((t/m)*gm.n + lo + i + 1)
 				if v < 0 {
 					v, entry = -v, -entry
 				}
-				s := int(v)*m + w%m
+				s := int(v)*m + t%m
 				if fill {
 					p.pindex[own[s]] = entry
 				}
 				own[s]++
 			}
 		}
-	}
-	count := func(_, r int) error {
-		lo, hi := bound(r), bound(r+1)
-		d.canonicalize(f, scalars[min(lo, len(scalars)):min(hi, len(scalars))], lo)
-		dm.recode(d, lo, hi)
-		for i := lo; gm.signed && i < hi; i++ {
-			if dm.digit(i, gm.windows) != 0 {
-				return fmt.Errorf("msm: signed recoding carried out of the top window (internal error)")
-			}
-		}
-		scan(r, false)
 		return nil
 	}
-	fill := func(_, r int) error {
-		scan(r, true)
-		return nil
-	}
+	count := func(w, r int) error { return scan(w, r, false) }
+	fill := func(w, r int) error { return scan(w, r, true) }
 	finish := func(int) error {
 		p.loads = make([]int64, numBuckets+1)
 		for j := 1; j <= numBuckets; j++ {
 			p.loads[j] = int64(p.offsets[(j+1)*m] - p.offsets[j*m])
 		}
 		// Scheduling order: group buckets by load, heaviest first (§4.2).
-		p.order = make([]int, numBuckets)
+		p.order = grow(p.order, numBuckets)
 		for j := range p.order {
 			p.order[j] = j + 1
 		}
 		if !cfg.NoLoadBalance {
-			sort.Slice(p.order, func(a, b int) bool {
-				return p.loads[p.order[a]] > p.loads[p.order[b]]
-			})
+			slices.SortStableFunc(p.order, func(a, b int) int { return cmp.Compare(p.loads[b], p.loads[a]) })
 		}
 		p.groups(cfg.workers())
 		then(p)
@@ -140,9 +143,26 @@ func buildPlan(l *par.List, f *ff.Field, scalars []ff.Element, gm geometry, cfg 
 			}
 		}
 		p.offsets[segs] = next
-		p.pindex = make([]int32, next)
+		p.pindex = grow(p.pindex, int(next))
 		l.Fan(ranges, weight, fill, finish)
 		return nil
 	}
 	l.Fan(ranges, weight, count, prefix)
+}
+
+// digitScratch is a worker's canonical scalars and digits for one range
+// of a plan build, kept in its runtime scratch under digitsKey.
+type digitScratch struct {
+	d  digits
+	dm digitMatrix
+}
+
+type digitsKey struct{}
+
+// grow returns s resliced to n, made afresh only when nil or short.
+func grow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

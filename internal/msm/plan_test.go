@@ -8,6 +8,7 @@ import (
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
+	"gzkp/internal/par"
 )
 
 // sortedEntries is the counting sort a plan's pindex must equal, written
@@ -58,7 +59,7 @@ func TestPlanParallelMatchesSequential(t *testing.T) {
 	for _, signed := range []bool{false, true} {
 		for _, m := range []int{0, 3} { // one-shot, kept
 			cfg := Config{Strategy: GZKP, WindowBits: 7, CheckpointInterval: m, SignedBuckets: signed}
-			table, err := newTable(ctx, g, points, cfg, m > 0)
+			table, err := newTable(ctx, g, points, cfg, m > 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,6 +92,42 @@ func TestPlanParallelMatchesSequential(t *testing.T) {
 							t.Fatalf("%s workers=%d: %s differs from the one-range plan", what, workers, f.field)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanBufReuse: one Buf serves a full, a short, a sparse and again a
+// full scalar vector, against a one-shot and a kept table, on G1 and G2,
+// and every MSM equals the same MSM without a Buf. The short vector after
+// the full one reads the previous plan's digit rows unless they are
+// zeroed, and every MSM reads stale bucket sums unless they are reset.
+func TestPlanBufReuse(t *testing.T) {
+	ctx := context.Background()
+	for _, g := range []*curve.Group{curve.Get(curve.BN254).G1, curve.Get(curve.BN254).G2} {
+		points, dense := testVectors(g, 301, 89, 0)
+		_, sparse := testVectors(g, 301, 97, 0.8)
+		cfg := Config{Strategy: GZKP, SignedBuckets: true, CheckpointInterval: 3}
+		kept, err := Preprocess(g, points, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(tbl *Table, scalars []ff.Element, b *Buf) curve.Affine {
+			var res Result
+			err := par.Run(ctx, cfg.workers(), func(ctx context.Context, l *par.List) error {
+				return NewTasks(l, cfg).Add(ctx, scalars, Job{Table: tbl, G: g, Points: points, Out: &res, Buf: b})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Point
+		}
+		for _, tbl := range []*Table{nil, kept} {
+			var buf Buf
+			for i, scalars := range [][]ff.Element{dense, dense[:50], sparse, dense} {
+				if got, want := run(tbl, scalars, &buf), run(tbl, scalars, nil); !g.EqualAffine(got, want) {
+					t.Fatalf("%s kept=%v vector %d: MSM over a reused Buf differs", g.Name, tbl != nil, i)
 				}
 			}
 		}

@@ -26,19 +26,20 @@ func (dm *digitMatrix) digit(i, t int) int32 { return dm.dig[i*dm.windows+t] }
 // recodeDigits lays a digit accessor out as a matrix, recoding into the
 // signed range when signed is set.
 func recodeDigits(d *digits, signed bool) *digitMatrix {
-	dm := newDigitMatrix(d, signed)
+	dm := &digitMatrix{}
+	dm.reset(d, signed)
 	dm.recode(d, 0, d.n)
 	return dm
 }
 
-// newDigitMatrix returns a zero matrix for d's rows: one extra window
+// reset sizes dm for d's rows, which recode then fills: one extra window
 // absorbs a signed recoding's final carry.
-func newDigitMatrix(d *digits, signed bool) *digitMatrix {
-	nw := d.windows
+func (dm *digitMatrix) reset(d *digits, signed bool) {
+	dm.windows = d.windows
 	if signed {
-		nw++
+		dm.windows++
 	}
-	return &digitMatrix{dig: make([]int32, d.n*nw), windows: nw}
+	dm.dig = grow(dm.dig, d.n*dm.windows)
 }
 
 // recode fills rows [lo, hi) of dm from d, signed when dm has the carry

@@ -29,13 +29,53 @@ func NewTasks(l *par.List, cfg Config) *Tasks {
 // Job is one MSM for Tasks.Add, its result written to *Out. Its bases are
 // Table's or, with no Table, Points on G: through a one-shot table under
 // the GZKP strategy, as one task running ComputeCtx under any other (or
-// with no points). Done, if set, runs once *Out is final.
+// with no points). Done, if set, runs once *Out is final, with the Ops of
+// the worker it runs on for G. Buf is the job's memory (nil: a new one).
 type Job struct {
 	Table  *Table
 	G      *curve.Group
 	Points []curve.Affine
 	Out    *Result
-	Done   func()
+	Done   func(ops *curve.Ops)
+	Buf    *Buf
+}
+
+// Buf is one MSM's memory, which a caller may keep for its next MSM of the
+// same shape: the plan the job builds if it leads its geometry in its Add,
+// and against a kept table its bucket sums and lanes. A one-shot table's
+// are made per MSM: at M = windows they outweigh the rest of a prove's
+// buffers. It serves one Add at a time.
+type Buf struct {
+	plan        plan
+	sums, lanes []curve.Affine
+}
+
+// OneShot builds the table Add makes for a Job with Points and no Table:
+// one checkpoint, a copy of points, over into's memory when set. A caller
+// with k MSMs over the same points passes it as each one's Table.
+func OneShot(g *curve.Group, points []curve.Affine, cfg Config, into *Table) (*Table, error) {
+	cfg.CheckpointInterval = 0 // levels would cost more doublings than one Horner chain saves
+	return newTable(context.Background(), g, points, cfg, false, into)
+}
+
+// keep returns where a job's MSM keeps its bucket sums and lanes: its
+// Buf's against a kept table, else fresh ones.
+func (j *job) keep() (sums, lanes *[]curve.Affine) {
+	if j.Table.kept {
+		return &j.Buf.sums, &j.Buf.lanes
+	}
+	return new([]curve.Affine), new([]curve.Affine)
+}
+
+// points returns n points of g at infinity, reusing *keep's when it fits.
+func points(keep *[]curve.Affine, g *curve.Group, n int) []curve.Affine {
+	if len(*keep) != n || len((*keep)[0].X) != g.K.Words() {
+		*keep = newPoints(g, n)
+	}
+	for i := range *keep {
+		(*keep)[i].Inf = true
+	}
+	return *keep
 }
 
 // Result is one MSM's outcome.
@@ -60,31 +100,31 @@ const combineWeight = planWeight - 1
 // geometry share one plan. ctx carries each MSM's span; cancellation acts
 // at task boundaries, through the list's context.
 func (ts *Tasks) Add(ctx context.Context, scalars []ff.Element, jobs ...Job) error {
-	var shared [][]*job // jobs by geometry, each sharing one plan
+	jbs := make([]job, 0, len(jobs)) // the GZKP jobs
 	for _, j := range jobs {
+		if j.Buf == nil {
+			j.Buf = new(Buf)
+		}
 		t := j.Table
 		if t == nil {
 			if len(scalars) > len(j.Points) {
 				return fmt.Errorf("msm: %d scalars vs %d points", len(scalars), len(j.Points))
 			}
 			if ts.cfg.Strategy != GZKP || len(j.Points) == 0 {
-				ts.l.Push(int64(len(scalars)), func(int) error {
+				j := j // the task's own copy: a captured loop variable escapes on every path
+				ts.l.Push(int64(len(scalars)), func(w int) error {
 					p, st, err := ComputeCtx(ctx, j.G, j.Points[:len(scalars)], scalars, ts.cfg)
 					if err != nil {
 						return err
 					}
 					*j.Out = Result{p, st}
-					j.done()
+					j.done(ts.worker(w, j.G, 0, 0).ops)
 					return nil
 				})
 				continue
 			}
-			// A single checkpoint: levels would cost more doublings than
-			// one MSM's Horner chain saves, and their build opens a scope.
-			oneShot := ts.cfg
-			oneShot.CheckpointInterval = 0
 			var err error
-			if t, err = newTable(ctx, j.G, j.Points, oneShot, false); err != nil {
+			if t, err = OneShot(j.G, j.Points, ts.cfg, nil); err != nil {
 				return err
 			}
 			j.Table = t
@@ -95,35 +135,35 @@ func (ts *Tasks) Add(ctx context.Context, scalars []ff.Element, jobs ...Job) err
 		if l := t.g.Fr.Bits(); ts.cfg.SignedBuckets && l%t.k == 0 {
 			return fmt.Errorf("msm: signed buckets need k ∤ %d (scalar bits); table has k=%d — rebuild with SignedBuckets set", l, t.k)
 		}
-		jb := &job{Job: j}
+		jbs = append(jbs, job{Job: j})
+		jb := &jbs[len(jbs)-1]
 		jb.sp, jb.ctx = telemetry.StartSpan(ctx, "msm")
 		jb.sp.SetStr("strategy", GZKP.String())
 		jb.sp.SetInt("n", int64(t.n))
-		gm := t.geometry(ts.cfg.SignedBuckets)
-		i := slices.IndexFunc(shared, func(js []*job) bool { return js[0].Table.geometry(ts.cfg.SignedBuckets) == gm })
-		if i < 0 {
-			shared = append(shared, nil)
-			i = len(shared) - 1
-		}
-		shared[i] = append(shared[i], jb)
 	}
-	for _, js := range shared {
-		t := js[0].Table
-		buildPlan(ts.l, t.g.Fr, scalars, t.geometry(ts.cfg.SignedBuckets), ts.cfg, func(p *plan) {
+	gm := func(j job) geometry { return j.Table.geometry(ts.cfg.SignedBuckets) }
+	for i, lead := range jbs {
+		if slices.ContainsFunc(jbs[:i], func(j job) bool { return gm(j) == gm(lead) }) {
+			continue // planned with an earlier job of its geometry
+		}
+		t, rest := lead.Table, jbs[i:]
+		buildPlan(ts.l, t.g.Fr, scalars, gm(lead), ts.cfg, &lead.Buf.plan, func(p *plan) {
 			if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
 				reg.Counter("msm.plans").Add(1)
 			}
-			for _, j := range js {
-				ts.apply(j, p)
+			for k := range rest {
+				if gm(rest[k]) == p.geometry {
+					ts.apply(&rest[k], p)
+				}
 			}
 		})
 	}
 	return nil
 }
 
-func (j *Job) done() {
+func (j *Job) done(ops *curve.Ops) {
 	if j.Done != nil {
-		j.Done()
+		j.Done(ops)
 	}
 }
 
@@ -133,7 +173,8 @@ func (j *Job) done() {
 // S_{j,r} land, still affine, in sums[j·M+r].
 func (ts *Tasks) apply(j *job, p *plan) {
 	t := j.Table
-	sums := newPoints(t.g, len(p.offsets)-1)
+	keep, _ := j.keep()
+	sums := points(keep, t.g, len(p.offsets)-1)
 	// A group weighs its entries' cost: on BN254, BenchmarkBucketKernel
 	// puts a G2 entry at about 2.5 G1 entries.
 	cost := int64(2)
@@ -168,7 +209,8 @@ func (ts *Tasks) combine(j *job, p *plan, sums []curve.Affine) {
 	numBuckets := len(sums)/m - 1 // bucket 0 unused
 	chunks, shift, fold := combineShape(m, numBuckets, ts.cfg.workers())
 	items := min(ts.cfg.workers(), chunks)
-	lanes := newPoints(t.g, 2*chunks*m)
+	_, keep := j.keep()
+	lanes := points(keep, t.g, 2*chunks*m)
 	run := func(w, i int) error {
 		c0, c1 := i*chunks/items, (i+1)*chunks/items
 		bw := ts.worker(w, t.g, combineSlots*(c1-c0)*m, 0)
@@ -182,13 +224,14 @@ func (ts *Tasks) combine(j *job, p *plan, sums []curve.Affine) {
 		}
 		return nil
 	}
-	ts.l.Fan(items, func(int) int64 { return combineWeight }, run, func(int) error {
-		pt, doubles := t.chain(lanes, chunks, fold)
+	ts.l.Fan(items, func(int) int64 { return combineWeight }, run, func(w int) error {
+		bw := ts.worker(w, t.g, 0, 0)
+		pt, doubles := t.chain(bw, lanes, chunks, fold)
 		st := t.stats(p, doubles)
 		*j.Out = Result{pt, st}
 		recordMSM(j.ctx, j.sp, st)
 		j.sp.End()
-		j.done()
+		j.done(bw.ops)
 		return nil
 	})
 }
@@ -203,7 +246,7 @@ func (ts *Tasks) worker(w int, g *curve.Group, slots, segs int) *bucketWorker {
 	m := ts.l.Scratch(w)
 	bw, _ := m[scratchKey{g}].(*bucketWorker)
 	if bw == nil {
-		bw = &bucketWorker{}
+		bw = &bucketWorker{ops: g.NewOps()}
 		m[scratchKey{g}] = bw
 	}
 	if bw.add == nil || slots > bw.slots {

@@ -87,10 +87,7 @@ func (d *Domain) TransformStridedCtx(ctx context.Context, buf []ff.Element, k in
 	start := time.Now()
 	f := d.F
 	n := d.N
-	roots := d.roots
-	if dir == Inverse {
-		roots = d.rootsInv
-	}
+	roots := [...][]ff.Element{Forward: d.roots, Inverse: d.rootsInv}[dir]
 	// Permutation pass: each vector bit-reverses independently.
 	err := par.RangeErr(ctx, k, 0, func(lo, hi int) error {
 		for v := lo; v < hi; v++ {
@@ -111,9 +108,9 @@ func (d *Domain) TransformStridedCtx(ctx context.Context, buf []ff.Element, k in
 		half := m >> 1
 		step := n >> s
 		err := par.RangeErr(ctx, k, 0, func(lo, hi int) error {
-			t := f.New()
-			u := f.New()
-			kr := f.Kernels()
+			s := d.scratch(0)
+			defer d.putScratch(s)
+			t, u, kr := s.t, s.u, f.Kernels()
 			for v := lo; v < hi; v++ {
 				a := buf[v*n : (v+1)*n]
 				for off := 0; off < n; off += m {

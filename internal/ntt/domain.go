@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"gzkp/internal/ff"
 	"gzkp/internal/par"
@@ -43,6 +44,10 @@ type Domain struct {
 
 	coset    ff.Element // multiplicative coset shift g (a non-residue)
 	cosetInv ff.Element
+
+	// blocks is the transforms' free list of block scratch, sized for the
+	// blocks several concurrent transforms keep in flight on every core.
+	blocks chan *groupScratch
 }
 
 // NewDomain builds a domain of size n (a power of two ≤ 2^two-adicity).
@@ -61,6 +66,7 @@ func NewDomain(f *ff.Field, n int) (*Domain, error) {
 		OmegaInv: f.Inverse(omega),
 		NInv:     f.Inverse(f.FromUint64(uint64(n))),
 		coset:    f.CosetGenerator(),
+		blocks:   make(chan *groupScratch, 4*runtime.GOMAXPROCS(0)),
 	}
 	d.cosetInv = f.Inverse(d.coset)
 	d.roots = powerTable(f, omega, n/2)
@@ -289,8 +295,15 @@ func (d *Domain) scale(ctx context.Context, a []ff.Element, c ff.Element, cfg Co
 // scaleByPowers multiplies a[i] by base^i.
 func (d *Domain) scaleByPowers(ctx context.Context, a []ff.Element, base ff.Element, cfg Config) error {
 	return par.RangeErr(ctx, len(a), 0, func(lo, hi int) error {
-		f := d.F
-		p := f.Exp(base, bigFromInt(lo))
+		f, s := d.F, d.scratch(0)
+		defer d.putScratch(s)
+		p := f.SetOne(s.t) // base^lo, square-and-multiply
+		for b := bits.Len(uint(lo)) - 1; b >= 0; b-- {
+			f.Square(p, p)
+			if lo>>b&1 == 1 {
+				f.Mul(p, p, base)
+			}
+		}
 		for i := lo; i < hi; i++ {
 			f.Mul(a[i], a[i], p)
 			f.Mul(p, p, base)

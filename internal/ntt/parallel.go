@@ -65,9 +65,33 @@ func (d *Domain) processGroup(sub []ff.Element, sdone, bb, lo int, roots []ff.El
 	}
 }
 
+// groupScratch is a block's scratch: its local buffer and a butterfly's
+// two temporaries, from the domain's free list.
 type groupScratch struct {
 	local []ff.Element
 	t, u  ff.Element
+}
+
+// scratch takes a block scratch with room for n elements (putScratch returns it).
+func (d *Domain) scratch(n int) *groupScratch {
+	var s *groupScratch
+	select {
+	case s = <-d.blocks:
+	default:
+		s = &groupScratch{t: d.F.New(), u: d.F.New()}
+	}
+	if len(s.local) < n {
+		s.local = d.F.NewVector(n)
+	}
+	return s
+}
+
+// putScratch returns s to the free list, dropping it when the list is full.
+func (d *Domain) putScratch(s *groupScratch) {
+	select {
+	case d.blocks <- s:
+	default:
+	}
 }
 
 // gzkp runs the paper's shuffle-less strategy: the array stays in canonical
@@ -77,10 +101,7 @@ type groupScratch struct {
 func (d *Domain) gzkp(ctx context.Context, a []ff.Element, dir Direction, cfg Config) (Stats, error) {
 	start := time.Now()
 	bitReverse(a, d.LogN)
-	roots := d.roots
-	if dir == Inverse {
-		roots = d.rootsInv
-	}
+	roots := [...][]ff.Element{Forward: d.roots, Inverse: d.rootsInv}[dir]
 	var st Stats
 	sdone := 0
 	for sdone < int(d.LogN) {
@@ -96,14 +117,10 @@ func (d *Domain) gzkp(ctx context.Context, a []ff.Element, dir Direction, cfg Co
 		}
 		blocks := (groups + g - 1) / g
 		sdoneB, bbB := sdone, bb
-		err := par.ItemsErr(ctx, blocks, 0,
-			func() *groupScratch {
-				return &groupScratch{
-					local: d.F.NewVector(g * size),
-					t:     d.F.New(), u: d.F.New(),
-				}
-			},
-			func(s *groupScratch, blk int) error {
+		err := par.ItemsErr(ctx, blocks, 0, nil,
+			func(_ struct{}, blk int) error {
+				s := d.scratch(g * size)
+				defer d.putScratch(s)
 				g0 := blk * g
 				gn := g0 + g
 				if gn > groups {
@@ -149,10 +166,7 @@ func (d *Domain) gzkp(ctx context.Context, a []ff.Element, dir Direction, cfg Co
 func (d *Domain) shuffleBaseline(ctx context.Context, a []ff.Element, dir Direction, cfg Config) (Stats, error) {
 	startAll := time.Now()
 	bitReverse(a, d.LogN)
-	roots := d.roots
-	if dir == Inverse {
-		roots = d.rootsInv
-	}
+	roots := [...][]ff.Element{Forward: d.roots, Inverse: d.rootsInv}[dir]
 	var st Stats
 	buf := d.F.NewVector(d.N)
 	cur, oth := a, buf
@@ -197,11 +211,10 @@ func (d *Domain) shuffleBaseline(ctx context.Context, a []ff.Element, dir Direct
 		loMask := 1<<sdone - 1
 		sdB, bbB := sdone, bb
 		data := cur
-		err := par.ItemsErr(ctx, groups, 0,
-			func() *groupScratch {
-				return &groupScratch{t: d.F.New(), u: d.F.New()}
-			},
-			func(s *groupScratch, g int) error {
+		err := par.ItemsErr(ctx, groups, 0, nil,
+			func(_ struct{}, g int) error {
+				s := d.scratch(0)
+				defer d.putScratch(s)
 				sub := data[g*size : (g+1)*size]
 				d.processGroup(sub, sdB, bbB, g&loMask, roots, s.t, s.u)
 				return nil

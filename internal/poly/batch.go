@@ -13,7 +13,7 @@ import (
 // BatchResult carries the k quotient-coefficient vectors of a fused POLY
 // stage plus the stats of the seven strided launches.
 type BatchResult struct {
-	// H[i] has length n-1 and aliases the batch scratch buffer.
+	// H[i] has length n-1 and aliases the batch's a buffer.
 	H     [][]ff.Element
 	Stats []ntt.Stats
 	// FusedNTTs counts the strided launches (always 7 on success): the
@@ -21,61 +21,76 @@ type BatchResult struct {
 	FusedNTTs int
 }
 
-// ComputeHBatchCtx is the batched ComputeHCtx: it runs the paper's
-// seven-NTT POLY schedule for k same-domain proofs with seven fused strided
-// launches instead of 7·k individual transforms. The per-proof evaluation
-// vectors avs[i], bvs[i], cvs[i] (each of domain length; consumed, not
-// preserved) are packed into three contiguous strided buffers so each
-// launch walks one shared stage plan across all k vectors. The arithmetic
-// per proof is exactly ComputeHCtx's, so every returned H[i] is
-// bit-identical to a solo ComputeHCtx on the same inputs.
-//
-// k = 1 dispatches to ComputeHCtx: the single-vector strategies parallelise
-// within a transform, the strided form across vectors, so each is the
-// better schedule on its side of k = 1.
+// ComputeHBatchCtx is the batched ComputeHCtx over separate vectors: it
+// packs the per-proof evaluation vectors avs[i], bvs[i], cvs[i] (each of
+// domain length; consumed, not preserved) into three strided buffers and
+// runs ComputeHStridedCtx on them.
 func ComputeHBatchCtx(ctx context.Context, dom *ntt.Domain, avs, bvs, cvs [][]ff.Element, cfg ntt.Config) (*BatchResult, error) {
-	k := len(avs)
+	k, n := len(avs), dom.N
 	if len(bvs) != k || len(cvs) != k {
 		return nil, fmt.Errorf("poly: batch lengths differ: %d/%d/%d", len(avs), len(bvs), len(cvs))
 	}
-	n := dom.N
-	for i := 0; i < k; i++ {
-		if len(avs[i]) != n || len(bvs[i]) != n || len(cvs[i]) != n {
-			return nil, fmt.Errorf("poly: batch proof %d vector lengths (%d,%d,%d) != domain %d",
-				i, len(avs[i]), len(bvs[i]), len(cvs[i]), n)
+	if k == 0 {
+		return &BatchResult{}, ctx.Err()
+	}
+	var bufs [3][]ff.Element
+	for v, vecs := range [3][][]ff.Element{avs, bvs, cvs} {
+		bufs[v] = dom.F.NewVector(k * n)
+		for i, x := range vecs {
+			if len(x) != n {
+				return nil, fmt.Errorf("poly: batch proof %d vector lengths (%d,%d,%d) != domain %d",
+					i, len(avs[i]), len(bvs[i]), len(cvs[i]), n)
+			}
+			copy(bufs[v][i*n:], x)
 		}
+	}
+	return ComputeHStridedCtx(ctx, dom, bufs[0], bufs[1], bufs[2], k, cfg)
+}
+
+// stageNames are the spans of the seven operations, solo and fused.
+var stageNames = [2][7]string{
+	{"intt-a", "intt-b", "intt-c", "coset-ntt-a", "coset-ntt-b", "coset-ntt-c", "coset-intt-h"},
+	{"batch-intt-a", "batch-intt-b", "batch-intt-c", "batch-coset-ntt-a", "batch-coset-ntt-b", "batch-coset-ntt-c", "batch-coset-intt-h"},
+}
+
+// ComputeHStridedCtx runs the paper's seven-NTT POLY schedule for k
+// same-domain proofs whose evaluation vectors a, b, c are strided buffers
+// (vector i at [i·N, (i+1)·N), consumed as scratch) and returns every
+// proof's quotient coefficients, aliasing a. k = 1 runs the single-vector
+// transforms, parallel within a transform; k > 1 seven fused strided
+// launches, parallel across vectors. Either way every H[i] is bit-identical
+// to a solo run. ctx is checked inside every transform and between stages.
+func ComputeHStridedCtx(ctx context.Context, dom *ntt.Domain, a, b, c []ff.Element, k int, cfg ntt.Config) (*BatchResult, error) {
+	n := dom.N
+	if k < 1 || len(a) != k*n || len(b) != k*n || len(c) != k*n {
+		return nil, fmt.Errorf("poly: strided lengths (%d,%d,%d) != %d·%d", len(a), len(b), len(c), k, n)
 	}
 	f := dom.F
-	res := &BatchResult{H: make([][]ff.Element, k)}
-	if k == 0 {
-		return res, ctx.Err()
-	}
-	if k == 1 {
-		solo, err := ComputeHCtx(ctx, dom, avs[0], bvs[0], cvs[0], cfg)
-		if err != nil {
-			return nil, err
+	res := &BatchResult{H: make([][]ff.Element, k), Stats: make([]ntt.Stats, 0, NTTCount)}
+	intt, coset, cosetInv := dom.INTTCtx, dom.CosetNTTCtx, dom.CosetINTTCtx
+	names := &stageNames[0]
+	if k > 1 {
+		var sp telemetry.Span
+		sp, ctx = telemetry.StartSpan(ctx, "poly-batch")
+		sp.SetInt("k", int64(k))
+		sp.SetInt("n", int64(n))
+		defer sp.End()
+		names = &stageNames[1]
+		intt = func(ctx context.Context, v []ff.Element, cfg ntt.Config) (ntt.Stats, error) {
+			return dom.TransformStridedCtx(ctx, v, k, ntt.Inverse, cfg)
 		}
-		res.H[0], res.Stats, res.FusedNTTs = solo.H, solo.Stats, len(solo.Stats)
-		return res, nil
+		coset = func(ctx context.Context, v []ff.Element, cfg ntt.Config) (ntt.Stats, error) {
+			return dom.CosetNTTStridedCtx(ctx, v, k, cfg)
+		}
+		cosetInv = func(ctx context.Context, v []ff.Element, cfg ntt.Config) (ntt.Stats, error) {
+			return dom.CosetINTTStridedCtx(ctx, v, k, cfg)
+		}
 	}
-	sp, ctx := telemetry.StartSpan(ctx, "poly-batch")
-	sp.SetInt("k", int64(k))
-	sp.SetInt("n", int64(n))
-	defer sp.End()
-
-	// Pack into strided layout: vector i of buffer X at X[i*n:(i+1)*n].
-	bufA := f.NewVector(k * n)
-	bufB := f.NewVector(k * n)
-	bufC := f.NewVector(k * n)
-	for i := 0; i < k; i++ {
-		copy(bufA[i*n:], avs[i])
-		copy(bufB[i*n:], bvs[i])
-		copy(bufC[i*n:], cvs[i])
-	}
-
-	run := func(name string, fn func(context.Context, []ff.Element, int, ntt.Config) (ntt.Stats, error), buf []ff.Element) error {
-		sp, sctx := telemetry.StartSpan(ctx, name)
-		st, err := fn(sctx, buf, k, cfg)
+	// Each of the seven ops gets a named span so the exported trace shows
+	// the §5.2 schedule; the transform's own span nests under it.
+	run := func(op int, fn func(context.Context, []ff.Element, ntt.Config) (ntt.Stats, error), v []ff.Element) error {
+		sp, sctx := telemetry.StartSpan(ctx, names[op])
+		st, err := fn(sctx, v, cfg)
 		sp.End()
 		if err != nil {
 			return err
@@ -84,49 +99,44 @@ func ComputeHBatchCtx(ctx context.Context, dom *ntt.Domain, avs, bvs, cvs [][]ff
 		res.FusedNTTs++
 		return nil
 	}
-	intt := func(c context.Context, buf []ff.Element, k int, cfg ntt.Config) (ntt.Stats, error) {
-		return dom.TransformStridedCtx(c, buf, k, ntt.Inverse, cfg)
-	}
-	vecName := [...]string{"a", "b", "c"}
-	// 3 strided INTTs: evaluations on ⟨ω⟩ → coefficients, all k at once.
-	for i, buf := range [][]ff.Element{bufA, bufB, bufC} {
-		if err := run("batch-intt-"+vecName[i], intt, buf); err != nil {
+	// 3 INTTs: evaluations on ⟨ω⟩ → coefficients; 3 coset-NTTs:
+	// coefficients → evaluations on g·⟨ω⟩.
+	for i, v := range [3][]ff.Element{a, b, c} {
+		if err := run(i, intt, v); err != nil {
 			return nil, err
 		}
 	}
-	// 3 strided coset-NTTs: coefficients → evaluations on g·⟨ω⟩.
-	for i, buf := range [][]ff.Element{bufA, bufB, bufC} {
-		if err := run("batch-coset-ntt-"+vecName[i], dom.CosetNTTStridedCtx, buf); err != nil {
+	for i, v := range [3][]ff.Element{a, b, c} {
+		if err := run(3+i, coset, v); err != nil {
 			return nil, err
 		}
 	}
-	// Pointwise (a·b - c)/Z on the coset across the whole batch; the
-	// vanishing polynomial is the same constant gⁿ-1 for every proof.
+	// Pointwise (a·b - c)/Z on the coset; Z(g·ωⁱ) = gⁿ - 1 is the same
+	// constant for every point and proof.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	zInv := f.Inverse(dom.ZOnCoset())
 	err := par.RangeErr(ctx, k*n, 0, func(lo, hi int) error {
-		tmp := f.New()
 		kr := f.Kernels()
 		for i := lo; i < hi; i++ {
-			kr.Mul(tmp, bufA[i], bufB[i])
-			kr.Sub(tmp, tmp, bufC[i])
-			kr.Mul(bufA[i], tmp, zInv)
+			kr.Mul(a[i], a[i], b[i])
+			kr.Sub(a[i], a[i], c[i])
+			kr.Mul(a[i], a[i], zInv)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// 1 strided coset-INTT back. Total: 7 fused launches for 7·k transforms.
-	if err := run("batch-coset-intt-h", dom.CosetINTTStridedCtx, bufA); err != nil {
+	// 1 coset-INTT back to coefficients. Total: 7 NTT operations (§5.2).
+	if err := run(6, cosetInv, a); err != nil {
 		return nil, err
 	}
-	for i := 0; i < k; i++ {
-		res.H[i] = bufA[i*n : i*n+n-1]
+	for i := range res.H {
+		res.H[i] = a[i*n : i*n+n-1]
 	}
-	if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
+	if reg := telemetry.FromContext(ctx).Registry(); k > 1 && reg != nil {
 		reg.Counter("poly.batch_launches").Add(int64(res.FusedNTTs))
 	}
 	return res, nil

@@ -15,7 +15,6 @@ import (
 
 	"gzkp/internal/ff"
 	"gzkp/internal/ntt"
-	"gzkp/internal/telemetry"
 )
 
 // Result carries H's coefficients and the per-NTT stats.
@@ -26,61 +25,19 @@ type Result struct {
 }
 
 // ComputeHCtx consumes a, b, c (length = domain size; overwritten as
-// scratch) and returns the quotient coefficients. It is the prover's hot
-// path for the POLY stage; cfg selects the NTT execution strategy. ctx is
-// checked cooperatively inside every transform and between stages; on
-// cancellation the scratch vectors are left in an unspecified state.
+// scratch) and returns the quotient coefficients: ComputeHStridedCtx of
+// one proof. cfg selects the NTT execution strategy; on cancellation the
+// scratch vectors are left in an unspecified state.
 func ComputeHCtx(ctx context.Context, dom *ntt.Domain, a, b, c []ff.Element, cfg ntt.Config) (*Result, error) {
 	n := dom.N
 	if len(a) != n || len(b) != n || len(c) != n {
 		return nil, fmt.Errorf("poly: vector lengths (%d,%d,%d) != domain %d", len(a), len(b), len(c), n)
 	}
-	f := dom.F
-	res := &Result{}
-	// Each of the seven ops gets a named span so the exported trace shows
-	// the §5.2 schedule; the inner "ntt" span from TransformCtx nests under
-	// it (a coset op also covers its scale-by-powers pass).
-	run := func(name string, fn func(context.Context, []ff.Element, ntt.Config) (ntt.Stats, error), v []ff.Element) error {
-		sp, sctx := telemetry.StartSpan(ctx, name)
-		st, err := fn(sctx, v, cfg)
-		sp.End()
-		if err != nil {
-			return err
-		}
-		res.Stats = append(res.Stats, st)
-		return nil
-	}
-	vecName := [...]string{"a", "b", "c"}
-	// 3 INTTs: evaluations on ⟨ω⟩ → coefficients.
-	for i, v := range [][]ff.Element{a, b, c} {
-		if err := run("intt-"+vecName[i], dom.INTTCtx, v); err != nil {
-			return nil, err
-		}
-	}
-	// 3 coset-NTTs: coefficients → evaluations on g·⟨ω⟩.
-	for i, v := range [][]ff.Element{a, b, c} {
-		if err := run("coset-ntt-"+vecName[i], dom.CosetNTTCtx, v); err != nil {
-			return nil, err
-		}
-	}
-	// Pointwise (a·b - c)/Z on the coset; Z(g·ωⁱ) = gⁿ - 1 is constant.
-	if err := ctx.Err(); err != nil {
+	res, err := ComputeHStridedCtx(ctx, dom, a, b, c, 1, cfg)
+	if err != nil {
 		return nil, err
 	}
-	zInv := f.Inverse(dom.ZOnCoset())
-	tmp := f.New()
-	kr := f.Kernels() // hoisted: one width decision for the whole pass
-	for i := 0; i < n; i++ {
-		kr.Mul(tmp, a[i], b[i])
-		kr.Sub(tmp, tmp, c[i])
-		kr.Mul(a[i], tmp, zInv)
-	}
-	// 1 coset-INTT back to coefficients. Total: 7 NTT operations (§5.2).
-	if err := run("coset-intt-h", dom.CosetINTTCtx, a); err != nil {
-		return nil, err
-	}
-	res.H = a[:n-1]
-	return res, nil
+	return &Result{H: res.H[0], Stats: res.Stats}, nil
 }
 
 // ComputeH is ComputeHCtx without cancellation.
