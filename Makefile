@@ -24,7 +24,7 @@ vet:
 loc:
 	@./scripts/loc.sh
 
-# The same eleven targets as CI's fuzz matrix, 30 s each.
+# The same twelve targets as CI's fuzz matrix, 30 s each.
 fuzz:
 	$(GO) test ./internal/ff -run FuzzFixedVsGeneric -fuzz FuzzFixedVsGeneric -fuzztime 30s
 	$(GO) test ./internal/ff -run FuzzInverse -fuzz FuzzInverse -fuzztime 30s
@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test ./internal/groth16 -run FuzzBatchVerifyVsSingle -fuzz FuzzBatchVerifyVsSingle -fuzztime 30s
 	$(GO) test ./internal/groth16 -run FuzzCompressedProofWire -fuzz FuzzCompressedProofWire -fuzztime 30s
 	$(GO) test ./internal/groth16 -run FuzzVerifyingKeyWire -fuzz FuzzVerifyingKeyWire -fuzztime 30s
+	$(GO) test ./internal/groth16 -run FuzzProvingKeyWire -fuzz FuzzProvingKeyWire -fuzztime 30s
 	$(GO) test ./internal/cluster -run FuzzReplicateIngest -fuzz FuzzReplicateIngest -fuzztime 30s
 	$(GO) test ./internal/r1cs -run FuzzSolveVsReference -fuzz FuzzSolveVsReference -fuzztime 30s
 

@@ -179,46 +179,3 @@ func TestSubMixedAssign(t *testing.T) {
 		}
 	}
 }
-
-func TestFixedBaseSerializeRoundTrip(t *testing.T) {
-	for _, id := range []ID{BN254, BLS12381} {
-		c := Get(id)
-		for _, g := range []*Group{c.G1, c.G2} {
-			base := g.Generator()
-			fb := g.NewFixedBase(base)
-			blob, err := fb.MarshalBinary()
-			if err != nil {
-				t.Fatalf("%s: marshal: %v", g.Name, err)
-			}
-			// A freshly built table serializes bit-identically: replicas
-			// that rebuild from the same base agree byte-for-byte.
-			blob2, _ := g.NewFixedBase(base).MarshalBinary()
-			if string(blob) != string(blob2) {
-				t.Fatalf("%s: rebuild is not bit-identical", g.Name)
-			}
-			got, err := g.ParseFixedBase(blob)
-			if err != nil {
-				t.Fatalf("%s: parse: %v", g.Name, err)
-			}
-			reblob, _ := got.MarshalBinary()
-			if string(reblob) != string(blob) {
-				t.Fatalf("%s: round-trip not bit-identical", g.Name)
-			}
-			ops := g.NewOps()
-			s := g.Fr.FromUint64(0xdeadbeef)
-			a, b := fb.MulElement(ops, s), got.MulElement(ops, s)
-			if !ops.Equal(&a, &b) {
-				t.Fatalf("%s: parsed table computes differently", g.Name)
-			}
-			// Corruption is rejected: flip a limb byte (off-curve point).
-			bad := append([]byte(nil), blob...)
-			bad[20] ^= 0xff
-			if _, err := g.ParseFixedBase(bad); err == nil {
-				t.Fatalf("%s: corrupted table accepted", g.Name)
-			}
-			if _, err := g.ParseFixedBase(blob[:40]); err == nil {
-				t.Fatalf("%s: truncated table accepted", g.Name)
-			}
-		}
-	}
-}

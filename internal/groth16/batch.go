@@ -157,7 +157,7 @@ type msmSet struct {
 	name string
 	g    *curve.Group
 	pts  []curve.Affine
-	t    *msm.Table   // nil: each MSM runs on pts (msm.Job)
+	t    *msm.Table // nil: each MSM runs on pts (msm.Job)
 	sp   telemetry.Span
 	left atomic.Int32 // MSMs of the set still running
 }
@@ -371,10 +371,6 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 		for i, r := range results {
 			st.MSMStats[i] = r.Stats
 		}
-		reg := telemetry.FromContext(ctx).Registry()
-		if reg != nil && !pk.HasAssemblyTables() {
-			reg.Counter("groth16.fixedbase_fallback").Add(int64(k))
-		}
 		proofs := make([]*Proof, k)
 		ops1 := buf.ops1
 		for i := range proofs {
@@ -393,7 +389,7 @@ func ProveTasks(ctx context.Context, l *par.List, pk *ProvingKey, sys *r1cs.Syst
 		}
 		pk.putBuf(buf)
 		st.MSMNS = time.Since(t0).Nanoseconds()
-		if reg != nil {
+		if reg := telemetry.FromContext(ctx).Registry(); reg != nil {
 			reg.Counter("groth16.batch_proofs").Add(int64(k))
 			reg.Counter("groth16.batch_fused_ntts").Add(int64(st.FusedNTTs))
 			reg.Counter("groth16.batches").Add(1)

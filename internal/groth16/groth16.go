@@ -45,8 +45,8 @@ type ProvingKey struct {
 	tables map[string]*msm.Table
 
 	// Fixed-base windows over the CRS deltas for proof assembly (see
-	// assembly.go); built at setup/register time, shipped via the cluster
-	// key bundle, nil after a bare deserialize (wNAF fallback).
+	// assembly.go), built with the key (Setup, UnmarshalBinary) and never
+	// serialized: they are a pure function of Delta1 and Delta2.
 	fbDelta1, fbDelta2 *curve.FixedBase
 
 	// dom is the POLY stage's NTT domain of size DomainN, built with the
@@ -357,8 +357,7 @@ func Setup(sys *r1cs.System, c *curve.Curve, rand io.Reader) (*ProvingKey, *Veri
 	g2j := fb2.MulElement(ops2, gamma)
 	vk.Gamma2 = ops2.ToAffine(&g2j)
 	vk.Delta2 = pk.Delta2
-	// Register-time fixed-base tables over the deltas for proof assembly.
-	pk.BuildAssemblyTables()
+	pk.buildAssemblyTables()
 	return pk, vk, nil
 }
 

@@ -493,6 +493,47 @@ func TestProvingKeySerialization(t *testing.T) {
 	}
 }
 
+// TestDecodedKeyProvesBitIdentically: a key that went through
+// MarshalBinary → UnmarshalBinary builds its own δ assembly tables, and its
+// proof is byte-identical to the Setup key's under the same seeded reader.
+func TestDecodedKeyProvesBitIdentically(t *testing.T) {
+	for _, id := range []curve.ID{curve.BN254, curve.BLS12381} {
+		c := curve.Get(id)
+		f := c.Fr
+		sys := cubic(f)
+		pk, vk, err := Setup(sys, c, detRand(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := pk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back ProvingKey
+		if err := back.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		if back.fbDelta1 == nil || back.fbDelta2 == nil {
+			t.Fatalf("%s: decoded key has no δ assembly tables", c.Name)
+		}
+		w, _ := sys.Solve([]ff.Element{f.FromUint64(35)}, []ff.Element{f.FromUint64(3)})
+		var enc [2][]byte
+		for i, key := range []*ProvingKey{pk, &back} {
+			proof, _, err := Prove(key, sys, w, ProveConfig{}, detRand(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Verify(vk, proof, []ff.Element{f.FromUint64(35)}); err != nil {
+				t.Fatalf("%s: %v", c.Name, err)
+			}
+			enc[i], _ = proof.MarshalBinary()
+		}
+		if !bytes.Equal(enc[0], enc[1]) {
+			t.Fatalf("%s: decoded key's proof differs from the Setup key's", c.Name)
+		}
+	}
+}
+
 func TestMultiplePublicInputs(t *testing.T) {
 	// Exercises the IC accumulation over several public wires:
 	// assert x*y == p1, x+y == p2, with p3 = const*x as a third public.

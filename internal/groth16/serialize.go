@@ -210,8 +210,8 @@ func (vk *VerifyingKey) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary serializes the proving key (large: dominated by the
-// per-wire query points). Cached GZKP tables are not serialized; rebuild
-// them with Preprocess after loading.
+// per-wire query points). No table is serialized: UnmarshalBinary rebuilds
+// the δ assembly tables, and Preprocess rebuilds the GZKP MSM tables.
 func (pk *ProvingKey) MarshalBinary() ([]byte, error) {
 	c := curve.Get(pk.CurveID)
 	var buf bytes.Buffer
@@ -239,7 +239,8 @@ func (pk *ProvingKey) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary parses and validates a proving key.
+// UnmarshalBinary parses and validates a proving key and builds what the
+// key derives from its points: the NTT domain and the δ assembly tables.
 func (pk *ProvingKey) UnmarshalBinary(data []byte) error {
 	r := bytes.NewReader(data)
 	idb, err := r.ReadByte()
@@ -320,6 +321,7 @@ func (pk *ProvingKey) UnmarshalBinary(data []byte) error {
 	if out.dom, err = ntt.NewDomain(c.Fr, domainN); err != nil {
 		return err
 	}
+	out.buildAssemblyTables()
 	*pk = *out
 	return nil
 }

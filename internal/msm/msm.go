@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"time"
 
 	"gzkp/internal/curve"
 	"gzkp/internal/ff"
@@ -151,42 +150,6 @@ func AutoWindow(n int) int {
 		k = 16
 	}
 	return k
-}
-
-// ProfileWindow implements §4.1's profiling-based window configuration:
-// it times the GZKP bucket pipeline on a small sample of the workload for
-// candidate window sizes around the analytic default and returns the
-// fastest. Deterministic inputs make the choice reproducible.
-func ProfileWindow(g *curve.Group, points []curve.Affine, scalars []ff.Element, cfg Config) (int, error) {
-	if len(points) == 0 {
-		return AutoWindow(0), nil
-	}
-	sample := len(points)
-	if sample > 1<<10 {
-		sample = 1 << 10
-	}
-	base := AutoWindow(len(points))
-	best, bestTime := base, int64(1)<<62
-	for _, k := range []int{base - 2, base, base + 2} {
-		if k < 1 || k > 20 {
-			continue
-		}
-		c := cfg
-		c.Strategy = GZKP
-		c.WindowBits = k
-		table, err := Preprocess(g, points[:sample], c)
-		if err != nil {
-			return 0, err
-		}
-		start := nowNS()
-		if _, _, err := table.Compute(scalars[:sample], c); err != nil {
-			return 0, err
-		}
-		if el := nowNS() - start; el < bestTime {
-			best, bestTime = k, el
-		}
-	}
-	return best, nil
 }
 
 // ComputeCtx evaluates Σ scalars[i]·points[i] on group g with cfg. ctx is
@@ -344,5 +307,3 @@ func reference(ctx context.Context, g *curve.Group, points []curve.Affine, scala
 	}
 	return ops.ToAffine(&acc), Stats{}, nil
 }
-
-func nowNS() int64 { return time.Now().UnixNano() }

@@ -374,29 +374,6 @@ func BenchmarkWindowK(b *testing.B) {
 	}
 }
 
-func TestProfileWindow(t *testing.T) {
-	g := curve.Get(curve.BN254).G1
-	points, scalars := testVectors(g, 300, 53, 0.2)
-	k, err := ProfileWindow(g, points, scalars, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := AutoWindow(len(points))
-	if k < base-2 || k > base+2 {
-		t.Fatalf("profiled k=%d outside candidate range around %d", k, base)
-	}
-	// Profiled window must produce correct results.
-	want, _, _ := Compute(g, points, scalars, Config{Strategy: Reference})
-	got, _, err := Compute(g, points, scalars, Config{Strategy: GZKP, WindowBits: k})
-	if err != nil || !g.EqualAffine(got, want) {
-		t.Fatal("profiled window broke MSM")
-	}
-	// Empty input falls back to the default.
-	if k, err := ProfileWindow(g, nil, nil, Config{}); err != nil || k != AutoWindow(0) {
-		t.Fatal("empty-input fallback broken")
-	}
-}
-
 func TestPropMSMLinearity(t *testing.T) {
 	// MSM(s)+MSM(t) == MSM(s+t) over the same points — the module-homo-
 	// morphism property every strategy must preserve (testing/quick).

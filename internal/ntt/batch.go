@@ -10,60 +10,16 @@ import (
 	"gzkp/internal/telemetry"
 )
 
-// TransformBatchCtx runs many independent same-size transforms concurrently —
-// the throughput-oriented mode the paper's §7 sketches for homomorphic-
-// encryption workloads ("NTT batching"): ZKP wants one low-latency
-// transform using the whole device, HE wants many smaller transforms
-// saturating it. Each vector gets the same direction and (serial-precomp)
-// plan; vectors are distributed over the runtime's workers. Cancellation is
-// checked between vectors and between iterations of each serial transform.
-func (d *Domain) TransformBatchCtx(ctx context.Context, vecs [][]ff.Element, dir Direction, cfg Config) ([]Stats, error) {
-	cfg = cfg.withDefaults()
-	for i, v := range vecs {
-		if len(v) != d.N {
-			return nil, fmt.Errorf("ntt: batch vector %d has length %d, domain %d", i, len(v), d.N)
-		}
-	}
-	stats := make([]Stats, len(vecs))
-	err := par.ItemsErr(ctx, len(vecs), 0,
-		nil,
-		func(_ struct{}, i int) error {
-			// Per-vector serial plan: batching trades per-transform
-			// parallelism for cross-transform throughput.
-			st, err := d.serial(ctx, vecs[i], dir, true)
-			if err != nil {
-				return err
-			}
-			stats[i] = st
-			if dir == Inverse {
-				f := d.F
-				for j := range vecs[i] {
-					f.Mul(vecs[i][j], vecs[i][j], d.NInv)
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return stats, nil
-}
-
-// TransformBatch is TransformBatchCtx without cancellation.
-func (d *Domain) TransformBatch(vecs [][]ff.Element, dir Direction, cfg Config) ([]Stats, error) {
-	return d.TransformBatchCtx(context.Background(), vecs, dir, cfg)
-}
-
 // TransformStridedCtx runs k same-size transforms over one contiguous
 // strided buffer — vector i occupies buf[i*N : (i+1)*N] — with a single
 // fused plan: the stage loop is walked once, each stage's twiddle stride is
 // derived once and shared by all k vectors, and within a stage the k
 // vectors are distributed over the runtime's workers. This is the batched-prover
 // layout (one ProveBatch packs the k per-proof polynomial vectors
-// contiguously so seven strided launches replace 7·k individual ones);
-// TransformBatchCtx keeps the slice-of-slices form for callers that own
-// separate vectors. Results are bit-identical to k independent Transform
-// calls — every strategy computes the same exact arithmetic.
+// contiguously so seven strided launches replace 7·k individual ones), and
+// the form of the paper's §7 "NTT batching" (many same-size transforms
+// saturating the device). Results are bit-identical to k independent
+// Transform calls — every strategy computes the same exact arithmetic.
 //
 // Cancellation is checked between stages and at worker-chunk boundaries
 // inside each stage; on cancellation buf is left in an unspecified

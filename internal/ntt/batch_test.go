@@ -12,60 +12,25 @@ import (
 	"gzkp/internal/par"
 )
 
-func TestTransformBatchMatchesSingle(t *testing.T) {
-	f := frBN254(t)
-	d, err := NewDomain(f, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const count = 9
-	vecs := make([][]ff.Element, count)
-	want := make([][]ff.Element, count)
-	for i := range vecs {
-		in := randVector(f, d.N, int64(40+i))
-		vecs[i] = f.CopyVector(in)
-		want[i] = f.CopyVector(in)
-		if _, err := d.NTT(want[i], Config{Strategy: GZKP}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, err := d.TransformBatch(vecs, Forward, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats) != count {
-		t.Fatalf("got %d stats", len(stats))
-	}
-	for i := range vecs {
-		for j := range vecs[i] {
-			if !f.Equal(vecs[i][j], want[i][j]) {
-				t.Fatalf("batch transform %d differs at %d", i, j)
-			}
-		}
-	}
-}
-
 func TestTransformBatchInverseRoundTrip(t *testing.T) {
 	f := frBN254(t)
 	d, _ := NewDomain(f, 128)
 	in := randVector(f, d.N, 55)
-	vecs := [][]ff.Element{f.CopyVector(in), f.CopyVector(in)}
-	if _, err := d.TransformBatch(vecs, Forward, Config{}); err != nil {
+	buf := append(f.CopyVector(in), f.CopyVector(in)...)
+	if _, err := d.TransformStridedCtx(context.Background(), buf, 2, Forward, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.TransformBatch(vecs, Inverse, Config{}); err != nil {
+	if _, err := d.TransformStridedCtx(context.Background(), buf, 2, Inverse, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range vecs {
-		for j := range v {
-			if !f.Equal(v[j], in[j]) {
-				t.Fatal("batch inverse roundtrip failed")
-			}
+	for j := range buf {
+		if !f.Equal(buf[j], in[j%d.N]) {
+			t.Fatal("batch inverse roundtrip failed")
 		}
 	}
 }
 
-// TestTransformBatchDifferential checks both batch entry points against k
+// TestTransformBatchDifferential checks the strided batch against k
 // independent Transform calls on random vectors, in both directions, over
 // both curves' scalar fields.
 func TestTransformBatchDifferential(t *testing.T) {
@@ -78,7 +43,6 @@ func TestTransformBatchDifferential(t *testing.T) {
 		for _, dir := range []Direction{Forward, Inverse} {
 			const k = 7
 			want := make([][]ff.Element, k)
-			vecs := make([][]ff.Element, k)
 			strided := make([]ff.Element, 0, k*d.N)
 			for i := 0; i < k; i++ {
 				in := randVector(f, d.N, int64(100+i))
@@ -86,11 +50,7 @@ func TestTransformBatchDifferential(t *testing.T) {
 				if _, err := d.Transform(want[i], dir, Config{Strategy: GZKP}); err != nil {
 					t.Fatal(err)
 				}
-				vecs[i] = f.CopyVector(in)
 				strided = append(strided, f.CopyVector(in)...)
-			}
-			if _, err := d.TransformBatch(vecs, dir, Config{}); err != nil {
-				t.Fatal(err)
 			}
 			st, err := d.TransformStridedCtx(context.Background(), strided, k, dir, Config{})
 			if err != nil {
@@ -101,9 +61,6 @@ func TestTransformBatchDifferential(t *testing.T) {
 			}
 			for i := 0; i < k; i++ {
 				for j := 0; j < d.N; j++ {
-					if !f.Equal(vecs[i][j], want[i][j]) {
-						t.Fatalf("%s dir %d: batch vector %d differs at %d", f.Name(), dir, i, j)
-					}
 					if !f.Equal(strided[i*d.N+j], want[i][j]) {
 						t.Fatalf("%s dir %d: strided vector %d differs at %d", f.Name(), dir, i, j)
 					}
@@ -124,9 +81,9 @@ func TestTransformStridedValidation(t *testing.T) {
 	}
 }
 
-// TestTransformBatchCancellation cancels mid-batch and checks both that the
-// cancellation surfaces as context.Canceled and that no worker goroutines
-// leak (run under -race in CI).
+// TestTransformBatchCancellation cancels a strided batch mid-run and checks
+// both that the cancellation surfaces as context.Canceled and that no
+// worker goroutines leak (run under -race in CI).
 func TestTransformBatchCancellation(t *testing.T) {
 	f := frBN254(t)
 	d, err := NewDomain(f, 1024)
@@ -141,25 +98,19 @@ func TestTransformBatchCancellation(t *testing.T) {
 	}
 	baseline := runtime.NumGoroutine()
 	for round := 0; round < 4; round++ {
-		vecs := make([][]ff.Element, k)
 		strided := make([]ff.Element, 0, k*d.N)
-		for i := range vecs {
-			vecs[i] = randVector(f, d.N, int64(300+i))
-			strided = append(strided, f.CopyVector(vecs[i])...)
+		for i := 0; i < k; i++ {
+			strided = append(strided, randVector(f, d.N, int64(300+i))...)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
 			time.Sleep(time.Duration(round) * 200 * time.Microsecond)
 			cancel()
 		}()
-		_, errBatch := d.TransformBatchCtx(ctx, vecs, Forward, Config{})
-		_, errStrided := d.TransformStridedCtx(ctx, strided, k, Forward, Config{})
-		// Depending on timing either call may finish before the cancel
-		// lands; when one reports an error it must be the cancellation.
-		for _, err := range []error{errBatch, errStrided} {
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("cancellation surfaced as %v", err)
-			}
+		// Depending on timing the call may finish before the cancel lands;
+		// when it reports an error it must be the cancellation.
+		if _, err := d.TransformStridedCtx(ctx, strided, k, Forward, Config{}); err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancellation surfaced as %v", err)
 		}
 		cancel()
 	}
@@ -173,16 +124,4 @@ func TestTransformBatchCancellation(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d now vs %d before", runtime.NumGoroutine(), baseline)
-}
-
-func TestTransformBatchValidation(t *testing.T) {
-	f := frBN254(t)
-	d, _ := NewDomain(f, 64)
-	if _, err := d.TransformBatch([][]ff.Element{f.NewVector(32)}, Forward, Config{}); err == nil {
-		t.Fatal("wrong-size batch vector accepted")
-	}
-	// Empty batch is a no-op.
-	if _, err := d.TransformBatch(nil, Forward, Config{}); err != nil {
-		t.Fatal(err)
-	}
 }

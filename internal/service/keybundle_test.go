@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bytes"
+	"encoding/json"
 	"math/big"
 	"net/http"
 	"runtime"
@@ -42,12 +42,11 @@ func proveOnce(t *testing.T, svc *Service, id string) {
 	}
 }
 
-// TestKeyBundleFixedBaseRoundTrip covers the cluster replication path for
-// the proof-assembly fixed-base tables: the registering node exports them
-// in the key bundle, a replica importing the bundle rebuilds bit-identical
-// tables, and a replica fed an old bundle without tables falls back to the
-// generic ladder (counted) while still producing valid proofs.
-func TestKeyBundleFixedBaseRoundTrip(t *testing.T) {
+// TestKeyBundleShipsNoTables: an exported bundle carries the keys and the
+// spec only, with no "fixed_base" field, and a replica that imports it
+// builds its own δ assembly tables and proves proofs that verify. A raw
+// bundle from an older node, which still carries the field, gets a 400.
+func TestKeyBundleShipsNoTables(t *testing.T) {
 	src := New(fastConfig())
 	defer src.Close()
 	info, err := src.Register(CircuitSpec{Curve: "bn254", Source: cubicSrc})
@@ -58,55 +57,28 @@ func TestKeyBundleFixedBaseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(kb.FixedBase) == 0 {
-		t.Fatal("exported bundle carries no fixed-base tables")
-	}
-
-	// Replica import: tables must install and re-export bit-identically.
-	replica := New(fastConfig())
-	defer replica.Close()
-	if _, err := replica.RegisterImported(*kb); err != nil {
-		t.Fatalf("import: %v", err)
-	}
-	kb2, err := replica.ExportKeys(info.CircuitID)
+	raw, err := json.Marshal(kb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(kb.FixedBase, kb2.FixedBase) {
-		t.Fatalf("replica tables not bit-identical: %d vs %d bytes", len(kb.FixedBase), len(kb2.FixedBase))
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
 	}
-	if got := replica.Registry().Counter("service.fixedbase.missing").Value(); got != 0 {
-		t.Fatalf("missing-table counter bumped on a bundle with tables: %d", got)
+	if _, ok := fields["fixed_base"]; ok {
+		t.Fatal("exported bundle carries fixed_base")
+	}
+
+	replica, srv := newTestServer(t, fastConfig())
+	if _, err := replica.RegisterImported(*kb); err != nil {
+		t.Fatalf("import: %v", err)
 	}
 	proveOnce(t, replica, info.CircuitID)
 
-	// Old bundle without tables: fallback path, counted, proofs still valid.
-	stripped := *kb
-	stripped.FixedBase = nil
-	old := New(fastConfig())
-	defer old.Close()
-	if _, err := old.RegisterImported(stripped); err != nil {
-		t.Fatalf("import stripped: %v", err)
-	}
-	if got := old.Registry().Counter("service.fixedbase.missing").Value(); got != 1 {
-		t.Fatalf("service.fixedbase.missing = %d, want 1", got)
-	}
-	proveOnce(t, old, info.CircuitID)
-	old.mu.Lock()
-	pk := old.circuits[info.CircuitID].pk
-	old.mu.Unlock()
-	if pk.HasAssemblyTables() {
-		t.Fatal("stripped import unexpectedly has assembly tables")
-	}
-
-	// Corrupted tables must be rejected, not silently dropped.
-	bad := *kb
-	bad.FixedBase = append([]byte(nil), kb.FixedBase...)
-	bad.FixedBase[len(bad.FixedBase)/2] ^= 0xff
-	rej := New(fastConfig())
-	defer rej.Close()
-	if _, err := rej.RegisterImported(bad); err == nil {
-		t.Fatal("corrupted fixed-base tables accepted")
+	fields["fixed_base"] = json.RawMessage(`"AAAA"`)
+	resp, body := postJSON(t, srv.URL+"/v1/circuits/import", fields)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("import of a bundle with fixed_base: %d %s, want 400", resp.StatusCode, body)
 	}
 }
 

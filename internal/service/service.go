@@ -404,17 +404,16 @@ func (s *Service) Register(spec CircuitSpec) (*CircuitInfo, error) {
 // circuit by exporting the bundle from the node that ran the trusted
 // setup and importing it on the other replicas, so every replica proves
 // under the same CRS (setups are randomized; two independent Setup runs
-// would yield incompatible keys).
+// would yield incompatible keys). It carries no precomputed table: the
+// importer's proving-key decoder builds the δ assembly tables, and
+// preprocessing (if configured) the MSM tables. Bundles from older nodes
+// also carried a "fixed_base" field; the coordinator's lenient decode drops
+// it, but POST /v1/circuits/import rejects it as an unknown field.
 type KeyBundle struct {
 	CircuitID    string      `json:"circuit_id"`
 	Spec         CircuitSpec `json:"spec"`
 	ProvingKey   []byte      `json:"proving_key"`   // groth16 binary encoding
 	VerifyingKey []byte      `json:"verifying_key"` // compressed wire encoding
-	// FixedBase carries the proof-assembly fixed-base tables built at
-	// register time, so replicas install bit-identical tables instead of
-	// recomputing (or silently falling back to the generic ladder). Empty
-	// in bundles from older nodes; importers then fall back and count it.
-	FixedBase []byte `json:"fixed_base,omitempty"`
 }
 
 // ExportKeys serializes a cached circuit's key material for replication.
@@ -429,24 +428,18 @@ func (s *Service) ExportKeys(id string) (*KeyBundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: export keys: %w", err)
 	}
-	var fbBytes []byte
-	if e.pk.HasAssemblyTables() {
-		if fbBytes, err = e.pk.MarshalAssemblyTables(); err != nil {
-			return nil, fmt.Errorf("service: export fixed-base tables: %w", err)
-		}
-	}
 	return &KeyBundle{
 		CircuitID: id, Spec: e.spec,
 		ProvingKey:   pkBytes,
 		VerifyingKey: append([]byte(nil), e.vkBytes...),
-		FixedBase:    fbBytes,
 	}, nil
 }
 
 // RegisterImported installs a circuit with keys produced elsewhere
 // (another node's trusted setup) instead of sampling a fresh CRS: the
 // system is recompiled locally from the spec, the keys are decoded and
-// curve-checked, and GZKP preprocessing runs if configured. The caller is
+// curve-checked (the proving key's decoder builds its δ assembly tables),
+// and GZKP preprocessing runs if configured. The caller is
 // trusted to pair spec and keys correctly — this is the cluster's
 // internal replication hook, not a public registration path.
 func (s *Service) RegisterImported(kb KeyBundle) (*CircuitInfo, error) {
@@ -468,15 +461,6 @@ func (s *Service) RegisterImported(kb KeyBundle) (*CircuitInfo, error) {
 	}
 	if pk.CurveID != e.curveID || vk.CurveID != e.curveID {
 		return nil, &InputError{Msg: "import: key curve does not match spec curve"}
-	}
-	if len(kb.FixedBase) > 0 {
-		if err := pk.UnmarshalAssemblyTables(kb.FixedBase); err != nil {
-			return nil, &InputError{Msg: fmt.Sprintf("import: bad fixed-base tables: %v", err)}
-		}
-	} else {
-		// Older bundle without tables: the prover falls back to the
-		// generic ladder; surface that so operators can spot stale peers.
-		s.reg.Counter("service.fixedbase.missing").Add(1)
 	}
 	if s.cfg.Preprocess && s.cfg.MSM.Strategy == msm.GZKP {
 		if err := pk.PreprocessCtx(s.ctx, s.cfg.MSM); err != nil {
